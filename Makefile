@@ -5,8 +5,9 @@
 #   make ci-heavy      — full box: heavy sweeps under ASMSIM_HEAVY=1
 #   make smoke         — one sweep per fault tier through the real CLI
 #   make smoke-trace   — sweep a seeded bug, export + validate its Chrome trace
-#   make smoke-dist    — multi-process runs (with a chaos-killed worker) must
-#                        be byte-identical to in-process runs
+#   make smoke-dist    — --dist runs (a private worker fleet, one worker's
+#                        link chaos-cut; one run SIGTERMed and resumed) must
+#                        be byte-identical to in-process
 #   make smoke-net     — the TCP service: serve + chaos-net remote workers,
 #                        byte-identical to in-process; SIGTERM drains to 0
 #   make smoke-soak    — the soak runner + corpus store: a SIGKILLed-and-
@@ -26,8 +27,8 @@
 #                        growth (the unbounded-memory detector)
 #   make test-heavy    — includes the exhaustive sweeps (ASMSIM_HEAVY=1)
 #   make bench-json    — benchmarks as BENCH_svm.json (ns/run + overhead)
-#   make bench-gate    — re-time the EX explorer, DIST coordinator, NET
-#                        service and SOAK runner families, fail if any row
+#   make bench-gate    — re-time the EX explorer, NET service, OBS, SOAK
+#                        runner and SDL families, fail if any row
 #                        regressed >1.5x against the committed BENCH_svm.json
 #                        or the EXd15/EXp415 par_speedup_ratio fell below 2x
 
@@ -74,12 +75,18 @@ smoke-trace: build
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) trace-check _build/prof.json --require-instants
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) stats _build/prof.replay --out _build/prof.stats.json
 
-# The distributed coordinator through the real CLI: the same seeded-bug
-# sweep run in-process and across 2 worker processes — one of which is
-# chaos-SIGKILLed mid-shard — must print the same stdout and write a
-# byte-identical replay artifact; the grep proves the kill really fired
-# (all [dist] chatter goes to stderr, which is why stdout diffs clean).
-# Then the same identity for the exhaustive explorer.
+# --dist through the real CLI: the same seeded-bug sweep run in-process
+# and on a private fleet of 2 worker processes — the link of the worker
+# dealt shard 0 chaos-cut right after dealing, so the shard is re-dealt
+# — must print the same stdout and write a byte-identical replay
+# artifact; the grep proves the cut really fired (all [dist] chatter
+# goes to stderr, which is why stdout diffs clean). Then the same
+# identity for the exhaustive explorer. Last, SIGTERM: a --dist sweep
+# stopped once its first shard is journalled must suspend (exit 0,
+# "suspended"), and `serve --resume` must finish it, restoring the
+# journalled shards, with the in-process verdict. The first of its 50
+# shards lands in a few percent of the sweep's ~1.7 s (2-core host), so
+# the signal always finds it running.
 smoke-dist: build
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) sweep --algo safe_agreement_no_cancel \
 	  --expect-violation --out _build/dist.replay > _build/dist-a.out
@@ -95,6 +102,24 @@ smoke-dist: build
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement_no_cancel \
 	  --crashes 1 --expect-violation --dist 2 --shard-size 7 > _build/dist-d.out
 	diff _build/dist-c.out _build/dist-d.out
+	rm -rf _build/distsig && mkdir -p _build/distsig
+	set -e; \
+	BIN=_build/default/bin/asmsim.exe; D=_build/distsig; \
+	SW="sweep --algo safe_agreement -t 2 --window 8 --budget 5000"; \
+	timeout $(SMOKE_TIMEOUT) $$BIN $$SW > $$D/a.out; \
+	$$BIN $$SW --dist 1 --shard-size 20 --journal-dir $$D/jobs \
+	  > $$D/b.out 2> $$D/b.err & P=$$!; \
+	for i in $$(seq 1 200); do \
+	  grep -qs '"shard"' $$D/jobs/*/journal.jsonl && break; sleep 0.02; \
+	done; \
+	kill -TERM $$P || { echo "smoke-dist: the sweep ended before SIGTERM"; exit 1; }; \
+	wait $$P; \
+	grep -q suspended $$D/b.err; \
+	ID=$$($$BIN serve --list --journal-dir $$D/jobs); \
+	timeout $(SMOKE_TIMEOUT) $$BIN serve --resume $$ID --journal-dir $$D/jobs \
+	  > $$D/c.out 2> $$D/c.err; \
+	grep -Eq ' [1-9][0-9]* resumed' $$D/c.err; \
+	tail -n +2 $$D/a.out | diff - $$D/c.out
 
 # The network service end to end, through the real CLI: the same
 # seeded-bug sweep run in-process and over loopback TCP — a serve

@@ -289,54 +289,21 @@ let overhead_plain_name = "OV0: safe agreement, bare Exec.run"
 let overhead_swept_name = "OV1: same + fault wrapper, monitors, trace"
 let overhead_metrics_name = "OV2: same + metrics registry"
 
-(* The DIST family: one fault sweep run in-process (SW0) and through
-   the multi-process coordinator at 1, 2 and 4 workers — forked worker
-   binaries, length-prefixed frames over socketpairs, in-order merge.
-   [dist_overhead_ratio] (DIST1 / SW0) is the per-run tax of the whole
-   process machinery at its least favourable point (one worker, so no
-   parallelism to hide behind); the bench gate watches the absolute
-   row times so a protocol change that bloats framing or handshaking
-   shows up in CI. *)
+(* SW0: one fault sweep run in-process — the reference the NET row's
+   overhead ratio divides by. *)
 
-let dist_scenario =
+let sw0_scenario =
   match Experiments.Scenario.find "safe_agreement" with
   | Ok s -> s
   | Error e -> failwith e
 
-let dist_runs = 400
+let sw0_runs = 400
 
 let bench_sweep_inproc () =
   ignore
-    (Experiments.Harness.sweep_scenario ~max_runs:dist_runs dist_scenario)
-
-let dist_config workers =
-  {
-    (Dist.Coordinator.default_config ~workers
-       ~exe:"_build/default/bin/asmsim.exe" ())
-    with
-    Dist.Coordinator.shard_size = Some 8;
-  }
-
-let bench_sweep_dist workers () =
-  match
-    Experiments.Harness.sweep_scenario_dist ~max_runs:dist_runs
-      (dist_config workers) dist_scenario
-  with
-  | Ok _ -> ()
-  | Error e -> failwith e
+    (Experiments.Harness.sweep_scenario ~max_runs:sw0_runs sw0_scenario)
 
 let sw0_name = "SW0: fault sweep, safe agreement, in-process"
-let dist1_name = "DIST1: same sweep, coordinator + 1 worker process"
-let dist2_name = "DIST2: same sweep, 2 worker processes"
-let dist4_name = "DIST4: same sweep, 4 worker processes"
-
-let dist_family =
-  [
-    (sw0_name, bench_sweep_inproc);
-    (dist1_name, bench_sweep_dist 1);
-    (dist2_name, bench_sweep_dist 2);
-    (dist4_name, bench_sweep_dist 4);
-  ]
 
 (* The NET family: the same sweep submitted to a loopback TCP service
    with one remote worker — handshake, framed submit, shard stream,
@@ -435,7 +402,7 @@ let net_client_config =
 let bench_sweep_net () =
   let port = net_port () in
   let job =
-    Experiments.Harness.sweep_job ~max_runs:dist_runs dist_scenario
+    Experiments.Harness.sweep_job ~max_runs:sw0_runs sw0_scenario
   in
   match
     Experiments.Harness.submit_job_net
@@ -448,7 +415,7 @@ let bench_sweep_net () =
   | Error e -> failwith e
 
 let net1_name = "NET1: same sweep, TCP service + 1 remote worker"
-let net_family = [ (net1_name, bench_sweep_net) ]
+let net_family = [ (sw0_name, bench_sweep_inproc); (net1_name, bench_sweep_net) ]
 
 (* The OBS family: the identical NET1 submit with the client's whole
    observability stack switched on — a Debug-level logger draining into
@@ -479,7 +446,7 @@ let obs_client_config =
 let bench_sweep_obs () =
   let port = net_port () in
   let job =
-    Experiments.Harness.sweep_job ~max_runs:dist_runs dist_scenario
+    Experiments.Harness.sweep_job ~max_runs:sw0_runs sw0_scenario
   in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
   let cfg = Lazy.force obs_client_config in
@@ -571,7 +538,7 @@ let bench_sdl_builtin () =
     | Ok s -> s
     | Error e -> failwith e
   in
-  ignore (Experiments.Harness.sweep_scenario ~max_runs:dist_runs s)
+  ignore (Experiments.Harness.sweep_scenario ~max_runs:sw0_runs s)
 
 let bench_sdl_compiled () =
   let s =
@@ -579,7 +546,7 @@ let bench_sdl_compiled () =
     | Ok s -> s
     | Error e -> failwith e
   in
-  ignore (Experiments.Harness.sweep_scenario ~max_runs:dist_runs s)
+  ignore (Experiments.Harness.sweep_scenario ~max_runs:sw0_runs s)
 
 let sdl_family =
   [ (sdl0_name, bench_sdl_builtin); (sdl1_name, bench_sdl_compiled) ]
@@ -673,8 +640,7 @@ let tests =
     ]
     @ List.map
         (fun (name, body) -> Test.make ~name (Staged.stage body))
-        (explore_family @ dist_family @ net_family @ obs_family
-       @ soak_family @ sdl_family))
+        (explore_family @ net_family @ obs_family @ soak_family @ sdl_family))
 
 let estimate_of tests =
   let ols =
@@ -757,13 +723,6 @@ let emit_json estimates =
     | Some plan, Some par when par > 0. -> Some (plan /. par)
     | _ -> None
   in
-  (* DIST1 / SW0: the full process-coordination tax — fork, handshake,
-     frame, merge — with one worker, so nothing amortizes it. *)
-  let dist_ratio =
-    match (find sw0_name, find dist1_name) with
-    | Some base, Some dist when base > 0. -> Some (dist /. base)
-    | _ -> None
-  in
   (* NET1 / SW0: the same tax paid over loopback TCP — handshake,
      framed submit, journal, shard stream — with one remote worker. *)
   let net_ratio =
@@ -816,11 +775,6 @@ let emit_json estimates =
       Buffer.add_string b
         (Printf.sprintf "  \"par_speedup_ratio\": %.3f,\n" r)
   | None -> Buffer.add_string b "  \"par_speedup_ratio\": null,\n");
-  (match dist_ratio with
-  | Some r ->
-      Buffer.add_string b
-        (Printf.sprintf "  \"dist_overhead_ratio\": %.3f,\n" r)
-  | None -> Buffer.add_string b "  \"dist_overhead_ratio\": null,\n");
   (match net_ratio with
   | Some r ->
       Buffer.add_string b
@@ -868,14 +822,13 @@ let emit_json estimates =
   Buffer.add_string hist
     (Printf.sprintf
        "{\"date\": \"%s\", \"sweep_overhead\": %s, \"explore_speedup\": %s, \
-        \"par_speedup\": %s, \"dist_overhead\": %s, \"net_overhead\": %s, \
-        \"obs_overhead\": %s}\n"
+        \"par_speedup\": %s, \"net_overhead\": %s, \"obs_overhead\": %s}\n"
        (let t = Unix.gmtime (Unix.gettimeofday ()) in
         Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
           (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
           t.Unix.tm_sec)
-       (num ratio) (num explore_ratio) (num par_ratio) (num dist_ratio)
-       (num net_ratio) (num obs_ratio));
+       (num ratio) (num explore_ratio) (num par_ratio) (num net_ratio)
+       (num obs_ratio));
   let oc =
     open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_history.jsonl"
   in
@@ -892,9 +845,6 @@ let emit_json estimates =
   | None -> ());
   (match par_ratio with
   | Some r -> Printf.printf "par speedup ratio: %.2fx\n" r
-  | None -> ());
-  (match dist_ratio with
-  | Some r -> Printf.printf "dist overhead ratio: %.2fx\n" r
   | None -> ());
   (match net_ratio with
   | Some r -> Printf.printf "net overhead ratio: %.2fx\n" r
@@ -913,7 +863,7 @@ let emit_json estimates =
   | None -> ());
   print_endline "wrote BENCH_svm.json"
 
-(* --gate FILE: the regression gate. Re-times the EX, DIST, NET, OBS and SOAK
+(* --gate FILE: the regression gate. Re-times the EX, NET, OBS, SOAK and SDL
    families with the same bechamel estimator that produced the
    committed BENCH_svm.json — cold wall-clock sampling is not
    comparable to the OLS per-run estimate (a parallel-explorer row
@@ -921,8 +871,8 @@ let emit_json estimates =
    major-heap pollution and reads 2-5x its steady-state cost on a
    small machine) — and fails if any row regressed more than 1.5x
    against the committed numbers. Only those rows are gated: they are
-   the ones the explorer engine and the process coordinator exist
-   for, and the only rows slow enough for timing to be trustworthy. *)
+   the ones the explorer engine and the job queue exist for, and the
+   only rows slow enough for timing to be trustworthy. *)
 
 let gate_slack = 1.5
 
@@ -961,8 +911,7 @@ let gate_against file =
         exit 2
   in
   let families =
-    explore_family @ dist_family @ net_family @ obs_family @ soak_family
-    @ sdl_family
+    explore_family @ net_family @ obs_family @ soak_family @ sdl_family
   in
   let committed =
     List.map
@@ -1038,7 +987,7 @@ let gate_against file =
       Printf.eprintf "bench gate: cannot compute sdl_compile_overhead_ratio\n");
   if !failed then begin
     Printf.eprintf
-      "bench gate: EX/DIST/NET/OBS/SOAK/SDL families regressed beyond %.1fx, \
+      "bench gate: EX/NET/OBS/SOAK/SDL families regressed beyond %.1fx, \
        par_speedup_ratio fell below %.1fx, or sdl_compile_overhead_ratio \
        rose above %.2fx\n"
       gate_slack par_speedup_bar sdl_compile_bar;
@@ -1046,7 +995,7 @@ let gate_against file =
   end
   else
     Printf.printf
-      "bench gate: EX/DIST/NET/OBS/SOAK/SDL families within %.1fx of %s, \
+      "bench gate: EX/NET/OBS/SOAK/SDL families within %.1fx of %s, \
        par_speedup_ratio >= %.1fx, sdl_compile_overhead_ratio <= %.2fx\n"
       gate_slack file par_speedup_bar sdl_compile_bar
 

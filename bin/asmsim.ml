@@ -363,10 +363,12 @@ let dist_arg =
     value & opt int 0
     & info [ "dist" ] ~docv:"W"
         ~doc:
-          "Shard the work across W worker OS processes (0 = in-process). \
-           Output is bit-for-bit identical to the in-process run; --jobs is \
-           ignored. Completed shards are journalled under --journal-dir so a \
-           killed run can be picked up with --resume.")
+          "Shard the work across W worker OS processes (0 = in-process): a \
+           private job queue on a Unix-domain socket only this user can \
+           reach, served by W `asmsim work --connect' children. Output is bit-for-bit identical to the \
+           in-process run; --jobs is ignored. Completed shards are \
+           journalled under --journal-dir, so a run stopped by SIGTERM \
+           suspends and can be picked up with --resume.")
 
 let resume_arg =
   Arg.(
@@ -374,17 +376,18 @@ let resume_arg =
     & opt (some string) None
     & info [ "resume" ] ~docv:"JOB"
         ~doc:
-          "Resume the journalled distributed job JOB, re-running only its \
-           unfinished shards (requires --dist; the other parameters must \
-           describe the same job).")
+          "Resume the journalled job JOB, re-running only its unfinished \
+           shards: with --dist on a private fleet, with --connect on the \
+           server that suspended it (the other parameters must describe \
+           the same job).")
 
 let shard_timeout_arg =
   Arg.(
     value & opt float 120.
     & info [ "shard-timeout" ] ~docv:"SEC"
         ~doc:
-          "Kill a worker that sits on one shard longer than SEC seconds; \
-           the shard is reassigned.")
+          "Cut the link of a worker that sits on one shard longer than SEC \
+           seconds; the shard is reassigned.")
 
 let shard_size_arg =
   Arg.(
@@ -401,9 +404,10 @@ let chaos_kill_arg =
     & opt (some int) None
     & info [ "chaos-kill-shard" ] ~docv:"K"
         ~doc:
-          "Fault-injection hook: SIGKILL the worker assigned shard K, once, \
-           right after the assignment — the run must still produce identical \
-           output.")
+          "Fault-injection hook for --dist: cut the link of the worker \
+           dealt shard K, once, right after dealing it — the shard is \
+           re-dealt, the worker reconnects, and the output must stay \
+           identical.")
 
 let journal_dir_arg =
   Arg.(
@@ -494,12 +498,8 @@ let dist_config ~log ~dist ~shard_timeout ~shard_size ~chaos ~journal_dir
 let print_dist_stats (st : Dist.Coordinator.stats) =
   Format.eprintf
     "[dist] job %s: %d shard(s) of %d cell(s); %d resumed, %d executed; %d \
-     worker(s) spawned, %d killed, %d reassignment(s)@."
-    (Option.value st.Dist.Coordinator.job_id ~default:"-")
-    st.Dist.Coordinator.shards st.Dist.Coordinator.shard_size
-    st.Dist.Coordinator.resumed st.Dist.Coordinator.executed
-    st.Dist.Coordinator.spawned st.Dist.Coordinator.killed
-    st.Dist.Coordinator.reassigned
+     worker(s) spawned, %d reassignment(s)@."
+    st.job_id st.shards st.shard_size st.resumed st.executed st.spawned st.reassigned
 
 let suspend_note id =
   Format.eprintf "[dist] job %s suspended; pick it up with --resume %s@." id id
@@ -550,6 +550,42 @@ let net_suspend_note id =
     "[net] job %s suspended (server draining); resubmit with --connect \
      ... --resume %s@."
     id id
+
+(* The one off-process path of sweep and explore: [job] on a private
+   fleet of [dist] workers, or through the serve daemon at [connect];
+   [None] means run in-process. Stats and suspension notes go to
+   stderr; a suspended job exits 0, a failed one 3. *)
+let run_remote ~cmd ~log ~spans ~dist ~connect ~resume ~shard_timeout
+    ~shard_size ~chaos ~journal_dir ?on_progress job =
+  let finish flag r =
+    match r with
+    | Error m ->
+        Format.eprintf "%s --%s failed: %s@." cmd flag m;
+        exit 3
+    | Ok (Dist.Client.Suspended _) -> exit 0
+    | Ok (Dist.Client.Finished o) -> Some o
+  in
+  let note on_suspend print (sub, st) =
+    print st;
+    (match sub with Dist.Client.Suspended id -> on_suspend id | _ -> ());
+    sub
+  in
+  if dist > 0 then
+    finish "dist"
+      (Result.map
+         (note suspend_note print_dist_stats)
+         (Experiments.Harness.run_job_dist ?on_progress
+            (dist_config ~log ~dist ~shard_timeout ~shard_size ~chaos
+               ~journal_dir ~resume)
+            job))
+  else
+    Option.bind connect (fun addrstr ->
+        finish "connect"
+          (Result.map
+             (note net_suspend_note print_net_stats)
+             (Experiments.Harness.submit_job_net ?resume
+                (client_config ~log ?spans:(make_spans ~role:"client" spans) ())
+                job (parse_addr_or_die addrstr))))
 
 (* ---- outcome printers, shared by the in-process and --dist paths and
    by serve; each returns whether a finding was printed ---- *)
@@ -696,61 +732,19 @@ let sweep_cmd =
           if runs mod 1_000 = 0 then Format.eprintf "... %d runs swept@." runs
         in
         let outcome =
-          if dist > 0 then begin
-            let config =
-              dist_config ~log ~dist ~shard_timeout ~shard_size ~chaos
-                ~journal_dir ~resume
-            in
-            match
-              Experiments.Harness.sweep_scenario_dist ~kinds ~max_faults:t
-                ~op_window:window ~max_runs:runs ~budget ~on_progress config s
-            with
-            | Error m ->
-                Format.eprintf "sweep --dist failed: %s@." m;
-                exit 3
-            | Ok (Dist.Coordinator.Suspended id, stats) ->
-                print_dist_stats stats;
-                suspend_note id;
-                exit 0
-            | Ok (Dist.Coordinator.Complete outcome, stats) ->
-                print_dist_stats stats;
-                outcome
-          end
-          else
-            match connect with
-            | Some addrstr -> begin
-                let addr = parse_addr_or_die addrstr in
-                let job =
-                  Experiments.Harness.sweep_job ~kinds ~max_faults:t
-                    ~op_window:window ~max_runs:runs ~budget s
-                in
-                match
-                  Experiments.Harness.submit_job_net ?resume
-                    (client_config ~log
-                       ?spans:(make_spans ~role:"client" spans)
-                       ())
-                    job addr
-                with
-                | Error m ->
-                    Format.eprintf "sweep --connect failed: %s@." m;
-                    exit 3
-                | Ok (Dist.Client.Suspended id, stats) ->
-                    print_net_stats stats;
-                    net_suspend_note id;
-                    exit 0
-                | Ok (Dist.Client.Finished (Dist.Client.Sweep_outcome o), stats)
-                  ->
-                    print_net_stats stats;
-                    o
-                | Ok (Dist.Client.Finished (Dist.Client.Explore_outcome _), _)
-                  ->
-                    Format.eprintf
-                      "sweep --connect: server streamed an explore result@.";
-                    exit 3
-              end
-            | None ->
-                Experiments.Harness.sweep_scenario ~kinds ~max_faults:t
-                  ~op_window:window ~max_runs:runs ~budget ~jobs ~on_progress s
+          match
+            run_remote ~cmd:"sweep" ~log ~spans ~dist ~connect ~resume
+              ~shard_timeout ~shard_size ~chaos ~journal_dir ~on_progress
+              (Experiments.Harness.sweep_job ~kinds ~max_faults:t
+                 ~op_window:window ~max_runs:runs ~budget s)
+          with
+          | Some (Dist.Client.Sweep_outcome o) -> o
+          | Some (Dist.Client.Explore_outcome _) ->
+              Format.eprintf "sweep: the job came back as an exploration@.";
+              exit 3
+          | None ->
+              Experiments.Harness.sweep_scenario ~kinds ~max_faults:t
+                ~op_window:window ~max_runs:runs ~budget ~jobs ~on_progress s
         in
         let violated = print_sweep_outcome ~out outcome in
         if violated <> expect_violation then exit 1
@@ -859,86 +853,41 @@ let explore_cmd =
           if runs mod 100_000 = 0 then
             Format.eprintf "... %d runs explored@." runs
         in
+        if
+          (dist > 0 || connect <> None)
+          && not s.Experiments.Scenario.explorable
+        then begin
+          Format.eprintf "scenario %s is not explorable@."
+            s.Experiments.Scenario.name;
+          exit 2
+        end;
         let result =
-          if dist > 0 then begin
-            if not s.Experiments.Scenario.explorable then begin
-              Format.eprintf "scenario %s is not explorable@."
-                s.Experiments.Scenario.name;
-              exit 2
-            end;
-            let config =
-              dist_config ~log ~dist ~shard_timeout ~shard_size ~chaos
-                ~journal_dir ~resume
+          match
+            run_remote ~cmd:"explore" ~log ~spans ~dist ~connect ~resume
+              ~shard_timeout ~shard_size ~chaos ~journal_dir ~on_progress
+              (Experiments.Harness.explore_job ~max_crashes:crashes
+                 ~max_runs:runs ~max_steps:depth ~dedup:(not no_dedup) s)
+          with
+          | Some (Dist.Client.Explore_outcome r) -> Ok r
+          | Some (Dist.Client.Sweep_outcome _) ->
+              Format.eprintf "explore: the job came back as a sweep@.";
+              exit 3
+          | None ->
+            let metrics =
+              Option.map (fun _ -> Svm.Metrics.create ()) metrics_out
             in
-            match
-              Experiments.Harness.explore_scenario_dist ~max_crashes:crashes
-                ~max_runs:runs ~max_steps:depth ~dedup:(not no_dedup)
-                ~on_progress config s
-            with
-            | Error m ->
-                Format.eprintf "explore --dist failed: %s@." m;
-                exit 3
-            | Ok (Dist.Coordinator.Suspended id, stats) ->
-                print_dist_stats stats;
-                suspend_note id;
-                exit 0
-            | Ok (Dist.Coordinator.Complete r, stats) ->
-                print_dist_stats stats;
-                Ok r
-          end
-          else
-            match connect with
-            | Some addrstr -> begin
-                if not s.Experiments.Scenario.explorable then begin
-                  Format.eprintf "scenario %s is not explorable@."
-                    s.Experiments.Scenario.name;
-                  exit 2
-                end;
-                let addr = parse_addr_or_die addrstr in
-                let job =
-                  Experiments.Harness.explore_job ~max_crashes:crashes
-                    ~max_runs:runs ~max_steps:depth ~dedup:(not no_dedup) s
-                in
-                match
-                  Experiments.Harness.submit_job_net ?resume
-                    (client_config ~log
-                       ?spans:(make_spans ~role:"client" spans)
-                       ())
-                    job addr
-                with
-                | Error m ->
-                    Format.eprintf "explore --connect failed: %s@." m;
-                    exit 3
-                | Ok (Dist.Client.Suspended id, stats) ->
-                    print_net_stats stats;
-                    net_suspend_note id;
-                    exit 0
-                | Ok
-                    (Dist.Client.Finished (Dist.Client.Explore_outcome r), stats)
-                  ->
-                    print_net_stats stats;
-                    Ok r
-                | Ok (Dist.Client.Finished (Dist.Client.Sweep_outcome _), _) ->
-                    Format.eprintf
-                      "explore --connect: server streamed a sweep result@.";
-                    exit 3
-              end
-            | None ->
-                let metrics =
-                  Option.map (fun _ -> Svm.Metrics.create ()) metrics_out
-                in
-                let r =
-                  Experiments.Harness.explore_scenario ~max_crashes:crashes
-                    ~max_runs:runs ~max_steps:depth ~jobs ?metrics
-                    ~dedup:(not no_dedup) ~on_progress s
-                in
-                (match (r, metrics, metrics_out) with
-                | Ok _, Some m, Some file ->
-                    let oc = open_out file in
-                    output_string oc (Svm.Metrics.snapshot_string ~pretty:true m);
-                    close_out oc
-                | _ -> ());
-                r
+            let r =
+              Experiments.Harness.explore_scenario ~max_crashes:crashes
+                ~max_runs:runs ~max_steps:depth ~jobs ?metrics
+                ~dedup:(not no_dedup) ~on_progress s
+            in
+            (match (r, metrics, metrics_out) with
+            | Ok _, Some m, Some file ->
+                let oc = open_out file in
+                output_string oc (Svm.Metrics.snapshot_string ~pretty:true m);
+                close_out oc
+            | _ -> ());
+            r
         in
         (match result with
         | Error m ->
@@ -1514,12 +1463,13 @@ let sdl_cmd =
 let work_cmd =
   let connect =
     Arg.(
-      value
+      required
       & opt (some string) None
-      & info [ "connect" ] ~docv:"HOST:PORT"
+      & info [ "connect" ] ~docv:"ADDR"
           ~doc:
-            "Pull shards from an `asmsim serve --listen' daemon over TCP \
-             instead of speaking frames on stdin/stdout. Reconnects with \
+            "The job queue to pull shards from: an `asmsim serve --listen' \
+             daemon at HOST:PORT, or the private queue of a --dist run at \
+             the path of its Unix-domain socket (any ADDR containing `/'). Reconnects with \
              jittered exponential backoff when the link drops; exits 0 on \
              a server-initiated shutdown.")
   in
@@ -1547,49 +1497,42 @@ let work_cmd =
             "Consecutive failed connection attempts before giving up \
              (--connect).")
   in
-  let run connect chaos_net chaos_every retries log_level log_json spans =
-    match connect with
-    | None ->
-        exit
-          (Dist.Worker.serve ~lookup:Experiments.Harness.dist_instance
-             Unix.stdin Unix.stdout)
-    | Some addrstr ->
-        let log = make_log ~json:log_json log_level in
-        let addr = parse_addr_or_die addrstr in
-        let chaos =
-          match chaos_net with
-          | None -> None
-          | Some name -> (
-              match Dist.Net.chaos_mode_of_string name with
-              | Ok mode -> Some (Dist.Net.chaos ~every:chaos_every mode)
-              | Error m ->
-                  prerr_endline m;
-                  exit 2)
-        in
-        (* Every networked worker keeps a registry: its snapshot rides
-           each heartbeat pong, which is what feeds `asmsim top'. *)
-        let metrics = Svm.Metrics.create () in
-        let cfg =
-          {
-            (client_config ~metrics ~log
-               ?spans:(make_spans ~role:"worker" spans)
-               ())
-            with
-            Dist.Client.chaos;
-            max_failures = retries;
-          }
-        in
-        exit
-          (Dist.Client.worker_loop cfg
-             ~lookup:Experiments.Harness.dist_instance addr)
+  let run addrstr chaos_net chaos_every retries log_level log_json spans =
+    let log = make_log ~json:log_json log_level in
+    let addr = parse_addr_or_die addrstr in
+    let chaos =
+      match chaos_net with
+      | None -> None
+      | Some name -> (
+          match Dist.Net.chaos_mode_of_string name with
+          | Ok mode -> Some (Dist.Net.chaos ~every:chaos_every mode)
+          | Error m ->
+              prerr_endline m;
+              exit 2)
+    in
+    (* Every networked worker keeps a registry: its snapshot rides
+       each heartbeat pong, which is what feeds `asmsim top'. *)
+    let metrics = Svm.Metrics.create () in
+    let cfg =
+      {
+        (client_config ~metrics ~log
+           ?spans:(make_spans ~role:"worker" spans)
+           ())
+        with
+        Dist.Client.chaos;
+        max_failures = retries;
+      }
+    in
+    exit
+      (Dist.Client.worker_loop cfg
+         ~lookup:Experiments.Harness.dist_instance addr)
   in
   Cmd.v
     (Cmd.info "work"
        ~doc:
-         "Worker-process mode of the distributed runner: speak the \
-          length-prefixed frame protocol on stdin/stdout (internal, \
-          spawned by --dist), or pull shards from a network service with \
-          --connect.")
+         "Worker process: pull shards from a job queue — a serve daemon \
+          over TCP, or the private queue a --dist run spawns its workers \
+          against — and stream the results back.")
     Term.(
       const run $ connect $ chaos_net $ chaos_every $ retries $ log_level_arg
       $ log_json_arg $ spans_arg)
@@ -1609,7 +1552,8 @@ let serve_cmd =
   let workers =
     Arg.(
       value & opt int 2
-      & info [ "workers" ] ~docv:"W" ~doc:"Worker processes to run under.")
+      & info [ "workers" ] ~docv:"W"
+          ~doc:"Worker processes of the private fleet that runs --resume.")
   in
   let out =
     Arg.(
@@ -1734,35 +1678,19 @@ let serve_cmd =
                   prerr_endline m;
                   exit 2
               | Ok l -> (
-                  let config =
-                    {
-                      (Dist.Coordinator.default_config ~workers ()) with
-                      Dist.Coordinator.shard_timeout;
-                      journal_dir = Some journal_dir;
-                      resume = Some id;
-                      log = Svm.Log.sub log "dist";
-                    }
-                  in
                   (* The job itself comes from the journal — serve needs no
                      re-statement of the sweep/explore parameters. *)
                   match
-                    Experiments.Harness.run_job_dist config
+                    run_remote ~cmd:"serve" ~log ~spans ~dist:(max 1 workers)
+                      ~connect:None ~resume:(Some id) ~shard_timeout
+                      ~shard_size:None ~chaos:None ~journal_dir
                       l.Dist.Journal.l_job
                   with
-                  | Error m ->
-                      Format.eprintf "serve: %s@." m;
-                      exit 3
-                  | Ok (`Sweep (Dist.Coordinator.Complete outcome, stats)) ->
-                      print_dist_stats stats;
-                      if print_sweep_outcome ~out outcome then exit 1
-                  | Ok (`Explore (Dist.Coordinator.Complete r, stats)) ->
-                      print_dist_stats stats;
+                  | Some (Dist.Client.Sweep_outcome o) ->
+                      if print_sweep_outcome ~out o then exit 1
+                  | Some (Dist.Client.Explore_outcome r) ->
                       if print_explore_result r then exit 1
-                  | Ok
-                      ( `Sweep (Dist.Coordinator.Suspended sid, stats)
-                      | `Explore (Dist.Coordinator.Suspended sid, stats) ) ->
-                      print_dist_stats stats;
-                      suspend_note sid)))
+                  | None -> ())))
   in
   Cmd.v
     (Cmd.info "serve"

@@ -136,8 +136,20 @@ let worker_recv cfg fd =
       | Error m -> raise (Link ("undecodable server frame: " ^ m)))
   | Error e -> raise (frame_error e)
 
+(* The job table holds the plans of live jobs only: the server announces
+   a job before its first shard and says when it is over, so a worker
+   serving jobs for days holds what it is working on, not what it has
+   ever seen. [worker_jobs_open] rides the metrics push. *)
 let worker_session cfg ~lookup fd =
   let jobs : (string, Worker.instance * string) Hashtbl.t = Hashtbl.create 4 in
+  let gauge () =
+    Metrics.record cfg.metrics "worker_jobs_open" (Hashtbl.length jobs)
+  in
+  let close_job jid =
+    Hashtbl.remove jobs jid;
+    gauge ();
+    debugf cfg "closed job %s" jid
+  in
   let open_job jid job =
     match Hashtbl.find_opt jobs jid with
     | Some (inst, _) ->
@@ -148,6 +160,7 @@ let worker_session cfg ~lookup fd =
         | Ok inst ->
             Hashtbl.replace jobs jid
               (inst, Span.job_tag (Proto.job_fingerprint job));
+            gauge ();
             Metrics.bump cfg.metrics "worker_jobs_opened_total";
             logf cfg "opened job %s (%d cells)" jid
               (Worker.cells_of_instance inst);
@@ -167,6 +180,7 @@ let worker_session cfg ~lookup fd =
         | Proto.Nw_ping -> worker_pong cfg fd
         | Proto.Nw_shutdown -> raise (Quit 0)
         | Proto.Nw_job { jid; job } -> open_job jid job
+        | Proto.Nw_job_over { jid } -> close_job jid
         | Proto.Nw_assign _ -> raise (Link "assigned a shard while busy"))
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   in
@@ -175,6 +189,7 @@ let worker_session cfg ~lookup fd =
     | Proto.Nw_ping -> worker_pong cfg fd
     | Proto.Nw_shutdown -> raise (Quit 0)
     | Proto.Nw_job { jid; job } -> open_job jid job
+    | Proto.Nw_job_over { jid } -> close_job jid
     | Proto.Nw_assign { jid; shard; lo; hi } -> (
         let recv_start = Span.now_us () in
         match Hashtbl.find_opt jobs jid with
@@ -215,7 +230,7 @@ let worker_loop cfg ~lookup addr =
 (* Submitting client                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type outcome =
+type outcome = Merge.outcome =
   | Sweep_outcome of Svm.Explore.sweep_outcome
   | Explore_outcome of Svm.Univ.t Svm.Explore.result
 
@@ -333,18 +348,11 @@ let submit ?metrics ?resume cfg ~instance ~job addr =
     | `Drain, None -> Error "server is draining"
     | `Done _, None -> Error "finished without a job id"
     | `Done _, Some id ->
-        let outcome =
-          match instance with
-          | Worker.Sweep_instance p ->
-              Sweep_outcome
-                (Merge.sweep ?metrics p ~shard_size:!shard_size
-                   ~payloads:!payloads)
-          | Worker.Explore_instance p ->
-              Explore_outcome
-                (Merge.explore ?metrics p ~shard_size:!shard_size
-                   ~payloads:!payloads)
-        in
-        Ok (Finished outcome, stats id)
+        Ok
+          ( Finished
+              (Merge.instance ?metrics instance ~shard_size:!shard_size
+                 ~payloads:!payloads),
+            stats id )
   in
   match connect_loop cfg ~role:Proto.Client_role addr session with
   | Ok _ -> Error "server shut the session down before the job finished"

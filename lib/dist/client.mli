@@ -46,12 +46,12 @@ val worker_loop :
     connection budget runs out (exit 1); a handshake rejection exits 2.
     One connection serves many jobs: the server announces each job once
     ([Nw_job]), the worker expands it with [lookup] and keeps the plan
-    for later assignments. All writes pass through the chaos harness
-    when configured. *)
+    until the server says the job is over ([Nw_job_over]). All writes
+    pass through the chaos harness when configured. *)
 
 (** {1 Submitting client} *)
 
-type outcome =
+type outcome = Merge.outcome =
   | Sweep_outcome of Svm.Explore.sweep_outcome
   | Explore_outcome of Svm.Univ.t Svm.Explore.result
 

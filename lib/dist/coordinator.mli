@@ -1,98 +1,61 @@
-(** The coordinator: fork workers, deal shards, survive their deaths,
-    merge deterministically.
+(** [--dist N]: run one job on a private fleet of N worker processes.
 
-    The coordinator re-execs the worker binary [config.exe] with the
-    single argument [work], wiring one socketpair end to the child's
-    stdin and stdout, and drives all workers from a single
-    [Unix.select] loop. Work is dealt as shards — contiguous index
-    ranges of the shared {!Svm.Explore} plan — and results are merged
-    strictly in index order by the {e same} merge functions the
-    in-process paths use ({!Svm.Explore.sweep_merge},
-    {!Svm.Explore.merge_plan}), which is why the outcome is bit-for-bit
-    identical to a [--jobs] run no matter how chaotically workers die.
-
-    Failure handling, in escalating order:
-    - a worker silent past half the heartbeat timeout is pinged; past
-      the full timeout it is SIGKILLed;
-    - a shard unfinished past [shard_timeout] gets its worker
-      SIGKILLed;
-    - a dead worker's shard goes back in the queue with exponential
-      backoff, and a replacement worker is forked;
-    - a shard that has killed [max_retries + 1] workers is declared
-      {e hostile} and the run aborts with a typed error — it is
-      reported, never retried forever.
-
-    With a journal enabled, every completed shard is flushed to an
-    append-only log before it is acknowledged, so a coordinator killed
-    at any instant can be resumed by job id without re-running finished
-    shards. *)
+    A thin façade over {!Queue.run_fleet}: the job queue runs on the
+    caller's domain, listening on a Unix-domain socket only this user
+    can reach, and N forked [exe work --connect] children pull its
+    shards exactly as remote workers pull a [serve] daemon's. Payloads fold through the same
+    {!Merge} as every other path, so the outcome is bit-for-bit that of
+    an in-process run, however the workers fare. A dead child is
+    replaced; a shard that loses its worker 3 times in a row is reported
+    hostile; finished shards are journalled, and SIGTERM suspends the
+    job for a later [resume]. *)
 
 type config = {
   workers : int;  (** worker processes to keep alive *)
   shard_size : int option;  (** cells per shard; [None] = derived *)
-  shard_timeout : float;  (** seconds before a shard's worker is shot *)
-  heartbeat_timeout : float;  (** seconds of silence before death *)
-  max_retries : int;  (** failed attempts tolerated per shard *)
-  backoff : float;  (** base reassignment delay, doubled per failure *)
-  exe : string;  (** worker binary, re-exec'd as [exe work] *)
-  journal_dir : string option;  (** [Some dir] enables the journal *)
-  resume : string option;  (** job id to resume (needs [journal_dir]) *)
+  shard_timeout : float;  (** seconds before a stuck shard's link is cut *)
+  exe : string;  (** worker binary, run as [exe work --connect ADDR] *)
+  journal_dir : string option;
+      (** where the job is journalled; [None] = {!Journal.default_dir} *)
+  resume : string option;  (** job id to resume, from [journal_dir] *)
   chaos_kill_shard : (int * int) option;
-      (** test hook: [(shard, n)] SIGKILLs the assigned worker the
-          first [n] times that shard is dealt out *)
-  stop_after_shards : int option;
-      (** test hook: suspend after that many results this session *)
+      (** fault hook: [(shard, n)] cuts the link of the worker dealt
+          that shard, the first [n] times it is dealt *)
   log : Svm.Log.t;
-      (** leveled diagnostics: worker deaths and requeues at [Warn],
+      (** leveled diagnostics: link losses and requeues at [Warn],
           lifecycle at [Info] *)
 }
 
 val default_config : ?workers:int -> ?exe:string -> unit -> config
-(** Defaults: 2 workers, derived shard size, 120 s shard timeout, 20 s
-    heartbeat, 2 retries, 50 ms backoff, [Sys.executable_name], no
-    journal, no chaos. *)
+(** Defaults: 2 workers, derived shard size, 120 s shard timeout,
+    [Sys.executable_name], journal in {!Journal.default_dir}, no
+    chaos. *)
 
-type stats = {
-  job_id : string option;
+type stats = Queue.fleet_stats = {
+  job_id : string;
   shards : int;
   shard_size : int;
-  resumed : int;  (** shards restored from the journal *)
-  executed : int;  (** shard results received this session *)
-  spawned : int;  (** workers forked, including replacements *)
-  killed : int;  (** workers SIGKILLed (timeouts, chaos) *)
-  reassigned : int;  (** shard attempts lost to worker deaths *)
+  resumed : int;
+  executed : int;
+  spawned : int;
+  reassigned : int;
 }
 
 type 'a outcome =
   | Complete of 'a
   | Suspended of string
-      (** stopped early ([stop_after_shards]); the string is the job id
-          to pass back as [resume] *)
+      (** drained by SIGTERM; the string is the job id to pass back as
+          [resume] *)
 
-val sweep :
+val run :
   ?metrics:Svm.Metrics.t ->
   ?on_progress:(runs:int -> unit) ->
+  fingerprint:string ->
   config ->
   job:Proto.job ->
-  plan:Svm.Univ.t Svm.Explore.sweep_plan ->
-  unit ->
-  (Svm.Explore.sweep_outcome outcome * stats, string) result
-(** Distribute the sweep's cells. [plan] must be the expansion of [job]
-    — the workers rebuild exactly it from the [Hello]; the coordinator
-    cross-checks cell counts and aborts on mismatch. Violating cells
-    come back as bare tags; the coordinator re-runs the first one
-    locally inside {!Svm.Explore.sweep_merge} to recover the violation,
-    shrink it and write the replay artifact, so those artifacts are
-    byte-identical to an in-process run's. *)
-
-val explore :
-  ?metrics:Svm.Metrics.t ->
-  ?on_progress:(runs:int -> unit) ->
-  config ->
-  job:Proto.job ->
-  plan:Svm.Univ.t Svm.Explore.plan ->
-  unit ->
-  (Svm.Univ.t Svm.Explore.result outcome * stats, string) result
-(** Distribute the exploration's frontier tasks; summaries merge
-    through {!Svm.Explore.merge_plan}, which re-runs the one
-    counterexample task locally to recover the full run record. *)
+  instance:Worker.instance ->
+  (Client.submission * stats, string) result
+(** Run [job], whose expansion on this side is [instance], and merge.
+    [fingerprint] is the workers' registry fingerprint. Violating cells
+    come back as bare tags; the merge re-runs the first one locally to
+    recover the violation, shrink it and write the replay artifact. *)

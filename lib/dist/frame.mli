@@ -1,5 +1,5 @@
 (** Length-prefixed JSON frames over file descriptors — the wire layer
-    of the coordinator/worker protocol.
+    of the job queue's network protocol.
 
     A frame is a 4-byte big-endian payload length followed by that many
     bytes of compact {!Svm.Json}. The layer is hardened for untrusted
@@ -22,7 +22,7 @@ val pp_error : Format.formatter -> error -> unit
 
 val default_max_len : int
 (** Payload cap: 16 MiB. Far above any real shard result (a few KiB),
-    far below anything that could OOM the coordinator. *)
+    far below anything that could OOM the queue. *)
 
 val encode : Svm.Json.t -> bytes
 (** The exact bytes {!write} would send — header plus payload. Exposed
@@ -40,13 +40,13 @@ val read :
 (** Read exactly one frame, blocking until it is complete. With
     [timeout], the whole frame must arrive within that many seconds or
     the read fails with [Stalled] — the worker-side defense against a
-    coordinator (or an impostor) that opens a frame and goes quiet. *)
+    queue (or an impostor) that opens a frame and goes quiet. *)
 
-(** {1 Incremental decoding (coordinator side)}
+(** {1 Incremental decoding (queue side)}
 
-    The coordinator multiplexes many workers under [Unix.select], so it
+    The queue multiplexes many peers under [Unix.select], so it
     cannot block on any one of them: it feeds whatever bytes arrived
-    into a per-worker decoder and drains complete frames. *)
+    into a per-peer decoder and drains complete frames. *)
 
 type decoder
 
@@ -54,8 +54,7 @@ val decoder : ?max_len:int -> ?stall_timeout:float -> unit -> decoder
 (** With [stall_timeout], an incomplete frame older than that many
     seconds makes {!next} fail with [Stalled] — provided the caller
     passes its clock to {!feed} and {!next}. Without it (or without a
-    clock) incomplete frames simply wait, as a trusted local socketpair
-    may. *)
+    clock) incomplete frames simply wait. *)
 
 val feed : ?now:float -> decoder -> bytes -> int -> unit
 (** [feed d buf n] appends the first [n] bytes of [buf]. [now] stamps

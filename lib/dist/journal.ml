@@ -2,7 +2,7 @@ module Json = Svm.Json
 
 let default_dir = ".asmsim-jobs"
 
-type t = { j_id : string; j_oc : out_channel; j_fsync : bool }
+type t = { j_id : string; j_dir : string; j_oc : out_channel; j_fsync : bool }
 
 let id t = t.j_id
 
@@ -48,7 +48,7 @@ let create ?(dir = default_dir) ?(fsync = false) ~job ~cells ~shard_size () =
   let j_oc = open_out_gen [ Open_creat; Open_wronly; Open_trunc ] 0o644
       (journal_file ~dir j_id)
   in
-  let t = { j_id; j_oc; j_fsync = fsync } in
+  let t = { j_id; j_dir = dir; j_oc; j_fsync = fsync } in
   write_line t
     (Json.Obj
        [
@@ -97,6 +97,7 @@ let reopen ?(dir = default_dir) ?(fsync = false) j_id =
     Ok
       {
         j_id;
+        j_dir = dir;
         j_oc = open_out_gen [ Open_append; Open_wronly ] 0o644 file;
         j_fsync = fsync;
       }
@@ -110,6 +111,29 @@ let append_hostile t ~shard =
   write_line t (Json.Obj [ ("hostile", Json.Int shard) ])
 
 let close t = close_out t.j_oc
+
+(* The result-cache index: one marker file per completed job
+   description, named by a digest of its fingerprint and holding the job
+   id, so a lookup reads one file instead of parsing every journal. It
+   lives beside the job directories but holds no journal, so
+   {!list_ids} never reports it. *)
+let marker ~dir fingerprint =
+  Filename.concat (Filename.concat dir "completed")
+    (Digest.to_hex (Digest.string fingerprint))
+
+let mark_complete t ~fingerprint =
+  mkdir_p (Filename.concat t.j_dir "completed");
+  let file = marker ~dir:t.j_dir fingerprint in
+  let tmp = file ^ ".tmp" in
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc t.j_id);
+  Unix.rename tmp file
+
+let completed_id ?(dir = default_dir) ~fingerprint () =
+  match
+    In_channel.with_open_bin (marker ~dir fingerprint) In_channel.input_all
+  with
+  | id -> Some id
+  | exception Sys_error _ -> None
 
 type loaded = {
   l_job : Proto.job;

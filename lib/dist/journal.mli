@@ -1,13 +1,13 @@
-(** Append-only job journals: crash-tolerant coordinator state.
+(** Append-only job journals: crash-tolerant job-queue state.
 
     A journal is a directory [<dir>/<job-id>/] holding one
     [journal.jsonl] file: a header line recording the job, its cell
     count and the shard size, followed by one line per completed shard
     (carrying the shard's result payload) and per hostile shard. Lines
-    are flushed as written, so a coordinator killed at any instant
+    are flushed as written, so a queue killed at any instant
     leaves a journal whose intact prefix is a set of {e finished}
     shards — resuming re-runs only the rest. {!load} tolerates a
-    truncated final line (the one the dying coordinator was writing).
+    truncated final line (the one the dying queue was writing).
 
     Shard indices are only meaningful against the recorded shard size,
     which is why it is in the header: a resumed run re-shards the plan
@@ -18,7 +18,7 @@ val default_dir : string
 (** [".asmsim-jobs"], relative to the working directory. *)
 
 type t
-(** An open journal, owned by one coordinator. *)
+(** An open journal, owned by one job queue. *)
 
 val create :
   ?dir:string ->
@@ -46,6 +46,18 @@ val id : t -> string
 val append_shard : t -> shard:int -> payload:Svm.Json.t -> unit
 val append_hostile : t -> shard:int -> unit
 val close : t -> unit
+
+(** {1 Result-cache index} *)
+
+val mark_complete : t -> fingerprint:string -> unit
+(** Record that the job of this journal ran to completion, under the
+    job description's {!Proto.job_fingerprint}: a later identical job
+    finds the journal with {!completed_id} in one file read. The marker
+    is written atomically and replaces any earlier one. *)
+
+val completed_id : ?dir:string -> fingerprint:string -> unit -> string option
+(** The id of the journal last marked complete for this fingerprint. A
+    hint only: the caller still loads and re-validates the journal. *)
 
 type loaded = {
   l_job : Proto.job;

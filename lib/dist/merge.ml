@@ -49,3 +49,14 @@ let explore ?metrics ?on_progress plan ~shard_size ~payloads =
     | None -> Svm.Explore.task_outcome plan i
   in
   Svm.Explore.merge_plan ?metrics ?on_progress plan ~outcome_of
+
+type outcome =
+  | Sweep_outcome of Svm.Explore.sweep_outcome
+  | Explore_outcome of Svm.Univ.t Svm.Explore.result
+
+let instance ?metrics ?on_progress inst ~shard_size ~payloads =
+  match inst with
+  | Worker.Sweep_instance p ->
+      Sweep_outcome (sweep ?metrics ?on_progress p ~shard_size ~payloads)
+  | Worker.Explore_instance p ->
+      Explore_outcome (explore ?metrics ?on_progress p ~shard_size ~payloads)

@@ -2,8 +2,8 @@
     exact in-process merge path ({!Svm.Explore.sweep_merge} /
     {!Svm.Explore.merge_plan}).
 
-    Shared by every executor — the fork coordinator, the TCP client —
-    so that outcomes are byte-identical to a single-process run no
+    Shared by every executor — the private [--dist] fleet, the TCP
+    client — so that outcomes are byte-identical to a single-process run no
     matter which transport carried the shards. [payloads.(shard)] is
     the validated payload for that shard, or [None] if it never
     arrived (e.g. past a sweep's finding cut): missing or partial
@@ -24,3 +24,16 @@ val explore :
   shard_size:int ->
   payloads:Svm.Json.t option array ->
   'a Svm.Explore.result
+
+type outcome =
+  | Sweep_outcome of Svm.Explore.sweep_outcome
+  | Explore_outcome of Svm.Univ.t Svm.Explore.result
+
+val instance :
+  ?metrics:Svm.Metrics.t ->
+  ?on_progress:(runs:int -> unit) ->
+  Worker.instance ->
+  shard_size:int ->
+  payloads:Svm.Json.t option array ->
+  outcome
+(** {!sweep} or {!explore}, whichever the instance's plan calls for. *)

@@ -1,4 +1,4 @@
-(* TCP plumbing shared by the serve daemon and its remote peers:
+(* Socket plumbing shared by the serve daemon and its remote peers:
    address parsing, listening, dialing with a deadline, the client side
    of the handshake, and the network chaos harness. *)
 
@@ -7,34 +7,37 @@
 (* ------------------------------------------------------------------ *)
 
 let parse_addr s =
-  match String.rindex_opt s ':' with
-  | None -> Error (Printf.sprintf "%S: expected HOST:PORT" s)
-  | Some i -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | None -> Error (Printf.sprintf "%S: port %S is not a number" s port)
-      | Some p when p < 0 || p > 65535 ->
-          Error (Printf.sprintf "%S: port %d out of range" s p)
-      | Some p -> (
-          let resolve () =
-            if host = "" || host = "*" then Unix.inet_addr_any
-            else
-              match Unix.inet_addr_of_string host with
-              | ip -> ip
-              | exception Failure _ -> (
-                  match Unix.gethostbyname host with
-                  | { Unix.h_addr_list = [||]; _ } -> raise Not_found
-                  | h -> h.Unix.h_addr_list.(0))
-          in
-          match resolve () with
-          | ip -> Ok (Unix.ADDR_INET (ip, p))
-          | exception Not_found ->
-              Error (Printf.sprintf "%S: cannot resolve host %S" s host)))
+  if String.contains s '/' then Ok (Unix.ADDR_UNIX s)
+  else
+    match String.rindex_opt s ':' with
+    | None -> Error (Printf.sprintf "%S: expected HOST:PORT" s)
+    | Some i -> (
+        let host = String.sub s 0 i in
+        let port = String.sub s (i + 1) (String.length s - i - 1) in
+        match int_of_string_opt port with
+        | None -> Error (Printf.sprintf "%S: port %S is not a number" s port)
+        | Some p when p < 0 || p > 65535 ->
+            Error (Printf.sprintf "%S: port %d out of range" s p)
+        | Some p -> (
+            let resolve () =
+              if host = "" || host = "*" then Unix.inet_addr_any
+              else
+                match Unix.inet_addr_of_string host with
+                | ip -> ip
+                | exception Failure _ -> (
+                    match Unix.gethostbyname host with
+                    | { Unix.h_addr_list = [||]; _ } -> raise Not_found
+                    | h -> h.Unix.h_addr_list.(0))
+            in
+            match resolve () with
+            | ip -> Ok (Unix.ADDR_INET (ip, p))
+            | exception Not_found ->
+                Error (Printf.sprintf "%S: cannot resolve host %S" s host)))
 
 let string_of_sockaddr = function
   | Unix.ADDR_INET (ip, p) ->
       Printf.sprintf "%s:%d" (Unix.string_of_inet_addr ip) p
+  | Unix.ADDR_UNIX "" -> "local"
   | Unix.ADDR_UNIX p -> p
 
 (* ------------------------------------------------------------------ *)
@@ -42,7 +45,7 @@ let string_of_sockaddr = function
 (* ------------------------------------------------------------------ *)
 
 let listen ?(backlog = 64) addr =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
      Unix.set_close_on_exec fd;
@@ -58,14 +61,40 @@ let listen ?(backlog = 64) addr =
   in
   (fd, port)
 
+(* A Unix-domain socket in a fresh directory only this user may enter
+   (mode 0700): no other user's process can dial it, whatever it knows
+   about the protocol. sun_path holds ~108 bytes, so a long temp dir
+   falls back to /tmp. *)
+let listen_private () =
+  let base = Filename.get_temp_dir_name () in
+  let temp_dir = if String.length base > 64 then "/tmp" else base in
+  let dir = Filename.temp_dir ~temp_dir ~perms:0o700 "asmsim-" "" in
+  let path = Filename.concat dir "queue" in
+  let remove () =
+    (try Sys.remove path with Sys_error _ -> ());
+    try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  in
+  match listen (Unix.ADDR_UNIX path) with
+  | fd, _ -> (fd, path, remove)
+  | exception exn ->
+      remove ();
+      raise exn
+
+(* Every exchange is a small frame answered by another (a worker sends
+   progress then result back to back), so Nagle's algorithm meeting the
+   peer's delayed ACK would stall each one for tens of milliseconds. *)
+let no_delay fd =
+  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
 let dial ?(timeout = 10.) addr =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   let fail msg =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Error msg
   in
   try
     Unix.set_close_on_exec fd;
+    no_delay fd;
     Unix.set_nonblock fd;
     (match Unix.connect fd addr with
     | () -> ()

@@ -1,4 +1,4 @@
-(** TCP plumbing for the network service: addresses, listening, dialing
+(** Socket plumbing for the network service: addresses, listening, dialing
     with a deadline, the connecting side of the {!Proto.hello}
     handshake, and the network chaos harness used to prove the service
     fault-tolerant. *)
@@ -8,7 +8,8 @@
 val parse_addr : string -> (Unix.sockaddr, string) result
 (** Parse ["HOST:PORT"]. An empty host or ["*"] means any interface;
     otherwise a dotted quad or a resolvable name. Port [0] is allowed
-    for listening (the kernel picks; {!listen} reports it). *)
+    for listening (the kernel picks; {!listen} reports it). A string
+    containing ['/'] is the path of a Unix-domain socket. *)
 
 val string_of_sockaddr : Unix.sockaddr -> string
 
@@ -16,12 +17,25 @@ val string_of_sockaddr : Unix.sockaddr -> string
 
 val listen : ?backlog:int -> Unix.sockaddr -> Unix.file_descr * int
 (** Bind + listen with [SO_REUSEADDR]; returns the socket and the
-    {e actual} bound port (meaningful when asked for port 0). Raises
-    [Unix.Unix_error] if the address is taken or not bindable. *)
+    {e actual} bound port (meaningful when asked for port 0; [0] for a
+    Unix-domain socket). Raises [Unix.Unix_error] if the address is
+    taken or not bindable. *)
+
+val listen_private : unit -> Unix.file_descr * string * (unit -> unit)
+(** A listener only this user's processes can dial: a Unix-domain
+    socket inside a fresh temporary directory of mode 0700. Returns the
+    socket, its path (a {!parse_addr} address) and a function removing
+    the path and its directory. *)
 
 val dial : ?timeout:float -> Unix.sockaddr -> (Unix.file_descr, string) result
 (** Blocking connect bounded by [timeout] (default 10s) — a dead or
-    black-holed address fails instead of hanging the caller. *)
+    black-holed address fails instead of hanging the caller. A TCP
+    socket comes back with {!no_delay} set. *)
+
+val no_delay : Unix.file_descr -> unit
+(** Set [TCP_NODELAY]: frames go out as written instead of waiting on
+    the peer's delayed ACK. Set on every dialed and accepted socket; a
+    no-op on a Unix-domain socket. *)
 
 (** {1 Chaos harness}
 

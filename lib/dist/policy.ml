@@ -1,6 +1,13 @@
-(* Pure failure-handling decisions shared by the fork coordinator and
-   the TCP job queue. Everything here is a function of plain numbers so
-   the schedules are unit-testable without forking a single process. *)
+(* Pure scheduling and failure-handling decisions of the job queue.
+   Everything here is a function of plain numbers so the schedules are
+   unit-testable without forking a single process. *)
+
+(* {2 Sharding} *)
+
+let shard_size ~units ~workers =
+  let workers = max 1 workers in
+  if units = 0 then 1
+  else min 256 (max 1 ((units + (workers * 8) - 1) / (workers * 8)))
 
 (* {2 Shard retry} *)
 

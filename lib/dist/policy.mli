@@ -1,7 +1,13 @@
-(** Pure failure-handling decisions shared by the fork coordinator and
-    the TCP job queue: retry/backoff schedules, heartbeat edges, client
-    reconnection jitter and per-peer byte-rate caps. All functions of
-    plain numbers — unit-testable without forking a process. *)
+(** Pure decisions of the job queue: shard sizing, retry/backoff
+    schedules, heartbeat edges, client reconnection jitter and per-peer
+    byte-rate caps. All functions of plain numbers — unit-testable
+    without forking a process. *)
+
+(** {1 Sharding} *)
+
+val shard_size : units:int -> workers:int -> int
+(** Default cells per shard: about eight shards per worker, capped at
+    256 cells, at least 1. *)
 
 (** {1 Shard retry} *)
 

@@ -150,95 +150,6 @@ let job_of_json v =
   | m -> Error (Printf.sprintf "unknown mode %S" m)
 
 (* ------------------------------------------------------------------ *)
-(* Messages                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type to_worker =
-  | Hello of job
-  | Assign of { shard : int; lo : int; hi : int }
-  | Ping
-  | Shutdown
-
-type from_worker =
-  | Hello_ok of { cells : int }
-  | Hello_err of string
-  | Pong
-  | Progress of { shard : int; completed : int }
-  | Result of { shard : int; payload : Svm.Json.t }
-
-let to_worker_to_json = function
-  | Hello job -> Json.Obj [ ("t", Json.String "hello"); ("job", job_to_json job) ]
-  | Assign { shard; lo; hi } ->
-      Json.Obj
-        [
-          ("t", Json.String "assign");
-          ("shard", Json.Int shard);
-          ("lo", Json.Int lo);
-          ("hi", Json.Int hi);
-        ]
-  | Ping -> Json.Obj [ ("t", Json.String "ping") ]
-  | Shutdown -> Json.Obj [ ("t", Json.String "shutdown") ]
-
-let to_worker_of_json v =
-  let* t = field "t" Json.to_str v in
-  match t with
-  | "hello" -> (
-      match Json.member "job" v with
-      | Some j ->
-          let* job = job_of_json j in
-          Ok (Hello job)
-      | None -> Error "hello without a job")
-  | "assign" ->
-      let* shard = field "shard" Json.to_int v in
-      let* lo = field "lo" Json.to_int v in
-      let* hi = field "hi" Json.to_int v in
-      if shard < 0 || lo < 0 || hi < lo then Error "assign range is malformed"
-      else Ok (Assign { shard; lo; hi })
-  | "ping" -> Ok Ping
-  | "shutdown" -> Ok Shutdown
-  | t -> Error (Printf.sprintf "unknown coordinator message %S" t)
-
-let from_worker_to_json = function
-  | Hello_ok { cells } ->
-      Json.Obj [ ("t", Json.String "hello-ok"); ("cells", Json.Int cells) ]
-  | Hello_err msg ->
-      Json.Obj [ ("t", Json.String "hello-err"); ("msg", Json.String msg) ]
-  | Pong -> Json.Obj [ ("t", Json.String "pong") ]
-  | Progress { shard; completed } ->
-      Json.Obj
-        [
-          ("t", Json.String "progress");
-          ("shard", Json.Int shard);
-          ("completed", Json.Int completed);
-        ]
-  | Result { shard; payload } ->
-      Json.Obj
-        [ ("t", Json.String "result"); ("shard", Json.Int shard);
-          ("payload", payload);
-        ]
-
-let from_worker_of_json v =
-  let* t = field "t" Json.to_str v in
-  match t with
-  | "hello-ok" ->
-      let* cells = field "cells" Json.to_int v in
-      Ok (Hello_ok { cells })
-  | "hello-err" ->
-      let* msg = field "msg" Json.to_str v in
-      Ok (Hello_err msg)
-  | "pong" -> Ok Pong
-  | "progress" ->
-      let* shard = field "shard" Json.to_int v in
-      let* completed = field "completed" Json.to_int v in
-      Ok (Progress { shard; completed })
-  | "result" -> (
-      let* shard = field "shard" Json.to_int v in
-      match Json.member "payload" v with
-      | Some payload -> Ok (Result { shard; payload })
-      | None -> Error "result without a payload")
-  | t -> Error (Printf.sprintf "unknown worker message %S" t)
-
-(* ------------------------------------------------------------------ *)
 (* Shard payloads                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -364,8 +275,11 @@ let net_magic = "asmsim-net"
    never negotiate past the handshake by accident.
    v3: jobs may embed a DSL scenario source ([job.source], size-capped),
    letting clients submit workloads the server's binary never
-   hard-coded. *)
-let net_version = 3
+   hard-coded.
+   v4: the server tells each worker when a job is over ([Nw_job_over]),
+   so a long-lived worker releases the job's plan instead of keeping
+   every plan it ever expanded. *)
+let net_version = 4
 
 type role = Worker_role | Client_role
 
@@ -420,6 +334,7 @@ let welcome_of_json v =
 type net_to_worker =
   | Nw_job of { jid : string; job : job }
   | Nw_assign of { jid : string; shard : int; lo : int; hi : int }
+  | Nw_job_over of { jid : string }
   | Nw_ping
   | Nw_shutdown
 
@@ -447,6 +362,8 @@ let net_to_worker_to_json = function
           ("lo", Json.Int lo);
           ("hi", Json.Int hi);
         ]
+  | Nw_job_over { jid } ->
+      Json.Obj [ ("t", Json.String "job-over"); ("jid", Json.String jid) ]
   | Nw_ping -> Json.Obj [ ("t", Json.String "ping") ]
   | Nw_shutdown -> Json.Obj [ ("t", Json.String "shutdown") ]
 
@@ -467,6 +384,9 @@ let net_to_worker_of_json v =
       let* hi = field "hi" Json.to_int v in
       if shard < 0 || lo < 0 || hi < lo then Error "assign range is malformed"
       else Ok (Nw_assign { jid; shard; lo; hi })
+  | "job-over" ->
+      let* jid = field "jid" Json.to_str v in
+      Ok (Nw_job_over { jid })
   | "ping" -> Ok Nw_ping
   | "shutdown" -> Ok Nw_shutdown
   | t -> Error (Printf.sprintf "unknown server message %S" t)

@@ -1,4 +1,4 @@
-(** Message vocabulary of the coordinator/worker protocol.
+(** Message vocabulary of the job queue's network protocol.
 
     The protocol leans entirely on determinism: a job description names
     a scenario plus the sweep/explore parameters, and {e both} sides
@@ -9,7 +9,7 @@
     the minimal plain data the deterministic merge needs: one verdict
     tag per sweep cell, or one seven-field summary per explore task.
     Counterexamples, violations and replay artifacts are {e never}
-    serialized; the coordinator recovers them by re-running the single
+    serialized; the merging side recovers them by re-running the single
     finding cell locally.
 
     All decoders are total and return [result] — worker input is wire
@@ -53,37 +53,12 @@ val job_fingerprint : job -> string
 (** Canonical one-line encoding, used to match a [--resume] request
     against the job recorded in a journal. *)
 
-(** {1 Messages} *)
-
-type to_worker =
-  | Hello of job  (** first frame; the worker builds its plan from it *)
-  | Assign of { shard : int; lo : int; hi : int }
-      (** compute cells/tasks [lo..hi-1] of the plan *)
-  | Ping  (** liveness probe; answer [Pong] even mid-shard *)
-  | Shutdown  (** exit cleanly *)
-
-type from_worker =
-  | Hello_ok of { cells : int }
-      (** plan built; [cells] must match the coordinator's own count —
-          a mismatch means the two sides computed different plans and
-          determinism is broken, so the coordinator aborts *)
-  | Hello_err of string  (** the job does not resolve to a plan *)
-  | Pong
-  | Progress of { shard : int; completed : int }
-      (** heartbeat emitted every few cells of a long shard *)
-  | Result of { shard : int; payload : Svm.Json.t }
-
-val to_worker_to_json : to_worker -> Svm.Json.t
-val to_worker_of_json : Svm.Json.t -> (to_worker, string) result
-val from_worker_to_json : from_worker -> Svm.Json.t
-val from_worker_of_json : Svm.Json.t -> (from_worker, string) result
-
 (** {1 Shard payload codecs} *)
 
 val tag_of_verdict : Svm.Explore.verdict -> char
 (** ['C'] clean, ['D'] deadlocked, ['V'] violating. A sweep shard's
     payload is the string of tags for its cell range; the violation
-    payload itself stays behind — the coordinator re-runs the cell. *)
+    payload itself stays behind — the merging side re-runs the cell. *)
 
 val verdict_tag_ok : char -> bool
 
@@ -96,8 +71,8 @@ val summary_of_json : Svm.Json.t -> (Svm.Explore.task_summary, string) result
 
 (** {1 Shard payload validation}
 
-    Total validators over wire payloads, shared by the fork coordinator
-    and the TCP job queue. [Ok (Some i)] reports the absolute index of
+    Total validators over wire payloads, shared by the job queue and
+    the submitting client. [Ok (Some i)] reports the absolute index of
     the first merge-stopping finding inside the shard. *)
 
 val check_sweep_payload :
@@ -142,13 +117,18 @@ val welcome_of_json : Svm.Json.t -> (welcome, string) result
 
 (** {1 Network worker session}
 
-    Like the socketpair protocol, but job-tagged: a TCP worker serves
-    many jobs over one connection, opening each on first assignment. *)
+    Job-tagged: a worker serves many jobs over one connection. The
+    server announces each job once ([Nw_job]) before dealing its shards
+    and says when it is over ([Nw_job_over]), so the worker holds only
+    the plans of live jobs. *)
 
 type net_to_worker =
   | Nw_job of { jid : string; job : job }
       (** expand this job; reply [Nf_job_ok] with the plan size *)
   | Nw_assign of { jid : string; shard : int; lo : int; hi : int }
+      (** compute cells/tasks [lo..hi-1] of the job's plan *)
+  | Nw_job_over of { jid : string }
+      (** v4: the job finished or failed; release its plan *)
   | Nw_ping
   | Nw_shutdown
 

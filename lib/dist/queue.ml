@@ -97,6 +97,7 @@ type job = {
   mutable jb_resumed : int;
   mutable jb_executed : int;
   mutable jb_watchers : int list;
+  mutable jb_over : [ `Done | `Failed of string ] option;
 }
 
 type engine = {
@@ -113,6 +114,9 @@ type engine = {
   departed : Metrics.t;
       (** pushed registries of disconnected workers, folded in so fleet
           totals never shrink when a peer leaves *)
+  mutable chaos : (int * int) option;
+      (** fault hook of a private run: [(shard, n)] cuts the link of the
+          worker dealt that shard, the next [n] times it is dealt *)
 }
 
 let now () = Unix.gettimeofday ()
@@ -128,15 +132,14 @@ let gauge_peers e =
   Metrics.record e.cfg.metrics "net_peers" (List.length e.peers);
   Metrics.record e.cfg.metrics "net_jobs_active" (Hashtbl.length e.jobs)
 
-let queue_depth e =
-  Hashtbl.fold
-    (fun _ jb acc ->
-      Array.fold_left
-        (fun acc sh ->
-          if sh.sh_state <> Sh_done && sh.sh_lo <= jb.jb_cut then acc + 1
-          else acc)
-        acc jb.jb_shards)
-    e.jobs 0
+(* Shards the in-order merge still needs: not done, not past the cut. *)
+let remaining jb =
+  Array.fold_left
+    (fun acc sh ->
+      if sh.sh_state <> Sh_done && sh.sh_lo <= jb.jb_cut then acc + 1 else acc)
+    0 jb.jb_shards
+
+let queue_depth e = Hashtbl.fold (fun _ jb acc -> acc + remaining jb) e.jobs 0
 
 (* {2 Peer lifecycle, shard loss, job verdicts}
 
@@ -213,6 +216,16 @@ and send_client e p msg =
       peer_gone e p ~reason:("write failed: " ^ Unix.error_message err)
   end
 
+and send_worker e p msg =
+  if p.p_alive then begin
+    try
+      Frame.write p.p_fd (Proto.net_to_worker_to_json msg);
+      p.p_frames_out <- p.p_frames_out + 1;
+      Metrics.bump e.cfg.metrics "net_frames_out_total"
+    with Unix.Unix_error (err, _, _) ->
+      peer_gone e p ~reason:("write failed: " ^ Unix.error_message err)
+  end
+
 and job_over e jb verdict =
   let msg =
     match verdict with
@@ -221,12 +234,27 @@ and job_over e jb verdict =
         warnf e "job %s failed: %s" jb.jb_id m;
         Proto.Sc_failed m
   in
+  jb.jb_over <- Some verdict;
   let watchers = jb.jb_watchers in
   jb.jb_watchers <- [];
   Hashtbl.remove e.jobs jb.jb_id;
   e.order <- List.filter (fun id -> id <> jb.jb_id) e.order;
+  (* A missing cache marker only costs a later re-run. *)
+  (if verdict = `Done then
+     try Journal.mark_complete jb.jb_journal ~fingerprint:jb.jb_fp
+     with Sys_error _ | Unix.Unix_error _ -> ());
   Journal.close jb.jb_journal;
   gauge_peers e;
+  (* Every worker that was told about the job may drop its plan. *)
+  List.iter
+    (fun p ->
+      match p.p_sort with
+      | Worker_peer w when Hashtbl.mem w.ws_announced jb.jb_id ->
+          Hashtbl.remove w.ws_announced jb.jb_id;
+          Hashtbl.remove w.ws_acked jb.jb_id;
+          send_worker e p (Proto.Nw_job_over { jid = jb.jb_id })
+      | _ -> ())
+    e.peers;
   List.iter
     (fun pid ->
       match find_peer e pid with
@@ -241,25 +269,7 @@ and job_over e jb verdict =
     logf e "job %s complete: %d shard(s) executed, %d resumed" jb.jb_id
       jb.jb_executed jb.jb_resumed
 
-let send_worker e p msg =
-  if p.p_alive then begin
-    try
-      Frame.write p.p_fd (Proto.net_to_worker_to_json msg);
-      p.p_frames_out <- p.p_frames_out + 1;
-      Metrics.bump e.cfg.metrics "net_frames_out_total"
-    with Unix.Unix_error (err, _, _) ->
-      peer_gone e p ~reason:("write failed: " ^ Unix.error_message err)
-  end
-
-let job_maybe_done e jb =
-  let remaining =
-    Array.fold_left
-      (fun acc sh ->
-        if sh.sh_state <> Sh_done && sh.sh_lo <= jb.jb_cut then acc + 1
-        else acc)
-      0 jb.jb_shards
-  in
-  if remaining = 0 then job_over e jb `Done
+let job_maybe_done e jb = if remaining jb = 0 then job_over e jb `Done
 
 (* {2 Jobs} *)
 
@@ -300,6 +310,7 @@ let make_job ~id ~job ~units ~shard_size ~check ~journal =
     jb_resumed = 0;
     jb_executed = 0;
     jb_watchers = [];
+    jb_over = None;
   }
 
 let register e jb =
@@ -372,63 +383,98 @@ let default_shard_size e ~units =
             match p.p_sort with Worker_peer _ -> acc + 1 | _ -> acc)
           0 e.peers
       in
-      let workers = max 1 workers in
-      if units = 0 then 1
-      else min 256 (max 1 ((units + (workers * 8) - 1) / (workers * 8)))
+      Policy.shard_size ~units ~workers
 
-(* Server-side result cache: a fresh submit whose fingerprint matches a
-   journal recording a fully-completed run of the same job can be
-   answered from that journal — zero shards re-executed. Only completed,
-   non-hostile journals qualify, where "completed" mirrors
-   [job_maybe_done]: every shard up to the finding cut is present (a
-   run that found a violation never executed its tail, and never needs
-   to). Every restored payload is re-validated exactly as if a worker
-   had just sent it. *)
-let cached_completed e ~fp ~units ~check =
-  Journal.list_ids ~dir:e.cfg.journal_dir ()
-  |> List.find_map (fun id ->
-         if Hashtbl.mem e.jobs id then None
-         else
-           match Journal.load ~dir:e.cfg.journal_dir id with
-           | Error _ -> None
-           | Ok l ->
-               if
-                 Proto.job_fingerprint l.l_job <> fp
-                 || l.l_cells <> units || l.l_hostile <> []
-                 || l.l_shard_size < 1
-               then None
-               else begin
-                 let nshards =
-                   if units = 0 then 0
-                   else (units + l.l_shard_size - 1) / l.l_shard_size
-                 in
-                 let shards = Array.make nshards None in
-                 List.iter
-                   (fun (shard, payload) ->
-                     if shard >= 0 && shard < nshards && shards.(shard) = None
-                     then
-                       let lo = shard * l.l_shard_size in
-                       let hi = min units ((shard + 1) * l.l_shard_size) in
-                       match check ~lo ~hi payload with
-                       | Ok finding -> shards.(shard) <- Some (payload, finding)
-                       | Error _ -> ())
-                   l.l_done;
-                 let cut =
-                   Array.fold_left
-                     (fun acc -> function
-                       | Some (_, Some abs) -> min acc abs
-                       | _ -> acc)
-                     max_int shards
-                 in
-                 let complete = ref true in
-                 Array.iteri
-                   (fun i entry ->
-                     if i * l.l_shard_size <= cut && entry = None then
-                       complete := false)
-                   shards;
-                 if !complete then Some (id, l.l_shard_size, shards)
-                 else None
-               end)
+(* {2 Admission}
+
+   A job enters the queue fresh, revived from its journal (resume), or
+   answered from a completed journal of the same description (the
+   result cache). Revival re-validates every journalled payload exactly
+   as if a worker had just sent it; a corrupt entry is simply re-run. *)
+
+let check_of = function
+  | Worker.Sweep_instance _ -> Proto.check_sweep_payload
+  | Worker.Explore_instance _ -> Proto.check_explore_payload
+
+let fresh e ~job ~inst =
+  let units = Worker.cells_of_instance inst in
+  let shard_size = default_shard_size e ~units in
+  match
+    Journal.create ~dir:e.cfg.journal_dir ~fsync:e.cfg.fsync ~job ~cells:units
+      ~shard_size ()
+  with
+  | exception exn ->
+      Error ("cannot create journal: " ^ Printexc.to_string exn)
+  | journal ->
+      Ok
+        (make_job ~id:(Journal.id journal) ~job ~units ~shard_size
+           ~check:(check_of inst) ~journal)
+
+let revive e ~id ~job ~inst =
+  let units = Worker.cells_of_instance inst in
+  let ( let* ) = Result.bind in
+  let* l = Journal.load ~dir:e.cfg.journal_dir id in
+  let* () =
+    if Proto.job_fingerprint l.l_job <> Proto.job_fingerprint job then
+      Error
+        (Printf.sprintf "job %s was journalled for a different job description"
+           id)
+    else if l.l_cells <> units then
+      Error
+        (Printf.sprintf "job %s journalled %d cells, the plan has %d" id
+           l.l_cells units)
+    else if l.l_hostile <> [] then
+      Error
+        (Printf.sprintf "job %s recorded shard %d as hostile; not resumable" id
+           (List.hd l.l_hostile))
+    else if l.l_shard_size < 1 then
+      Error (Printf.sprintf "job %s journalled a bad shard size" id)
+    else Ok ()
+  in
+  let* journal = Journal.reopen ~dir:e.cfg.journal_dir ~fsync:e.cfg.fsync id in
+  let jb =
+    make_job ~id ~job ~units ~shard_size:l.l_shard_size ~check:(check_of inst)
+      ~journal
+  in
+  List.iter
+    (fun (shard, payload) ->
+      if
+        shard >= 0
+        && shard < Array.length jb.jb_shards
+        && jb.jb_shards.(shard).sh_state <> Sh_done
+      then
+        let sh = jb.jb_shards.(shard) in
+        match jb.jb_check ~lo:sh.sh_lo ~hi:sh.sh_hi payload with
+        | Ok finding -> shard_done e jb ~shard ~payload ~finding ~restored:true
+        | Error _ -> ())
+    l.l_done;
+  Ok jb
+
+(* The result cache: a fresh submit whose fingerprint names a journal
+   marked complete is answered from it — zero shards re-executed — if
+   that journal still revives with every shard up to the finding cut
+   (a run that found a violation never executed its tail, and never
+   needs to). *)
+let cached e ~job ~inst =
+  match
+    Journal.completed_id ~dir:e.cfg.journal_dir
+      ~fingerprint:(Proto.job_fingerprint job) ()
+  with
+  | None -> None
+  | Some id when Hashtbl.mem e.jobs id -> None
+  | Some id -> (
+      match revive e ~id ~job ~inst with
+      | Error _ -> None
+      | Ok jb when remaining jb > 0 ->
+          Journal.close jb.jb_journal;
+          None
+      | Ok jb ->
+          register e jb;
+          Metrics.bump e.cfg.metrics "net_cache_hits_total";
+          logf e "job %s answered from its completed journal (cache hit, %d \
+                  shard(s))"
+            id jb.jb_resumed;
+          Some jb)
 
 let handle_submit e p c ~job ~resume =
   if c.cs_watching <> None then
@@ -438,136 +484,57 @@ let handle_submit e p c ~job ~resume =
     match e.lookup job with
     | Error m -> reject_client e p ("cannot expand job: " ^ m)
     | Ok inst -> (
-        let units = Worker.cells_of_instance inst in
-        let check =
-          match inst with
-          | Worker.Sweep_instance _ -> Proto.check_sweep_payload
-          | Worker.Explore_instance _ -> Proto.check_explore_payload
-        in
         let fp = Proto.job_fingerprint job in
-        match resume with
-        | Some id -> (
-            match Hashtbl.find_opt e.jobs id with
-            | Some jb ->
-                if jb.jb_fp <> fp then
-                  reject_client e p
+        let units = Worker.cells_of_instance inst in
+        let admitted =
+          match resume with
+          | Some id -> (
+              match Hashtbl.find_opt e.jobs id with
+              | Some jb when jb.jb_fp <> fp ->
+                  Error
                     (Printf.sprintf "job %s is a different job description" id)
-                else attach e p c jb
-            | None -> (
-                (* Not live: revive it from its journal. *)
-                match Journal.load ~dir:e.cfg.journal_dir id with
-                | Error m -> reject_client e p m
-                | Ok l ->
-                    if Proto.job_fingerprint l.l_job <> fp then
-                      reject_client e p
-                        (Printf.sprintf
-                           "job %s was journalled for a different job \
-                            description"
-                           id)
-                    else if l.l_cells <> units then
-                      reject_client e p
-                        (Printf.sprintf
-                           "job %s journalled %d cells, the plan has %d" id
-                           l.l_cells units)
-                    else if l.l_hostile <> [] then
-                      reject_client e p
-                        (Printf.sprintf
-                           "job %s recorded shard %d as hostile; not resumable"
-                           id (List.hd l.l_hostile))
-                    else (
-                      match
-                        Journal.reopen ~dir:e.cfg.journal_dir
-                          ~fsync:e.cfg.fsync id
-                      with
-                      | Error m -> reject_client e p m
-                      | Ok journal ->
-                          let jb =
-                            make_job ~id ~job ~units
-                              ~shard_size:l.l_shard_size ~check ~journal
-                          in
-                          List.iter
-                            (fun (shard, payload) ->
-                              let n = Array.length jb.jb_shards in
-                              if
-                                shard >= 0 && shard < n
-                                && jb.jb_shards.(shard).sh_state <> Sh_done
-                              then
-                                match
-                                  check ~lo:jb.jb_shards.(shard).sh_lo
-                                    ~hi:jb.jb_shards.(shard).sh_hi payload
-                                with
-                                | Ok finding ->
-                                    shard_done e jb ~shard ~payload ~finding
-                                      ~restored:true
-                                | Error _ -> ())
-                            l.l_done;
+              | Some jb -> Ok jb
+              | None ->
+                  (* Not live: revive it from its journal. *)
+                  Result.map
+                    (fun jb ->
+                      register e jb;
+                      logf e "job %s revived from its journal (%d shard(s) \
+                              restored)"
+                        id jb.jb_resumed;
+                      jb)
+                    (revive e ~id ~job ~inst))
+          | None -> (
+              (* Coalesce identical submissions onto the live job. *)
+              let live =
+                List.find_map
+                  (fun id ->
+                    match Hashtbl.find_opt e.jobs id with
+                    | Some jb when jb.jb_fp = fp && jb.jb_units = units ->
+                        Some jb
+                    | _ -> None)
+                  e.order
+              in
+              match live with
+              | Some jb ->
+                  logf e "coalescing submit onto live job %s" jb.jb_id;
+                  Ok jb
+              | None -> (
+                  match cached e ~job ~inst with
+                  | Some jb -> Ok jb
+                  | None ->
+                      Result.map
+                        (fun jb ->
                           register e jb;
-                          logf e "job %s revived from its journal (%d shard(s) \
-                                  restored)"
-                            id jb.jb_resumed;
-                          attach e p c jb)))
-        | None -> (
-            (* Coalesce identical submissions onto the live job. *)
-            let existing =
-              List.find_map
-                (fun id ->
-                  match Hashtbl.find_opt e.jobs id with
-                  | Some jb when jb.jb_fp = fp && jb.jb_units = units ->
-                      Some jb
-                  | _ -> None)
-                e.order
-            in
-            let fresh () =
-              let shard_size = default_shard_size e ~units in
-              match
-                Journal.create ~dir:e.cfg.journal_dir ~fsync:e.cfg.fsync
-                  ~job ~cells:units ~shard_size ()
-              with
-              | exception exn ->
-                  reject_client e p
-                    ("cannot create journal: " ^ Printexc.to_string exn)
-              | journal ->
-                  let jb =
-                    make_job ~id:(Journal.id journal) ~job ~units
-                      ~shard_size ~check ~journal
-                  in
-                  register e jb;
-                  logf e "job %s accepted: %d cell(s) in %d shard(s)"
-                    jb.jb_id units
-                    (Array.length jb.jb_shards);
-                  attach e p c jb
-            in
-            match existing with
-            | Some jb ->
-                logf e "coalescing submit onto live job %s" jb.jb_id;
-                attach e p c jb
-            | None -> (
-                match cached_completed e ~fp ~units ~check with
-                | None -> fresh ()
-                | Some (id, shard_size, shards) -> (
-                    match
-                      Journal.reopen ~dir:e.cfg.journal_dir ~fsync:e.cfg.fsync
-                        id
-                    with
-                    | Error _ -> fresh ()
-                    | Ok journal ->
-                        let jb =
-                          make_job ~id ~job ~units ~shard_size ~check ~journal
-                        in
-                        Array.iteri
-                          (fun shard -> function
-                            | Some (payload, finding) ->
-                                shard_done e jb ~shard ~payload ~finding
-                                  ~restored:true
-                            | None -> ())
-                          shards;
-                        register e jb;
-                        Metrics.bump e.cfg.metrics "net_cache_hits_total";
-                        logf e
-                          "job %s answered from its completed journal (cache \
-                           hit, %d shard(s))"
-                          id jb.jb_resumed;
-                        attach e p c jb))))
+                          logf e "job %s accepted: %d cell(s) in %d shard(s)"
+                            jb.jb_id units
+                            (Array.length jb.jb_shards);
+                          jb)
+                        (fresh e ~job ~inst)))
+        in
+        match admitted with
+        | Error m -> reject_client e p m
+        | Ok jb -> attach e p c jb)
 
 (* {2 Worker messages} *)
 
@@ -858,6 +825,17 @@ let handle_readable e p =
 
 (* {2 Scheduling, timers} *)
 
+(* The [--chaos-kill-shard] hook: losing the link of the worker just
+   dealt shard K must change nothing but the stats — the shard is
+   re-dealt and the worker reconnects. *)
+let chaos_cut e p ~shard =
+  match e.chaos with
+  | Some (k, n) when k = shard && n > 0 ->
+      e.chaos <- Some (k, n - 1);
+      peer_gone e p
+        ~reason:(Printf.sprintf "chaos: link cut right after dealing shard %d" k)
+  | _ -> ()
+
 let deal e =
   if not e.draining then begin
     let t = now () in
@@ -904,7 +882,8 @@ let deal e =
                         jid = jb.jb_id;
                         shard = sh.sh_id;
                         deadline = t +. e.cfg.shard_timeout;
-                      }
+                      };
+                  chaos_cut e p ~shard:sh.sh_id
                 end)
         | _ -> ())
       e.peers;
@@ -983,6 +962,7 @@ let accept_peers e =
     match Unix.accept e.listener with
     | fd, addr ->
         Unix.set_close_on_exec fd;
+        Net.no_delay fd;
         let p =
           {
             p_id = e.next_pid;
@@ -1051,35 +1031,63 @@ let shutdown e =
   Hashtbl.reset e.jobs;
   e.order <- []
 
+(* One select round: deal, wait for traffic or the next deadline (at
+   most [max_wait] seconds), pump frames, fire timers. *)
+let step ?(max_wait = 1.0) e =
+  deal e;
+  let fds =
+    (if e.draining then [] else [ e.listener ])
+    @ List.filter_map (fun p -> if p.p_alive then Some p.p_fd else None) e.peers
+  in
+  let readable, _, _ =
+    match Unix.select fds [] [] (Float.min max_wait (next_timeout e)) with
+    | r -> r
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+  in
+  if (not e.draining) && List.mem e.listener readable then accept_peers e;
+  List.iter
+    (fun p ->
+      if p.p_alive && List.mem p.p_fd readable then handle_readable e p)
+    e.peers;
+  check_timers e
+
 let rec loop e =
   if !(e.term) && not e.draining then begin_drain e;
   if e.draining && in_flight e = 0 then shutdown e
   else begin
-    deal e;
-    let fds =
-      (if e.draining then [] else [ e.listener ])
-      @ List.filter_map
-          (fun p -> if p.p_alive then Some p.p_fd else None)
-          e.peers
-    in
-    let readable, _, _ =
-      match Unix.select fds [] [] (next_timeout e) with
-      | r -> r
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
-    if (not e.draining) && List.mem e.listener readable then accept_peers e;
-    let snapshot = e.peers in
-    List.iter
-      (fun p -> if p.p_alive && List.mem p.p_fd readable then
-          handle_readable e p)
-      snapshot;
-    check_timers e;
+    step e;
     loop e
   end
 
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
+
+let make_engine cfg ~lookup listener =
+  Unix.set_nonblock listener;
+  {
+    cfg;
+    lookup;
+    listener;
+    term = ref false;
+    jobs = Hashtbl.create 8;
+    order = [];
+    peers = [];
+    next_pid = 0;
+    draining = false;
+    started = now ();
+    departed = Metrics.create ();
+    chaos = None;
+  }
+
+(* SIGTERM starts the drain; the previous handler comes back after. *)
+let with_sigterm e f =
+  let prev =
+    Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> e.term := true))
+  in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigterm prev) f
+
 let serve ?on_listen cfg ~lookup addr =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
+  ignore_sigpipe ();
   match Net.listen addr with
   | exception Unix.Unix_error (err, _, _) ->
       Error
@@ -1087,34 +1095,178 @@ let serve ?on_listen cfg ~lookup addr =
            (Net.string_of_sockaddr addr)
            (Unix.error_message err))
   | listener, port ->
-      Unix.set_nonblock listener;
+      let e = make_engine cfg ~lookup listener in
       Option.iter (fun f -> f port) on_listen;
-      let term = ref false in
-      let prev_term =
-        Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> term := true))
+      with_sigterm e (fun () ->
+          match loop e with
+          | () -> Ok ()
+          | exception exn ->
+              shutdown e;
+              close_quiet listener;
+              Error (Printexc.to_string exn))
+
+(* {2 Private fleet}
+
+   [--dist N]: this engine, listening on a private Unix-domain socket
+   ({!Net.listen_private}) on the caller's own domain, serving one job
+   to N forked [work --connect] children of [exe]. No other user can
+   dial the socket, so no forged worker can join and return well-formed
+   but false payloads. The job is registered directly — no client
+   socket, and the caller's plan is the only one expanded on this
+   side. A child that
+   exits is replaced, so the run never waits on zero workers; children
+   that keep exiting while the job stands still abort the run instead
+   of looping forever. *)
+
+type fleet_stats = {
+  job_id : string;
+  shards : int;
+  shard_size : int;
+  resumed : int;
+  executed : int;
+  spawned : int;
+  reassigned : int;
+}
+
+exception Fleet_failed of string
+
+type fleet = {
+  f_exe : string;
+  f_args : string array;
+  f_size : int;
+  mutable f_pids : int list;
+  mutable f_spawned : int;
+  mutable f_deaths : int;  (** child exits since the job last progressed *)
+  mutable f_progress : int;  (** [jb_executed] when [f_deaths] was reset *)
+}
+
+let rec reap pid =
+  match Unix.waitpid [] pid with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+  | exception Unix.Unix_error _ -> ()
+
+let tend e f jb =
+  if jb.jb_executed > f.f_progress then begin
+    f.f_progress <- jb.jb_executed;
+    f.f_deaths <- 0
+  end;
+  f.f_pids <-
+    List.filter
+      (fun pid ->
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ -> true
+        | _, status ->
+            f.f_deaths <- f.f_deaths + 1;
+            warnf e "worker process %d %s" pid
+              (match status with
+              | Unix.WEXITED c -> Printf.sprintf "exited with code %d" c
+              | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+                  Printf.sprintf "died of signal %d" s);
+            false
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+        | exception Unix.Unix_error _ -> false)
+      f.f_pids;
+  if f.f_deaths > (2 * f.f_size) + 4 then
+    raise
+      (Fleet_failed
+         "worker processes keep exiting without progress — is the worker \
+          binary runnable?");
+  if not e.draining then
+    while List.length f.f_pids < f.f_size do
+      let pid =
+        Unix.create_process f.f_exe f.f_args Unix.stdin Unix.stderr Unix.stderr
       in
+      f.f_pids <- pid :: f.f_pids;
+      f.f_spawned <- f.f_spawned + 1;
+      debugf e "spawned worker process %d" pid
+    done
+
+let rec drive e f jb =
+  if !(e.term) && not e.draining then begin_drain e;
+  if jb.jb_over = None && not (e.draining && in_flight e = 0) then begin
+    tend e f jb;
+    (* Short waits: a child that dies before dialing shows up in
+       [waitpid], not on any socket. *)
+    step ~max_wait:0.1 e;
+    drive e f jb
+  end
+
+let run_fleet cfg ~workers ~exe ?chaos_kill_shard ?resume ~job inst =
+  ignore_sigpipe ();
+  match Net.listen_private () with
+  | exception Unix.Unix_error (err, _, _) ->
+      Error ("cannot open a private socket: " ^ Unix.error_message err)
+  | exception Sys_error m -> Error ("cannot open a private socket: " ^ m)
+  | listener, path, remove ->
+      Fun.protect ~finally:remove @@ fun () ->
       let e =
-        {
-          cfg;
-          lookup;
-          listener;
-          term;
-          jobs = Hashtbl.create 8;
-          order = [];
-          peers = [];
-          next_pid = 0;
-          draining = false;
-          started = now ();
-          departed = Metrics.create ();
-        }
+        make_engine cfg
+          ~lookup:(fun _ -> Error "this queue serves a single private job")
+          listener
       in
-      let result =
-        match loop e with
-        | () -> Ok ()
-        | exception exn ->
-            shutdown e;
-            close_quiet listener;
-            Error (Printexc.to_string exn)
+      e.chaos <- chaos_kill_shard;
+      (* Installed before the journal exists: once a job id is on disk,
+         SIGTERM suspends it rather than killing the process. *)
+      with_sigterm e @@ fun () ->
+      let admitted =
+        match resume with
+        | Some id -> revive e ~id ~job ~inst
+        | None -> fresh e ~job ~inst
       in
-      Sys.set_signal Sys.sigterm prev_term;
-      result
+      match admitted with
+      | Error m ->
+          close_quiet listener;
+          Error m
+      | Ok jb -> (
+          register e jb;
+          debugf e
+            "job %s: %d cell(s) in %d shard(s), %d resumed, %d worker(s)"
+            jb.jb_id jb.jb_units
+            (Array.length jb.jb_shards)
+            jb.jb_resumed workers;
+          job_maybe_done e jb;
+          let f =
+            {
+              f_exe = exe;
+              f_args =
+                [| exe; "work"; "--connect"; path; "--log-level"; "warn" |];
+              f_size = max 1 workers;
+              f_pids = [];
+              f_spawned = 0;
+              f_deaths = 0;
+              f_progress = 0;
+            }
+          in
+          let failure =
+            match drive e f jb with
+            | () -> None
+            | exception Fleet_failed m -> Some m
+            | exception exn -> Some (Printexc.to_string exn)
+          in
+          let drained = e.draining in
+          shutdown e;
+          if not drained then close_quiet listener;
+          List.iter
+            (fun pid ->
+              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+              reap pid)
+            f.f_pids;
+          let stats =
+            {
+              job_id = jb.jb_id;
+              shards = Array.length jb.jb_shards;
+              shard_size = jb.jb_shard_size;
+              resumed = jb.jb_resumed;
+              executed = jb.jb_executed;
+              spawned = f.f_spawned;
+              reassigned =
+                Array.fold_left
+                  (fun acc sh -> acc + sh.sh_attempts)
+                  0 jb.jb_shards;
+            }
+          in
+          match (failure, jb.jb_over) with
+          | Some m, _ | None, Some (`Failed m) -> Error m
+          | None, Some `Done -> Ok (`Complete jb.jb_payloads, stats)
+          | None, None -> Ok (`Suspended jb.jb_id, stats))

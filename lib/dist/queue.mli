@@ -11,16 +11,22 @@
       [stall_timeout]) and byte-rate caps ({!Policy.rate_check}) on top
       of the frame size cap — slow-loris and flooding peers are cut;
     - heartbeats with the {!Policy.heartbeat} half-timeout ping, shard
-      deadlines, and {!Policy.retry} backoff/hostile handling exactly
-      like the fork coordinator;
+      deadlines, and {!Policy.retry} backoff/hostile handling;
     - every accepted shard is journalled before it is streamed, so
       SIGTERM drains gracefully: stop accepting, let in-flight shards
       finish and checkpoint, tell clients [Sc_draining] (their job id
       resumes the work later), then exit cleanly;
     - completed journals double as a result cache: a fresh submit whose
       fingerprint matches a fully-completed journal of the same job is
-      answered from that journal — payloads re-validated, zero shards
-      re-executed ([net_cache_hits_total] counts the hits). *)
+      answered from that journal — found in one file read through
+      {!Journal.completed_id}, payloads re-validated, zero shards
+      re-executed ([net_cache_hits_total] counts the hits);
+    - every worker told about a job is told when it is over
+      ({!Proto.Nw_job_over}), so long-lived workers hold only live plans.
+
+    The same engine also runs privately ({!run_fleet}): one job, one
+    private Unix-domain socket, a fleet of forked workers — that is
+    [--dist N]. *)
 
 type config = {
   fingerprint : string;  (** scenario-registry fingerprint to enforce *)
@@ -60,3 +66,39 @@ val serve :
     itself to know its cell count and validate worker payloads, and
     rejects submissions it cannot expand. [Error] is reserved for a
     broken listen address or an internal failure. *)
+
+(** {1 Private fleet} *)
+
+type fleet_stats = {
+  job_id : string;  (** journal id: the [resume] handle *)
+  shards : int;
+  shard_size : int;
+  resumed : int;  (** shards restored from the journal *)
+  executed : int;  (** shard results received this run *)
+  spawned : int;  (** worker processes forked, replacements included *)
+  reassigned : int;  (** shard attempts lost to cut links or dead workers *)
+}
+
+val run_fleet :
+  config ->
+  workers:int ->
+  exe:string ->
+  ?chaos_kill_shard:int * int ->
+  ?resume:string ->
+  job:Proto.job ->
+  Worker.instance ->
+  ( [ `Complete of Svm.Json.t option array | `Suspended of string ]
+    * fleet_stats,
+    string )
+  result
+(** Serve one job on this domain: listen on {!Net.listen_private},
+    register the job (fresh, or revived from journal [resume]; either
+    way journalled under [config.journal_dir]), fork [workers] children
+    [exe work --connect PATH], replace any that exit, and return the
+    shard payloads once every shard the merge needs is in.
+    [config.fingerprint] must be the children's registry fingerprint.
+    SIGTERM drains the run to [`Suspended id]. A hostile shard, or
+    children that keep exiting while the job stands still, is an
+    [Error]. [chaos_kill_shard = (k, n)] cuts the link of the worker
+    dealt shard [k], the first [n] times it is dealt. The children are
+    killed and reaped, and the socket removed, before this returns. *)

@@ -2,36 +2,8 @@ type instance =
   | Sweep_instance of Svm.Univ.t Svm.Explore.sweep_plan
   | Explore_instance of Svm.Univ.t Svm.Explore.plan
 
-exception Quit of int
-
-(* Emit a Progress heartbeat and honour control frames this often. *)
+(* Tick (progress heartbeat, control poll) this often. *)
 let heartbeat_every = 32
-
-let send out_fd msg =
-  try Frame.write out_fd (Proto.from_worker_to_json msg)
-  with Unix.Unix_error _ -> raise (Quit 0) (* coordinator is gone *)
-
-let recv in_fd =
-  match Frame.read in_fd with
-  | Ok v -> (
-      match Proto.to_worker_of_json v with
-      | Ok m -> m
-      | Error _ -> raise (Quit 2))
-  | Error Frame.Closed -> raise (Quit 0)
-  | Error _ -> raise (Quit 2)
-
-(* Between heartbeats the worker is heads-down computing; this gives
-   control frames (Ping during a slow shard, Shutdown during a shard
-   the coordinator no longer needs) a chance to be honoured. *)
-let poll_control in_fd out_fd =
-  match Unix.select [ in_fd ] [] [] 0.0 with
-  | [], _, _ -> ()
-  | _ -> (
-      match recv in_fd with
-      | Proto.Ping -> send out_fd Proto.Pong
-      | Proto.Shutdown -> raise (Quit 0)
-      | Proto.Hello _ | Proto.Assign _ -> raise (Quit 2))
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 let cells_of_instance = function
   | Sweep_instance p -> Svm.Explore.sweep_cells p
@@ -60,42 +32,3 @@ let compute_shard instance ~lo ~hi ~tick =
         tick i
       done;
       Svm.Json.List (List.rev !out)
-
-let serve ~lookup in_fd out_fd =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  try
-    let instance =
-      match recv in_fd with
-      | Proto.Hello job -> (
-          match lookup job with
-          | Ok instance ->
-              send out_fd
-                (Proto.Hello_ok { cells = cells_of_instance instance });
-              instance
-          | Error msg ->
-              send out_fd (Proto.Hello_err msg);
-              raise (Quit 2))
-      | Proto.Assign _ | Proto.Ping | Proto.Shutdown -> raise (Quit 2)
-    in
-    let cells = cells_of_instance instance in
-    let rec loop () =
-      (match recv in_fd with
-      | Proto.Ping -> send out_fd Proto.Pong
-      | Proto.Shutdown -> raise (Quit 0)
-      | Proto.Hello _ -> raise (Quit 2)
-      | Proto.Assign { shard; lo; hi } ->
-          if hi > cells then raise (Quit 2);
-          let tick completed =
-            send out_fd (Proto.Progress { shard; completed });
-            poll_control in_fd out_fd
-          in
-          let payload = compute_shard instance ~lo ~hi ~tick in
-          send out_fd (Proto.Result { shard; payload }));
-      loop ()
-    in
-    loop ()
-  with
-  | Quit code -> code
-  | Unix.Unix_error _ -> 0 (* coordinator vanished under us *)
-  | _ -> 3

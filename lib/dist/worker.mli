@@ -1,19 +1,17 @@
-(** The worker side of the protocol: a blocking serve loop over a pair
-    of file descriptors (the coordinator wires a socketpair end to the
-    worker's stdin and stdout, so [asmsim work] passes exactly those).
+(** What a worker computes, independent of any transport.
 
-    A worker is stateless between shards and owns nothing durable: it
-    builds its plan from the [Hello] job, computes whatever index
-    ranges it is assigned, and ships plain-data results. Killing one at
-    any instant loses nothing but the in-flight shard, which the
-    coordinator reassigns — that is the whole point. *)
+    A job expands into an {!instance} — the same plan on every side,
+    since planning is a pure function of the job — and a shard is a
+    half-open range of its cells. A worker is stateless between shards
+    and owns nothing durable: killing one at any instant loses nothing
+    but the in-flight shard, which the queue re-deals. *)
 
 type instance =
   | Sweep_instance of Svm.Univ.t Svm.Explore.sweep_plan
   | Explore_instance of Svm.Univ.t Svm.Explore.plan
 
 val cells_of_instance : instance -> int
-(** Dispatch units in the instance's plan — what [Hello_ok] reports. *)
+(** Dispatch units in the instance's plan — what [Nf_job_ok] reports. *)
 
 val compute_shard :
   instance -> lo:int -> hi:int -> tick:(int -> unit) -> Svm.Json.t
@@ -21,22 +19,4 @@ val compute_shard :
     of a sweep or the summary list of an explore. Transport-free —
     [tick completed] fires every few cells so the caller can emit
     progress heartbeats and poll its own control channel (it may raise
-    to abandon the shard). Shared by the socketpair serve loop below
-    and the TCP {!Client}. *)
-
-val serve :
-  lookup:(Proto.job -> (instance, string) result) ->
-  Unix.file_descr ->
-  Unix.file_descr ->
-  int
-(** [serve ~lookup in_fd out_fd] speaks the protocol until shutdown and
-    returns the process exit code: 0 on a clean [Shutdown] (or the
-    coordinator closing the connection — an orphaned worker must die,
-    not linger), 2 on a protocol violation or a job that [lookup]
-    rejects, 3 on an internal error. [lookup] is injected so this
-    library needs no knowledge of the scenario registry (the CLI passes
-    the experiments-layer resolver).
-
-    Long shards stay observable: every few cells the worker emits a
-    [Progress] heartbeat and polls for control frames, answering [Ping]
-    and honouring [Shutdown] mid-shard. *)
+    to abandon the shard). *)

@@ -1,28 +1,34 @@
 open Svm
 
-(* The claims worth a report: the coordinator's outputs are the
+(* The claims worth a report: a private fleet's outputs are the
    in-process outputs (bit for bit — outcome, replay artifact, metrics),
-   worker deaths degrade only the bookkeeping, a shard that keeps
-   killing workers is reported rather than retried forever, and a
-   journalled job resumes without re-running finished shards. All runs
-   fork real worker processes of this very binary. *)
+   lost workers degrade only the bookkeeping, a shard that keeps losing
+   its worker is reported rather than retried forever, and a journalled
+   job resumes without re-running finished shards. All runs fork real
+   worker processes of this very binary. *)
 
 let scenario name =
   match Scenario.find name with
   | Ok s -> Ok s
   | Error e -> Error e
 
-let config ?(workers = 2) ?journal_dir ?resume ?chaos ?stop_after
-    ?(max_retries = 2) () =
+let fresh_dir () =
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "asmsim-exp-dist-%d" (Unix.getpid ()))
+  in
+  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  d
+
+(* Every run journals, under this process's own temporary directory. *)
+let config ?(workers = 2) ?resume ?chaos () =
   {
     (Dist.Coordinator.default_config ~workers ()) with
     Dist.Coordinator.shard_size = Some 7;
-    backoff = 0.01;
-    journal_dir;
+    journal_dir = Some (fresh_dir ());
     resume;
     chaos_kill_shard = chaos;
-    stop_after_shards = stop_after;
-    max_retries;
   }
 
 (* One string capturing everything the sweep produced, replay artifact
@@ -70,7 +76,7 @@ let identity_at workers =
               (Printf.sprintf
                  "%s; outcome, replay artifact and metrics byte-identical \
                   across %d shard(s)"
-                 (sweep_repr base) stats.Dist.Coordinator.shards))
+                 (sweep_repr base) stats.shards))
 
 let explore_identity () =
   let label = "identity: exhaustive explorer, 2 workers vs in-process" in
@@ -102,37 +108,32 @@ let explore_identity () =
                      "%d runs, counterexample and metrics identical"
                      base.Explore.explored)))
 
-(* The degradation table: SIGKILL the worker holding shard 0, k times
-   in a row. The outcome must never change; only the stats may. *)
+(* The degradation table: cut the link of the worker holding shard 0,
+   k times in a row — up to the hostile threshold, which the next row
+   crosses. The outcome must never change; only the stats may. *)
 let degradation k =
-  let label = Printf.sprintf "crash-tolerance: %d worker kill(s) mid-shard" k in
+  let label =
+    Printf.sprintf "crash-tolerance: %d worker link(s) cut mid-shard" k
+  in
   match scenario "safe_agreement_no_cancel" with
   | Error e -> Report.check ~label ~ok:false ~detail:e
   | Ok s -> (
-      match
-        sweep_pair s (config ~chaos:(0, k) ~max_retries:k ())
-      with
+      match sweep_pair s (config ~chaos:(0, k) ()) with
       | Error m -> Report.check ~label ~ok:false ~detail:m
       | Ok (_, _, stats, identical) ->
-          let enough = stats.Dist.Coordinator.killed >= k in
           Report.check ~label
-            ~ok:(identical && enough)
+            ~ok:(identical && stats.reassigned >= k)
             ~detail:
               (Printf.sprintf
-                 "outcome identical; %d spawned, %d killed, %d reassignment(s)"
-                 stats.Dist.Coordinator.spawned stats.Dist.Coordinator.killed
-                 stats.Dist.Coordinator.reassigned))
+                 "outcome identical; %d worker(s) spawned, %d reassignment(s)"
+                 stats.spawned stats.reassigned))
 
 let hostile () =
-  let label = "hostile shard: reported after max_retries, never retried forever" in
+  let label = "hostile shard: reported on its 3rd lost worker, never retried" in
   match scenario "safe_agreement_no_cancel" with
   | Error e -> Report.check ~label ~ok:false ~detail:e
   | Ok s -> (
-      match
-        Harness.sweep_scenario_dist
-          (config ~chaos:(0, 99) ~max_retries:1 ())
-          s
-      with
+      match Harness.sweep_scenario_dist (config ~chaos:(0, 3) ()) s with
       | Ok _ ->
           Report.check ~label ~ok:false
             ~detail:"a shard that kills every worker succeeded"
@@ -146,14 +147,20 @@ let hostile () =
           in
           Report.check ~label ~ok:mentions ~detail:m)
 
-let fresh_dir () =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "asmsim-exp-dist-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
+(* What a run stopped after its first finished shard leaves behind: a
+   journal of the same job holding only that shard. *)
+let first_shard_journal ~dir id =
+  match Dist.Journal.load ~dir id with
+  | Error m -> Error m
+  | Ok { l_done = []; _ } -> Error "the journal holds no finished shard"
+  | Ok ({ l_done = (shard, payload) :: _; _ } as l) ->
+      let j =
+        Dist.Journal.create ~dir ~job:l.l_job ~cells:l.l_cells
+          ~shard_size:l.l_shard_size ()
+      in
+      Dist.Journal.append_shard j ~shard ~payload;
+      Dist.Journal.close j;
+      Ok (Dist.Journal.id j)
 
 let resume () =
   let label = "resume: journalled job restarts without re-running shards" in
@@ -161,27 +168,24 @@ let resume () =
   | Error e -> Report.check ~label ~ok:false ~detail:e
   | Ok s -> (
       let dir = fresh_dir () in
-      match
-        Harness.sweep_scenario_dist
-          (config ~journal_dir:dir ~stop_after:1 ())
-          s
-      with
-      | Ok (Dist.Coordinator.Suspended id, _) -> (
-          match
-            sweep_pair s (config ~journal_dir:dir ~resume:id ())
-          with
+      let stopped =
+        match Harness.sweep_scenario_dist (config ()) s with
+        | Ok (_, { job_id; _ }) -> first_shard_journal ~dir job_id
+        | Error m -> Error m
+      in
+      match stopped with
+      | Error m -> Report.check ~label ~ok:false ~detail:m
+      | Ok id -> (
+          match sweep_pair s (config ~resume:id ()) with
           | Error m -> Report.check ~label ~ok:false ~detail:m
           | Ok (_, _, stats, identical) ->
               Report.check ~label
-                ~ok:(identical && stats.Dist.Coordinator.resumed >= 1)
+                ~ok:(identical && stats.resumed = 1)
                 ~detail:
                   (Printf.sprintf
                      "%d shard(s) restored from the journal, %d executed; \
                       outcome identical to in-process"
-                     stats.Dist.Coordinator.resumed
-                     stats.Dist.Coordinator.executed))
-      | Ok _ -> Report.check ~label ~ok:false ~detail:"session 1 did not suspend"
-      | Error m -> Report.check ~label ~ok:false ~detail:m)
+                     stats.resumed stats.executed)))
 
 let run () =
   {
@@ -192,7 +196,7 @@ let run () =
        and explorations across worker processes is an implementation \
        detail, so every distributed run must produce exactly the \
        artifacts of the in-process run — under worker crashes and \
-       across coordinator restarts included.";
+       across interrupted runs included.";
     metrics = [];
     checks =
       [
@@ -202,7 +206,6 @@ let run () =
         explore_identity ();
         degradation 1;
         degradation 2;
-        degradation 3;
         hostile ();
         resume ();
       ];

@@ -83,7 +83,7 @@ let sweep_check ?kinds ?max_faults ?op_window ?max_runs ?budget
    A job must round-trip through {!Dist.Proto} carrying everything the
    plan depends on, so both helpers resolve every default to a concrete
    value here, at job-build time — a worker re-expanding the job on the
-   other side of the wire cannot then disagree with the coordinator. *)
+   other side of the wire cannot then disagree with the merging side. *)
 
 (* A DSL-backed scenario ships its source inside the job, so the
    server/worker on the other side compiles the identical program even
@@ -192,41 +192,6 @@ let dist_instance (job : Dist.Proto.job) =
                     ~max_steps:p.Dist.Proto.ex_max_steps ~make:s.Scenario.make
                     ~property:s.Scenario.exhaustive_property ())))
 
-type dist_result =
-  [ `Sweep of
-    Explore.sweep_outcome Dist.Coordinator.outcome * Dist.Coordinator.stats
-  | `Explore of
-    Univ.t Explore.result Dist.Coordinator.outcome * Dist.Coordinator.stats ]
-
-let run_job_dist ?metrics ?on_progress config (job : Dist.Proto.job) :
-    (dist_result, string) result =
-  match dist_instance job with
-  | Error m -> Error m
-  | Ok (Dist.Worker.Sweep_instance plan) ->
-      Result.map
-        (fun (o, st) -> `Sweep (o, st))
-        (Dist.Coordinator.sweep ?metrics ?on_progress config ~job ~plan ())
-  | Ok (Dist.Worker.Explore_instance plan) ->
-      Result.map
-        (fun (o, st) -> `Explore (o, st))
-        (Dist.Coordinator.explore ?metrics ?on_progress config ~job ~plan ())
-
-let sweep_scenario_dist ?kinds ?max_faults ?op_window ?max_runs ?budget
-    ?metrics ?on_progress config (s : Scenario.t) =
-  let job = sweep_job ?kinds ?max_faults ?op_window ?max_runs ?budget s in
-  match run_job_dist ?metrics ?on_progress config job with
-  | Error m -> Error m
-  | Ok (`Sweep r) -> Ok r
-  | Ok (`Explore _) -> Error "internal: sweep job resolved to an explore plan"
-
-let explore_scenario_dist ?max_crashes ?max_runs ?max_steps ?dedup ?metrics
-    ?on_progress config (s : Scenario.t) =
-  let job = explore_job ?max_crashes ?max_runs ?dedup ?max_steps s in
-  match run_job_dist ?metrics ?on_progress config job with
-  | Error m -> Error m
-  | Ok (`Explore r) -> Ok r
-  | Ok (`Sweep _) -> Error "internal: explore job resolved to a sweep plan"
-
 (* {2 Network service}
 
    The handshake fingerprint digests the scenario registry (plus the
@@ -242,6 +207,36 @@ let registry_fingerprint () =
       (Scenario.names ())
   in
   Printf.sprintf "v%d:%08x" Dist.Proto.net_version (h land 0xffffffff)
+
+(* [--dist N]: the job on a private fleet of worker processes. *)
+let run_job_dist ?metrics ?on_progress config (job : Dist.Proto.job) =
+  match dist_instance job with
+  | Error m -> Error m
+  | Ok instance ->
+      Dist.Coordinator.run ?metrics ?on_progress
+        ~fingerprint:(registry_fingerprint ()) config ~job ~instance
+
+let as_outcome what = function
+  | Error m -> Error m
+  | Ok (Dist.Client.Suspended id, st) -> Ok (Dist.Coordinator.Suspended id, st)
+  | Ok (Dist.Client.Finished o, st) -> (
+      match what o with
+      | Some r -> Ok (Dist.Coordinator.Complete r, st)
+      | None -> Error "internal: the job resolved to the other kind of plan")
+
+let sweep_scenario_dist ?kinds ?max_faults ?op_window ?max_runs ?budget
+    ?metrics ?on_progress config (s : Scenario.t) =
+  let job = sweep_job ?kinds ?max_faults ?op_window ?max_runs ?budget s in
+  as_outcome
+    (function Dist.Client.Sweep_outcome o -> Some o | _ -> None)
+    (run_job_dist ?metrics ?on_progress config job)
+
+let explore_scenario_dist ?max_crashes ?max_runs ?max_steps ?dedup ?metrics
+    ?on_progress config (s : Scenario.t) =
+  let job = explore_job ?max_crashes ?max_runs ?dedup ?max_steps s in
+  as_outcome
+    (function Dist.Client.Explore_outcome r -> Some r | _ -> None)
+    (run_job_dist ?metrics ?on_progress config job)
 
 let submit_job_net ?metrics ?resume cfg (job : Dist.Proto.job) addr =
   match dist_instance job with

@@ -77,9 +77,9 @@ val sweep_check :
 
     The glue between the scenario registry and [Dist]: building jobs
     (with every default resolved to a concrete value, so a worker
-    re-expanding the job cannot disagree with the coordinator),
-    resolving jobs back to worker instances, and coordinator-side
-    wrappers mirroring {!sweep_scenario} / {!explore_scenario}. *)
+    re-expanding the job cannot disagree with the side that merges),
+    resolving jobs back to worker instances, and [--dist] wrappers
+    mirroring {!sweep_scenario} / {!explore_scenario}. *)
 
 val sweep_job :
   ?kinds:Svm.Adversary.fault_kind list ->
@@ -104,26 +104,19 @@ val explore_job :
 val dist_instance : Dist.Proto.job -> (Dist.Worker.instance, string) result
 (** Resolve a job to a worker instance: look the scenario up (with the
     job's process-count override), expand the plan. This is the [lookup]
-    the [asmsim work] subcommand passes to {!Dist.Worker.serve}, and
-    the coordinator wrappers below derive their own plan through it too
+    that [asmsim work --connect] and [asmsim serve] pass to {!Dist}, and
+    the submitting wrappers below derive their own plan through it too
     — both sides of the wire expand the same job the same way. *)
-
-type dist_result =
-  [ `Sweep of
-    Svm.Explore.sweep_outcome Dist.Coordinator.outcome
-    * Dist.Coordinator.stats
-  | `Explore of
-    Svm.Univ.t Svm.Explore.result Dist.Coordinator.outcome
-    * Dist.Coordinator.stats ]
 
 val run_job_dist :
   ?metrics:Svm.Metrics.t ->
   ?on_progress:(runs:int -> unit) ->
   Dist.Coordinator.config ->
   Dist.Proto.job ->
-  (dist_result, string) result
-(** Run any job under the coordinator — the entry point for resuming a
-    journalled job whose mode is only known at run time. *)
+  (Dist.Client.submission * Dist.Coordinator.stats, string) result
+(** Run any job on a private fleet ({!Dist.Coordinator.run}) — the
+    entry point for [--dist], and for resuming a journalled job whose
+    mode is only known at run time. *)
 
 val sweep_scenario_dist :
   ?kinds:Svm.Adversary.fault_kind list ->

@@ -482,7 +482,7 @@ let explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~max_runs
 (* Everything the merge needs, computed once. The plan is built by the
    same phase-A walk regardless of who executes the tasks (in-process
    domains, or worker processes in [Dist]); because phase A is
-   deterministic, a coordinator and its re-exec'd workers construct the
+   deterministic, a job queue and its worker processes construct the
    very same plan from the same parameters, and a task index is a
    complete description of a unit of work. *)
 type 'a plan = {
@@ -638,7 +638,7 @@ let merge_plan ?metrics ?on_progress p ~outcome_of =
 
 (* The plan-engine executor: phase-A slicing, indexed fan-out, in-order
    merge. This is the canonical semantics [exhaustive] promises — the
-   sharded twin of what [Dist] coordinators run — and the fallback the
+   sharded twin of what [Dist] workers run — and the fallback the
    work-stealing engine defers to the moment a counterexample, the run
    budget, or an exception enters the picture. *)
 let exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
@@ -1282,7 +1282,7 @@ let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
   match frontier_depth with
   | Some _ ->
       (* An explicit frontier is a request for the static-split plan
-         engine — the path [Dist] coordinators and the bench's serial
+         engine — the path [Dist] workers and the bench's serial
          baseline pin. *)
       exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ~jobs
         ~oversubscribe ~dedup ?frontier_depth ~max_steps ~make ~property ()
@@ -1652,7 +1652,7 @@ let fault_sets ~nprocs ~kinds ~max_faults ~op_window =
 
 (* The flattened scheduler × fault-set product, in sweep order. Like an
    exploration {!plan}, the grid is a pure function of the sweep
-   parameters: a coordinator and its worker processes enumerate the
+   parameters: a job queue and its worker processes enumerate the
    same descriptors, so a cell index fully identifies one run. *)
 type 'a sweep_plan = {
   sp_make : unit -> Env.t * 'a Prog.t array;

@@ -148,7 +148,7 @@ val exhaustive_plan :
   'a result
 (** The plan engine alone: phase-A frontier slicing, indexed fan-out
     over {!Par.run}, strict in-order merge — exactly what {!exhaustive}
-    falls back to, and what a [Dist] coordinator distributes. Exposed
+    falls back to, and what the [Dist] job queue distributes. Exposed
     so the bench can pin the static-split engine as its serial
     baseline; [pruned_source] is always [0] here. *)
 
@@ -321,7 +321,7 @@ val replay :
 
     {!exhaustive} and {!sweep_faults} are thin compositions of three
     stages exposed here so other executors — in particular the
-    multi-process coordinator in [Dist] — can run the middle stage
+    multi-process job queue in [Dist] — can run the middle stage
     elsewhere while sharing the first and last verbatim:
 
     + {b plan}: slice the work into indexed units (frontier tasks, or
@@ -331,7 +331,7 @@ val replay :
       a process boundary.
     + {b execute}: run units by index, anywhere, in any order, any
       number of times ({!task_outcome} and {!sweep_cell} are
-      deterministic and re-runnable — the property a coordinator leans
+      deterministic and re-runnable — the property a job queue leans
       on when a worker dies mid-shard and the shard is reassigned).
     + {b merge}: fold outcomes strictly in index order. All cut-offs
       (budget, first counterexample) and all [metrics] accounting

@@ -67,6 +67,8 @@ let table =
     ("explore --algo no_such_scenario", 2);
     ("replay /no/such/file.replay", 2);
     ("serve --resume no-such-job --journal-dir /tmp/asmsim-cli-nojobs", 2);
+    (* a worker needs a queue to pull from *)
+    ("work", 2);
     ("stats", 2);
     (* 3 — internal / distributed failure *)
     ( "sweep --algo safe_agreement_no_cancel --dist 2 --resume no-such-job \

@@ -1,16 +1,20 @@
-(* The distributed runner's whole contract in three claims:
+(* The [--dist N] runner's whole contract in four claims:
 
    1. identity — a --dist run's outcome, replay artifact and metrics
       snapshot are byte-identical to the in-process run's, at any
       worker count;
-   2. crash-tolerance — SIGKILLing workers mid-run changes nothing but
-      the stats (the shard is re-dealt; shards that keep killing
-      workers are reported hostile, not retried forever);
-   3. resumability — a coordinator stopped mid-job restarts from its
-      journal without re-running completed shards.
+   2. crash-tolerance — workers that die (SIGKILL) or lose their link
+      mid-shard change nothing but the stats: dead workers are replaced,
+      the lost shard is re-dealt, and a shard that keeps losing its
+      worker is reported hostile, not retried forever;
+   3. resumability — SIGTERM suspends a run; it restarts from its
+      journal without re-running completed shards, and refuses a
+      different job;
+   4. privacy — only this user's processes can reach the queue.
 
-   Workers are real forked processes of the real binary (dune's [deps]
-   places ../bin/asmsim.exe next to this test's cwd). *)
+   The job queue runs in this test process; its workers are real forked
+   processes of the real binary (dune's [deps] places ../bin/asmsim.exe
+   next to this test's cwd). *)
 
 open Svm
 
@@ -29,20 +33,6 @@ let scenario name =
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
-let config ?(workers = 2) ?shard_size ?journal_dir ?resume ?chaos ?stop_after
-    ?(max_retries = 2) () =
-  let base = Dist.Coordinator.default_config ~workers ~exe () in
-  {
-    base with
-    Dist.Coordinator.shard_size;
-    journal_dir;
-    resume;
-    chaos_kill_shard = chaos;
-    stop_after_shards = stop_after;
-    max_retries;
-    backoff = 0.01;
-  }
-
 let fresh_dir =
   let counter = ref 0 in
   fun () ->
@@ -54,6 +44,48 @@ let fresh_dir =
     in
     (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     d
+
+let config ?(workers = 2) ?(exe = exe) ?shard_size ?journal_dir ?resume ?chaos
+    () =
+  let journal_dir =
+    match journal_dir with Some d -> d | None -> fresh_dir ()
+  in
+  {
+    (Dist.Coordinator.default_config ~workers ~exe ()) with
+    Dist.Coordinator.shard_size;
+    journal_dir = Some journal_dir;
+    resume;
+    chaos_kill_shard = chaos;
+  }
+
+let worker_script body =
+  let dir = fresh_dir () in
+  let script = Filename.concat dir "worker.sh" in
+  Out_channel.with_open_text script (fun oc ->
+      Printf.fprintf oc "#!/bin/sh\n%s\n" (body ~dir));
+  Unix.chmod script 0o755;
+  script
+
+let real_exe () = Filename.quote (Unix.realpath exe)
+
+(* A worker binary whose first two starts die of SIGKILL before they
+   ever dial the queue; every later start is the real worker. *)
+let killed_twice_exe () =
+  worker_script (fun ~dir ->
+      Printf.sprintf
+        "mkdir %s 2>/dev/null && kill -KILL $$\n\
+         mkdir %s 2>/dev/null && kill -KILL $$\n\
+         exec %s \"$@\""
+        (Filename.quote (Filename.concat dir "first"))
+        (Filename.quote (Filename.concat dir "second"))
+        (real_exe ()))
+
+(* A worker binary whose every frame write stalls 50 ms, so each shard
+   takes at least 100 ms: room to stop a run between two shards. *)
+let slow_exe () =
+  worker_script (fun ~dir:_ ->
+      Printf.sprintf "exec %s \"$@\" --chaos-net delay --chaos-every 1"
+        (real_exe ()))
 
 (* ------------------------------------------------------------------ *)
 (* sweep identity                                                       *)
@@ -155,87 +187,162 @@ let explore_identity name ~max_crashes () =
 (* crash-tolerance                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Two workers die of SIGKILL before joining and must be replaced; the
+   link of the worker dealt the chaos shard is cut mid-shard, and the
+   shard must be re-dealt. Only the stats may show it. *)
+let check_losses (stats : Dist.Coordinator.stats) =
+  Alcotest.(check bool) "the SIGKILLed workers were replaced" true
+    (stats.spawned >= 4);
+  Alcotest.(check bool) "the cut shard was re-dealt" true
+    (stats.reassigned >= 1)
+
 let chaos_identical () =
   let s = scenario "safe_agreement_no_cancel" in
   let base = sweep_inproc s in
   let got, stats =
-    sweep_dist (config ~shard_size:7 ~chaos:(0, 1) ()) s
+    sweep_dist
+      (config ~exe:(killed_twice_exe ()) ~shard_size:7 ~chaos:(0, 1) ())
+      s
   in
-  check Alcotest.string "outcome despite a SIGKILLed worker" (fst base)
+  check Alcotest.string "outcome despite SIGKILLed workers" (fst base)
     (fst got);
-  check Alcotest.string "metrics despite a SIGKILLed worker" (snd base)
+  check Alcotest.string "metrics despite SIGKILLed workers" (snd base)
     (snd got);
-  Alcotest.(check bool) "a worker really was killed" true
-    (stats.Dist.Coordinator.killed >= 1);
-  Alcotest.(check bool) "the shard really was reassigned" true
-    (stats.Dist.Coordinator.reassigned >= 1);
-  Alcotest.(check bool) "a replacement worker was spawned" true
-    (stats.Dist.Coordinator.spawned >= 3)
+  check_losses stats
 
 let chaos_explore_identical () =
   let s = scenario "safe_agreement_no_cancel" in
   let base = explore_inproc ~max_crashes:1 s in
   let got, stats =
     explore_dist ~max_crashes:1
-      (config ~shard_size:9 ~chaos:(1, 1) ())
+      (config ~exe:(killed_twice_exe ()) ~shard_size:9 ~chaos:(1, 1) ())
       s
   in
-  check Alcotest.string "explore outcome despite a SIGKILLed worker"
+  check Alcotest.string "explore outcome despite SIGKILLed workers"
     (fst base) (fst got);
-  check Alcotest.string "explore metrics despite a SIGKILLed worker"
+  check Alcotest.string "explore metrics despite SIGKILLed workers"
     (snd base) (snd got);
-  Alcotest.(check bool) "a worker really was killed" true
-    (stats.Dist.Coordinator.killed >= 1)
+  check_losses stats
 
 let hostile_shard () =
   let s = scenario "safe_agreement_no_cancel" in
   match
     Experiments.Harness.sweep_scenario_dist
-      (config ~shard_size:7 ~chaos:(0, 99) ~max_retries:1 ())
+      (config ~shard_size:7 ~chaos:(0, 99) ())
       s
   with
-  | Ok _ -> Alcotest.fail "a shard that kills every worker must not succeed"
+  | Ok _ -> Alcotest.fail "a shard that loses every worker must not succeed"
   | Error m ->
       Alcotest.(check bool)
         (Printf.sprintf "error mentions hostility: %S" m)
         true (contains_sub m "hostile")
 
 (* ------------------------------------------------------------------ *)
-(* resume from the journal                                              *)
+(* only this user reaches a fleet's queue                               *)
 (* ------------------------------------------------------------------ *)
 
-let resume_no_rerun () =
-  let s = scenario "safe_agreement_no_cancel" in
-  let dir = fresh_dir () in
-  let base = sweep_inproc s in
-  (* Session 1: journal on, stop after a single shard result. *)
-  let metrics1 = Metrics.create ~wall_clock:false () in
-  let id, first_executed =
-    match
-      Experiments.Harness.sweep_scenario_dist ~metrics:metrics1
-        (config ~shard_size:7 ~journal_dir:dir
-           ~stop_after:1 ())
-        s
-    with
-    | Error m -> Alcotest.failf "session 1 failed: %s" m
-    | Ok (Dist.Coordinator.Complete _, _) ->
-        Alcotest.fail "session 1 was supposed to suspend"
-    | Ok (Dist.Coordinator.Suspended id, stats) ->
-        (id, stats.Dist.Coordinator.executed)
+(* The children are told a socket path inside a fresh 0700 directory,
+   gone once the run returns. Run as root, the worker script also sends
+   an intruder first: the same binary, as user nobody, dialing the live
+   queue — the kernel must refuse it, so no forged worker can join. *)
+let private_queue () =
+  let log = Filename.concat (fresh_dir ()) "log" in
+  (* The intruder's copy of the binary goes to a world-readable
+     directory under /tmp: the temp dir may be one nobody can enter. *)
+  let exe =
+    worker_script (fun ~dir:_ ->
+        Printf.sprintf
+          "echo \"$3\" >> %s\n\
+           stat -c %%a \"$(dirname \"$3\")\" >> %s\n\
+           if [ \"$(id -u)\" = 0 ]; then\n\
+          \  I=$(mktemp -d /tmp/asmsim-intruder.XXXXXX) && chmod 755 \"$I\"\n\
+          \  cp %s \"$I/asmsim.exe\"\n\
+          \  chroot --userspec=65534:65534 / \"$I/asmsim.exe\" work \
+           --connect \"$3\" --retries 1 2>> %s\n\
+          \  rm -rf \"$I\"\n\
+           fi\n\
+           exec %s \"$@\""
+          (Filename.quote log) (Filename.quote log) (real_exe ())
+          (Filename.quote log) (real_exe ()))
   in
-  check Alcotest.int "session 1 executed exactly one shard" 1 first_executed;
-  (* Session 2: resume; finished shards restored, not re-run. *)
-  let got, stats =
-    sweep_dist
-      (config ~shard_size:7 ~journal_dir:dir ~resume:id ())
+  let s = scenario "safe_agreement_no_cancel" in
+  ignore (sweep_dist (config ~workers:1 ~exe ~shard_size:7 ()) s);
+  let recorded = In_channel.with_open_text log In_channel.input_all in
+  let path, mode =
+    match String.split_on_char '\n' recorded with
+    | path :: mode :: _ -> (path, mode)
+    | _ -> Alcotest.fail "the worker recorded no address"
+  in
+  (match Dist.Net.parse_addr path with
+  | Ok (Unix.ADDR_UNIX _) -> ()
+  | _ -> Alcotest.failf "not a Unix-domain socket path: %S" path);
+  check Alcotest.string "socket directory mode" "700" mode;
+  Alcotest.(check bool)
+    "socket directory removed after the run" false
+    (Sys.file_exists (Filename.dirname path));
+  if Unix.geteuid () = 0 then
+    Alcotest.(check bool)
+      (Printf.sprintf "another user's dial is refused: %S" recorded)
+      true
+      (contains_sub recorded "connect failed (Permission denied)")
+
+(* ------------------------------------------------------------------ *)
+(* SIGTERM suspends; resume finishes from the journal                   *)
+(* ------------------------------------------------------------------ *)
+
+(* SIGTERM this process once a job under [dir] has journalled a shard,
+   from a second domain while the main one is in the fleet's loop. *)
+let sigterm_after_first_shard dir =
+  Domain.spawn (fun () ->
+      let journalled () =
+        List.exists
+          (fun id ->
+            match Dist.Journal.load ~dir id with
+            | Ok l -> l.Dist.Journal.l_done <> []
+            | Error _ -> false)
+          (Dist.Journal.list_ids ~dir ())
+      in
+      let rec wait n =
+        if journalled () then Unix.kill (Unix.getpid ()) Sys.sigterm
+        else if n > 0 then begin
+          Unix.sleepf 0.002;
+          wait (n - 1)
+        end
+      in
+      wait 10_000)
+
+let resume_no_rerun () =
+  let s = scenario "safe_agreement" in
+  let base = sweep_inproc s in
+  let dir = fresh_dir () in
+  (* A late SIGTERM must not kill the test binary. *)
+  let prev = Sys.signal Sys.sigterm (Sys.Signal_handle ignore) in
+  let stopper = sigterm_after_first_shard dir in
+  let stopped =
+    Experiments.Harness.sweep_scenario_dist
+      (config ~workers:1 ~exe:(slow_exe ()) ~shard_size:7 ~journal_dir:dir ())
       s
   in
-  check Alcotest.int "session 2 restored session 1's shard" first_executed
-    stats.Dist.Coordinator.resumed;
+  Domain.join stopper;
+  Sys.set_signal Sys.sigterm prev;
+  let id =
+    match stopped with
+    | Ok (Dist.Coordinator.Suspended id, st) ->
+        check Alcotest.string "suspended under its journal id" st.job_id id;
+        id
+    | Ok (Dist.Coordinator.Complete _, _) ->
+        Alcotest.fail "the run finished before SIGTERM could stop it"
+    | Error m -> Alcotest.failf "the stopped run failed: %s" m
+  in
+  let got, stats =
+    sweep_dist (config ~shard_size:7 ~journal_dir:dir ~resume:id ()) s
+  in
+  check Alcotest.string "the resumed job keeps its id" id stats.job_id;
   Alcotest.(check bool)
-    "session 2 did not re-run the restored shard" true
-    (stats.Dist.Coordinator.executed + stats.Dist.Coordinator.resumed
-    <= stats.Dist.Coordinator.shards);
+    "the journalled shards were restored" true (stats.resumed >= 1);
+  check Alcotest.int "every shard ran exactly once across both runs"
+    stats.shards
+    (stats.executed + stats.resumed);
   check Alcotest.string "resumed outcome identical to in-process" (fst base)
     (fst got);
   check Alcotest.string "resumed metrics identical to in-process" (snd base)
@@ -244,20 +351,11 @@ let resume_no_rerun () =
 let resume_rejects_other_job () =
   let s = scenario "safe_agreement_no_cancel" in
   let dir = fresh_dir () in
-  let id =
-    match
-      Experiments.Harness.sweep_scenario_dist
-        (config ~shard_size:7 ~journal_dir:dir
-           ~stop_after:1 ())
-        s
-    with
-    | Ok (Dist.Coordinator.Suspended id, _) -> id
-    | _ -> Alcotest.fail "setup run was supposed to suspend"
-  in
+  let _, stats = sweep_dist (config ~shard_size:7 ~journal_dir:dir ()) s in
   (* Same id, different parameters: the fingerprint check must refuse. *)
   match
     Experiments.Harness.sweep_scenario_dist ~max_faults:2
-      (config ~shard_size:7 ~journal_dir:dir ~resume:id ())
+      (config ~shard_size:7 ~journal_dir:dir ~resume:stats.job_id ())
       s
   with
   | Ok _ -> Alcotest.fail "resume under different parameters must fail"
@@ -268,8 +366,8 @@ let resume_rejects_other_job () =
         (contains_sub m "different job")
 
 (* ------------------------------------------------------------------ *)
-(* retry/heartbeat policy — the pure decisions behind both the fork
-   coordinator and the TCP queue, pinned exactly                        *)
+(* retry/heartbeat policy — the pure decisions behind the job queue,
+   pinned exactly                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let policy_backoff_schedule () =
@@ -461,6 +559,8 @@ let suite =
           chaos_explore_identical;
         Alcotest.test_case "hostile shard is reported, not retried forever"
           `Quick hostile_shard;
+        Alcotest.test_case "only this user reaches the private queue" `Quick
+          private_queue;
         Alcotest.test_case "resume runs no shard twice" `Quick resume_no_rerun;
         Alcotest.test_case "resume refuses a different job" `Quick
           resume_rejects_other_job;

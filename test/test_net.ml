@@ -54,17 +54,20 @@ let read_file_opt p =
 
 (* Start the real binary as a server on 127.0.0.1:0 and scrape the
    bound port from its "[net] listening on port N" stderr line. *)
-let start_server ?shard_size ~dir () =
+let start_server ?shard_size ?heartbeat ~dir () =
   let errfile = Filename.concat dir "server.err" in
   let errfd =
     Unix.openfile errfile [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   let args =
     [ exe; "serve"; "--listen"; "127.0.0.1:0"; "--journal-dir"; dir ]
+    @ (match shard_size with
+      | None -> []
+      | Some n -> [ "--shard-size"; string_of_int n ])
     @
-    match shard_size with
+    match heartbeat with
     | None -> []
-    | Some n -> [ "--shard-size"; string_of_int n ]
+    | Some t -> [ "--heartbeat-timeout"; string_of_float t ]
   in
   let pid =
     Unix.create_process exe (Array.of_list args) Unix.stdin Unix.stdout errfd
@@ -573,6 +576,70 @@ let cache_answers_completed_resubmit () =
             (Metrics.snapshot_string metrics))
 
 (* ------------------------------------------------------------------ *)
+(* a long-lived worker holds only live plans                            *)
+(* ------------------------------------------------------------------ *)
+
+(* One worker connection serves 50 distinct jobs back to back. It may
+   keep the plan of the job in hand, never the plans of jobs that are
+   over: the [worker_jobs_open] gauge it pushes on its heartbeat pongs
+   must read at most 1 once all 50 have been opened. *)
+let worker_job_table_bounded () =
+  let s = scenario "safe_agreement" in
+  let jobs = 50 in
+  let dir = fresh_dir () in
+  let srv, port = start_server ~heartbeat:0.4 ~dir () in
+  let worker = start_worker ~err:(Filename.concat dir "jt.err") port in
+  Fun.protect
+    ~finally:(fun () ->
+      kill_quiet worker Sys.sigkill;
+      kill_quiet srv Sys.sigterm;
+      ignore (reap worker);
+      ignore (reap srv))
+    (fun () ->
+      let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+      for i = 1 to jobs do
+        (* A distinct run cap per job: distinct fingerprints, same cells. *)
+        let job =
+          Experiments.Harness.sweep_job ~max_faults:1 ~op_window:1
+            ~max_runs:(1000 + i) s
+        in
+        match
+          Experiments.Harness.submit_job_net (client_config ()) job addr
+        with
+        | Ok (Dist.Client.Finished _, _) -> ()
+        | Ok (Dist.Client.Suspended _, _) -> Alcotest.fail "job suspended"
+        | Error m -> Alcotest.failf "job %d failed: %s" i m
+      done;
+      let metric kind name doc =
+        Option.bind
+          (Option.bind
+             (Option.bind (Json.member "metrics" doc) (Json.member kind))
+             (Json.member name))
+          Json.to_int
+      in
+      let deadline = Unix.gettimeofday () +. 10. in
+      let rec pushed () =
+        match Dist.Client.stats_query (client_config ()) addr with
+        | Error m -> Alcotest.failf "stats query failed: %s" m
+        | Ok doc -> (
+            match
+              ( metric "counters" "worker_jobs_opened_total" doc,
+                metric "gauges" "worker_jobs_open" doc )
+            with
+            | Some opened, Some open_ when opened >= jobs -> open_
+            | _ when Unix.gettimeofday () > deadline ->
+                Alcotest.failf "no push after the last job: %s"
+                  (Json.to_string doc)
+            | _ ->
+                Unix.sleepf 0.05;
+                pushed ())
+      in
+      let open_ = pushed () in
+      Alcotest.(check bool)
+        (Printf.sprintf "job table bounded (%d open after %d jobs)" open_ jobs)
+        true (open_ <= 1))
+
+(* ------------------------------------------------------------------ *)
 (* graceful drain and resume                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -629,8 +696,15 @@ let drain_and_resume () =
 (* ------------------------------------------------------------------ *)
 
 let proto_v2_codec () =
-  Alcotest.(check int) "DSL job sources bumped the version" 3
+  Alcotest.(check int) "job-over notices bumped the version" 4
     Dist.Proto.net_version;
+  (match
+     Dist.Proto.net_to_worker_of_json
+       (Dist.Proto.net_to_worker_to_json (Dist.Proto.Nw_job_over { jid = "j1" }))
+   with
+  | Ok (Dist.Proto.Nw_job_over { jid = "j1" }) -> ()
+  | Ok _ -> Alcotest.fail "job-over decoded as a different message"
+  | Error e -> Alcotest.failf "job-over rejected its own JSON: %s" e);
   let rt_worker m =
     match
       Dist.Proto.net_from_worker_of_json
@@ -753,6 +827,8 @@ let suite =
           net_identity_chaos_kill;
         Alcotest.test_case "completed journal answers a re-submit" `Quick
           cache_answers_completed_resubmit;
+        Alcotest.test_case "one worker, 50 jobs: job table stays bounded"
+          `Quick worker_job_table_bounded;
         Alcotest.test_case "SIGTERM drains; the job resumes" `Quick
           drain_and_resume;
       ] );
