@@ -1,7 +1,8 @@
 # Build/test entry points with hard timeouts, so a wedged exploration or
 # a blocked run fails the pipeline fast instead of hanging it.
 #
-#   make ci            — what CI runs: typecheck + full test suite + fault smoke
+#   make ci            — what CI runs: typecheck + full test suite + the
+#                        seven smokes below + explore-determinism
 #   make ci-heavy      — full box: heavy sweeps under ASMSIM_HEAVY=1
 #   make smoke         — one sweep per fault tier through the real CLI
 #   make smoke-trace   — sweep a seeded bug, export + validate its Chrome trace
@@ -25,12 +26,12 @@
 #                        TCP — same bytes again; truncated source exits 2
 #   make soak-heap     — 60s soak on 4 domains gated on Gc-measured heap
 #                        growth (the unbounded-memory detector)
+#   make explore-determinism — the explorer's stdout and metrics snapshot
+#                        must not depend on the job count (both engines)
 #   make test-heavy    — includes the exhaustive sweeps (ASMSIM_HEAVY=1)
-#   make bench-json    — benchmarks as BENCH_svm.json (ns/run + overhead)
-#   make bench-gate    — re-time the EX explorer, NET service, OBS, SOAK
-#                        runner and SDL families, fail if any row
-#                        regressed >1.5x against the committed BENCH_svm.json
-#                        or the EXd15/EXp415 par_speedup_ratio fell below 2x
+#
+# The benchmark is not a make target: `python3 perfbench/run.py`
+# (see perfbench/README.md).
 
 BUILD_TIMEOUT ?= 120
 TEST_TIMEOUT ?= 150
@@ -38,8 +39,7 @@ SMOKE_TIMEOUT ?= 60
 ASMSIM = dune exec --no-print-directory bin/asmsim.exe --
 
 .PHONY: build check test test-heavy ci ci-heavy smoke smoke-trace smoke-dist \
-	smoke-net smoke-soak smoke-obs smoke-sdl soak-heap \
-	bench-json bench-gate explore-determinism
+	smoke-net smoke-soak smoke-obs smoke-sdl soak-heap explore-determinism
 
 build:
 	dune build
@@ -352,9 +352,3 @@ explore-determinism: build
 	diff _build/exdet/clean-j1.metrics.json _build/exdet/clean-j8.metrics.json
 
 ci-heavy: ci test-heavy soak-heap
-
-bench-json: build
-	timeout 600 dune exec --no-print-directory bench/main.exe -- --json
-
-bench-gate: build
-	timeout 300 dune exec --no-print-directory bench/main.exe -- --gate BENCH_svm.json

@@ -456,6 +456,21 @@ let make_log ~json level_str =
   in
   Svm.Log.make ~level sink
 
+(* The comma-separated --tiers list; an unknown tier is a usage error. *)
+let parse_tiers tiers =
+  String.split_on_char ',' tiers
+  |> List.map String.trim
+  |> List.filter (fun s -> s <> "")
+  |> List.map (fun s ->
+         match Svm.Adversary.fault_kind_of_name s with
+         | Some k -> k
+         | None ->
+             Format.eprintf
+               "unknown fault tier %S (known: crash, omission, recovery, \
+                byzantine)@."
+               s;
+             exit 2)
+
 (* ---- wall-clock span recording (cross-process tracing) ---- *)
 
 let spans_arg =
@@ -701,20 +716,7 @@ let sweep_cmd =
     let name = resolve_scenario ~cmd:"sweep" name scenario_file scenario_dir in
     let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
     let log = make_log ~json:log_json log_level in
-    let kinds =
-      String.split_on_char ',' tiers
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-             match Svm.Adversary.fault_kind_of_name s with
-             | Some k -> k
-             | None ->
-                 Format.eprintf
-                   "unknown fault tier %S (known: crash, omission, recovery, \
-                    byzantine)@."
-                   s;
-                 exit 2)
-    in
+    let kinds = parse_tiers tiers in
     match Experiments.Scenario.find ?nprocs name with
     | Error m ->
         prerr_endline m;
@@ -1980,12 +1982,6 @@ let soak_cmd =
       & info [ "chaos-at" ] ~docv:"A"
           ~doc:"Which corpus append the kill/torn chaos strikes.")
   in
-  let no_gc_tune =
-    Arg.(
-      value & flag
-      & info [ "no-gc-tune" ]
-          ~doc:"Do not widen the minor heap for the hot loop.")
-  in
   let max_heap_growth =
     Arg.(
       value & opt (some int) None
@@ -1997,23 +1993,10 @@ let soak_cmd =
   in
   let run name scenario_file scenario_dir nprocs seed schedules until duration
       batch jobs tiers max_faults within budget corpus_dir resume chaos_store
-      chaos_at no_gc_tune max_heap_growth log_level log_json =
+      chaos_at max_heap_growth log_level log_json =
     let name = resolve_scenario ~cmd:"soak" name scenario_file scenario_dir in
     let log = make_log ~json:log_json log_level in
-    let kinds =
-      String.split_on_char ',' tiers
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-             match Svm.Adversary.fault_kind_of_name s with
-             | Some k -> k
-             | None ->
-                 Format.eprintf
-                   "unknown fault tier %S (known: crash, omission, recovery, \
-                    byzantine)@."
-                   s;
-                 exit 2)
-    in
+    let kinds = parse_tiers tiers in
     let chaos =
       match chaos_store with
       | None -> None
@@ -2048,7 +2031,6 @@ let soak_cmd =
             resume;
             chaos;
             chaos_at;
-            gc_tune = not no_gc_tune;
             log = soak_log;
           }
         in
@@ -2114,7 +2096,7 @@ let soak_cmd =
       const run $ scenario_arg $ scenario_file_arg $ scenario_dir_arg $ n
       $ seed $ schedules $ until $ duration $ batch $ jobs $ tiers
       $ max_faults $ within $ budget $ corpus_dir $ resume $ chaos_store
-      $ chaos_at $ no_gc_tune $ max_heap_growth $ log_level_arg $ log_json_arg)
+      $ chaos_at $ max_heap_growth $ log_level_arg $ log_json_arg)
 
 (* ---- corpus ---- *)
 

@@ -1282,8 +1282,7 @@ let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
   match frontier_depth with
   | Some _ ->
       (* An explicit frontier is a request for the static-split plan
-         engine — the path [Dist] workers and the bench's serial
-         baseline pin. *)
+         engine — the path [Dist] workers run. *)
       exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ~jobs
         ~oversubscribe ~dedup ?frontier_depth ~max_steps ~make ~property ()
   | None ->
@@ -1385,90 +1384,6 @@ let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
       pruned_source;
     }
   end
-
-(* ------------------------------------------------------------------ *)
-(* Reference engine: the original copy-per-branch DFS                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Kept verbatim as the baseline the bench's EX row measures speedups
-   against, and as a differential oracle for the journal engine. *)
-let exhaustive_copy ?(max_crashes = 0) ?(max_runs = 2_000_000) ~max_steps ~make
-    ~property () =
-  let env0, progs = make () in
-  let explored = ref 0 in
-  let counterexample = ref None in
-  let exhausted = ref false in
-  let finish states crashed truncated rev_choices =
-    let outcomes =
-      Array.map
-        (function
-          | Running _ -> Exec.Blocked
-          | Done v -> Exec.Decided v
-          | Crashed -> Exec.Crashed)
-        states
-    in
-    let run =
-      {
-        outcomes;
-        crashed = List.rev crashed;
-        truncated;
-        schedule = schedule_string rev_choices;
-      }
-    in
-    incr explored;
-    (match property run with
-    | Ok () -> ()
-    | Error msg ->
-        counterexample := Some (run, msg);
-        raise Found);
-    if !explored >= max_runs then begin
-      exhausted := true;
-      raise Found
-    end
-  in
-  let rec dfs env states depth crashes crashed rev_choices =
-    let live =
-      Array.to_list states
-      |> List.mapi (fun i s -> (i, s))
-      |> List.filter_map (fun (i, s) ->
-             match s with Running _ -> Some i | Done _ | Crashed -> None)
-    in
-    if live = [] then finish states crashed false rev_choices
-    else if depth >= max_steps then finish states crashed true rev_choices
-    else
-      List.iter
-        (fun pid ->
-          (match states.(pid) with
-          | Running prog ->
-              let env' = Env.copy env in
-              let states' = Array.copy states in
-              (match prog with
-              | Prog.Done v -> states'.(pid) <- Done v
-              | Prog.Step (op, k) ->
-                  let r = Env.apply env' ~pid op in
-                  states'.(pid) <- Running (k r));
-              dfs env' states' (depth + 1) crashes crashed
-                (Step pid :: rev_choices)
-          | Done _ | Crashed -> assert false);
-          if crashes < max_crashes then begin
-            let states' = Array.copy states in
-            states'.(pid) <- Crashed;
-            dfs (Env.copy env) states' (depth + 1) (crashes + 1)
-              (pid :: crashed)
-              (Crash pid :: rev_choices)
-          end)
-        live
-  in
-  (try dfs env0 (Array.map (fun p -> Running p) progs) 0 0 [] []
-   with Found -> ());
-  {
-    explored = !explored;
-    counterexample = !counterexample;
-    exhausted_budget = !exhausted;
-    pruned_states = 0;
-    pruned_commutes = 0;
-    pruned_source = 0;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Systematic fault-box sweeping under online monitors                  *)

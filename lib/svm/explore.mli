@@ -66,8 +66,8 @@ type 'a result = {
           commutation rules — sleep entries that only survived a filter
           because, at the state in question, two same-instance
           operations commute (sibling snapshot writes, equal register
-          writes, a won test&set, ...). Always [0] from the plan engine
-          and the reference engine, which use the coarse relation. *)
+          writes, a won test&set, ...). Always [0] from the plan engine,
+          which uses the coarse relation. *)
 }
 
 val exhaustive :
@@ -117,8 +117,9 @@ val exhaustive :
     value of [jobs].
 
     [dedup:false] disables the visited table and both sleep-set tiers —
-    the engine then enumerates exactly the runs of the reference engine
-    {!exhaustive_copy}.
+    the engine then enumerates exactly the runs of the naive
+    copy-per-branch DFS the test suite keeps as its oracle: same
+    [explored], same verdict, same counterexample [schedule].
 
     [metrics] counts completed runs ([explore.runs]), truncated runs
     ([explore.truncated]), counterexamples found, the three pruning
@@ -149,22 +150,9 @@ val exhaustive_plan :
 (** The plan engine alone: phase-A frontier slicing, indexed fan-out
     over {!Par.run}, strict in-order merge — exactly what {!exhaustive}
     falls back to, and what the [Dist] job queue distributes. Exposed
-    so the bench can pin the static-split engine as its serial
-    baseline; [pruned_source] is always [0] here. *)
-
-val exhaustive_copy :
-  ?max_crashes:int ->
-  ?max_runs:int ->
-  max_steps:int ->
-  make:(unit -> Env.t * 'a Prog.t array) ->
-  property:('a run -> (unit, string) Stdlib.result) ->
-  unit ->
-  'a result
-(** The original copy-per-branch engine, kept as the measured baseline
-    of the bench's [EX] row and as a differential oracle for the journal
-    engine: no journal, no pruning, no parallelism — every branch deep
-    copies the environment and the state array. Its [pruned_states] and
-    [pruned_commutes] are always 0. *)
+    so the fallback's cost can be timed on its own (the benchmark's
+    fallback probe) and so tests can hold it to the oracle with
+    [dedup:false]; [pruned_source] is always [0] here. *)
 
 (** {1 Systematic fault-box sweeping}
 

@@ -64,6 +64,7 @@ let table =
     ("sdl fmt /no/such/file.sdl", 2);
     ("stats ../examples/x_safe_agreement.sdl --algo safe_agreement", 2);
     ("sweep --algo safe_agreement --tiers gamma-rays", 2);
+    ("soak --algo safe_agreement --tiers gamma-rays", 2);
     ("explore --algo no_such_scenario", 2);
     ("replay /no/such/file.replay", 2);
     ("serve --resume no-such-job --journal-dir /tmp/asmsim-cli-nojobs", 2);

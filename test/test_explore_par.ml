@@ -4,7 +4,8 @@
    interning tables must stay linearizable under concurrent insert
    storms; the undo journal must restore the exact pre-checkpoint
    state; canonical fingerprints must not depend on instance creation
-   order; dedup must never change a verdict. *)
+   order; dedup must never change a verdict, and with dedup off both
+   engines must enumerate exactly the naive oracle's runs. *)
 
 open Svm
 open Svm.Prog.Syntax
@@ -277,34 +278,67 @@ let intern_linearizable =
            all)
 
 (* ------------------------------------------------------------------ *)
-(* dedup never changes a verdict                                        *)
+(* dedup never changes a verdict; dedup off is the naive oracle         *)
 (* ------------------------------------------------------------------ *)
 
+(* With dedup off, engine C and the plan engine must enumerate exactly
+   the copy-per-branch oracle's runs: same count, same verdict, same
+   counterexample schedule — crash-free and with one crash (two steps
+   shallower, to keep the wider scenarios cheap). Dedup on must then
+   keep the verdict. *)
 let dedup_verdict_parity () =
   Experiments.Scenario.all ()
   |> List.iter (fun (s : Experiments.Scenario.t) ->
          if s.Experiments.Scenario.explorable then begin
-           (* Full enumeration bound: keep the dedup-off run cheap for
+           (* Full enumeration bound: keep the dedup-off runs cheap for
               the wider scenarios without losing the seeded-bug depths
               of the 2-process ones. *)
            let max_steps =
              min s.Experiments.Scenario.explore_steps
                (if s.Experiments.Scenario.nprocs >= 4 then 8 else 10)
            in
-           let run dedup =
-             Explore.exhaustive ~dedup ~max_steps
-               ~make:s.Experiments.Scenario.make
-               ~property:s.Experiments.Scenario.exhaustive_property ()
+           let make = s.Experiments.Scenario.make
+           and property = s.Experiments.Scenario.exhaustive_property in
+           let summary (r : Univ.t Explore.result) =
+             Printf.sprintf "%d runs, exhausted=%b, cex: %s"
+               r.Explore.explored r.Explore.exhausted_budget
+               (cex_repr r.Explore.counterexample)
            in
            let verdict (r : Univ.t Explore.result) =
              match r.Explore.counterexample with
              | None -> "ok"
              | Some (_, msg) -> "cex: " ^ msg
            in
-           check Alcotest.string
-             (s.Experiments.Scenario.name ^ ": dedup preserves the verdict")
-             (verdict (run false))
-             (verdict (run true))
+           List.iter
+             (fun (max_crashes, max_steps) ->
+               let label =
+                 Printf.sprintf "%s (crashes %d, depth %d)"
+                   s.Experiments.Scenario.name max_crashes max_steps
+               in
+               let oracle =
+                 Oracle.exhaustive ~max_crashes ~max_steps ~make ~property ()
+               in
+               let engine_c =
+                 Explore.exhaustive ~dedup:false ~max_crashes ~max_steps ~make
+                   ~property ()
+               in
+               let plan =
+                 Explore.exhaustive_plan ~dedup:false ~max_crashes ~max_steps
+                   ~make ~property ()
+               in
+               check Alcotest.string
+                 (label ^ ": engine C without dedup is the oracle")
+                 (summary oracle) (summary engine_c);
+               check Alcotest.string
+                 (label ^ ": plan engine without dedup is the oracle")
+                 (summary oracle) (summary plan);
+               check Alcotest.string
+                 (label ^ ": dedup preserves the verdict")
+                 (verdict oracle)
+                 (verdict
+                    (Explore.exhaustive ~max_crashes ~max_steps ~make
+                       ~property ())))
+             [ (0, max_steps); (1, max_steps - 2) ]
          end)
 
 let suite =
