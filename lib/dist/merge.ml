@@ -21,8 +21,9 @@ let sweep ?metrics ?on_progress plan ~shard_size ~payloads =
     | 'D' -> Svm.Explore.Deadlocked
     | _ ->
         (* 'V', or a cell past the cut whose shard was never dealt:
-           recompute locally — deterministic either way, and for 'V'
-           this recovers the violation record the wire elides. *)
+           recompute locally — deterministic either way. The cell runs
+           untraced; [sweep_merge] re-derives the one trace it needs,
+           the first violation's, by a traced re-run. *)
         Svm.Explore.sweep_cell plan i
   in
   Svm.Explore.sweep_merge ?metrics ?on_progress plan ~verdict_of

@@ -11,7 +11,9 @@ let cells_of_instance = function
 
 (* Compute one shard's payload, transport-free: [tick completed] fires
    every {!heartbeat_every} cells so the caller can emit progress and
-   poll control frames, whatever its wire is. *)
+   poll control frames, whatever its wire is. Sweep cells run untraced
+   and ship one verdict tag each; the merging side re-derives the trace
+   of the one violation it shrinks. *)
 let compute_shard instance ~lo ~hi ~tick =
   let tick i =
     if (i - lo + 1) mod heartbeat_every = 0 then tick (i - lo + 1)

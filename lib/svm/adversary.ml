@@ -32,8 +32,9 @@ type t = {
 let name t = t.name
 
 let pick t ~runnable ~global_step =
-  if runnable = [] then raise Deadlock;
-  t.pick ~runnable ~global_step
+  match runnable with
+  | [] -> raise Deadlock
+  | _ :: _ -> t.pick ~runnable ~global_step
 
 let fault_now t ~pid ~local_step ~global_step ~next =
   let f = t.fault_now ~pid ~local_step ~global_step ~next in
@@ -57,12 +58,17 @@ let byz_value ~pid ~global_step =
 
 let round_robin () =
   let last = ref (-1) in
+  (* The first runnable pid after the last one chosen, or -1: a scan
+     that builds no list, since it runs on every step. *)
+  let rec first_after = function
+    | [] -> -1
+    | p :: rest -> if p > !last then p else first_after rest
+  in
   let pick ~runnable ~global_step:_ =
-    let after = List.filter (fun p -> p > !last) runnable in
     let chosen =
-      match after with
-      | p :: _ -> p
-      | [] -> ( match runnable with p :: _ -> p | [] -> raise Deadlock)
+      match first_after runnable with
+      | -1 -> ( match runnable with p :: _ -> p | [] -> raise Deadlock)
+      | p -> p
     in
     last := chosen;
     chosen
@@ -123,53 +129,66 @@ type crash_spec =
 
 type fault_spec = { kind : fault_kind; trigger : crash_spec }
 
+(* Severity order for simultaneous faults: the most severe one wins. *)
+let stronger a b =
+  let rank = function
+    | Crash_stop -> 0
+    | Omission -> 1
+    | Crash_recovery -> 2
+    | Byzantine -> 3
+  in
+  match (a, b) with
+  | None, f | f, None -> f
+  | Some x, Some y -> if rank x <= rank y then a else b
+
 let with_faults base specs =
   (* Mutable per-spec state: fired flag, and a match counter for
      [Crash_before_op] triggers. A fired Byzantine spec latches its pid:
      from the trigger on, every step of that pid is a Byzantine step. *)
-  let states = List.map (fun spec -> (spec, ref false, ref 0)) specs in
+  let specs = Array.of_list specs in
+  let fired = Array.make (Array.length specs) false in
+  let seen = Array.make (Array.length specs) 0 in
   let byz : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let fault_now ~pid ~local_step ~global_step ~next =
-    let fires ({ trigger; _ }, fired, seen) =
-      if !fired then false
-      else
-        let hit =
-          match trigger with
-          | Crash_at_local c -> c.pid = pid && c.step = local_step
-          | Crash_at_global c -> c.pid = pid && global_step >= c.step
-          | Crash_before_op c -> (
-              c.pid = pid
-              &&
-              match next with
-              | Some info when c.matches info ->
-                  let n = !seen in
-                  incr seen;
-                  n = c.nth
-              | Some _ | None -> false)
-        in
-        if hit then fired := true;
-        hit
+  let fires i ~pid ~local_step ~global_step ~next =
+    (not fired.(i))
+    &&
+    let hit =
+      match specs.(i).trigger with
+      | Crash_at_local c -> c.pid = pid && c.step = local_step
+      | Crash_at_global c -> c.pid = pid && global_step >= c.step
+      | Crash_before_op c -> (
+          c.pid = pid
+          &&
+          match next with
+          | Some info when c.matches info ->
+              let n = seen.(i) in
+              seen.(i) <- n + 1;
+              n = c.nth
+          | Some _ | None -> false)
     in
+    if hit then fired.(i) <- true;
+    hit
+  in
+  (* Called on every step, so the common case — nothing fires, nobody
+     latched — allocates nothing and returns [None]. *)
+  let fault_now ~pid ~local_step ~global_step ~next =
     (* Evaluate all specs so match counters advance even when another
        spec fires first. *)
-    let fired_kinds =
-      List.filter_map
-        (fun ((spec, _, _) as st) -> if fires st then Some spec.kind else None)
-        states
-    in
-    List.iter
-      (function Byzantine -> Hashtbl.replace byz pid () | _ -> ())
-      fired_kinds;
-    let candidates =
-      fired_kinds
-      @ Option.to_list (base.fault_now ~pid ~local_step ~global_step ~next)
-    in
-    let has k = List.mem k candidates in
-    if has Crash_stop then Some Crash_stop
-    else if has Omission then Some Omission
-    else if has Crash_recovery then Some Crash_recovery
-    else if has Byzantine || Hashtbl.mem byz pid then Some Byzantine
-    else None
+    let strongest = ref None in
+    for i = 0 to Array.length specs - 1 do
+      if fires i ~pid ~local_step ~global_step ~next then begin
+        let kind = specs.(i).kind in
+        if kind = Byzantine then Hashtbl.replace byz pid ();
+        strongest := stronger !strongest (Some kind)
+      end
+    done;
+    match
+      stronger !strongest (base.fault_now ~pid ~local_step ~global_step ~next)
+    with
+    | Some _ as f -> f
+    | None ->
+        if Hashtbl.length byz > 0 && Hashtbl.mem byz pid then Some Byzantine
+        else None
   in
   {
     name = base.name ^ "+faults";

@@ -27,6 +27,60 @@ let outcome_name = function
    run, so the per-op cost is one hashtable upsert. *)
 type obj_stat = { mutable ops : int; mutable pids : int list }
 
+(* Counter handles for the per-op telemetry, resolved once per run and
+   per slot on first use: the hot path then neither builds a name nor
+   hashes one, and a registry still gains only the counters a run
+   touches. Op slots are the [Op.kind]s in [op_kinds] order ([op_slot]),
+   then yield and corrupted. *)
+let op_kinds =
+  Op.[| Register; Snapshot; Test_and_set; Consensus; Kset; Queue; Oracle |]
+
+let op_slot (k : Op.kind) =
+  match k with
+  | Register -> 0
+  | Snapshot -> 1
+  | Test_and_set -> 2
+  | Consensus -> 3
+  | Kset -> 4
+  | Queue -> 5
+  | Oracle -> 6
+
+let yield_slot = Array.length op_kinds
+let corrupted_slot = yield_slot + 1
+
+let op_counter_names =
+  Array.append
+    (Array.map (fun k -> "op." ^ Op.kind_name k) op_kinds)
+    [| "op.yield"; "op.corrupted" |]
+
+let fault_slot (k : Adversary.fault_kind) =
+  match k with
+  | Crash_stop -> 0
+  | Omission -> 1
+  | Crash_recovery -> 2
+  | Byzantine -> 3
+
+let fault_counter_names =
+  Array.map
+    (fun k -> "fault." ^ Adversary.fault_kind_name k)
+    Adversary.[| Crash_stop; Omission; Crash_recovery; Byzantine |]
+
+type telemetry = {
+  registry : Metrics.t;
+  objs : (Op.fam * Op.key, obj_stat) Hashtbl.t;
+  scheds : int array;
+  op_counters : Metrics.counter option array;
+  fault_counters : Metrics.counter option array;
+}
+
+let slot_counter registry counters names i =
+  match counters.(i) with
+  | Some c -> c
+  | None ->
+      let c = Metrics.counter registry names.(i) in
+      counters.(i) <- Some c;
+      c
+
 let instance_label (info : Op.info) =
   Printf.sprintf "%s[%s]" info.Op.fam
     (String.concat ";" (List.map string_of_int info.Op.key))
@@ -48,43 +102,58 @@ let run ?(budget = 2_000_000) ?(record_trace = false) ?(monitors = []) ?metrics
   (* Telemetry: all per-op state lives behind the [metrics] option — the
      metrics-off path allocates nothing per op (guarded by the same
      match that the trace recorder uses). *)
-  let mstate =
+  let tele =
     match metrics with
     | None -> None
-    | Some m -> Some (m, Hashtbl.create 32, Array.make n 0)
+    | Some registry ->
+        Some
+          {
+            registry;
+            objs = Hashtbl.create 32;
+            scheds = Array.make n 0;
+            op_counters = Array.make (Array.length op_counter_names) None;
+            fault_counters = Array.make (Array.length fault_counter_names) None;
+          }
   in
   let note_op pid info corrupted =
-    match mstate with
+    match tele with
     | None -> ()
-    | Some (m, objs, _) -> (
+    | Some t -> (
+        let slot =
+          match info with None -> yield_slot | Some i -> op_slot i.Op.kind
+        in
+        Metrics.incr
+          (slot_counter t.registry t.op_counters op_counter_names slot);
         (match info with
-        | None -> Metrics.incr (Metrics.counter m "op.yield")
+        | None -> ()
         | Some i ->
-            Metrics.incr
-              (Metrics.counter m ("op." ^ Op.kind_name i.Op.kind));
             let s =
-              match Hashtbl.find_opt objs (i.Op.fam, i.Op.key) with
+              match Hashtbl.find_opt t.objs (i.Op.fam, i.Op.key) with
               | Some s -> s
               | None ->
                   let s = { ops = 0; pids = [] } in
-                  Hashtbl.add objs (i.Op.fam, i.Op.key) s;
+                  Hashtbl.add t.objs (i.Op.fam, i.Op.key) s;
                   s
             in
             s.ops <- s.ops + 1;
             if not (List.mem pid s.pids) then s.pids <- pid :: s.pids);
-        if corrupted then Metrics.incr (Metrics.counter m "op.corrupted"))
+        if corrupted then
+          Metrics.incr
+            (slot_counter t.registry t.op_counters op_counter_names
+               corrupted_slot))
   in
   let note_sched pid =
-    match mstate with
+    match tele with
     | None -> ()
-    | Some (_, _, scheds) -> scheds.(pid) <- scheds.(pid) + 1
+    | Some t -> t.scheds.(pid) <- t.scheds.(pid) + 1
   in
   let note_fault kind =
-    match mstate with
+    match tele with
     | None -> ()
-    | Some (m, _, _) ->
+    | Some t ->
         Metrics.incr
-          (Metrics.counter m ("fault." ^ Adversary.fault_kind_name kind))
+          (slot_counter t.registry t.fault_counters fault_counter_names
+             (fault_slot kind))
   in
   let record step pid info =
     match trace with
@@ -94,17 +163,22 @@ let run ?(budget = 2_000_000) ?(record_trace = false) ?(monitors = []) ?metrics
   let decided d =
     match trace with None -> () | Some t -> Trace.record_decision t d
   in
-  let monitor pid step event =
-    List.iter
-      (fun m ->
+  (* The hot schedule decision is built only when a trace records it. *)
+  let scheduled pid = if record_trace then decided (Trace.Sched pid) in
+  let rec check_all pid step event = function
+    | [] -> ()
+    | m :: rest -> (
         match Monitor.check m event with
-        | Ok () -> ()
+        | Ok () -> check_all pid step event rest
         | Error message ->
             raise
               (Monitor.Violation
                  { Monitor.monitor = Monitor.name m; message; step; pid; trace }))
-      monitors
   in
+  let monitor pid step event = check_all pid step event monitors in
+  (* The runnable pids in index order. Only a process reaching
+     [Finished] changes the set, so the list is rebuilt there and not
+     on every step. *)
   let runnable () =
     let acc = ref [] in
     for i = n - 1 downto 0 do
@@ -114,6 +188,11 @@ let run ?(budget = 2_000_000) ?(record_trace = false) ?(monitors = []) ?metrics
     done;
     !acc
   in
+  let live = ref (runnable ()) in
+  let finish pid outcome =
+    states.(pid) <- Finished outcome;
+    live := runnable ()
+  in
   let step = ref 0 in
   let continue = ref true in
   (* Flush the accumulated telemetry into the registry. Called on normal
@@ -121,9 +200,9 @@ let run ?(budget = 2_000_000) ?(record_trace = false) ?(monitors = []) ?metrics
      violating replay still snapshots its partial run (deterministically:
      the same replay violates at the same step with the same tallies). *)
   let flush_metrics () =
-    match mstate with
+    match tele with
     | None -> ()
-    | Some (m, objs, scheds) ->
+    | Some { registry = m; objs; scheds; _ } ->
         Metrics.incr (Metrics.counter m "run.count");
         Metrics.observe (Metrics.histogram m "run.steps") !step;
         let ops_h = Metrics.histogram m "proc.ops" in
@@ -158,13 +237,13 @@ let run ?(budget = 2_000_000) ?(record_trace = false) ?(monitors = []) ?metrics
     match k r with
     | next -> states.(pid) <- Running next
     | exception Codec.Type_error _ when !byz_active ->
-        states.(pid) <- Finished Stuck;
+        finish pid Stuck;
         stuck := pid :: !stuck;
         monitor pid !step (Monitor.Stalled { pid; step = !step; info })
   in
   (try
      while !continue && !step < budget do
-    match runnable () with
+    match !live with
     | [] -> continue := false
     | live ->
         let pid = Adversary.pick adversary ~runnable:live ~global_step:!step in
@@ -180,14 +259,14 @@ let run ?(budget = 2_000_000) ?(record_trace = false) ?(monitors = []) ?metrics
             in
             match fault with
             | Some Adversary.Crash_stop ->
-                states.(pid) <- Finished Crashed;
+                finish pid Crashed;
                 note_fault Adversary.Crash_stop;
                 crashed := pid :: !crashed;
                 decided (Trace.Crash pid);
                 record !step pid None;
                 monitor pid !step (Monitor.Crashed { pid; step = !step })
             | Some Adversary.Omission ->
-                states.(pid) <- Finished Stuck;
+                finish pid Stuck;
                 note_fault Adversary.Omission;
                 stuck := pid :: !stuck;
                 decided (Trace.Omit pid);
@@ -206,12 +285,11 @@ let run ?(budget = 2_000_000) ?(record_trace = false) ?(monitors = []) ?metrics
             | (Some Adversary.Byzantine | None) as fault -> (
                 match prog with
                 | Prog.Done v ->
-                    decided (Trace.Sched pid);
-                    states.(pid) <- Finished (Decided v);
+                    scheduled pid;
+                    finish pid (Decided v);
                     monitor pid !step
                       (Monitor.Decided { pid; step = !step; value = v })
                 | Prog.Step (op, k) -> (
-                    let info = Op.info op in
                     let corrupted =
                       match fault with
                       | Some Adversary.Byzantine ->
@@ -223,23 +301,25 @@ let run ?(budget = 2_000_000) ?(record_trace = false) ?(monitors = []) ?metrics
                     | Some op' ->
                         byz_active := true;
                         note_fault Adversary.Byzantine;
-                        note_op pid info true;
+                        note_op pid next true;
                         decided (Trace.Byz pid);
                         let r = Env.apply env ~pid op' in
                         op_counts.(pid) <- op_counts.(pid) + 1;
-                        record !step pid info;
+                        record !step pid next;
                         monitor pid !step
-                          (Monitor.Corrupted { pid; step = !step; info });
-                        advance pid k r info
+                          (Monitor.Corrupted
+                             { pid; step = !step; info = next });
+                        advance pid k r next
                     | None ->
-                        note_op pid info false;
-                        decided (Trace.Sched pid);
+                        note_op pid next false;
+                        scheduled pid;
                         let r = Env.apply env ~pid op in
                         op_counts.(pid) <- op_counts.(pid) + 1;
-                        record !step pid info;
+                        record !step pid next;
                         monitor pid !step
-                          (Monitor.Op_applied { pid; step = !step; info });
-                        advance pid k r info))));
+                          (Monitor.Op_applied
+                             { pid; step = !step; info = next });
+                        advance pid k r next))));
         incr step
      done
    with Monitor.Violation _ as e ->

@@ -1431,7 +1431,11 @@ let default_schedulers ~nprocs =
 
 type verdict = Clean | Deadlocked | Violating of Monitor.violation
 
-let run_fault ?(budget = 20_000) ~make ~monitors ~scheduler faults =
+(* One fault run. Only [run_fault] records a trace: a sweep cell's
+   verdict needs none, and the one trace a sweep reads — its first
+   violation's — [sweep_merge] re-derives by re-running that cell. *)
+let fault_verdict ~record_trace ?(budget = 20_000) ~make ~monitors ~scheduler
+    faults =
   let env, progs = make () in
   let specs =
     List.map
@@ -1444,8 +1448,7 @@ let run_fault ?(budget = 20_000) ~make ~monitors ~scheduler faults =
   in
   let adversary = Adversary.with_faults (scheduler ()) specs in
   match
-    Exec.run ~budget ~record_trace:true ~monitors:(monitors ()) ~env ~adversary
-      progs
+    Exec.run ~budget ~record_trace ~monitors:(monitors ()) ~env ~adversary progs
   with
   | r ->
       (* "All processes stuck" is a finding of the omission tier, not a
@@ -1461,6 +1464,9 @@ let run_fault ?(budget = 20_000) ~make ~monitors ~scheduler faults =
       if halted && r.Exec.stuck <> [] then Deadlocked else Clean
   | exception Monitor.Violation v -> Violating v
   | exception Adversary.Deadlock -> Deadlocked
+
+let run_fault ?budget ~make ~monitors ~scheduler faults =
+  fault_verdict ~record_trace:true ?budget ~make ~monitors ~scheduler faults
 
 (* Delta-debugging: drop fault points, then weaken surviving fault kinds
    toward plain crash-stop, then pull the op-indices toward 0, then try
@@ -1616,19 +1622,20 @@ let sweep_cells p = min (Array.length p.sp_descriptors) p.sp_max_runs
 
 let sweep_cell p i =
   let _, scheduler, faults = p.sp_descriptors.(i) in
-  run_fault ?budget:p.sp_budget ~make:p.sp_make ~monitors:p.sp_monitors
-    ~scheduler faults
+  fault_verdict ~record_trace:false ?budget:p.sp_budget ~make:p.sp_make
+    ~monitors:p.sp_monitors ~scheduler faults
 
 let sweep_cell_schedule p i =
   let sched_name, _, faults = p.sp_descriptors.(i) in
   { scheduler = sched_name; faults }
 
 (* In-order merge of per-cell verdicts. [verdict_of] may be backed by
-   in-process results or by tags shipped from worker processes; a
-   remote [Violating] carries no violation payload, so such callers map
-   the tag back through {!sweep_cell} (deterministic) before merging —
-   which is also why shrinking always happens here, locally, after the
-   merge. *)
+   in-process results or by tags shipped from worker processes. Cell
+   verdicts are untraced, so the first [Violating] cell is re-run here
+   through the traced {!run_fault} — deterministic: fresh environment,
+   scheduler and monitors — and shrinking starts from that run's
+   violation. The re-run is not a shrink run: [shrink_runs] counts the
+   shrinker's candidates only. *)
 let sweep_merge ?metrics ?on_progress p ~verdict_of =
   let n_dispatch = sweep_cells p in
   let runs = ref 0 in
@@ -1641,16 +1648,29 @@ let sweep_merge ?metrics ?on_progress p ~verdict_of =
        incr runs;
        note metrics "sweep.runs";
        heartbeat on_progress !runs;
-       let sched_name, _, faults = p.sp_descriptors.(i) in
+       let sched_name, scheduler, faults = p.sp_descriptors.(i) in
        match verdict with
        | Clean -> note metrics "sweep.verdict.clean"
        | Deadlocked ->
            note metrics "sweep.verdict.deadlocked";
            if !deadlock = None then
              deadlock := Some { scheduler = sched_name; faults }
-       | Violating v ->
+       | Violating _ ->
            note metrics "sweep.verdict.violating";
            let fault = { scheduler = sched_name; faults } in
+           let v =
+             match
+               run_fault ?budget:p.sp_budget ~make:p.sp_make
+                 ~monitors:p.sp_monitors ~scheduler faults
+             with
+             | Violating v -> v
+             | Clean | Deadlocked ->
+                 invalid_arg
+                   (Format.asprintf
+                      "Explore.sweep_merge: cell %d (%a) violated once and \
+                       not on its traced re-run"
+                      i pp_fault_schedule fault)
+           in
            let shrunk, violation, shrink_runs =
              shrink ?budget:p.sp_budget ~make:p.sp_make ~monitors:p.sp_monitors
                ~schedulers:p.sp_schedulers fault v

@@ -208,7 +208,10 @@ val run_fault :
   fault_point list ->
   verdict
 (** One run under one fault schedule: the monitors' verdict, with
-    "everybody halted without deciding" reported as [Deadlocked]. *)
+    "everybody halted without deciding" reported as [Deadlocked]. The
+    run records a trace, so a [Violating] verdict carries it — what
+    shrinking and replay artifacts are built from. Sweep cells
+    ({!sweep_cell}) run the same schedule untraced. *)
 
 val default_schedulers : nprocs:int -> (string * (unit -> Adversary.t)) list
 (** Round-robin, both priority orders, and two seeded random policies —
@@ -401,7 +404,9 @@ val sweep_cells : 'a sweep_plan -> int
 
 val sweep_cell : 'a sweep_plan -> int -> verdict
 (** Run cell [i] (fresh environment, programs, monitors, adversary).
-    Deterministic and re-runnable. *)
+    Deterministic and re-runnable. The run records no trace: a
+    [Violating] verdict's violation has [trace = None], and
+    {!sweep_merge} re-derives the one trace it needs. *)
 
 val sweep_cell_schedule : 'a sweep_plan -> int -> fault_schedule
 (** The (scheduler, fault-set) pair of cell [i], for display. *)
@@ -415,6 +420,9 @@ val sweep_merge :
 (** Fold per-cell verdicts in sweep order into a {!sweep_outcome} — the
     exact merge {!sweep_faults} performs, including shrinking the first
     violation and serializing its replay artifact (always locally,
-    after the merge). A caller holding only a remote [Violating] tag
-    must map it through {!sweep_cell} to recover the violation before
-    handing it to [verdict_of]. *)
+    after the merge). Only a verdict's constructor is read: the first
+    [Violating] cell is re-run through the traced {!run_fault}
+    (deterministic) and shrunk from that run's violation, so untraced
+    {!sweep_cell} verdicts suffice. The re-run is not counted in
+    [shrink_runs]. A caller holding only a remote tag maps it through
+    {!sweep_cell} to build a [verdict]. *)

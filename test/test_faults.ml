@@ -330,6 +330,120 @@ let test_byzantine_sweep_replays () =
       Alcotest.(check int) "same step" v.Monitor.step v'.Monitor.step;
       Alcotest.(check string) "same message" v.Monitor.message v'.Monitor.message
 
+(* ------------------------------------------------------------------ *)
+(* Tracing is an observer                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A sweep cell runs untraced and its violation is re-derived by a
+   traced re-run, so the two modes must agree on every run: same
+   outcomes, counts and fault sets, same violation at the same step.
+   The grid crosses every explorable registry scenario with the default
+   schedulers and single fault points of every tier — restarts and
+   Byzantine latching included — and the traced run's decision log must
+   replay to the same result. *)
+let run_mode ~record_trace ~budget (s : Experiments.Scenario.t) adversary =
+  let env, progs = s.Experiments.Scenario.make () in
+  match
+    Exec.run ~budget ~record_trace
+      ~monitors:(s.Experiments.Scenario.monitors ())
+      ~env ~adversary progs
+  with
+  | r -> Ok r
+  | exception Monitor.Violation v -> Error v
+
+(* Everything a run reports except the trace, as one comparable string;
+   decided values are compared separately, structurally. *)
+let run_repr = function
+  | Ok (r : Univ.t Exec.result) ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      Printf.sprintf
+        "outcomes=%s ops=%s steps=%d crashed=%s stuck=%s restarts=%s"
+        (String.concat ","
+           (List.map Exec.outcome_name (Array.to_list r.Exec.outcomes)))
+        (ints (Array.to_list r.Exec.op_counts))
+        r.Exec.total_steps (ints r.Exec.crashed) (ints r.Exec.stuck)
+        (ints r.Exec.restarts)
+  | Error (v : Monitor.violation) ->
+      Printf.sprintf "violation %s@%d pid=%d: %s" v.Monitor.monitor
+        v.Monitor.step v.Monitor.pid v.Monitor.message
+
+let same_run a b =
+  String.equal (run_repr a) (run_repr b)
+  &&
+  match (a, b) with
+  | Ok r, Ok r' -> r.Exec.outcomes = r'.Exec.outcomes
+  | _ -> true
+
+let test_tracing_changes_nothing () =
+  let budget = 1_000 in
+  let kinds = Adversary.[ Crash_stop; Omission; Crash_recovery; Byzantine ] in
+  let restarted = ref false and latched = ref false in
+  let mismatches = ref [] in
+  let expect_same ctx a b =
+    if not (same_run a b) then
+      mismatches :=
+        Printf.sprintf "%s:\n  %s\n  %s" ctx (run_repr a) (run_repr b)
+        :: !mismatches
+  in
+  List.iter
+    (fun (s : Experiments.Scenario.t) ->
+      let nprocs = s.Experiments.Scenario.nprocs in
+      let fault_sets =
+        []
+        :: List.concat_map
+             (fun kind ->
+               List.concat_map
+                 (fun pid -> List.init 4 (fun op -> [ fault kind pid op ]))
+                 (List.init nprocs Fun.id))
+             kinds
+      in
+      List.iter
+        (fun (sched, scheduler) ->
+          List.iteri
+            (fun i specs ->
+              let ctx =
+                Printf.sprintf "%s/%s/fault set %d" s.Experiments.Scenario.name
+                  sched i
+              in
+              let adversary () = Adversary.with_faults (scheduler ()) specs in
+              let traced =
+                run_mode ~record_trace:true ~budget s (adversary ())
+              in
+              expect_same ctx traced
+                (run_mode ~record_trace:false ~budget s (adversary ()));
+              let decisions =
+                match traced with
+                | Ok { Exec.trace = Some t; _ }
+                | Error { Monitor.trace = Some t; _ } ->
+                    Trace.decisions t
+                | Ok { Exec.trace = None; _ }
+                | Error { Monitor.trace = None; _ } ->
+                    Alcotest.fail (ctx ^ ": traced run has no trace")
+              in
+              (match traced with
+              | Ok r when r.Exec.restarts <> [] -> restarted := true
+              | Ok _ | Error _ -> ());
+              (* A latched pid corrupts its later value ops too. *)
+              if
+                List.length
+                  (List.filter
+                     (function Trace.Byz _ -> true | _ -> false)
+                     decisions)
+                > 1
+              then latched := true;
+              expect_same (ctx ^ " replayed") traced
+                (run_mode ~record_trace:false ~budget s
+                   (Adversary.of_replay decisions)))
+            fault_sets)
+        (Explore.default_schedulers ~nprocs))
+    (List.filter
+       (fun s -> s.Experiments.Scenario.explorable)
+       (Experiments.Scenario.all ()));
+  Alcotest.(check (list string)) "traced and untraced runs agree" []
+    (List.rev !mismatches);
+  Alcotest.(check bool) "some run restarted a process" true !restarted;
+  Alcotest.(check bool) "some Byzantine pid stayed latched" true !latched
+
 let suite =
   [
     ( "faults",
@@ -352,5 +466,7 @@ let suite =
           test_shrinker_keeps_necessary_kind;
         Alcotest.test_case "byzantine sweep artifact reproduces exactly"
           `Quick test_byzantine_sweep_replays;
+        Alcotest.test_case "tracing changes no run, and its log replays"
+          `Quick test_tracing_changes_nothing;
       ] );
   ]
