@@ -329,19 +329,34 @@ ci: check
 
 # The parallel explorer must be bit-for-bit deterministic in the job
 # count, through the real CLI — both engines:
-#   1. the seeded bug (counterexample => the plan-engine fallback
-#      defines the verdict): stdout at jobs=8 must diff clean against
-#      jobs=1;
+#   1. the seeded bugs (counterexample => the plan-engine fallback
+#      defines the verdict): stdout AND the merged deterministic
+#      metrics snapshot (--metrics-out) at jobs=8 must diff clean
+#      against jobs=1 — the 2-process no-cancel bug, and the
+#      4-process first-subset bug at crash budget 1, depth 16 (the
+#      benchmark's explore-cex job);
 #   2. a clean scenario (the work-stealing engine's own result is
-#      kept): stdout AND the merged deterministic metrics snapshot
-#      (--metrics-out) must diff clean between jobs=1 and jobs=8.
+#      kept): stdout and the metrics snapshot, likewise.
 explore-determinism: build
 	rm -rf _build/exdet && mkdir -p _build/exdet
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement_no_cancel \
-	  --expect-violation --jobs 1 > _build/exdet/bug-j1.out
+	  --expect-violation --jobs 1 --metrics-out _build/exdet/bug-j1.metrics.json \
+	  > _build/exdet/bug-j1.out
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement_no_cancel \
-	  --expect-violation --jobs 8 > _build/exdet/bug-j8.out
+	  --expect-violation --jobs 8 --metrics-out _build/exdet/bug-j8.metrics.json \
+	  > _build/exdet/bug-j8.out
 	diff _build/exdet/bug-j1.out _build/exdet/bug-j8.out
+	diff _build/exdet/bug-j1.metrics.json _build/exdet/bug-j8.metrics.json
+	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore \
+	  --algo x_safe_agreement_first_subset -n 4 --crashes 1 --steps 16 \
+	  --expect-violation --jobs 1 --metrics-out _build/exdet/cex4-j1.metrics.json \
+	  > _build/exdet/cex4-j1.out
+	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore \
+	  --algo x_safe_agreement_first_subset -n 4 --crashes 1 --steps 16 \
+	  --expect-violation --jobs 8 --metrics-out _build/exdet/cex4-j8.metrics.json \
+	  > _build/exdet/cex4-j8.out
+	diff _build/exdet/cex4-j1.out _build/exdet/cex4-j8.out
+	diff _build/exdet/cex4-j1.metrics.json _build/exdet/cex4-j8.metrics.json
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement --jobs 1 \
 	  --metrics-out _build/exdet/clean-j1.metrics.json \
 	  > _build/exdet/clean-j1.out

@@ -278,8 +278,11 @@ let net_magic = "asmsim-net"
    hard-coded.
    v4: the server tells each worker when a job is over ([Nw_job_over]),
    so a long-lived worker releases the job's plan instead of keeping
-   every plan it ever expanded. *)
-let net_version = 4
+   every plan it ever expanded.
+   v5: an explore plan no longer depends on the run budget (phase A
+   never stops splitting at [max_runs] tasks), so a capped explore job
+   expands to more tasks than a v4 binary would deal. *)
+let net_version = 5
 
 type role = Worker_role | Client_role
 

@@ -41,7 +41,7 @@ let heartbeat on_progress runs =
   match on_progress with None -> () | Some f -> f ~runs
 
 (* ------------------------------------------------------------------ *)
-(* Fingerprints: op-result histories and canonical state keys           *)
+(* Fingerprints: interned histories, store signatures, visited keys     *)
 (* ------------------------------------------------------------------ *)
 
 (* A process's continuation is a closure, so it cannot be compared — but
@@ -51,7 +51,10 @@ let heartbeat on_progress runs =
    The encoding is typed per op constructor: two histories can only
    compare equal position-by-position, and equal prefixes imply the next
    op (hence the next result's type) is the same, so the comparison
-   never confuses values of different types. *)
+   never confuses values of different types. A history is never stored
+   as a list: each step names the pair (history so far, next result)
+   with an interned id, so a whole history is one int (see [intern]
+   below and [Visited.Intern]). *)
 type enc =
   | E_unit
   | E_bool of bool
@@ -75,90 +78,297 @@ let encode_result : type r. r Op.t -> r -> enc =
   | Op.Oracle_query _ -> E_univ r
   | Op.Yield -> E_unit
 
-(* What a process's next operation touches; the basis of the
-   commutation (independence) relation. Oracle queries are keyed by the
-   querying pid because the environment tracks per-(family, pid) query
-   counts — two different processes querying the same oracle touch
-   different cells. *)
-type footprint =
-  | F_none
-  | F_read of Op.fam * Op.key
-  | F_write of Op.fam * Op.key
-  | F_oracle of Op.fam * int
+(* What a process's next operation touches; the basis of both
+   commutation (independence) relations. Oracle queries are keyed by
+   the querying pid because the environment tracks per-(family, pid)
+   query counts — two different processes querying the same oracle
+   touch different cells. Every op but [Yield] names the one instance
+   it acts on, so a footprint also tells [esig_step] which store entry
+   a step can have changed. *)
+type rfp =
+  | R_none
+  | R_oracle of Op.fam * int
+  | R_read of Op.fam * Op.key
+  | R_write of Op.fam * Op.key * Univ.t
+  | R_cas of Op.fam * Op.key
+  | R_snap_set of Op.fam * Op.key
+  | R_snap_scan of Op.fam * Op.key
+  | R_ts of Op.fam * Op.key
+  | R_cons of Op.fam * Op.key * int
+  | R_kset of Op.fam * Op.key
+  | R_enq of Op.fam * Op.key
+  | R_deq of Op.fam * Op.key
 
-let footprint (type a) ~pid (prog : a Prog.t) =
+let rfootprint (type a) ~pid (prog : a Prog.t) =
   match prog with
-  | Prog.Done _ -> F_none
+  | Prog.Done _ -> R_none
   | Prog.Step (op, _) -> (
       match op with
-      | Op.Yield -> F_none
-      | Op.Reg_read (f, k) -> F_read (f, k)
-      | Op.Snap_scan (f, k) -> F_read (f, k)
-      | Op.Oracle_query (f, _) -> F_oracle (f, pid)
-      | _ -> (
-          match Op.info op with
-          | Some i -> F_write (i.Op.fam, i.Op.key)
-          | None -> F_none))
+      | Op.Yield -> R_none
+      | Op.Oracle_query (f, _) -> R_oracle (f, pid)
+      | Op.Reg_read (f, k) -> R_read (f, k)
+      | Op.Reg_write (f, k, v) -> R_write (f, k, v)
+      | Op.Cas (f, k, _, _) -> R_cas (f, k)
+      | Op.Snap_set (f, k, _) -> R_snap_set (f, k)
+      | Op.Snap_scan (f, k) -> R_snap_scan (f, k)
+      | Op.Ts (f, k) -> R_ts (f, k)
+      | Op.Cons_propose (f, k, _) -> R_cons (f, k, pid)
+      | Op.Kset_propose (f, k, _) -> R_kset (f, k)
+      | Op.Queue_enq (f, k, _) -> R_enq (f, k)
+      | Op.Queue_deq (f, k) -> R_deq (f, k))
 
-let fp_indep a b =
+(* Same shared-object location, without allocating the [option] pair
+   an extraction function would — this runs once per (sleep entry ×
+   explored branch). *)
+let rsame_loc a b =
   match (a, b) with
-  | F_none, _ | _, F_none -> true
-  | F_oracle (f1, p1), F_oracle (f2, p2) -> not (String.equal f1 f2 && p1 = p2)
-  | F_oracle _, _ | _, F_oracle _ -> true
-  | F_read _, F_read _ -> true
-  | (F_read (f1, k1) | F_write (f1, k1)), (F_read (f2, k2) | F_write (f2, k2))
-    ->
-      not (String.equal f1 f2 && k1 = k2)
+  | ( ( R_read (f1, k1)
+      | R_write (f1, k1, _)
+      | R_cas (f1, k1)
+      | R_snap_set (f1, k1)
+      | R_snap_scan (f1, k1)
+      | R_ts (f1, k1)
+      | R_cons (f1, k1, _)
+      | R_kset (f1, k1)
+      | R_enq (f1, k1)
+      | R_deq (f1, k1) ),
+      ( R_read (f2, k2)
+      | R_write (f2, k2, _)
+      | R_cas (f2, k2)
+      | R_snap_set (f2, k2)
+      | R_snap_scan (f2, k2)
+      | R_ts (f2, k2)
+      | R_cons (f2, k2, _)
+      | R_kset (f2, k2)
+      | R_enq (f2, k2)
+      | R_deq (f2, k2) ) ) ->
+      String.equal f1 f2 && k1 = k2
+  | _ -> false
 
-(* Which sleeping transitions survive executing [Step t_pid] (whose
-   pre-execution footprint is [fp_t])? A sleeping process has not moved
-   since it entered the sleep set, so its footprint is read off its
-   current state. Crashing commutes with another process's step (same
-   final state, same crash order) but never with another crash (the
-   [crashed] list records crash order, which properties may observe). *)
-let sleep_filter states fp_t t_pid sleep =
-  List.filter
-    (fun u ->
-      match u with
-      | Crash q -> q <> t_pid
-      | Step q -> (
-          q <> t_pid
-          &&
-          match states.(q) with
-          | Running p -> fp_indep (footprint ~pid:q p) fp_t
-          | Done _ | Crashed -> false))
-    sleep
+(* Coarse (state-blind) independence: reads of one instance commute,
+   anything else touching one instance conflicts, and distinct oracle
+   cells commute. The plan engine's sleep sets use this relation alone;
+   engine C consults it to tag entries that only its refined relation
+   kept alive. *)
+let coarse_indep_r a b =
+  match (a, b) with
+  | R_none, _ | _, R_none -> true
+  | R_oracle (f1, p1), R_oracle (f2, p2) -> not (String.equal f1 f2 && p1 = p2)
+  | R_oracle _, _ | _, R_oracle _ -> true
+  | _ ->
+      let is_read = function R_read _ | R_snap_scan _ -> true | _ -> false in
+      (not (rsame_loc a b)) || (is_read a && is_read b)
 
-let sleep_filter_crash t_pid sleep =
-  List.filter
-    (fun u -> match u with Crash _ -> false | Step q -> q <> t_pid)
-    sleep
+let rloc = function
+  | R_none | R_oracle _ -> None
+  | R_read (f, k)
+  | R_write (f, k, _)
+  | R_cas (f, k)
+  | R_snap_set (f, k)
+  | R_snap_scan (f, k)
+  | R_ts (f, k)
+  | R_cons (f, k, _)
+  | R_kset (f, k)
+  | R_enq (f, k)
+  | R_deq (f, k) ->
+      Some (f, k)
 
-(* The visited-state key. Everything that determines the remainder of a
-   run's record is in here: remaining depth budget (via [k_depth]),
-   crash order so far, each process's status (with its op-result history
-   standing in for its continuation), the canonical store, and the sleep
-   set (a state revisited with a different sleep set explores a
-   different transition subset, so it must not be deduplicated against
-   the first visit — including the sleep set in the key is the standard
-   conservative fix). Only the schedule string falls outside the key,
-   which is why properties must not read it (see the .mli). *)
-type 'a proc_key = K_running of enc list | K_done of 'a | K_crashed
-
-type 'a vkey = {
-  k_depth : int;
-  k_crashed : int list;
-  k_procs : 'a proc_key array;
-  k_env : Env.canonical;
-  k_sleep : choice list;
+(* The store fingerprint, maintained incrementally: the same two sorted
+   association lists [Env.canonical] would produce, plus an XOR of a
+   hash of every entry. One operation touches one instance, so a step
+   updates one entry (sharing the untouched tail), and the XOR
+   composition makes the hash delta O(1). Each entry caches its own
+   hash so an update hashes only the new entry. [es_hash] is a pure
+   function of the two lists, so it may sit inside the visited key:
+   equal signatures always agree on it (and it doubles as a fast
+   equality reject). Backtracking restores the previous value by
+   pointer — the lists are immutable. *)
+type esig = {
+  es_inst : (int * (Op.fam * Op.key) * Env.instance_sig) list;
+  es_orc : (int * (Op.fam * int) * int) list;
+  es_hash : int;
 }
 
-type 'a visited = (int, 'a vkey list) Hashtbl.t
+let esig_of_canonical c =
+  let inst, orc = Env.canonical_parts c in
+  let inst = List.map (fun ((k, s) as e) -> (Hashtbl.hash e, k, s)) inst in
+  let orc = List.map (fun ((k, n) as e) -> (Hashtbl.hash e, k, n)) orc in
+  let xor l h = List.fold_left (fun h (eh, _, _) -> h lxor eh) h l in
+  { es_inst = inst; es_orc = orc; es_hash = xor orc (xor inst 0) }
 
-(* Strong structural hash up front, exact (polymorphic) equality on the
-   bucket — collisions cost a comparison, never a wrong answer. *)
-let seen_or_add (tbl : 'a visited) (key : 'a vkey) =
-  let h = Hashtbl.hash_param 1000 1000 key in
+(* Sorted-assoc update with structural sharing: [Some s] inserts or
+   replaces, [None] removes. Returns the new list (physically the input
+   when nothing changed) and the XOR delta of entry hashes. *)
+let rec sig_update key v l =
+  match l with
+  | [] -> (
+      match v with
+      | None -> (l, 0)
+      | Some s ->
+          let eh = Hashtbl.hash (key, s) in
+          ([ (eh, key, s) ], eh))
+  | ((eh', k', s') as e) :: tl -> (
+      let c = compare key k' in
+      if c < 0 then
+        match v with
+        | None -> (l, 0)
+        | Some s ->
+            let eh = Hashtbl.hash (key, s) in
+            ((eh, key, s) :: l, eh)
+      else if c = 0 then
+        match v with
+        | None -> (tl, eh')
+        | Some s ->
+            if s = s' then (l, 0)
+            else
+              let eh = Hashtbl.hash (key, s) in
+              ((eh, key, s) :: tl, eh' lxor eh)
+      else
+        let tl', d = sig_update key v tl in
+        if tl' == tl then (l, 0) else (e :: tl', d))
+
+let rec orc_bump key l =
+  match l with
+  | [] ->
+      let eh = Hashtbl.hash (key, 1) in
+      ([ (eh, key, 1) ], eh)
+  | ((eh', k', n) as e) :: tl ->
+      let c = compare key k' in
+      if c < 0 then
+        let eh = Hashtbl.hash (key, 1) in
+        ((eh, key, 1) :: l, eh)
+      else if c = 0 then
+        let eh = Hashtbl.hash (key, n + 1) in
+        ((eh, key, n + 1) :: tl, eh' lxor eh)
+      else
+        let tl', d = orc_bump key tl in
+        (e :: tl', d)
+
+(* Advance the fingerprint across one applied operation, whose refined
+   footprint names the single location it can have touched. Must run
+   after [Env.apply] (it re-reads the touched instance). *)
+let esig_step env es fp ~pid =
+  match fp with
+  | R_none -> es
+  | R_oracle (f, _) ->
+      let l, d = orc_bump (f, pid) es.es_orc in
+      { es with es_orc = l; es_hash = es.es_hash lxor d }
+  | _ -> (
+      match rloc fp with
+      | None -> es
+      | Some (f, k) ->
+          let l, d = sig_update (f, k) (Env.instance_sig env f k) es.es_inst in
+          if l == es.es_inst then es
+          else { es with es_inst = l; es_hash = es.es_hash lxor d })
+
+(* The visited-state key, one type for both engines. Everything that
+   determines the remainder of a run's record is in here: remaining
+   depth budget (via [ck_depth]), crash order so far, each process's
+   status, the store, and the sleep set (a state revisited with a
+   different sleep set explores a different transition subset, so it
+   must not be deduplicated against the first visit — including the
+   sleep set in the key is the standard conservative fix). Only the
+   schedule string falls outside the key, which is why properties must
+   not read it (see the .mli).
+
+   [ck_procs] is a flat int array: the interned history id while
+   running (id equality is history equality, so hashing and comparing
+   is O(1) in history length), [-1] crashed, [-2] finished (ids are
+   never negative) — finished processes' decided values live in
+   [ck_done], sorted by pid. The store is the incrementally-maintained
+   [esig]. Sleep entries carry engine C's refinement tag (two visits
+   that differ only in tags may split their prunes between its two
+   counters); the plan engine's tags are always [false]. *)
+type 'a ckey = {
+  ck_depth : int;
+  ck_crashed : int list;
+  ck_procs : int array;
+  ck_done : (int * 'a) list;
+  ck_env : esig;
+  ck_sleep : (choice * bool) list;
+}
+
+(* A hand-rolled hash so the per-arrival cost is O(key skeleton), not
+   O(store): the env component contributes its precomputed [es_hash].
+   Any pure function of the key is a valid visited-table hash. *)
+let ckey_hash k =
+  let h = ref ((k.ck_depth * 0x9e3779b9) lxor k.ck_env.es_hash) in
+  let mix v = h := (!h * 31) lxor v in
+  List.iter (fun p -> mix (p + 1)) k.ck_crashed;
+  Array.iter mix k.ck_procs;
+  List.iter (fun (p, v) -> mix ((p * 31) lxor Hashtbl.hash v)) k.ck_done;
+  List.iter
+    (fun (u, tag) ->
+      let c = match u with Step p -> 2 * p | Crash p -> (2 * p) + 1 in
+      mix ((4 * c) + if tag then 3 else 2))
+    k.ck_sleep;
+  !h
+
+(* Insert a finished process's decided value, keeping the list sorted
+   by pid so completion order cannot split equal states. *)
+let rec dvals_add pid v = function
+  | [] -> [ (pid, v) ]
+  | (p, _) as e :: tl ->
+      if pid < p then (pid, v) :: e :: tl else e :: dvals_add pid v tl
+
+(* Sorted insert keeping the sleep list canonical by construction
+   (choices are unique within a list, so ordering by choice is total).
+   The sleep filters only keep, drop or retag entries in place, so
+   sortedness is preserved down the tree and the visited key can embed
+   the list as-is instead of sorting at every arrival. *)
+let rec sleep_insert b = function
+  | [] -> [ (b, false) ]
+  | (u, _) as e :: tl ->
+      if compare b u < 0 then (b, false) :: e :: tl
+      else e :: sleep_insert b tl
+
+(* Crashing commutes with another process's step (same final state,
+   same crash order) but never with another crash (the [crashed] list
+   records crash order, which properties may observe). *)
+let rsleep_filter_crash t_pid sleep =
+  List.filter_map
+    (fun ((u, _) as e) ->
+      match u with
+      | Crash _ -> None
+      | Step q -> if q <> t_pid then Some e else None)
+    sleep
+
+(* The plan engine's history interning: a private, growable table per
+   phase-A walk and per subtree run, so no task ever shares mutable
+   state with another (engine C's shared [Visited.Intern] is a fixed
+   bucket array sized for a whole exploration, too large to allocate
+   per plan). Id 0 names the empty history. A subtree numbers its ids
+   from [i_next] at capture, above every id its root can hold: a task's
+   histories only extend its root's, so the ids phase A handed out are
+   never needed again below the root, and equal ids still mean equal
+   histories throughout the task. *)
+module Intern_tbl = Hashtbl.Make (struct
+  type t = int * enc
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 256
+end)
+
+type intern = { i_tbl : int Intern_tbl.t; mutable i_next : int }
+
+let intern_create next = { i_tbl = Intern_tbl.create 256; i_next = next }
+
+let intern_id it e =
+  match Intern_tbl.find_opt it.i_tbl e with
+  | Some i -> i
+  | None ->
+      let i = it.i_next in
+      it.i_next <- i + 1;
+      Intern_tbl.add it.i_tbl e i;
+      i
+
+(* A task-private visited table: [ckey_hash] up front, exact
+   (polymorphic) equality on the bucket — collisions cost a
+   comparison, never a wrong answer. *)
+type 'a visited = (int, 'a ckey list) Hashtbl.t
+
+let seen_or_add (tbl : 'a visited) (key : 'a ckey) =
+  let h = ckey_hash key in
   match Hashtbl.find_opt tbl h with
   | Some keys when List.exists (fun k -> k = key) keys -> true
   | Some keys ->
@@ -172,10 +382,17 @@ let seen_or_add (tbl : 'a visited) (key : 'a vkey) =
 (* The DFS engine (undo-journal based, shared by all phases)            *)
 (* ------------------------------------------------------------------ *)
 
+(* [pkey], [dvals] and [esig] are the process, finished-value and store
+   components of the visited key, maintained along the path: advanced
+   on descent, restored (an int store or a pointer) on backtrack. They
+   are only maintained while deduplicating. *)
 type 'a ctx = {
   env : Env.t;
   states : 'a pstate array;
-  histories : enc list array;
+  pkey : int array;
+  mutable dvals : (int * 'a) list;
+  mutable esig : esig;
+  intern : intern;
   max_steps : int;
   max_crashes : int;
   property : 'a run -> (unit, string) Stdlib.result;
@@ -192,21 +409,36 @@ type 'a ctx = {
 exception Task_stop
 exception Phase_stop
 
-let make_key ctx depth rev_crashed sleep =
-  {
-    k_depth = depth;
-    k_crashed = rev_crashed;
-    k_procs =
-      Array.mapi
-        (fun i s ->
-          match s with
-          | Running _ -> K_running ctx.histories.(i)
-          | Done v -> K_done v
-          | Crashed -> K_crashed)
-        ctx.states;
-    k_env = Env.canonical ctx.env;
-    k_sleep = List.sort compare sleep;
-  }
+let seen ctx depth rev_crashed sleep =
+  match ctx.visited with
+  | None -> false
+  | Some tbl ->
+      seen_or_add tbl
+        {
+          ck_depth = depth;
+          ck_crashed = rev_crashed;
+          ck_procs = Array.copy ctx.pkey;
+          ck_done = ctx.dvals;
+          ck_env = ctx.esig;
+          ck_sleep = sleep;
+        }
+
+(* Which sleeping transitions survive executing [Step t_pid] (whose
+   footprint is [fp_t])? A sleeping process has not moved since it
+   entered the sleep set, so its footprint is read off its current
+   state. *)
+let sleep_filter states fp_t t_pid sleep =
+  List.filter
+    (fun (u, _) ->
+      match u with
+      | Crash q -> q <> t_pid
+      | Step q -> (
+          q <> t_pid
+          &&
+          match states.(q) with
+          | Running p -> coarse_indep_r (rfootprint ~pid:q p) fp_t
+          | Done _ | Crashed -> false))
+    sleep
 
 let mk_run ctx ~truncated rev_crashed rev_choices =
   let outcomes =
@@ -262,74 +494,86 @@ let rec dfs ctx ~frontier ~on_run depth crashes rev_crashed rev_choices sleep =
     (* Terminal. The sleep set is irrelevant here (no transitions), so
        key terminals with an empty one: equal end states reached under
        different sleep sets are still one run record. *)
-    match ctx.visited with
-    | Some tbl when seen_or_add tbl (make_key ctx depth rev_crashed []) ->
-        ctx.pruned_states <- ctx.pruned_states + 1
-    | _ -> on_run ~truncated:(live <> []) rev_crashed rev_choices
+    if seen ctx depth rev_crashed [] then
+      ctx.pruned_states <- ctx.pruned_states + 1
+    else on_run ~truncated:(live <> []) rev_crashed rev_choices
   end
+  else if seen ctx depth rev_crashed sleep then
+    ctx.pruned_states <- ctx.pruned_states + 1
   else
-    match ctx.visited with
-    | Some tbl when seen_or_add tbl (make_key ctx depth rev_crashed sleep) ->
-        ctx.pruned_states <- ctx.pruned_states + 1
-    | _ -> (
-        match frontier with
-        | Some (fd, capture) when depth >= fd ->
-            capture ~depth ~crashes ~rev_crashed ~rev_choices ~sleep
-        | _ ->
-            let sleep = ref sleep in
-            let sleeping t =
-              ctx.visited <> None && List.mem t !sleep
-            in
-            List.iter
-              (fun pid ->
-                (* Branch 1: pid executes one operation. *)
-                (match ctx.states.(pid) with
-                | Running prog ->
-                    let t = Step pid in
-                    if sleeping t then
-                      ctx.pruned_commutes <- ctx.pruned_commutes + 1
-                    else begin
-                      let fp_t = footprint ~pid prog in
-                      let cp = Env.checkpoint ctx.env in
-                      let saved_h = ctx.histories.(pid) in
-                      (match prog with
-                      | Prog.Done v -> ctx.states.(pid) <- Done v
-                      | Prog.Step (op, k) ->
-                          let r = Env.apply ctx.env ~pid op in
-                          ctx.histories.(pid) <-
-                            encode_result op r :: saved_h;
-                          ctx.states.(pid) <- Running (k r));
-                      let child_sleep =
-                        if ctx.visited = None then []
-                        else sleep_filter ctx.states fp_t pid !sleep
-                      in
-                      dfs ctx ~frontier ~on_run (depth + 1) crashes rev_crashed
-                        (t :: rev_choices) child_sleep;
-                      Env.rollback ctx.env cp;
-                      ctx.states.(pid) <- Running prog;
-                      ctx.histories.(pid) <- saved_h;
-                      if ctx.visited <> None then sleep := t :: !sleep
-                    end
-                | Done _ | Crashed -> assert false);
-                (* Branch 2: pid crashes instead. *)
-                if crashes < ctx.max_crashes then begin
-                  let t = Crash pid in
-                  if sleeping t then
-                    ctx.pruned_commutes <- ctx.pruned_commutes + 1
-                  else begin
-                    let saved = ctx.states.(pid) in
-                    ctx.states.(pid) <- Crashed;
-                    let child_sleep =
-                      if ctx.visited = None then []
-                      else sleep_filter_crash pid !sleep
-                    in
-                    dfs ctx ~frontier ~on_run (depth + 1) (crashes + 1)
-                      (pid :: rev_crashed) (t :: rev_choices) child_sleep;
-                    ctx.states.(pid) <- saved;
-                    if ctx.visited <> None then sleep := t :: !sleep
-                  end
-                end)
-              live)
+    match frontier with
+    | Some (fd, capture) when depth >= fd ->
+        capture ~depth ~crashes ~rev_crashed ~rev_choices ~sleep
+    | _ ->
+        let dedup = ctx.visited <> None in
+        let sleep = ref sleep in
+        let sleeping t = dedup && List.mem_assoc t !sleep in
+        List.iter
+          (fun pid ->
+            (* Branch 1: pid executes one operation. *)
+            (match ctx.states.(pid) with
+            | Running prog ->
+                let t = Step pid in
+                if sleeping t then
+                  ctx.pruned_commutes <- ctx.pruned_commutes + 1
+                else begin
+                  (* One footprint per step: it feeds both the sleep
+                     filter and the store signature's update. *)
+                  let fp_t = if dedup then rfootprint ~pid prog else R_none in
+                  let cp = Env.checkpoint ctx.env in
+                  let saved_pk = ctx.pkey.(pid) in
+                  let saved_dv = ctx.dvals in
+                  let saved_es = ctx.esig in
+                  (match prog with
+                  | Prog.Done v ->
+                      ctx.states.(pid) <- Done v;
+                      if dedup then begin
+                        ctx.pkey.(pid) <- -2;
+                        ctx.dvals <- dvals_add pid v saved_dv
+                      end
+                  | Prog.Step (op, k) ->
+                      let r = Env.apply ctx.env ~pid op in
+                      if dedup then begin
+                        ctx.pkey.(pid) <-
+                          intern_id ctx.intern (saved_pk, encode_result op r);
+                        ctx.esig <- esig_step ctx.env saved_es fp_t ~pid
+                      end;
+                      ctx.states.(pid) <- Running (k r));
+                  let child_sleep =
+                    if dedup then sleep_filter ctx.states fp_t pid !sleep
+                    else []
+                  in
+                  dfs ctx ~frontier ~on_run (depth + 1) crashes rev_crashed
+                    (t :: rev_choices) child_sleep;
+                  Env.rollback ctx.env cp;
+                  ctx.states.(pid) <- Running prog;
+                  ctx.pkey.(pid) <- saved_pk;
+                  ctx.dvals <- saved_dv;
+                  ctx.esig <- saved_es;
+                  if dedup then sleep := sleep_insert t !sleep
+                end
+            | Done _ | Crashed -> assert false);
+            (* Branch 2: pid crashes instead. *)
+            if crashes < ctx.max_crashes then begin
+              let t = Crash pid in
+              if sleeping t then
+                ctx.pruned_commutes <- ctx.pruned_commutes + 1
+              else begin
+                let saved = ctx.states.(pid) in
+                let saved_pk = ctx.pkey.(pid) in
+                ctx.states.(pid) <- Crashed;
+                ctx.pkey.(pid) <- -1;
+                let child_sleep =
+                  if dedup then rsleep_filter_crash pid !sleep else []
+                in
+                dfs ctx ~frontier ~on_run (depth + 1) (crashes + 1)
+                  (pid :: rev_crashed) (t :: rev_choices) child_sleep;
+                ctx.states.(pid) <- saved;
+                ctx.pkey.(pid) <- saved_pk;
+                if dedup then sleep := sleep_insert t !sleep
+              end
+            end)
+          live
 
 (* ------------------------------------------------------------------ *)
 (* Frontier tasks and deterministic merging                             *)
@@ -344,29 +588,37 @@ type 'a task_result = {
   t_exhausted : bool;
 }
 
+
 (* A subtree root captured at the frontier: a private copy of the store
    plus everything needed to resume the DFS exactly where phase A left
-   off. Workers own their subtree outright, so no cross-domain sharing
-   of mutable state ever happens. *)
+   off — its key components included, and the first history id its own
+   intern table may hand out. Workers own their subtree outright, so no
+   cross-domain sharing of mutable state ever happens. *)
 type 'a subtree = {
   s_env : Env.t;
   s_states : 'a pstate array;
-  s_histories : enc list array;
+  s_pkey : int array;
+  s_dvals : (int * 'a) list;
+  s_esig : esig;
+  s_next_id : int;
   s_depth : int;
   s_crashes : int;
   s_rev_crashed : int list;
   s_rev_choices : choice list;
-  s_sleep : choice list;
+  s_sleep : (choice * bool) list;
 }
 
 type 'a task = T_leaf of 'a task_result | T_subtree of 'a subtree
 
-let fresh_ctx ~env ~states ~histories ~max_steps ~max_crashes ~property ~dedup
-    ~run_cap =
+let fresh_ctx ~env ~states ~pkey ~dvals ~esig ~next_id ~max_steps
+    ~max_crashes ~property ~dedup ~run_cap =
   {
     env;
     states;
-    histories;
+    pkey;
+    dvals;
+    esig;
+    intern = intern_create next_id;
     max_steps;
     max_crashes;
     property;
@@ -401,8 +653,8 @@ let run_subtree ~dedup ~max_steps ~max_crashes ~run_cap ~property
   let cp0 = Env.checkpoint s.s_env in
   let ctx =
     fresh_ctx ~env:s.s_env ~states:(Array.copy s.s_states)
-      ~histories:(Array.copy s.s_histories) ~max_steps ~max_crashes ~property
-      ~dedup ~run_cap
+      ~pkey:(Array.copy s.s_pkey) ~dvals:s.s_dvals ~esig:s.s_esig
+      ~next_id:s.s_next_id ~max_steps ~max_crashes ~property ~dedup ~run_cap
   in
   (try
      dfs ctx ~frontier:None ~on_run:(finish ctx) s.s_depth s.s_crashes
@@ -416,27 +668,25 @@ let run_subtree ~dedup ~max_steps ~max_crashes ~run_cap ~property
    completing above the frontier come out as already-resolved leaf
    tasks, frontier nodes as subtree tasks. The frontier depth must not
    depend on [jobs], or different job counts would slice the tree
-   differently; it never does. *)
-let explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~max_runs
-    ~property ~make () =
+   differently; it never does. Nor does the walk depend on the run
+   budget: a subtree the sleep sets block yields no run at all, so no
+   count of tasks bounds the runs the merge will still need. Only a
+   counterexample ends the walk early — no task after it can ever be
+   merged. *)
+let explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~property
+    ~make () =
   let env0, progs = make () in
   Env.enable_journal env0;
   let n = Array.length progs in
   let ctx =
     fresh_ctx ~env:env0
       ~states:(Array.map (fun p -> Running p) progs)
-      ~histories:(Array.make n []) ~max_steps ~max_crashes ~property ~dedup
-      ~run_cap:max_int
+      ~pkey:(Array.make n 0) ~dvals:[]
+      ~esig:(esig_of_canonical (Env.canonical env0))
+      ~next_id:1 ~max_steps ~max_crashes ~property ~dedup ~run_cap:max_int
   in
   let emitted = ref [] in
-  let n_emitted = ref 0 in
-  let emit e =
-    emitted := e :: !emitted;
-    incr n_emitted;
-    (* Every task yields at least one run, so after [max_runs] tasks the
-       merge can never include another: stop splitting. *)
-    if !n_emitted >= max_runs then raise Phase_stop
-  in
+  let emit e = emitted := e :: !emitted in
   let on_run ~truncated rev_crashed rev_choices =
     let run = mk_run ctx ~truncated rev_crashed rev_choices in
     let cex =
@@ -452,7 +702,6 @@ let explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~max_runs
            t_pruned_commutes = 0;
            t_exhausted = false;
          });
-    (* Any task after a counterexample can never be merged. *)
     if cex <> None then raise Phase_stop
   in
   let capture ~depth ~crashes ~rev_crashed ~rev_choices ~sleep =
@@ -461,7 +710,10 @@ let explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~max_runs
          {
            s_env = Env.copy ctx.env;
            s_states = Array.copy ctx.states;
-           s_histories = Array.copy ctx.histories;
+           s_pkey = Array.copy ctx.pkey;
+           s_dvals = ctx.dvals;
+           s_esig = ctx.esig;
+           s_next_id = ctx.intern.i_next;
            s_depth = depth;
            s_crashes = crashes;
            s_rev_crashed = rev_crashed;
@@ -499,8 +751,8 @@ type 'a plan = {
 let plan ?(max_crashes = 0) ?(max_runs = 2_000_000) ?(dedup = true)
     ?(frontier_depth = 3) ~max_steps ~make ~property () =
   let tasks, phase_pruned_states, phase_pruned_commutes =
-    explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~max_runs
-      ~property ~make ()
+    explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~property
+      ~make ()
   in
   {
     pl_tasks = tasks;
@@ -648,22 +900,23 @@ let exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
       ~property ()
   in
   let ntasks = plan_tasks p in
-  (* Lowest task index with a counterexample found so far: the merge
-     stops there, so any task beyond it is dead work and workers skip
-     it. Monotonically decreasing, hence safe to race on. *)
-  let best_cex = Atomic.make max_int in
-  let rec note_cex i =
-    let cur = Atomic.get best_cex in
-    if i < cur && not (Atomic.compare_and_set best_cex cur i) then note_cex i
+  (* Lowest task index found to end the merge so far — a counterexample,
+     or a task that hit the run cap on its own: the merge stops there,
+     so any task beyond it is dead work and workers skip it.
+     Monotonically decreasing, hence safe to race on. *)
+  let cut = Atomic.make max_int in
+  let rec note_cut i =
+    let cur = Atomic.get cut in
+    if i < cur && not (Atomic.compare_and_set cut cur i) then note_cut i
   in
   let run_task i =
     let ((s, _) as outcome) = task_outcome p i in
-    if s.ts_cex then note_cex i;
+    if s.ts_cex || s.ts_exhausted then note_cut i;
     outcome
   in
   let results =
     Par.run ~jobs ?oversubscribe
-      ~skip:(fun i -> i > Atomic.get best_cex)
+      ~skip:(fun i -> i > Atomic.get cut)
       ~tasks:ntasks run_task
   in
   merge_plan ?metrics ?on_progress p ~outcome_of:(fun i ->
@@ -673,76 +926,16 @@ let exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
 (* Engine C: shared visited table + work stealing + source-set pruning  *)
 (* ------------------------------------------------------------------ *)
 
-(* Refined per-operation footprints. The coarse [footprint] relation
-   says two writes to the same instance conflict; many of them in fact
-   commute, and for the single-writer snapshot objects at the heart of
-   the paper's constructions — every process writes its own component —
-   *all* sibling writes commute. The refined relation is evaluated
-   against the current store state (Godefroid's conditional
-   independence), which is sound exactly because the sleep filter runs
-   at the state the two candidate operations would both execute from. *)
-type rfp =
-  | R_none
-  | R_oracle of Op.fam * int
-  | R_read of Op.fam * Op.key
-  | R_write of Op.fam * Op.key * Univ.t
-  | R_cas of Op.fam * Op.key
-  | R_snap_set of Op.fam * Op.key
-  | R_snap_scan of Op.fam * Op.key
-  | R_ts of Op.fam * Op.key
-  | R_cons of Op.fam * Op.key * int
-  | R_kset of Op.fam * Op.key
-  | R_enq of Op.fam * Op.key
-  | R_deq of Op.fam * Op.key
+(* Refined independence. The coarse relation says two writes to the
+   same instance conflict; many of them in fact commute, and for the
+   single-writer snapshot objects at the heart of the paper's
+   constructions — every process writes its own component — *all*
+   sibling writes commute. The refined relation is evaluated against
+   the current store state (Godefroid's conditional independence),
+   which is sound exactly because the sleep filter runs at the state
+   the two candidate operations would both execute from.
 
-let rfootprint (type a) ~pid (prog : a Prog.t) =
-  match prog with
-  | Prog.Done _ -> R_none
-  | Prog.Step (op, _) -> (
-      match op with
-      | Op.Yield -> R_none
-      | Op.Oracle_query (f, _) -> R_oracle (f, pid)
-      | Op.Reg_read (f, k) -> R_read (f, k)
-      | Op.Reg_write (f, k, v) -> R_write (f, k, v)
-      | Op.Cas (f, k, _, _) -> R_cas (f, k)
-      | Op.Snap_set (f, k, _) -> R_snap_set (f, k)
-      | Op.Snap_scan (f, k) -> R_snap_scan (f, k)
-      | Op.Ts (f, k) -> R_ts (f, k)
-      | Op.Cons_propose (f, k, _) -> R_cons (f, k, pid)
-      | Op.Kset_propose (f, k, _) -> R_kset (f, k)
-      | Op.Queue_enq (f, k, _) -> R_enq (f, k)
-      | Op.Queue_deq (f, k) -> R_deq (f, k))
-
-
-(* Same shared-object location, without allocating the [option] pair
-   an extraction function would — this runs once per (sleep entry ×
-   explored branch). *)
-let rsame_loc a b =
-  match (a, b) with
-  | ( ( R_read (f1, k1)
-      | R_write (f1, k1, _)
-      | R_cas (f1, k1)
-      | R_snap_set (f1, k1)
-      | R_snap_scan (f1, k1)
-      | R_ts (f1, k1)
-      | R_cons (f1, k1, _)
-      | R_kset (f1, k1)
-      | R_enq (f1, k1)
-      | R_deq (f1, k1) ),
-      ( R_read (f2, k2)
-      | R_write (f2, k2, _)
-      | R_cas (f2, k2)
-      | R_snap_set (f2, k2)
-      | R_snap_scan (f2, k2)
-      | R_ts (f2, k2)
-      | R_cons (f2, k2, _)
-      | R_kset (f2, k2)
-      | R_enq (f2, k2)
-      | R_deq (f2, k2) ) ) ->
-      String.equal f1 f2 && k1 = k2
-  | _ -> false
-
-(* Do the two *next* operations of two distinct processes commute at
+   Do the two *next* operations of two distinct processes commute at
    the current state of [env] — same final store and the same result
    delivered to each process, whichever goes first? Each rule below is
    an exact claim about [Env.apply]:
@@ -787,117 +980,6 @@ let rf_indep env a b =
       | R_deq (f, k), R_deq _ -> Env.queue_length env f k = 0
       | _ -> false)
 
-(* Coarse (state-blind) independence of two refined footprints — what
-   [fp_indep (coarse_of a) (coarse_of b)] computes, without building
-   the coarse values. Only valid under [rf_indep env a b = true]: the
-   one case where the formulas differ (two oracle queries by the same
-   process) cannot pass the refined check. *)
-let coarse_indep_r a b =
-  let is_read = function R_read _ | R_snap_scan _ -> true | _ -> false in
-  (not (rsame_loc a b)) || (is_read a && is_read b)
-
-let rloc = function
-  | R_none | R_oracle _ -> None
-  | R_read (f, k)
-  | R_write (f, k, _)
-  | R_cas (f, k)
-  | R_snap_set (f, k)
-  | R_snap_scan (f, k)
-  | R_ts (f, k)
-  | R_cons (f, k, _)
-  | R_kset (f, k)
-  | R_enq (f, k)
-  | R_deq (f, k) ->
-      Some (f, k)
-
-(* The store fingerprint, maintained incrementally: the same two sorted
-   association lists [Env.canonical] would produce, plus an XOR of a
-   hash of every entry. One operation touches one instance, so a step
-   updates one entry (sharing the untouched tail), and the XOR
-   composition makes the hash delta O(1). Each entry caches its own
-   hash so an update hashes only the new entry. [es_hash] is a pure
-   function of the two lists, so it may sit inside the visited key:
-   equal signatures always agree on it (and it doubles as a fast
-   equality reject). Backtracking restores the previous value by
-   pointer — the lists are immutable. *)
-type esig = {
-  es_inst : (int * (Op.fam * Op.key) * Env.instance_sig) list;
-  es_orc : (int * (Op.fam * int) * int) list;
-  es_hash : int;
-}
-
-let esig_of_canonical c =
-  let inst, orc = Env.canonical_parts c in
-  let inst = List.map (fun ((k, s) as e) -> (Hashtbl.hash e, k, s)) inst in
-  let orc = List.map (fun ((k, n) as e) -> (Hashtbl.hash e, k, n)) orc in
-  let xor l h = List.fold_left (fun h (eh, _, _) -> h lxor eh) h l in
-  { es_inst = inst; es_orc = orc; es_hash = xor orc (xor inst 0) }
-
-(* Sorted-assoc update with structural sharing: [Some s] inserts or
-   replaces, [None] removes. Returns the new list (physically the input
-   when nothing changed) and the XOR delta of entry hashes. *)
-let rec sig_update key v l =
-  match l with
-  | [] -> (
-      match v with
-      | None -> (l, 0)
-      | Some s ->
-          let eh = Hashtbl.hash (key, s) in
-          ([ (eh, key, s) ], eh))
-  | ((eh', k', s') as e) :: tl -> (
-      let c = compare key k' in
-      if c < 0 then
-        match v with
-        | None -> (l, 0)
-        | Some s ->
-            let eh = Hashtbl.hash (key, s) in
-            ((eh, key, s) :: l, eh)
-      else if c = 0 then
-        match v with
-        | None -> (tl, eh')
-        | Some s ->
-            if s = s' then (l, 0)
-            else
-              let eh = Hashtbl.hash (key, s) in
-              ((eh, key, s) :: tl, eh' lxor eh)
-      else
-        let tl', d = sig_update key v tl in
-        if tl' == tl then (l, 0) else (e :: tl', d))
-
-let rec orc_bump key l =
-  match l with
-  | [] ->
-      let eh = Hashtbl.hash (key, 1) in
-      ([ (eh, key, 1) ], eh)
-  | ((eh', k', n) as e) :: tl ->
-      let c = compare key k' in
-      if c < 0 then
-        let eh = Hashtbl.hash (key, 1) in
-        ((eh, key, 1) :: l, eh)
-      else if c = 0 then
-        let eh = Hashtbl.hash (key, n + 1) in
-        ((eh, key, n + 1) :: tl, eh' lxor eh)
-      else
-        let tl', d = orc_bump key tl in
-        (e :: tl', d)
-
-(* Advance the fingerprint across one applied operation, whose refined
-   footprint names the single location it can have touched. Must run
-   after [Env.apply] (it re-reads the touched instance). *)
-let esig_step env es fp ~pid =
-  match fp with
-  | R_none -> es
-  | R_oracle (f, _) ->
-      let l, d = orc_bump (f, pid) es.es_orc in
-      { es with es_orc = l; es_hash = es.es_hash lxor d }
-  | _ -> (
-      match rloc fp with
-      | None -> es
-      | Some (f, k) ->
-          let l, d = sig_update (f, k) (Env.instance_sig env f k) es.es_inst in
-          if l == es.es_inst then es
-          else { es with es_inst = l; es_hash = es.es_hash lxor d })
-
 (* Sleep entries are tagged: [true] means the entry's survival through
    some past filter relied on the refined relation where the coarse one
    would have evicted it. Pruning a tagged entry is a source-set cut
@@ -930,49 +1012,6 @@ let rec rsleep_filter env states fps fp_t t_pid sleep =
                   else (u, true) :: rsleep_filter env states fps fp_t t_pid tl
                 else rsleep_filter env states fps fp_t t_pid tl
             | Done _ | Crashed -> rsleep_filter env states fps fp_t t_pid tl))
-
-let rsleep_filter_crash t_pid sleep =
-  List.filter_map
-    (fun ((u, _) as e) ->
-      match u with
-      | Crash _ -> None
-      | Step q -> if q <> t_pid then Some e else None)
-    sleep
-
-(* The shared-table visited key: same content as [vkey] but with the
-   tagged sleep set (two visits that differ only in tags may split
-   their prunes between the two counters), each running process's
-   operation history collapsed to its interned id (see
-   [Visited.Intern]; id equality is history equality, so hashing and
-   comparing is O(1) in history length), and the store represented by
-   the incrementally-maintained [esig]. [ck_procs] is a flat int
-   array: the history id while running, [-1] crashed, [-2] finished
-   (ids are never negative) — finished processes' decided values live
-   in [ck_done], sorted by pid. *)
-type 'a ckey = {
-  ck_depth : int;
-  ck_crashed : int list;
-  ck_procs : int array;
-  ck_done : (int * 'a) list;
-  ck_env : esig;
-  ck_sleep : (choice * bool) list;
-}
-
-(* A hand-rolled hash so the per-arrival cost is O(key skeleton), not
-   O(store): the env component contributes its precomputed [es_hash].
-   Any pure function of the key is a valid [Visited] hash. *)
-let ckey_hash k =
-  let h = ref ((k.ck_depth * 0x9e3779b9) lxor k.ck_env.es_hash) in
-  let mix v = h := (!h * 31) lxor v in
-  List.iter (fun p -> mix (p + 1)) k.ck_crashed;
-  Array.iter mix k.ck_procs;
-  List.iter (fun (p, v) -> mix ((p * 31) lxor Hashtbl.hash v)) k.ck_done;
-  List.iter
-    (fun (u, tag) ->
-      let c = match u with Step p -> 2 * p | Crash p -> (2 * p) + 1 in
-      mix ((4 * c) + if tag then 3 else 2))
-    k.ck_sleep;
-  !h
 
 (* A unit of work-stealing work: a subtree root owned outright by
    whichever worker runs it (private env copy, private arrays).
@@ -1040,28 +1079,10 @@ let fresh_cworker () =
 
 exception Abort
 
-(* Insert a finished process's decided value, keeping the list sorted
-   by pid so completion order cannot split equal states. *)
-let rec dvals_add pid v = function
-  | [] -> [ (pid, v) ]
-  | (p, _) as e :: tl ->
-      if pid < p then (pid, v) :: e :: tl else e :: dvals_add pid v tl
-
 let cseen g acc key =
   match g.g_visited with
   | None -> false
   | Some tbl -> Visited.seen_or_add tbl ~hash:(ckey_hash key) key acc.c_vstats
-
-(* Sorted insert keeping the sleep list canonical by construction
-   (choices are unique within a list, so ordering by choice is total).
-   [rsleep_filter] only keeps, drops or retags entries in place, so
-   sortedness is preserved down the tree and the visited key can embed
-   the list as-is instead of sorting at every arrival. *)
-let rec sleep_insert b = function
-  | [] -> [ (b, false) ]
-  | (u, _) as e :: tl ->
-      if compare b u < 0 then (b, false) :: e :: tl
-      else e :: sleep_insert b tl
 
 (* Run one work item to completion (or abort). The DFS mirrors [dfs]
    exactly — same branch order, same terminal handling — with three

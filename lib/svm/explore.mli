@@ -13,11 +13,12 @@
     journal ({!Env.checkpoint}/{!Env.rollback}) when backtracking, and
     two prunings cut the tree without changing what it proves:
 
-    - {b state-fingerprint deduplication} — a canonical key of the
-      store ({!Env.canonical}), each process's op-result history (a
-      stand-in for its continuation), the crash order and the remaining
-      depth budget; a revisited key re-proves nothing and is skipped
-      ([pruned_states]);
+    - {b state-fingerprint deduplication} — a key of the canonical
+      store ({!Env.canonical}, maintained incrementally step by step),
+      each process's op-result history (a stand-in for its
+      continuation, interned to one integer), the crash order and the
+      remaining depth budget; a revisited key re-proves nothing and is
+      skipped ([pruned_states]);
     - {b sleep-set commutation} — two enabled operations touching
       different instances (or only reading the same one) commute, so
       only one order of each commuting pair is explored
@@ -345,7 +346,10 @@ val plan :
   unit ->
   'a plan
 (** Phase A of {!exhaustive}: walk the tree to [frontier_depth] and
-    capture tasks. Same defaults as {!exhaustive}. *)
+    capture tasks. Same defaults as {!exhaustive}. The tasks do not
+    depend on [max_runs] (a subtree can yield no run at all, so no
+    task count bounds the runs still needed); only the merge and each
+    task's own run cap do. *)
 
 val plan_tasks : 'a plan -> int
 (** Number of tasks in the plan. *)

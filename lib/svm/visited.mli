@@ -62,8 +62,8 @@ val distinct : 'k t -> int
     publish a key picks its id, every later caller — in any domain —
     gets that same id back. Within one table, id equality is exactly
     key equality, so a chain of keys can be summarised by one integer
-    and compared in O(1). The explorer uses this to collapse per-process
-    operation histories to ids, making visited-key hashing and equality
+    and compared in O(1). The work-stealing explorer uses this to
+    collapse per-process operation histories to ids, making visited-key hashing and equality
     independent of history length.
 
     The numeric id values depend on scheduling (a lost insertion race

@@ -696,8 +696,10 @@ let drain_and_resume () =
 (* ------------------------------------------------------------------ *)
 
 let proto_v2_codec () =
-  Alcotest.(check int) "job-over notices bumped the version" 4
-    Dist.Proto.net_version;
+  Alcotest.(check int)
+    "budget-independent explore plans bumped the version past job-over \
+     notices (4)"
+    5 Dist.Proto.net_version;
   (match
      Dist.Proto.net_to_worker_of_json
        (Dist.Proto.net_to_worker_to_json (Dist.Proto.Nw_job_over { jid = "j1" }))
