@@ -1,21 +1,6 @@
-(* asmsim — command-line interface to the reproduction.
-
-   Subcommands:
-     classes     print the Section 5.4 equivalence-class table
-     canonical   canonical form of one model
-     run-task    run a task algorithm natively under a seeded adversary
-     simulate    run it under a simulation into another model
-     experiment  run one experiment (or all) and print the report
-     sweep       systematic fault sweeping under monitors
-     explore     exhaustive schedule enumeration with pruning
-     replay      re-execute a replay artifact bit-for-bit
-     trace       export a replay artifact as a timeline (chrome/text/csv)
-     trace-check validate a Chrome trace export (CI)
-     trace-merge fuse per-process --spans files into one Chrome trace
-     stats       metrics snapshot of a replayed or fresh run
-     serve       list or resume journalled distributed jobs
-     work        worker-process mode of the distributed runner (internal)
-     top         live status view of a running network service
+(* asmsim — command-line interface to the reproduction. `asmsim --help'
+   lists the subcommands; each option is declared once below and shared
+   by every subcommand it applies to.
 
    Exit codes, uniform across every subcommand:
      0  clean — the command ran and found nothing adverse (under
@@ -23,12 +8,41 @@
      1  finding — a violation, counterexample, failed experiment check,
         or reproduced replay violation (inverted by --expect-violation)
      2  usage or input error — unknown subcommand, flag, scenario, task
-        or experiment id; unreadable artifact or journal
+        or experiment id; a flag that cannot take effect in the chosen
+        mode; unreadable artifact or journal
      3  internal error — unexpected exception, replay divergence from
         the recorded violation, broken worker protocol, hostile shard,
         or any distributed-run failure *)
 
 open Cmdliner
+
+let ( let* ) = Result.bind
+
+(* An input error the body detects itself: report it, exit 2. *)
+let or_exit2 = function
+  | Ok v -> v
+  | Error m ->
+      prerr_endline m;
+      exit 2
+
+let read_file path =
+  try Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error m -> Error m
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* Member [k] of a JSON object as an int, 0 when absent. *)
+let json_int doc k =
+  Option.value ~default:0 (Option.bind (Svm.Json.member k doc) Svm.Json.to_int)
+
+(* The first of [flags] that was given, as a usage error: it [why]. *)
+let refuse why flags =
+  match List.find_opt snd flags with
+  | None -> Ok ()
+  | Some (flag, _) -> Error (Printf.sprintf "%s %s" flag why)
+
+(* ---- converters ---- *)
 
 let model_conv =
   let parse s =
@@ -40,6 +54,22 @@ let model_conv =
     | _ -> Error (`Msg "expected n,t,x (e.g. 6,4,2)")
   in
   Arg.conv (parse, fun ppf m -> Core.Model.pp ppf m)
+
+let count_conv =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 0 -> Ok n
+        | _ -> Error (Printf.sprintf "%S is not a non-negative integer" s)),
+      Format.pp_print_int )
+
+let enum_of name values = Arg.enum (List.map (fun v -> (name v, v)) values)
+
+(* HOST:PORT, or a Unix-domain socket path; the text is kept for display. *)
+let addr_conv =
+  Arg.conv'
+    ( (fun s -> Result.map (fun a -> (s, a)) (Dist.Net.parse_addr s)),
+      fun ppf (s, _) -> Format.pp_print_string ppf s )
 
 (* ---- classes ---- *)
 
@@ -75,19 +105,27 @@ let canonical_cmd =
 
 (* ---- shared task/algorithm setup ---- *)
 
-let task_arg =
-  Arg.(
-    value & opt string "kset:3"
-    & info [ "task" ] ~docv:"TASK"
-        ~doc:"Task: kset:K, consensus, renaming, trivial, approx.")
-
 let seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Adversary seed.")
+  Arg.(
+    value & opt int 1
+    & info [ "seed" ] ~docv:"SEED"
+        ~doc:
+          "Seed: of the adversary (run-task, simulate, chain), or soak's \
+           base seed — schedule k is derived from (SEED, k) alone, so any \
+           finding is re-derivable long after the run.")
 
 let crashes_arg =
   Arg.(
     value & opt int 0
-    & info [ "crashes" ] ~docv:"C" ~doc:"Maximum crashes to inject.")
+    & info [ "crashes" ] ~docv:"C"
+        ~doc:"Crash budget: the most crashes a run injects.")
+
+let target_arg =
+  Arg.(
+    required
+    & opt (some model_conv) None
+    & info [ "target" ] ~docv:"MODEL"
+        ~doc:"Target model n,t,x (for chain, an equivalent one).")
 
 let parse_task ~n ~t s : (Tasks.Task.t * Core.Algorithm.t, string) result =
   match String.split_on_char ':' s with
@@ -111,6 +149,27 @@ let parse_task ~n ~t s : (Tasks.Task.t * Core.Algorithm.t, string) result =
           Tasks.Algorithms.approximate_agreement ~n ~t ~rounds:17 ~scale:1024 )
   | _ -> Error (Printf.sprintf "unknown task %S" s)
 
+(* --task, -n and -t, resolved to the task and its read/write algorithm
+   (the source algorithm of simulate and chain). *)
+let task_t ~n =
+  let task =
+    Arg.(
+      value & opt string "kset:3"
+      & info [ "task" ] ~docv:"TASK"
+          ~doc:"Task: kset:K, consensus, renaming, trivial, approx.")
+  in
+  let n =
+    Arg.(
+      value & opt int n
+      & info [ "n" ] ~doc:"Processes of the task's (source) algorithm.")
+  in
+  let t =
+    Arg.(
+      value & opt int 2
+      & info [ "t" ] ~doc:"Crash bound of the task's (source) algorithm.")
+  in
+  Term.(term_result' (const (fun n t s -> parse_task ~n ~t s) $ n $ t $ task))
+
 let print_run (task : Tasks.Task.t) (run : Experiments.Runner.run) =
   let open Svm in
   Format.printf "inputs:    [%s]@."
@@ -133,94 +192,61 @@ let print_run (task : Tasks.Task.t) (run : Experiments.Runner.run) =
 (* ---- run-task ---- *)
 
 let run_task_cmd =
-  let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Processes.") in
-  let t = Arg.(value & opt int 2 & info [ "t" ] ~doc:"Crash bound.") in
-  let run n t task seed crashes =
-    match parse_task ~n ~t task with
-    | Error m ->
-        prerr_endline m;
-        exit 2
-    | Ok (task, alg) ->
-        let r =
-          Experiments.Runner.one_run ~task ~alg ~seed ~max_crashes:crashes ()
-        in
-        Format.printf "algorithm: %s in %s@." alg.Core.Algorithm.name
-          (Core.Model.to_string alg.Core.Algorithm.model);
-        print_run task r
+  let run (task, alg) seed crashes =
+    let r =
+      Experiments.Runner.one_run ~task ~alg ~seed ~max_crashes:crashes ()
+    in
+    Format.printf "algorithm: %s in %s@." alg.Core.Algorithm.name
+      (Core.Model.to_string alg.Core.Algorithm.model);
+    print_run task r
   in
   Cmd.v
     (Cmd.info "run-task" ~doc:"Run a task algorithm natively")
-    Term.(const run $ n $ t $ task_arg $ seed_arg $ crashes_arg)
+    Term.(const run $ task_t ~n:5 $ seed_arg $ crashes_arg)
 
 (* ---- simulate ---- *)
 
 let simulate_cmd =
-  let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Source processes.") in
-  let t = Arg.(value & opt int 2 & info [ "t" ] ~doc:"Source crash bound.") in
-  let target =
-    Arg.(
-      required
-      & opt (some model_conv) None
-      & info [ "target" ] ~docv:"MODEL" ~doc:"Target model n,t,x.")
-  in
   let colored =
     Arg.(value & flag & info [ "colored" ] ~doc:"Use the colored simulation.")
   in
-  let run n t task seed crashes target colored =
-    match parse_task ~n ~t task with
-    | Error m ->
-        prerr_endline m;
-        exit 2
-    | Ok (task, source) ->
-        let alg =
-          if colored then Core.Bg.colored ~source ~target
-          else Core.Bg.to_model ~source ~target
-        in
-        Format.printf "simulation: %s@." alg.Core.Algorithm.name;
-        let r =
-          Experiments.Runner.one_run ~budget:5_000_000 ~task ~alg ~seed
-            ~max_crashes:crashes ()
-        in
-        print_run task r
+  let run (task, source) seed crashes target colored =
+    let alg =
+      if colored then Core.Bg.colored ~source ~target
+      else Core.Bg.to_model ~source ~target
+    in
+    Format.printf "simulation: %s@." alg.Core.Algorithm.name;
+    let r =
+      Experiments.Runner.one_run ~budget:5_000_000 ~task ~alg ~seed
+        ~max_crashes:crashes ()
+    in
+    print_run task r
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a task under a BG-style simulation")
     Term.(
-      const run $ n $ t $ task_arg $ seed_arg $ crashes_arg $ target $ colored)
+      const run $ task_t ~n:5 $ seed_arg $ crashes_arg $ target_arg $ colored)
 
 (* ---- chain ---- *)
 
 let chain_cmd =
-  let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Source processes.") in
-  let t = Arg.(value & opt int 2 & info [ "t" ] ~doc:"Source crash bound.") in
-  let target =
-    Arg.(
-      required
-      & opt (some model_conv) None
-      & info [ "target" ] ~docv:"MODEL" ~doc:"Equivalent target model n,t,x.")
-  in
-  let run n t task seed target =
-    match parse_task ~n ~t task with
-    | Error m ->
-        prerr_endline m;
-        exit 2
-    | Ok (task, source) ->
-        let via = Core.Bg.figure7_chain ~source ~target in
-        Format.printf "Figure 7 chain: %s"
-          (Core.Model.to_string source.Core.Algorithm.model);
-        List.iter (fun m -> Format.printf " -> %s" (Core.Model.to_string m)) via;
-        Format.printf "@.(each arrow is one full BG-style simulation; cost multiplies per hop)@.";
-        let alg = Core.Bg.chain ~source ~via in
-        let r =
-          Experiments.Runner.one_run ~budget:50_000_000 ~task ~alg ~seed
-            ~max_crashes:0 ()
-        in
-        print_run task r
+  let run (task, source) seed target =
+    let via = Core.Bg.figure7_chain ~source ~target in
+    Format.printf "Figure 7 chain: %s"
+      (Core.Model.to_string source.Core.Algorithm.model);
+    List.iter (fun m -> Format.printf " -> %s" (Core.Model.to_string m)) via;
+    Format.printf "@.(each arrow is one full BG-style simulation; cost multiplies per hop)@.";
+    let alg = Core.Bg.chain ~source ~via in
+    let r =
+      Experiments.Runner.one_run ~budget:50_000_000 ~task ~alg ~seed
+        ~max_crashes:0 ()
+    in
+    print_run task r
   in
   Cmd.v
     (Cmd.info "chain"
        ~doc:"Run a task through the full Figure 7 equivalence chain")
-    Term.(const run $ n $ t $ task_arg $ seed_arg $ target)
+    Term.(const run $ task_t ~n:4 $ seed_arg $ target_arg)
 
 (* ---- overhead ---- *)
 
@@ -233,25 +259,21 @@ let overhead_cmd =
 (* ---- experiment ---- *)
 
 let experiment_cmd =
-  let id =
+  let ids =
+    let ids = Experiments.Registry.ids () in
     Arg.(
-      value & pos 0 string "all"
+      value
+      & pos 0 (enum (("all", ids) :: List.map (fun id -> (id, [ id ])) ids)) ids
       & info [] ~docv:"ID" ~doc:"Experiment id, or 'all'.")
   in
   let markdown =
     Arg.(value & flag & info [ "markdown" ] ~doc:"Emit markdown.")
   in
-  let run id markdown =
+  let run ids markdown =
     let reports =
-      if String.equal id "all" then
-        List.map (fun (_, _, run) -> run ()) Experiments.Registry.all
-      else
-        match Experiments.Registry.find id with
-        | Some run -> [ run () ]
-        | None ->
-            Format.eprintf "unknown experiment %s (have: %s)@." id
-              (String.concat ", " (Experiments.Registry.ids ()));
-            exit 2
+      List.filter_map
+        (fun (id, _, run) -> if List.mem id ids then Some (run ()) else None)
+        Experiments.Registry.all
     in
     List.iter
       (fun r ->
@@ -269,11 +291,11 @@ let experiment_cmd =
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Run reproduction experiments")
-    Term.(const run $ id $ markdown)
+    Term.(const run $ ids $ markdown)
 
-(* ---- sweep ---- *)
+(* ---- scenarios: --algo, -n and the DSL sources ---- *)
 
-let scenario_arg =
+let algo_arg =
   Arg.(
     value
     & opt (some string) None
@@ -281,195 +303,223 @@ let scenario_arg =
         ~doc:
           (Printf.sprintf
              "Scenario to run: %s, or any name registered via \
-              --scenario-file/--scenario-dir."
+              --scenario-file/--scenario-dir (stats runs it fresh instead \
+              of replaying an artifact)."
              (String.concat ", " (Experiments.Scenario.names ()))))
 
-(* ---- DSL scenario files ---- *)
-
-let scenario_file_arg =
+let nprocs_arg =
   Arg.(
-    value
-    & opt (some string) None
-    & info [ "scenario-file" ] ~docv:"FILE.sdl"
-        ~doc:
-          "Load, validate and register the DSL scenario in FILE; when \
-           --algo is not given, FILE's scenario is the one run.")
-
-let scenario_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "scenario-dir" ] ~docv:"DIR"
-        ~doc:
-          "Register every *.sdl file in DIR (non-recursive); pick one by \
-           name with --algo.")
-
-let read_sdl_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> s
-  | exception Sys_error m ->
-      Format.eprintf "%s@." m;
-      exit 2
+    value & opt (some int) None
+    & info [ "n" ] ~docv:"N" ~doc:"Override the scenario's process count.")
 
 let register_sdl_file path =
-  match Experiments.Scenario.register_source ~path (read_sdl_file path) with
-  | Ok s -> s.Experiments.Scenario.name
-  | Error m ->
-      Format.eprintf "%s:%s@." path m;
-      exit 2
+  let* src = read_file path in
+  match Experiments.Scenario.register_source ~path src with
+  | Ok s -> Ok s.Experiments.Scenario.name
+  | Error m -> Error (path ^ ":" ^ m)
 
 let register_sdl_dir dir =
-  match Sys.readdir dir with
-  | exception Sys_error m ->
-      Format.eprintf "%s@." m;
-      exit 2
-  | entries ->
-      let sdl =
-        Array.to_list entries
-        |> List.filter (fun f -> Filename.check_suffix f ".sdl")
-        |> List.sort compare
-      in
-      if sdl = [] then begin
-        Format.eprintf "no .sdl files in %s@." dir;
-        exit 2
-      end;
-      List.iter
-        (fun f -> ignore (register_sdl_file (Filename.concat dir f)))
-        sdl
+  let* entries = try Ok (Sys.readdir dir) with Sys_error m -> Error m in
+  match
+    Array.to_list entries
+    |> List.filter (fun f -> Filename.check_suffix f ".sdl")
+    |> List.sort compare
+  with
+  | [] -> Error (Printf.sprintf "no .sdl files in %s" dir)
+  | sdl ->
+      List.fold_left
+        (fun acc f ->
+          let* () = acc in
+          Result.map ignore (register_sdl_file (Filename.concat dir f)))
+        (Ok ()) sdl
 
-(* Register any DSL sources, then settle which scenario name to run:
-   an explicit --algo wins, else the --scenario-file's own name. *)
-let resolve_scenario ~cmd name file dir =
-  Option.iter register_sdl_dir dir;
-  let file_name = Option.map register_sdl_file file in
-  match (name, file_name) with
-  | Some n, _ -> n
-  | None, Some n -> n
-  | None, None ->
-      Format.eprintf
-        "%s: no scenario given: pass --algo NAME or --scenario-file \
-         FILE.sdl@."
-        cmd;
-      exit 2
+(* Register every DSL source given; the value is the name of the
+   --scenario-file's own scenario. *)
+let sdl_t =
+  let file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "scenario-file" ] ~docv:"FILE.sdl"
+          ~doc:
+            "Load, validate and register the DSL scenario in FILE; when \
+             --algo is not given, FILE's scenario is the one run.")
+  in
+  let dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "scenario-dir" ] ~docv:"DIR"
+          ~doc:
+            "Register every *.sdl file in DIR (non-recursive); pick one by \
+             name with --algo.")
+  in
+  let register dir file =
+    let* () = Option.fold ~none:(Ok ()) ~some:register_sdl_dir dir in
+    Option.fold ~none:(Ok None)
+      ~some:(fun f -> Result.map Option.some (register_sdl_file f))
+      file
+  in
+  Term.(term_result' (const register $ dir $ file))
 
-let pp_violation_line (v : Svm.Monitor.violation) =
-  Format.printf "violation: %s: %s (step %d, p%d)@." v.Svm.Monitor.monitor
-    v.Svm.Monitor.message v.Svm.Monitor.step v.Svm.Monitor.pid
+(* The scenario to run, if any: an explicit --algo wins, else the
+   --scenario-file's own; resized by [nprocs]. *)
+let scenario_opt_t nprocs =
+  let find algo sdl nprocs =
+    match (algo, sdl) with
+    | None, None -> Ok None
+    | Some name, _ | None, Some name ->
+        Result.map Option.some (Experiments.Scenario.find ?nprocs name)
+  in
+  Term.(term_result' (const find $ algo_arg $ sdl_t $ nprocs))
 
-(* ---- distributed-execution options, shared by sweep and explore ---- *)
+let scenario_t =
+  let require = function
+    | Some s -> Ok s
+    | None ->
+        Error "no scenario given: pass --algo NAME or --scenario-file FILE.sdl"
+  in
+  Term.(term_result' (const require $ scenario_opt_t nprocs_arg))
 
-let dist_arg =
+(* ---- options shared by the running subcommands ---- *)
+
+let jobs_arg =
   Arg.(
-    value & opt int 0
-    & info [ "dist" ] ~docv:"W"
+    value
+    & opt (some count_conv) None
+    & info [ "jobs" ] ~docv:"J" ~absent:"1"
         ~doc:
-          "Shard the work across W worker OS processes (0 = in-process): a \
-           private job queue on a Unix-domain socket only this user can \
-           reach, served by W `asmsim work --connect' children. Output is bit-for-bit identical to the \
-           in-process run; --jobs is ignored. Completed shards are \
-           journalled under --journal-dir, so a run stopped by SIGTERM \
-           suspends and can be picked up with --resume.")
+          "Fan the work out over J domains; 0 means one per core, and J is \
+           capped at the core count. Results are identical at any job \
+           count. In-process runs only.")
 
-let resume_arg =
+let jobs_t =
+  let resolve j =
+    let cores = Domain.recommended_domain_count () in
+    match j with None -> 1 | Some 0 -> cores | Some j -> min j cores
+  in
+  Term.(const resolve $ jobs_arg)
+
+let budget_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "budget" ] ~docv:"B" ~doc:"Step budget of each run or re-run.")
+
+let runs_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "runs" ] ~docv:"R" ~doc:"Maximum runs before giving up.")
+
+let tiers_arg =
+  let kind =
+    Arg.conv'
+      ( (fun s ->
+          Option.to_result
+            ~none:
+              (Printf.sprintf
+                 "unknown fault tier %S (known: crash, omission, recovery, \
+                  byzantine)"
+                 s)
+            (Svm.Adversary.fault_kind_of_name (String.trim s))),
+        Svm.Adversary.pp_fault_kind )
+  in
+  Arg.(
+    value
+    & opt (list kind) [ Svm.Adversary.Crash_stop ]
+    & info [ "tiers" ] ~docv:"KINDS"
+        ~doc:
+          "Comma-separated fault tiers: any of crash, omission, recovery, \
+           byzantine.")
+
+let expect_violation_arg =
+  Arg.(
+    value & flag
+    & info [ "expect-violation" ]
+        ~doc:
+          "Invert the exit status: succeed (0) iff a violation or \
+           counterexample was found — for regression-gating known \
+           degradations, e.g. a healthy object under the byzantine tier.")
+
+let metrics_out_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "resume" ] ~docv:"JOB"
+    & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:
-          "Resume the journalled job JOB, re-running only its unfinished \
-           shards: with --dist on a private fleet, with --connect on the \
-           server that suspended it (the other parameters must describe \
-           the same job).")
+          "Write a JSON snapshot of the deterministic counters to FILE: the \
+           explorer's runs, pruning tallies and visited hits/misses \
+           (byte-identical at any --jobs value; in-process runs only), or \
+           the service's connections, handshake rejects, shard retries \
+           and queue depth after the drain (serve --listen).")
 
-let shard_timeout_arg =
+let json_arg =
   Arg.(
-    value & opt float 120.
-    & info [ "shard-timeout" ] ~docv:"SEC"
+    value & flag
+    & info [ "json" ]
         ~doc:
-          "Cut the link of a worker that sits on one shard longer than SEC \
-           seconds; the shard is reassigned.")
+          "Emit JSON instead of text: stats as one compact, byte-stable \
+           line; the scenarios listing as one document; top's raw stats \
+           document (health + merged metrics), implying --once.")
 
-let shard_size_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shard-size" ] ~docv:"CELLS"
-        ~doc:
-          "Cells per shard (default: derived from the work size and the \
-           worker count).")
-
-let chaos_kill_arg =
+let replay_out_arg =
   Arg.(
     value
-    & opt (some int) None
-    & info [ "chaos-kill-shard" ] ~docv:"K"
+    & opt (some string) None
+    & info [ "out" ] ~docv:"FILE" ~absent:"failure.replay"
         ~doc:
-          "Fault-injection hook for --dist: cut the link of the worker \
-           dealt shard K, once, right after dealing it — the shard is \
-           re-dealt, the worker reconnects, and the output must stay \
-           identical.")
+          "Where to write the replay artifact of a found violation (serve: \
+           of the job --resume finishes).")
 
-let journal_dir_arg =
+let text_out_arg =
   Arg.(
     value
-    & opt string Dist.Journal.default_dir
-    & info [ "journal-dir" ] ~docv:"DIR"
-        ~doc:"Where distributed jobs journal their completed shards.")
+    & opt (some string) None
+    & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write to FILE instead of stdout.")
+
+(* Write [s] to [out], or to stdout when there is none. *)
+let write_out out s =
+  match out with
+  | None -> print_string s
+  | Some file ->
+      write_file file s;
+      Format.eprintf "written to %s@." file
+
+let write_snapshot file metrics =
+  write_file file (Svm.Metrics.snapshot_string ~pretty:true metrics ^ "\n")
 
 (* ---- leveled logging, shared by every long-running subcommand ----
    All diagnostics go to stderr so stdout stays byte-diffable against
    in-process runs; the default human rendering of Info records is the
    historical "[sub] message" format the smoke checks grep for. *)
 
-let log_level_arg =
-  Arg.(
-    value & opt string "info"
-    & info [ "log-level" ] ~docv:"LEVEL"
-        ~doc:
-          "Diagnostic verbosity on stderr: one of debug, info, warn, \
-           error. Levels below LEVEL are dropped at the source.")
-
-let log_json_arg =
-  Arg.(
-    value & flag
-    & info [ "log-json" ]
-        ~doc:
-          "Emit diagnostics as JSON lines (seq/level/sub/msg, no \
-           timestamps) instead of human-readable text.")
-
-let make_log ~json level_str =
+let log_t =
   let level =
-    match Svm.Log.level_of_string level_str with
-    | Some l -> l
-    | None ->
-        Format.eprintf "unknown log level %S (known: debug, info, warn, \
-                        error)@."
-          level_str;
-        exit 2
+    Arg.(
+      value
+      & opt (enum_of Svm.Log.level_name Svm.Log.[ Debug; Info; Warn; Error ])
+          Svm.Log.Info
+      & info [ "log-level" ] ~docv:"LEVEL"
+          ~doc:
+            "Diagnostic verbosity on stderr: one of debug, info, warn, \
+             error. Levels below LEVEL are dropped at the source.")
   in
-  let write s =
-    prerr_string s;
-    prerr_newline ()
+  let json =
+    Arg.(
+      value & flag
+      & info [ "log-json" ]
+          ~doc:
+            "Emit diagnostics as JSON lines (seq/level/sub/msg, no \
+             timestamps) instead of human-readable text.")
   in
-  let sink =
-    if json then Svm.Log.json_sink write else Svm.Log.human_sink write
+  let make level json =
+    let write s =
+      prerr_string s;
+      prerr_newline ()
+    in
+    Svm.Log.make ~level
+      (if json then Svm.Log.json_sink write else Svm.Log.human_sink write)
   in
-  Svm.Log.make ~level sink
-
-(* The comma-separated --tiers list; an unknown tier is a usage error. *)
-let parse_tiers tiers =
-  String.split_on_char ',' tiers
-  |> List.map String.trim
-  |> List.filter (fun s -> s <> "")
-  |> List.map (fun s ->
-         match Svm.Adversary.fault_kind_of_name s with
-         | Some k -> k
-         | None ->
-             Format.eprintf
-               "unknown fault tier %S (known: crash, omission, recovery, \
-                byzantine)@."
-               s;
-             exit 2)
+  Term.(const make $ level $ json)
 
 (* ---- wall-clock span recording (cross-process tracing) ---- *)
 
@@ -495,52 +545,159 @@ let make_spans ~role = function
            ~proc:(Printf.sprintf "%s:%d" role (Unix.getpid ()))
            ~oc)
 
-let dist_config ~log ~dist ~shard_timeout ~shard_size ~chaos ~journal_dir
-    ~resume =
-  let base = Dist.Coordinator.default_config ~workers:dist () in
-  {
-    base with
-    Dist.Coordinator.shard_timeout;
-    shard_size;
-    chaos_kill_shard = Option.map (fun k -> (k, 1)) chaos;
-    journal_dir = Some journal_dir;
-    resume;
-    log = Svm.Log.sub log "dist";
-  }
+(* ---- off-process execution: a private --dist fleet or a serve daemon
+   at --connect; all chatter goes to stderr so stdout stays
+   byte-diffable against in-process runs ---- *)
 
-(* Coordinator chatter goes to stderr: stdout of a --dist run must stay
-   diffable against the in-process run's. *)
-let print_dist_stats (st : Dist.Coordinator.stats) =
-  Format.eprintf
-    "[dist] job %s: %d shard(s) of %d cell(s); %d resumed, %d executed; %d \
-     worker(s) spawned, %d reassignment(s)@."
-    st.job_id st.shards st.shard_size st.resumed st.executed st.spawned st.reassigned
-
-let suspend_note id =
-  Format.eprintf "[dist] job %s suspended; pick it up with --resume %s@." id id
-
-(* ---- network service plumbing, shared by sweep/explore --connect,
-   work --connect and serve --listen; like [dist] chatter it all goes
-   to stderr so stdout stays byte-diffable against in-process runs ---- *)
-
-let connect_arg =
+let resume_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "connect" ] ~docv:"HOST:PORT"
+    & info [ "resume" ] ~docv:"JOB"
         ~doc:
-          "Submit the job to a running `asmsim serve --listen' daemon \
-           instead of executing locally. Shard payloads stream back and \
-           merge locally, so output is bit-for-bit identical to the \
-           in-process run. With --resume JOB, continue a job the server \
-           suspended while draining.")
+          "Resume the journalled job JOB, re-running only its unfinished \
+           shards: with --dist on a private fleet, with --connect on the \
+           server that suspended it (the other parameters must describe \
+           the same job); serve --resume takes the job from the journal \
+           and runs it on --workers processes.")
 
-let parse_addr_or_die s =
-  match Dist.Net.parse_addr s with
-  | Ok a -> a
-  | Error m ->
-      prerr_endline m;
-      exit 2
+let shard_timeout_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "shard-timeout" ] ~docv:"SEC" ~absent:"120."
+        ~doc:
+          "Cut the link of a worker that sits on one shard longer than SEC \
+           seconds; the shard is reassigned.")
+
+let shard_size_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "shard-size" ] ~docv:"CELLS"
+        ~doc:
+          "Cells per shard (default: derived from the work size and the \
+           worker count).")
+
+let journal_dir_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "journal-dir" ] ~docv:"DIR" ~absent:Dist.Journal.default_dir
+        ~doc:"Where distributed jobs journal their completed shards.")
+
+let connect_required_arg =
+  Arg.(
+    required
+    & opt (some addr_conv) None
+    & info [ "connect" ] ~docv:"ADDR"
+        ~doc:
+          "The job queue to talk to: an `asmsim serve --listen' daemon at \
+           HOST:PORT, or (work) the private queue of a --dist run at the \
+           path of its Unix-domain socket (any ADDR containing `/'). work \
+           reconnects with jittered exponential backoff when the link \
+           drops and exits 0 on a server-initiated shutdown; top watches \
+           the daemon.")
+
+type remote =
+  | In_process
+  | Fleet of {
+      workers : int;
+      resume : string option;
+      shard_size : int option;
+      shard_timeout : float;
+      chaos : int option;
+      journal_dir : string;
+    }
+  | Server of {
+      addr : Unix.sockaddr;
+      resume : string option;
+      spans : string option;
+    }
+
+(* Where sweep and explore run their job. [local] names the given
+   options only an in-process run honours; each flag that cannot take
+   effect in the chosen mode is a usage error. *)
+let remote_t ~local =
+  let dist =
+    Arg.(
+      value & opt count_conv 0
+      & info [ "dist" ] ~docv:"W"
+          ~doc:
+            "Shard the work across W worker OS processes (0 = in-process): \
+             a private job queue on a Unix-domain socket only this user \
+             can reach, served by W `asmsim work --connect' children. \
+             Output is bit-for-bit identical to the in-process run. \
+             Completed shards are journalled under --journal-dir, so a run \
+             stopped by SIGTERM suspends and can be picked up with \
+             --resume.")
+  in
+  let connect =
+    Arg.(
+      value
+      & opt (some addr_conv) None
+      & info [ "connect" ] ~docv:"HOST:PORT"
+          ~doc:
+            "Submit the job to a running `asmsim serve --listen' daemon \
+             instead of executing locally. Shard payloads stream back and \
+             merge locally, so output is bit-for-bit identical to the \
+             in-process run. With --resume JOB, continue a job the server \
+             suspended while draining.")
+  in
+  let chaos =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "chaos-kill-shard" ] ~docv:"K"
+          ~doc:
+            "Fault-injection hook for --dist: cut the link of the worker \
+             dealt shard K, once, right after dealing it — the shard is \
+             re-dealt, the worker reconnects, and the output must stay \
+             identical.")
+  in
+  let make local dist connect resume shard_size shard_timeout chaos
+      journal_dir spans =
+    let fleet_only =
+      [
+        ("--shard-size", shard_size <> None);
+        ("--shard-timeout", shard_timeout <> None);
+        ("--chaos-kill-shard", chaos <> None);
+        ("--journal-dir", journal_dir <> None);
+      ]
+    in
+    let spans_given = [ ("--spans", spans <> None) ] in
+    match (dist, connect) with
+    | 0, None ->
+        let* () =
+          refuse "needs --dist or --connect" [ ("--resume", resume <> None) ]
+        in
+        let* () = refuse "needs --dist" fleet_only in
+        let* () = refuse "needs --connect" spans_given in
+        Ok In_process
+    | 0, Some (_, addr) ->
+        let* () = refuse "needs --dist" fleet_only in
+        let* () = refuse "cannot be used with --connect" local in
+        Ok (Server { addr; resume; spans })
+    | workers, None ->
+        let* () = refuse "needs --connect" spans_given in
+        let* () = refuse "cannot be used with --dist" local in
+        Ok
+          (Fleet
+             {
+               workers;
+               resume;
+               shard_size;
+               shard_timeout = Option.value shard_timeout ~default:120.;
+               chaos;
+               journal_dir =
+                 Option.value journal_dir ~default:Dist.Journal.default_dir;
+             })
+    | _, Some _ -> Error "--dist and --connect are mutually exclusive"
+  in
+  Term.(
+    term_result'
+      (const make $ local $ dist $ connect $ resume_arg $ shard_size_arg
+     $ shard_timeout_arg $ chaos $ journal_dir_arg $ spans_arg))
 
 let client_config ?metrics ?spans ~log () =
   {
@@ -553,57 +710,70 @@ let client_config ?metrics ?spans ~log () =
     spans;
   }
 
-let print_net_stats (st : Dist.Client.stats) =
-  Format.eprintf
-    "[net] job %s: %d shard(s) of %d cell(s); %d resumed, %d executed; %d \
-     reconnect(s)@."
-    st.Dist.Client.job_id st.Dist.Client.shards st.Dist.Client.shard_size
-    st.Dist.Client.resumed st.Dist.Client.executed st.Dist.Client.reconnects
-
-let net_suspend_note id =
-  Format.eprintf
-    "[net] job %s suspended (server draining); resubmit with --connect \
-     ... --resume %s@."
-    id id
-
-(* The one off-process path of sweep and explore: [job] on a private
-   fleet of [dist] workers, or through the serve daemon at [connect];
-   [None] means run in-process. Stats and suspension notes go to
-   stderr; a suspended job exits 0, a failed one 3. *)
-let run_remote ~cmd ~log ~spans ~dist ~connect ~resume ~shard_timeout
-    ~shard_size ~chaos ~journal_dir ?on_progress job =
-  let finish flag r =
+(* Run [job] off-process as [remote] says; [None] means in-process.
+   Stats and suspension notes go to stderr; a suspended job exits 0, a
+   failed one 3. *)
+let run_remote ~cmd ~log ?on_progress remote job =
+  let finish flag print on_suspend r =
     match r with
     | Error m ->
         Format.eprintf "%s --%s failed: %s@." cmd flag m;
         exit 3
-    | Ok (Dist.Client.Suspended _) -> exit 0
-    | Ok (Dist.Client.Finished o) -> Some o
+    | Ok (sub, st) -> (
+        print st;
+        match sub with
+        | Dist.Client.Suspended id ->
+            on_suspend id;
+            exit 0
+        | Dist.Client.Finished o -> Some o)
   in
-  let note on_suspend print (sub, st) =
-    print st;
-    (match sub with Dist.Client.Suspended id -> on_suspend id | _ -> ());
-    sub
-  in
-  if dist > 0 then
-    finish "dist"
-      (Result.map
-         (note suspend_note print_dist_stats)
-         (Experiments.Harness.run_job_dist ?on_progress
-            (dist_config ~log ~dist ~shard_timeout ~shard_size ~chaos
-               ~journal_dir ~resume)
-            job))
-  else
-    Option.bind connect (fun addrstr ->
-        finish "connect"
-          (Result.map
-             (note net_suspend_note print_net_stats)
-             (Experiments.Harness.submit_job_net ?resume
-                (client_config ~log ?spans:(make_spans ~role:"client" spans) ())
-                job (parse_addr_or_die addrstr))))
+  match remote with
+  | In_process -> None
+  | Fleet f ->
+      finish "dist"
+        (fun (st : Dist.Coordinator.stats) ->
+          Format.eprintf
+            "[dist] job %s: %d shard(s) of %d cell(s); %d resumed, %d \
+             executed; %d worker(s) spawned, %d reassignment(s)@."
+            st.job_id st.shards st.shard_size st.resumed st.executed
+            st.spawned st.reassigned)
+        (fun id ->
+          Format.eprintf "[dist] job %s suspended; pick it up with --resume %s@."
+            id id)
+        (Experiments.Harness.run_job_dist ?on_progress
+           {
+             (Dist.Coordinator.default_config ~workers:f.workers ()) with
+             Dist.Coordinator.shard_timeout = f.shard_timeout;
+             shard_size = f.shard_size;
+             chaos_kill_shard = Option.map (fun k -> (k, 1)) f.chaos;
+             journal_dir = Some f.journal_dir;
+             resume = f.resume;
+             log = Svm.Log.sub log "dist";
+           }
+           job)
+  | Server s ->
+      finish "connect"
+        (fun (st : Dist.Client.stats) ->
+          Format.eprintf
+            "[net] job %s: %d shard(s) of %d cell(s); %d resumed, %d \
+             executed; %d reconnect(s)@."
+            st.job_id st.shards st.shard_size st.resumed st.executed
+            st.reconnects)
+        (fun id ->
+          Format.eprintf
+            "[net] job %s suspended (server draining); resubmit with \
+             --connect ... --resume %s@."
+            id id)
+        (Experiments.Harness.submit_job_net ?resume:s.resume
+           (client_config ~log ?spans:(make_spans ~role:"client" s.spans) ())
+           job s.addr)
 
-(* ---- outcome printers, shared by the in-process and --dist paths and
-   by serve; each returns whether a finding was printed ---- *)
+(* ---- outcome printers, shared by the in-process and off-process paths
+   and by serve; each returns whether a finding was printed ---- *)
+
+let pp_violation_line (v : Svm.Monitor.violation) =
+  Format.printf "violation: %s: %s (step %d, p%d)@." v.Svm.Monitor.monitor
+    v.Svm.Monitor.message v.Svm.Monitor.step v.Svm.Monitor.pid
 
 let print_sweep_outcome ~out (outcome : Svm.Explore.sweep_outcome) =
   (match outcome.Svm.Explore.deadlock with
@@ -625,9 +795,7 @@ let print_sweep_outcome ~out (outcome : Svm.Explore.sweep_outcome) =
         Svm.Explore.pp_fault_schedule f.Svm.Explore.fault
         Svm.Explore.pp_fault_schedule f.Svm.Explore.shrunk
         f.Svm.Explore.shrink_runs;
-      let oc = open_out out in
-      output_string oc f.Svm.Explore.replay;
-      close_out oc;
+      write_file out f.Svm.Explore.replay;
       Format.printf "replay artifact written to %s@." out;
       true
 
@@ -651,16 +819,21 @@ let print_explore_result (r : Svm.Univ.t Svm.Explore.result) =
         (String.concat ";" (List.map string_of_int run.Svm.Explore.crashed));
       true
 
+(* Print a job's outcome; exit 1 on a finding unless it was expected. *)
+let print_outcome ?(expect_violation = false) ?(out = "failure.replay") =
+  function
+  | Dist.Client.Sweep_outcome o ->
+      if print_sweep_outcome ~out o <> expect_violation then exit 1
+  | Dist.Client.Explore_outcome r ->
+      if print_explore_result r <> expect_violation then exit 1
+
+(* ---- sweep ---- *)
+
 let sweep_cmd =
   let t =
     Arg.(
       value & opt int 1
       & info [ "t" ] ~docv:"T" ~doc:"Sweep fault schedules of up to T crashes.")
-  in
-  let n =
-    Arg.(
-      value & opt (some int) None
-      & info [ "n" ] ~docv:"N" ~doc:"Override the scenario's process count.")
   in
   let window =
     Arg.(
@@ -668,88 +841,30 @@ let sweep_cmd =
       & info [ "window" ] ~docv:"W"
           ~doc:"Crash-point op-index window per victim.")
   in
-  let runs =
-    Arg.(
-      value & opt int 5_000
-      & info [ "runs" ] ~docv:"R" ~doc:"Maximum runs before giving up.")
-  in
-  let budget =
-    Arg.(
-      value & opt int 20_000
-      & info [ "budget" ] ~docv:"B" ~doc:"Per-run step budget.")
-  in
-  let out =
-    Arg.(
-      value & opt string "failure.replay"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Where to write the replay artifact of a found violation.")
-  in
-  let tiers =
-    Arg.(
-      value & opt string "crash"
-      & info [ "tiers" ] ~docv:"KINDS"
-          ~doc:
-            "Comma-separated fault tiers to sweep: any of crash, omission, \
-             recovery, byzantine.")
-  in
-  let expect_violation =
-    Arg.(
-      value & flag
-      & info [ "expect-violation" ]
-          ~doc:
-            "Invert the exit status: succeed (0) iff a violation was found \
-             — for regression-gating known degradations, e.g. a healthy \
-             object under the byzantine tier.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"J"
-          ~doc:
-            "Fan runs out over J domains (capped at the core count); 0 \
-             means one per core. Outcomes are identical at any job \
-             count.")
-  in
-  let run name scenario_file scenario_dir nprocs t window runs budget out
-      tiers expect_violation jobs dist resume shard_timeout shard_size chaos
-      journal_dir connect log_level log_json spans =
-    let name = resolve_scenario ~cmd:"sweep" name scenario_file scenario_dir in
-    let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
-    let log = make_log ~json:log_json log_level in
-    let kinds = parse_tiers tiers in
-    match Experiments.Scenario.find ?nprocs name with
-    | Error m ->
-        prerr_endline m;
-        exit 2
-    | Ok s ->
-        Format.printf
-          "sweeping %s (n=%d, x=%d): up to %d fault(s) of {%s}, window %d@."
-          s.Experiments.Scenario.name s.Experiments.Scenario.nprocs
-          s.Experiments.Scenario.x t
-          (String.concat ","
-             (List.map Svm.Adversary.fault_kind_name kinds))
-          window;
-        (* Heartbeat on stderr so long sweeps are never silent. *)
-        let on_progress ~runs =
-          if runs mod 1_000 = 0 then Format.eprintf "... %d runs swept@." runs
-        in
-        let outcome =
-          match
-            run_remote ~cmd:"sweep" ~log ~spans ~dist ~connect ~resume
-              ~shard_timeout ~shard_size ~chaos ~journal_dir ~on_progress
-              (Experiments.Harness.sweep_job ~kinds ~max_faults:t
-                 ~op_window:window ~max_runs:runs ~budget s)
-          with
-          | Some (Dist.Client.Sweep_outcome o) -> o
-          | Some (Dist.Client.Explore_outcome _) ->
-              Format.eprintf "sweep: the job came back as an exploration@.";
-              exit 3
-          | None ->
-              Experiments.Harness.sweep_scenario ~kinds ~max_faults:t
-                ~op_window:window ~max_runs:runs ~budget ~jobs ~on_progress s
-        in
-        let violated = print_sweep_outcome ~out outcome in
-        if violated <> expect_violation then exit 1
+  let run s t window runs budget out kinds expect_violation jobs remote log =
+    Format.printf
+      "sweeping %s (n=%d, x=%d): up to %d fault(s) of {%s}, window %d@."
+      s.Experiments.Scenario.name s.Experiments.Scenario.nprocs
+      s.Experiments.Scenario.x t
+      (String.concat "," (List.map Svm.Adversary.fault_kind_name kinds))
+      window;
+    (* Heartbeat on stderr so long sweeps are never silent. *)
+    let on_progress ~runs =
+      if runs mod 1_000 = 0 then Format.eprintf "... %d runs swept@." runs
+    in
+    let outcome =
+      match
+        run_remote ~cmd:"sweep" ~log ~on_progress remote
+          (Experiments.Harness.sweep_job ~kinds ~max_faults:t
+             ~op_window:window ~max_runs:runs ~budget s)
+      with
+      | Some o -> o
+      | None ->
+          Dist.Client.Sweep_outcome
+            (Experiments.Harness.sweep_scenario ~kinds ~max_faults:t
+               ~op_window:window ~max_runs:runs ~budget ~jobs ~on_progress s)
+    in
+    print_outcome ~expect_violation ?out outcome
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -758,11 +873,10 @@ let sweep_cmd =
           crash-recovery, byzantine) under online invariant monitors; on \
           violation, shrink the schedule and write a replay artifact")
     Term.(
-      const run $ scenario_arg $ scenario_file_arg $ scenario_dir_arg $ n $ t
-      $ window $ runs $ budget $ out $ tiers $ expect_violation $ jobs
-      $ dist_arg $ resume_arg $ shard_timeout_arg $ shard_size_arg
-      $ chaos_kill_arg $ journal_dir_arg $ connect_arg $ log_level_arg
-      $ log_json_arg $ spans_arg)
+      const run $ scenario_t $ t $ window $ runs_arg 5_000 $ budget_arg 20_000
+      $ replay_out_arg $ tiers_arg $ expect_violation_arg $ jobs_t
+      $ remote_t ~local:(const (fun j -> [ ("--jobs", j <> None) ]) $ jobs_arg)
+      $ log_t)
 
 (* ---- explore ---- *)
 
@@ -775,41 +889,6 @@ let explore_cmd =
             "Depth bound (scheduler choices); defaults to the scenario's \
              own exploration depth.")
   in
-  let crashes =
-    Arg.(
-      value & opt int 0
-      & info [ "crashes" ] ~docv:"C" ~doc:"Crash budget per run.")
-  in
-  let n =
-    Arg.(
-      value & opt (some int) None
-      & info [ "n" ] ~docv:"N" ~doc:"Override the scenario's process count.")
-  in
-  let runs =
-    Arg.(
-      value & opt int 2_000_000
-      & info [ "runs" ] ~docv:"R" ~doc:"Maximum runs before giving up.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"J"
-          ~doc:
-            "Fan subtree tasks out over J domains (capped at the core \
-             count); 0 means one per core. Results are identical at any \
-             job count.")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a JSON snapshot of the explorer's deterministic \
-             counters (runs, pruning tallies, visited hits/misses) to \
-             FILE — byte-identical at any --jobs value (in-process runs \
-             only).")
-  in
   let no_dedup =
     Arg.(
       value & flag
@@ -818,86 +897,52 @@ let explore_cmd =
             "Disable state-fingerprint deduplication and sleep-set \
              commutation pruning: enumerate every interleaving.")
   in
-  let expect_violation =
-    Arg.(
-      value & flag
-      & info [ "expect-violation" ]
-          ~doc:"Invert the exit status: succeed (0) iff a counterexample \
-                was found.")
+  let local jobs metrics_out =
+    [ ("--jobs", jobs <> None); ("--metrics-out", metrics_out <> None) ]
   in
-  let run name scenario_file scenario_dir nprocs steps crashes runs jobs
-      no_dedup expect_violation metrics_out dist resume shard_timeout
-      shard_size chaos journal_dir connect log_level log_json spans =
-    let name =
-      resolve_scenario ~cmd:"explore" name scenario_file scenario_dir
+  let run s steps crashes runs jobs no_dedup expect_violation metrics_out
+      remote log =
+    let depth =
+      Option.value steps ~default:s.Experiments.Scenario.explore_steps
     in
-    let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
-    let log = make_log ~json:log_json log_level in
-    match Experiments.Scenario.find ?nprocs name with
-    | Error m ->
-        prerr_endline m;
-        exit 2
-    | Ok s ->
-        let depth =
-          match steps with
-          | Some d -> d
-          | None -> s.Experiments.Scenario.explore_steps
-        in
-        (* The header deliberately omits the job count: stdout must
-           diff clean across --jobs values (the determinism make
-           target holds it to that). *)
-        Format.printf
-          "exploring %s (n=%d, x=%d): depth %d, %d crash(es), dedup %s@."
-          s.Experiments.Scenario.name s.Experiments.Scenario.nprocs
-          s.Experiments.Scenario.x depth crashes
-          (if no_dedup then "off" else "on");
-        let on_progress ~runs =
-          if runs mod 100_000 = 0 then
-            Format.eprintf "... %d runs explored@." runs
-        in
-        if
-          (dist > 0 || connect <> None)
-          && not s.Experiments.Scenario.explorable
-        then begin
-          Format.eprintf "scenario %s is not explorable@."
-            s.Experiments.Scenario.name;
-          exit 2
-        end;
-        let result =
-          match
-            run_remote ~cmd:"explore" ~log ~spans ~dist ~connect ~resume
-              ~shard_timeout ~shard_size ~chaos ~journal_dir ~on_progress
-              (Experiments.Harness.explore_job ~max_crashes:crashes
-                 ~max_runs:runs ~max_steps:depth ~dedup:(not no_dedup) s)
-          with
-          | Some (Dist.Client.Explore_outcome r) -> Ok r
-          | Some (Dist.Client.Sweep_outcome _) ->
-              Format.eprintf "explore: the job came back as a sweep@.";
-              exit 3
-          | None ->
-            let metrics =
-              Option.map (fun _ -> Svm.Metrics.create ()) metrics_out
-            in
-            let r =
-              Experiments.Harness.explore_scenario ~max_crashes:crashes
-                ~max_runs:runs ~max_steps:depth ~jobs ?metrics
-                ~dedup:(not no_dedup) ~on_progress s
-            in
-            (match (r, metrics, metrics_out) with
-            | Ok _, Some m, Some file ->
-                let oc = open_out file in
-                output_string oc (Svm.Metrics.snapshot_string ~pretty:true m);
-                close_out oc
-            | _ -> ());
-            r
-        in
-        (match result with
-        | Error m ->
-            prerr_endline m;
-            exit 2
-        | Ok r ->
-            let violated = print_explore_result r in
-            if violated <> expect_violation then exit 1)
+    (* The header deliberately omits the job count: stdout must
+       diff clean across --jobs values (the determinism make
+       target holds it to that). *)
+    Format.printf
+      "exploring %s (n=%d, x=%d): depth %d, %d crash(es), dedup %s@."
+      s.Experiments.Scenario.name s.Experiments.Scenario.nprocs
+      s.Experiments.Scenario.x depth crashes
+      (if no_dedup then "off" else "on");
+    let on_progress ~runs =
+      if runs mod 100_000 = 0 then Format.eprintf "... %d runs explored@." runs
+    in
+    if remote <> In_process && not s.Experiments.Scenario.explorable then begin
+      Format.eprintf "scenario %s is not explorable@."
+        s.Experiments.Scenario.name;
+      exit 2
+    end;
+    let outcome =
+      match
+        run_remote ~cmd:"explore" ~log ~on_progress remote
+          (Experiments.Harness.explore_job ~max_crashes:crashes
+             ~max_runs:runs ~max_steps:depth ~dedup:(not no_dedup) s)
+      with
+      | Some o -> o
+      | None ->
+          let snapshot =
+            Option.map (fun file -> (file, Svm.Metrics.create ())) metrics_out
+          in
+          let r =
+            or_exit2
+              (Experiments.Harness.explore_scenario ~max_crashes:crashes
+                 ~max_runs:runs ~max_steps:depth ~jobs
+                 ?metrics:(Option.map snd snapshot) ~dedup:(not no_dedup)
+                 ~on_progress s)
+          in
+          Option.iter (fun (file, m) -> write_snapshot file m) snapshot;
+          Dist.Client.Explore_outcome r
+    in
+    print_outcome ~expect_violation outcome
   in
   Cmd.v
     (Cmd.info "explore"
@@ -907,164 +952,113 @@ let explore_cmd =
           deduplication, commutation pruning and multicore fan-out — \
           in-process domains (--jobs) or worker processes (--dist)")
     Term.(
-      const run $ scenario_arg $ scenario_file_arg $ scenario_dir_arg $ n
-      $ steps $ crashes $ runs $ jobs $ no_dedup $ expect_violation
-      $ metrics_out $ dist_arg $ resume_arg $ shard_timeout_arg
-      $ shard_size_arg $ chaos_kill_arg $ journal_dir_arg $ connect_arg
-      $ log_level_arg $ log_json_arg $ spans_arg)
+      const run $ scenario_t $ steps $ crashes_arg $ runs_arg 2_000_000
+      $ jobs_t $ no_dedup $ expect_violation_arg $ metrics_out_arg
+      $ remote_t ~local:(const local $ jobs_arg $ metrics_out_arg)
+      $ log_t)
 
 (* ---- replay ---- *)
 
+let artifact_arg ~doc = Arg.(pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+
+let required_artifact =
+  Arg.required (artifact_arg ~doc:"Replay artifact written by sweep.")
+
+(* Read a replay artifact and resolve its scenario: the scenario, the
+   artifact's metadata and its recorded decisions. Exits 2 when the
+   file is unreadable or names an unknown scenario. *)
+let load_artifact file =
+  or_exit2
+    (let* contents = read_file file in
+     let* meta, decisions =
+       Result.map_error
+         (Format.asprintf "%s: %a" file Svm.Trace.pp_parse_error)
+         (Svm.Trace.parse_replay contents)
+     in
+     let* s =
+       Result.map_error (Printf.sprintf "%s: %s" file)
+         (Experiments.Scenario.of_replay_meta meta)
+     in
+     Ok (s, meta, decisions))
+
 let replay_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Replay artifact written by sweep.")
-  in
-  let budget =
-    Arg.(
-      value & opt int 20_000
-      & info [ "budget" ] ~docv:"B" ~doc:"Step budget for the re-run.")
-  in
   let run file budget =
-    let contents =
-      let ic = open_in_bin file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
+    let s, meta, decisions = load_artifact file in
+    Format.printf "replaying %s against %s (n=%d): %d decisions@." file
+      s.Experiments.Scenario.name s.Experiments.Scenario.nprocs
+      (List.length decisions);
+    (match List.assoc_opt "schedule" meta with
+    | Some sched -> Format.printf "recorded fault: %s@." sched
+    | None -> ());
+    let recorded =
+      match (List.assoc_opt "monitor" meta, List.assoc_opt "step" meta) with
+      | Some m, Some st -> Some (m, st)
+      | _ -> None
     in
-    match Svm.Trace.parse_replay contents with
-    | Error e ->
-        Format.eprintf "%s: %a@." file Svm.Trace.pp_parse_error e;
-        exit 2
-    | Ok (meta, decisions) -> (
-        match Experiments.Scenario.of_replay_meta meta with
-        | Error m ->
-            Format.eprintf "%s: %s@." file m;
-            exit 2
-        | Ok s ->
-            Format.printf "replaying %s against %s (n=%d): %d decisions@." file
-              s.Experiments.Scenario.name s.Experiments.Scenario.nprocs
-              (List.length decisions);
-            (match List.assoc_opt "schedule" meta with
-            | Some sched -> Format.printf "recorded fault: %s@." sched
-            | None -> ());
-            let recorded =
-              match
-                (List.assoc_opt "monitor" meta, List.assoc_opt "step" meta)
-              with
-              | Some m, Some st -> Some (m, st)
-              | _ -> None
-            in
-            let result =
-              Svm.Explore.replay ~budget ~make:s.Experiments.Scenario.make
-                ~monitors:s.Experiments.Scenario.monitors decisions
-            in
-            (* 0 clean, 1 violation reproduced, 3 diverged from the
-               recorded violation (wrong monitor/step, or recorded but
-               absent). Distinct from 2 = unreadable artifact above. *)
-            match (result, recorded) with
-            | Error v, Some (m, st) ->
-                pp_violation_line v;
-                let exact =
-                  String.equal v.Svm.Monitor.monitor m
-                  && String.equal (string_of_int v.Svm.Monitor.step) st
-                in
-                if exact then begin
-                  Format.printf "reproduced: same monitor at the same step@.";
-                  exit 1
-                end
-                else begin
-                  Format.printf
-                    "replay DIVERGED: violation differs from the recorded one \
-                     (%s at step %s)@."
-                    m st;
-                  exit 3
-                end
-            | Error v, None ->
-                pp_violation_line v;
-                exit 1
-            | Ok _, Some (m, st) ->
-                Format.printf
-                  "replay DIVERGED: run completed cleanly — recorded violation \
-                   (%s at step %s) did NOT reproduce@."
-                  m st;
-                exit 3
-            | Ok r, None ->
-                Format.printf "run completed cleanly in %d steps@."
-                  r.Svm.Exec.total_steps)
+    let result =
+      Svm.Explore.replay ~budget ~make:s.Experiments.Scenario.make
+        ~monitors:s.Experiments.Scenario.monitors decisions
+    in
+    (* 0 clean, 1 violation reproduced, 3 diverged from the recorded
+       violation (wrong monitor/step, or recorded but absent). Distinct
+       from 2 = unreadable artifact above. *)
+    match (result, recorded) with
+    | Error v, Some (m, st) ->
+        pp_violation_line v;
+        let exact =
+          String.equal v.Svm.Monitor.monitor m
+          && String.equal (string_of_int v.Svm.Monitor.step) st
+        in
+        if exact then begin
+          Format.printf "reproduced: same monitor at the same step@.";
+          exit 1
+        end
+        else begin
+          Format.printf
+            "replay DIVERGED: violation differs from the recorded one (%s \
+             at step %s)@."
+            m st;
+          exit 3
+        end
+    | Error v, None ->
+        pp_violation_line v;
+        exit 1
+    | Ok _, Some (m, st) ->
+        Format.printf
+          "replay DIVERGED: run completed cleanly — recorded violation (%s \
+           at step %s) did NOT reproduce@."
+          m st;
+        exit 3
+    | Ok r, None ->
+        Format.printf "run completed cleanly in %d steps@." r.Svm.Exec.total_steps
   in
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Re-execute a recorded fault schedule bit-for-bit from a file")
-    Term.(const run $ file $ budget)
+    Term.(const run $ required_artifact $ budget_arg 20_000)
 
 (* ---- trace / trace-check / stats ---- *)
 
-let read_file file =
-  let ic = open_in_bin file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_out out s =
-  match out with
-  | None -> print_string s
-  | Some file ->
-      let oc = open_out file in
-      output_string oc s;
-      close_out oc;
-      Format.eprintf "written to %s@." file
-
-(* Load a replay artifact and re-execute it, returning the scenario, its
-   metadata and the recorded trace of the re-run. Exits 2 on unreadable
-   artifacts or unknown scenarios, like [replay]. *)
+(* Re-execute a replay artifact under a metrics registry, noting on
+   stderr a violation it reproduces: the scenario, the artifact's
+   metadata, the recorded trace of the re-run and the registry. *)
 let replay_for_trace ~budget file =
-  let contents = read_file file in
-  match Svm.Trace.parse_replay contents with
-  | Error e ->
-      Format.eprintf "%s: %a@." file Svm.Trace.pp_parse_error e;
-      exit 2
-  | Ok (meta, decisions) -> (
-      match Experiments.Scenario.of_replay_meta meta with
-      | Error m ->
-          Format.eprintf "%s: %s@." file m;
-          exit 2
-      | Ok s ->
-          let metrics = Svm.Metrics.create () in
-          let result =
-            Svm.Explore.replay ~budget ~metrics
-              ~make:s.Experiments.Scenario.make
-              ~monitors:s.Experiments.Scenario.monitors decisions
-          in
-          let trace =
-            match result with
-            | Ok r -> r.Svm.Exec.trace
-            | Error v -> v.Svm.Monitor.trace
-          in
-          (s, meta, result, trace, metrics))
-
-let out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write to FILE instead of stdout.")
-
-let budget_arg default =
-  Arg.(
-    value & opt int default
-    & info [ "budget" ] ~docv:"B" ~doc:"Step budget for the re-run.")
+  let s, meta, decisions = load_artifact file in
+  let metrics = Svm.Metrics.create () in
+  let trace =
+    match
+      Svm.Explore.replay ~budget ~metrics ~make:s.Experiments.Scenario.make
+        ~monitors:s.Experiments.Scenario.monitors decisions
+    with
+    | Ok r -> r.Svm.Exec.trace
+    | Error v ->
+        Format.eprintf "note: replay violates %s at step %d@."
+          v.Svm.Monitor.monitor v.Svm.Monitor.step;
+        v.Svm.Monitor.trace
+  in
+  (s, meta, trace, metrics)
 
 let trace_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Replay artifact written by sweep.")
-  in
   let format =
     Arg.(
       value
@@ -1080,13 +1074,10 @@ let trace_cmd =
              truncated (the JSON is annotated with the dropped count).")
   in
   let run file format allow_partial budget out =
-    let s, meta, result, trace, _ = replay_for_trace ~budget file in
+    let s, meta, trace, _ = replay_for_trace ~budget file in
     let trace =
-      match trace with
-      | Some t -> t
-      | None ->
-          Format.eprintf "%s: replay recorded no trace@." file;
-          exit 2
+      or_exit2
+        (Option.to_result ~none:(file ^ ": replay recorded no trace") trace)
     in
     let tl =
       Svm.Timeline.of_trace ~nprocs:s.Experiments.Scenario.nprocs trace
@@ -1096,11 +1087,6 @@ let trace_cmd =
         "warning: trace truncated — %d earlier events dropped, timeline \
          covers the kept suffix@."
         tl.Svm.Timeline.dropped;
-    (match result with
-    | Error v ->
-        Format.eprintf "note: replay violates %s at step %d (as recorded)@."
-          v.Svm.Monitor.monitor v.Svm.Monitor.step
-    | Ok _ -> ());
     match format with
     | `Text -> write_out out (Svm.Timeline.to_text tl)
     | `Csv -> write_out out (Svm.Timeline.to_csv tl)
@@ -1132,7 +1118,8 @@ let trace_cmd =
           trace_event JSON for chrome://tracing or Perfetto, plain text, or \
           CSV), with the happens-before critical path and hottest instances")
     Term.(
-      const run $ file $ format $ allow_partial $ budget_arg 20_000 $ out_arg)
+      const run $ required_artifact $ format $ allow_partial $ budget_arg 20_000
+      $ text_out_arg)
 
 let trace_check_cmd =
   let file =
@@ -1148,29 +1135,30 @@ let trace_check_cmd =
           ~doc:"Fail unless the trace contains at least one fault instant.")
   in
   let run file require_instants =
-    match Svm.Json.of_string (read_file file) with
+    let json =
+      or_exit2
+        (Result.bind (read_file file) (fun text ->
+             Result.map_error (Printf.sprintf "%s: not JSON: %s" file)
+               (Svm.Json.of_string text)))
+    in
+    match Svm.Timeline.validate_chrome json with
     | Error e ->
-        Format.eprintf "%s: not JSON: %s@." file e;
-        exit 2
-    | Ok json -> (
-        match Svm.Timeline.validate_chrome json with
-        | Error e ->
-            Format.eprintf "%s: invalid chrome trace: %s@." file e;
-            exit 1
-        | Ok s ->
-            Format.printf
-              "%s: %d events; spans per pid: [%s]; %d fault instant(s); %d \
-               dropped@."
-              file s.Svm.Timeline.events
-              (String.concat "; "
-                 (List.map
-                    (fun (pid, n) -> Printf.sprintf "p%d:%d" pid n)
-                    s.Svm.Timeline.spans_per_pid))
-              s.Svm.Timeline.instants s.Svm.Timeline.dropped;
-            if require_instants && s.Svm.Timeline.instants = 0 then begin
-              Format.eprintf "%s: no fault instants recorded@." file;
-              exit 1
-            end)
+        Format.eprintf "%s: invalid chrome trace: %s@." file e;
+        exit 1
+    | Ok s ->
+        Format.printf
+          "%s: %d events; spans per pid: [%s]; %d fault instant(s); %d \
+           dropped@."
+          file s.Svm.Timeline.events
+          (String.concat "; "
+             (List.map
+                (fun (pid, n) -> Printf.sprintf "p%d:%d" pid n)
+                s.Svm.Timeline.spans_per_pid))
+          s.Svm.Timeline.instants s.Svm.Timeline.dropped;
+        if require_instants && s.Svm.Timeline.instants = 0 then begin
+          Format.eprintf "%s: no fault instants recorded@." file;
+          exit 1
+        end
   in
   Cmd.v
     (Cmd.info "trace-check"
@@ -1194,11 +1182,12 @@ let trace_merge_cmd =
     let spans, skipped =
       List.fold_left
         (fun (acc, sk) file ->
-          match Dist.Span.load_file file with
-          | Ok (spans, skipped) -> (acc @ spans, sk + skipped)
-          | Error m ->
-              Format.eprintf "%s: %s@." file m;
-              exit 2)
+          let spans, skipped =
+            or_exit2
+              (Result.map_error (Printf.sprintf "%s: %s" file)
+                 (Dist.Span.load_file file))
+          in
+          (acc @ spans, sk + skipped))
         ([], 0) files
     in
     if skipped > 0 then
@@ -1214,10 +1203,7 @@ let trace_merge_cmd =
     let trace = Svm.Timeline.merge_processes spans in
     (match Svm.Json.member "otherData" trace with
     | Some od ->
-        let i k =
-          Option.value ~default:0
-            (Option.bind (Svm.Json.member k od) Svm.Json.to_int)
-        in
+        let i = json_int od in
         Format.eprintf
           "[trace] merged %d span(s) across %d process(es); critical path \
            %d us@."
@@ -1232,22 +1218,9 @@ let trace_merge_cmd =
           lane per OS process, spans correlated across the wire by job \
           fingerprint and shard index, with the cross-process critical \
           path in the metadata. The output passes `asmsim trace-check'.")
-    Term.(const run $ files $ out_arg)
+    Term.(const run $ files $ text_out_arg)
 
 let stats_cmd =
-  let file =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Replay artifact to re-run under metrics.")
-  in
-  let algo =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "algo" ] ~docv:"SCENARIO"
-          ~doc:"Run a registered scenario fresh instead of a replay artifact.")
-  in
   let wall =
     Arg.(
       value & flag
@@ -1256,50 +1229,29 @@ let stats_cmd =
             "Include the non-deterministic wall-clock section (snapshots are \
              then not replay-comparable).")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the snapshot as one compact JSON line (machine-readable; \
-             byte-stable across replays) instead of pretty-printing.")
-  in
-  let run file algo scenario_file scenario_dir wall json budget out =
-    Option.iter register_sdl_dir scenario_dir;
-    let sdl_name = Option.map register_sdl_file scenario_file in
-    let algo = match (algo, sdl_name) with Some a, _ -> Some a | None, n -> n in
+  let run file scenario wall json budget out =
     let snapshot_of metrics =
       Svm.Metrics.snapshot_string ~pretty:(not json) metrics ^ "\n"
     in
-    match (file, algo) with
+    match (file, scenario) with
     | Some file, None ->
-        let _, _, result, _, metrics = replay_for_trace ~budget file in
-        (match result with
-        | Error v ->
-            Format.eprintf "note: replay violates %s at step %d@."
-              v.Svm.Monitor.monitor v.Svm.Monitor.step
-        | Ok _ -> ());
+        let _, _, _, metrics = replay_for_trace ~budget file in
         write_out out (snapshot_of metrics)
-    | None, Some name -> (
-        match Experiments.Scenario.find name with
-        | Error m ->
-            prerr_endline m;
-            exit 2
-        | Ok s ->
-            let metrics = Svm.Metrics.create ~wall_clock:wall () in
-            let env, progs = s.Experiments.Scenario.make () in
-            (match
-               Svm.Exec.run ~budget ~metrics
-                 ~monitors:(s.Experiments.Scenario.monitors ())
-                 ~env
-                 ~adversary:(Svm.Adversary.round_robin ())
-                 progs
-             with
-            | (_ : Svm.Univ.t Svm.Exec.result) -> ()
-            | exception Svm.Monitor.Violation v ->
-                Format.eprintf "note: run violates %s at step %d@."
-                  v.Svm.Monitor.monitor v.Svm.Monitor.step);
-            write_out out (snapshot_of metrics))
+    | None, Some s ->
+        let metrics = Svm.Metrics.create ~wall_clock:wall () in
+        let env, progs = s.Experiments.Scenario.make () in
+        (match
+           Svm.Exec.run ~budget ~metrics
+             ~monitors:(s.Experiments.Scenario.monitors ())
+             ~env
+             ~adversary:(Svm.Adversary.round_robin ())
+             progs
+         with
+        | (_ : Svm.Univ.t Svm.Exec.result) -> ()
+        | exception Svm.Monitor.Violation v ->
+            Format.eprintf "note: run violates %s at step %d@."
+              v.Svm.Monitor.monitor v.Svm.Monitor.step);
+        write_out out (snapshot_of metrics)
     | Some _, Some _ | None, None ->
         Format.eprintf
           "stats: pass exactly one of FILE, --algo, or --scenario-file@.";
@@ -1311,21 +1263,15 @@ let stats_cmd =
          "Metrics snapshot (JSON) of a run: replay an artifact under a \
           registry, or run a registered scenario fresh")
     Term.(
-      const run $ file $ algo $ scenario_file_arg $ scenario_dir_arg $ wall
-      $ json $ budget_arg 50_000 $ out_arg)
+      const run
+      $ Arg.value (artifact_arg ~doc:"Replay artifact to re-run under metrics.")
+      $ scenario_opt_t (const None)
+      $ wall $ json_arg $ budget_arg 50_000 $ text_out_arg)
 
 (* ---- scenarios (registry listing) ---- *)
 
 let scenarios_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the listing as one JSON document (machine-readable).")
-  in
-  let run json scenario_file scenario_dir =
-    Option.iter register_sdl_dir scenario_dir;
-    Option.iter (fun f -> ignore (register_sdl_file f)) scenario_file;
+  let run json (_ : string option) =
     let registered = Experiments.Scenario.registered_names () in
     let scenarios =
       (* a registered DSL scenario shadows its builtin twin, exactly as
@@ -1381,7 +1327,7 @@ let scenarios_cmd =
          "List every known scenario (builtins plus any registered DSL \
           files): name, doc, size, model, seeded-bug and explorability \
           flags, and where it came from")
-    Term.(const run $ json $ scenario_file_arg $ scenario_dir_arg)
+    Term.(const run $ json_arg $ sdl_t)
 
 (* ---- sdl (DSL tooling) ---- *)
 
@@ -1403,13 +1349,8 @@ let sdl_cmd =
       & pos 1 (some file) None
       & info [] ~docv:"FILE.sdl" ~doc:"The scenario source file.")
   in
-  let nprocs =
-    Arg.(
-      value & opt (some int) None
-      & info [ "n" ] ~docv:"N" ~doc:"Compile at N processes (compile only).")
-  in
   let run action file nprocs =
-    let src = read_sdl_file file in
+    let src = or_exit2 (read_file file) in
     let fail_typed e =
       Format.eprintf "%s:%s@." file (Sdl.Ast.error_to_string e);
       exit 2
@@ -1434,51 +1375,43 @@ let sdl_cmd =
               (List.length sc.Sdl.Ast.sc_procs)
               (List.length sc.Sdl.Ast.sc_props)
               (if List.length sc.Sdl.Ast.sc_props = 1 then "y" else "ies"))
-    | `Compile -> (
-        match Experiments.Scenario.of_source ?nprocs ~path:file src with
-        | Error m ->
-            Format.eprintf "%s:%s@." file m;
-            exit 2
-        | Ok s ->
-            let env, progs = s.Experiments.Scenario.make () in
-            let monitors = s.Experiments.Scenario.monitors () in
-            Format.printf
-              "compiled %s: nprocs=%d x=%d, %d program(s), %d monitor(s), \
-               explore_steps=%d%s@."
-              s.Experiments.Scenario.name s.Experiments.Scenario.nprocs
-              s.Experiments.Scenario.x (Array.length progs)
-              (List.length monitors) s.Experiments.Scenario.explore_steps
-              (if s.Experiments.Scenario.seeded_bug then " (seeded bug)"
-               else "");
-            ignore (env : Svm.Env.t))
+    | `Compile ->
+        let s =
+          or_exit2
+            (Result.map_error (Printf.sprintf "%s:%s" file)
+               (Experiments.Scenario.of_source ?nprocs ~path:file src))
+        in
+        let env, progs = s.Experiments.Scenario.make () in
+        let monitors = s.Experiments.Scenario.monitors () in
+        Format.printf
+          "compiled %s: nprocs=%d x=%d, %d program(s), %d monitor(s), \
+           explore_steps=%d%s@."
+          s.Experiments.Scenario.name s.Experiments.Scenario.nprocs
+          s.Experiments.Scenario.x (Array.length progs)
+          (List.length monitors) s.Experiments.Scenario.explore_steps
+          (if s.Experiments.Scenario.seeded_bug then " (seeded bug)" else "");
+        ignore (env : Svm.Env.t)
   in
   Cmd.v
     (Cmd.info "sdl"
        ~doc:
          "Scenario-DSL tooling: check FILE (parse + validate, spanned \
           errors, exit 2 on rejection), compile FILE (also build the \
-          environment and programs), fmt FILE (canonical form to stdout)")
-    Term.(const run $ action $ file $ nprocs)
+          environment and programs; -n compiles at N processes), fmt FILE \
+          (canonical form to stdout)")
+    Term.(const run $ action $ file $ nprocs_arg)
 
-(* ---- work (internal) / serve ---- *)
+(* ---- work / serve ---- *)
 
 let work_cmd =
-  let connect =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"ADDR"
-          ~doc:
-            "The job queue to pull shards from: an `asmsim serve --listen' \
-             daemon at HOST:PORT, or the private queue of a --dist run at \
-             the path of its Unix-domain socket (any ADDR containing `/'). Reconnects with \
-             jittered exponential backoff when the link drops; exits 0 on \
-             a server-initiated shutdown.")
-  in
   let chaos_net =
     Arg.(
       value
-      & opt (some string) None
+      & opt
+          (some
+             (enum_of Dist.Net.chaos_mode_name
+                Dist.Net.[ Drop; Delay; Truncate; Garbage ]))
+          None
       & info [ "chaos-net" ] ~docv:"MODE"
           ~doc:
             "Fault-injection harness for --connect: sabotage the write \
@@ -1499,19 +1432,7 @@ let work_cmd =
             "Consecutive failed connection attempts before giving up \
              (--connect).")
   in
-  let run addrstr chaos_net chaos_every retries log_level log_json spans =
-    let log = make_log ~json:log_json log_level in
-    let addr = parse_addr_or_die addrstr in
-    let chaos =
-      match chaos_net with
-      | None -> None
-      | Some name -> (
-          match Dist.Net.chaos_mode_of_string name with
-          | Ok mode -> Some (Dist.Net.chaos ~every:chaos_every mode)
-          | Error m ->
-              prerr_endline m;
-              exit 2)
-    in
+  let run (_, addr) chaos_net chaos_every retries log spans =
     (* Every networked worker keeps a registry: its snapshot rides
        each heartbeat pong, which is what feeds `asmsim top'. *)
     let metrics = Svm.Metrics.create () in
@@ -1521,7 +1442,8 @@ let work_cmd =
            ?spans:(make_spans ~role:"worker" spans)
            ())
         with
-        Dist.Client.chaos;
+        Dist.Client.chaos =
+          Option.map (Dist.Net.chaos ~every:chaos_every) chaos_net;
         max_failures = retries;
       }
     in
@@ -1536,8 +1458,17 @@ let work_cmd =
           over TCP, or the private queue a --dist run spawns its workers \
           against — and stream the results back.")
     Term.(
-      const run $ connect $ chaos_net $ chaos_every $ retries $ log_level_arg
-      $ log_json_arg $ spans_arg)
+      const run $ connect_required_arg $ chaos_net $ chaos_every $ retries
+      $ log_t $ spans_arg)
+
+type serve_mode =
+  | List_jobs of string
+  | Listen of {
+      addr : Unix.sockaddr;
+      queue : Dist.Queue.config;
+      metrics_out : string option;
+    }
+  | Resume of { job : Dist.Proto.job; fleet : remote; out : string option }
 
 let serve_cmd =
   let list_flag =
@@ -1545,28 +1476,17 @@ let serve_cmd =
       value & flag
       & info [ "list" ] ~doc:"List journalled job ids and exit.")
   in
-  let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"JOB" ~doc:"Journalled job id to resume.")
-  in
   let workers =
     Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"W"
+      value
+      & opt (some int) None
+      & info [ "workers" ] ~docv:"W" ~absent:"2"
           ~doc:"Worker processes of the private fleet that runs --resume.")
-  in
-  let out =
-    Arg.(
-      value & opt string "failure.replay"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Where to write the replay artifact of a found violation.")
   in
   let listen =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some addr_conv) None
       & info [ "listen" ] ~docv:"HOST:PORT"
           ~doc:
             "Run as a long-lived TCP verification service: accept job \
@@ -1586,113 +1506,130 @@ let serve_cmd =
   in
   let heartbeat =
     Arg.(
-      value & opt float 20.
-      & info [ "heartbeat-timeout" ] ~docv:"SEC"
+      value
+      & opt (some float) None
+      & info [ "heartbeat-timeout" ] ~docv:"SEC" ~absent:"20."
           ~doc:
             "Declare a silent network peer dead after SEC seconds \
              (--listen); a ping is sent at SEC/2.")
   in
   let max_retries =
     Arg.(
-      value & opt int 10
-      & info [ "max-retries" ] ~docv:"K"
+      value
+      & opt (some int) None
+      & info [ "max-retries" ] ~docv:"K" ~absent:"10"
           ~doc:
             "Re-deal a lost shard at most K times before declaring it \
              hostile and failing the job (--listen).")
   in
   let rate_limit =
     Arg.(
-      value & opt int (64 * 1024 * 1024)
-      & info [ "rate-limit" ] ~docv:"BYTES"
+      value
+      & opt (some int) None
+      & info [ "rate-limit" ] ~docv:"BYTES" ~absent:"67108864"
           ~doc:
             "Cut a peer that sends more than BYTES per second (--listen); \
              a slow-loris defense on top of the frame-size cap and the \
              incomplete-frame deadline.")
   in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a JSON snapshot of the service's counters (connections, \
-             handshake rejects, shard retries, queue depth) to FILE after \
-             the drain (--listen).")
-  in
-  let run list_flag resume workers shard_timeout journal_dir out listen fsync
-      heartbeat max_retries rate_limit metrics_out shard_size log_level
-      log_json spans =
-    if list_flag then
-      List.iter print_endline (Dist.Journal.list_ids ~dir:journal_dir ())
-    else
-      let log = make_log ~json:log_json log_level in
-      match listen with
-      | Some addrstr -> (
-          let addr = parse_addr_or_die addrstr in
-          let metrics = Svm.Metrics.create ~wall_clock:false () in
-          let net_log = Svm.Log.sub log "net" in
-          let cfg =
+  (* Exactly one of --list, --listen and --resume; every other flag must
+     take effect in the mode chosen. *)
+  let mode list listen resume workers out fsync heartbeat max_retries
+      rate_limit metrics_out shard_size shard_timeout journal_dir spans =
+    let journal_dir =
+      Option.value journal_dir ~default:Dist.Journal.default_dir
+    in
+    let listen_only =
+      [
+        ("--fsync", fsync);
+        ("--heartbeat-timeout", heartbeat <> None);
+        ("--max-retries", max_retries <> None);
+        ("--rate-limit", rate_limit <> None);
+        ("--metrics-out", metrics_out <> None);
+        ("--shard-size", shard_size <> None);
+        ("--spans", spans <> None);
+      ]
+    in
+    let resume_only =
+      [ ("--workers", workers <> None); ("--out", out <> None) ]
+    in
+    let shard_timeout' = Option.value shard_timeout ~default:120. in
+    match (list, listen, resume) with
+    | true, None, None ->
+        let* () = refuse "needs --listen" listen_only in
+        let* () = refuse "needs --resume" resume_only in
+        let* () =
+          refuse "needs --listen or --resume"
+            [ ("--shard-timeout", shard_timeout <> None) ]
+        in
+        Ok (List_jobs journal_dir)
+    | false, Some (_, addr), None ->
+        let* () = refuse "needs --resume" resume_only in
+        let queue =
+          {
+            (Dist.Queue.default_config
+               ~fingerprint:(Experiments.Harness.registry_fingerprint ())
+               ())
+            with
+            Dist.Queue.shard_size;
+            shard_timeout = shard_timeout';
+            heartbeat_timeout = Option.value heartbeat ~default:20.;
+            max_retries = Option.value max_retries ~default:10;
+            rate_limit = Option.value rate_limit ~default:(64 * 1024 * 1024);
+            journal_dir;
+            fsync;
+            spans = make_spans ~role:"serve" spans;
+          }
+        in
+        Ok (Listen { addr; queue; metrics_out })
+    | false, None, Some id ->
+        let* () = refuse "needs --listen" listen_only in
+        (* The job itself comes from the journal — serve needs no
+           re-statement of the sweep/explore parameters. *)
+        let* l = Dist.Journal.load ~dir:journal_dir id in
+        let fleet =
+          Fleet
             {
-              (Dist.Queue.default_config
-                 ~fingerprint:(Experiments.Harness.registry_fingerprint ())
-                 ())
-              with
-              Dist.Queue.shard_size;
-              shard_timeout;
-              heartbeat_timeout = heartbeat;
-              max_retries;
-              rate_limit;
+              workers = max 1 (Option.value workers ~default:2);
+              resume = Some id;
+              shard_size = None;
+              shard_timeout = shard_timeout';
+              chaos = None;
               journal_dir;
-              fsync;
-              log = net_log;
-              metrics = Some metrics;
-              spans = make_spans ~role:"serve" spans;
             }
-          in
-          match
-            Dist.Queue.serve
-              ~on_listen:(fun port ->
-                Svm.Log.infof net_log "listening on port %d" port)
-              cfg ~lookup:Experiments.Harness.dist_instance addr
-          with
-          | Ok () -> (
-              Svm.Log.infof net_log "drained; journals are resumable";
-              match metrics_out with
-              | None -> ()
-              | Some file ->
-                  let oc = open_out file in
-                  output_string oc
-                    (Svm.Metrics.snapshot_string ~pretty:true metrics);
-                  output_char oc '\n';
-                  close_out oc)
-          | Error m ->
-              Format.eprintf "serve: %s@." m;
-              exit 3)
-      | None -> (
-          match resume with
-          | None ->
-              Format.eprintf "serve: pass --listen ADDR, --resume JOB or \
-                              --list@.";
-              exit 2
-          | Some id -> (
-              match Dist.Journal.load ~dir:journal_dir id with
-              | Error m ->
-                  prerr_endline m;
-                  exit 2
-              | Ok l -> (
-                  (* The job itself comes from the journal — serve needs no
-                     re-statement of the sweep/explore parameters. *)
-                  match
-                    run_remote ~cmd:"serve" ~log ~spans ~dist:(max 1 workers)
-                      ~connect:None ~resume:(Some id) ~shard_timeout
-                      ~shard_size:None ~chaos:None ~journal_dir
-                      l.Dist.Journal.l_job
-                  with
-                  | Some (Dist.Client.Sweep_outcome o) ->
-                      if print_sweep_outcome ~out o then exit 1
-                  | Some (Dist.Client.Explore_outcome r) ->
-                      if print_explore_result r then exit 1
-                  | None -> ())))
+        in
+        Ok (Resume { job = l.Dist.Journal.l_job; fleet; out })
+    | false, None, None -> Error "pass --listen ADDR, --resume JOB or --list"
+    | _ -> Error "--list, --listen and --resume are mutually exclusive"
+  in
+  let run mode log =
+    match mode with
+    | List_jobs dir -> List.iter print_endline (Dist.Journal.list_ids ~dir ())
+    | Listen l -> (
+        let metrics = Svm.Metrics.create ~wall_clock:false () in
+        let net_log = Svm.Log.sub log "net" in
+        let cfg =
+          {
+            l.queue with
+            Dist.Queue.log = net_log;
+            metrics = Some metrics;
+          }
+        in
+        match
+          Dist.Queue.serve
+            ~on_listen:(fun port ->
+              Svm.Log.infof net_log "listening on port %d" port)
+            cfg ~lookup:Experiments.Harness.dist_instance l.addr
+        with
+        | Ok () ->
+            Svm.Log.infof net_log "drained; journals are resumable";
+            Option.iter (fun file -> write_snapshot file metrics) l.metrics_out
+        | Error m ->
+            Format.eprintf "serve: %s@." m;
+            exit 3)
+    | Resume r ->
+        Option.iter (print_outcome ?out:r.out)
+          (run_remote ~cmd:"serve" ~log r.fleet r.job)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1701,21 +1638,17 @@ let serve_cmd =
           journalled distributed jobs: list them, or resume one (finished \
           shards are restored from the journal, only the rest re-run)")
     Term.(
-      const run $ list_flag $ resume $ workers $ shard_timeout_arg
-      $ journal_dir_arg $ out $ listen $ fsync $ heartbeat $ max_retries
-      $ rate_limit $ metrics_out $ shard_size_arg $ log_level_arg
-      $ log_json_arg $ spans_arg)
+      const run
+      $ term_result'
+          (const mode $ list_flag $ listen $ resume_arg $ workers
+         $ replay_out_arg $ fsync $ heartbeat $ max_retries $ rate_limit
+         $ metrics_out_arg $ shard_size_arg $ shard_timeout_arg
+         $ journal_dir_arg $ spans_arg)
+      $ log_t)
 
 (* ---- top ---- *)
 
 let top_cmd =
-  let connect =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"HOST:PORT"
-          ~doc:"The `asmsim serve --listen' daemon to watch.")
-  in
   let once =
     Arg.(
       value & flag
@@ -1724,28 +1657,16 @@ let top_cmd =
             "Print one snapshot and exit (for scripts and CI) instead of \
              refreshing.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the raw stats document (health + merged metrics) as one \
-             compact JSON line; implies --once.")
-  in
   let interval =
     Arg.(
       value & opt float 2.0
       & info [ "interval" ] ~docv:"SEC"
           ~doc:"Seconds between refreshes (without --once).")
   in
-  let run connect once json interval log_level log_json =
-    let log = make_log ~json:log_json log_level in
-    let addr = parse_addr_or_die connect in
+  let run (connect, addr) once json interval log =
     let cfg = client_config ~log () in
     let j = Svm.Json.member in
-    let ji doc k =
-      Option.value ~default:0 (Option.bind (j k doc) Svm.Json.to_int)
-    in
+    let ji = json_int in
     let js doc k =
       Option.value ~default:"?" (Option.bind (j k doc) Svm.Json.to_str)
     in
@@ -1788,19 +1709,14 @@ let top_cmd =
           (fun pd ->
             pf "  %-24s %-7s %-5s %8d B in, %5d frames in, %5d out\n"
               (js pd "name") (js pd "role")
-              (if
-                 match j "busy" pd with
-                 | Some (Svm.Json.Bool true) -> true
-                 | _ -> false
-               then "busy"
-               else "idle")
+              (if jb pd "busy" then "busy" else "idle")
               (ji pd "bytes_in") (ji pd "frames_in") (ji pd "frames_out"))
           peers
       end;
       (* The hottest scenarios and the retry ladder come from the merged
          fleet registry (server counters + every worker push). *)
       (match Option.bind (j "metrics" doc) (j "counters") with
-      | Some (Svm.Json.Obj counters) ->
+      | Some (Svm.Json.Obj counters as fleet) ->
           let prefix = "net_shards_by_scenario." in
           let hot =
             List.filter_map
@@ -1823,11 +1739,7 @@ let top_cmd =
                 if i < 5 then pf "  %-28s %6d shard(s)\n" name n)
               hot
           end;
-          let c k =
-            match List.assoc_opt k counters with
-            | Some (Svm.Json.Int n) -> n
-            | _ -> 0
-          in
+          let c = ji fleet in
           pf "fleet: %d shard(s) executed, %d cell(s), %d push(es), %d \
               cache hit(s), %d retry frame(s)\n"
             (c "net_shards_executed_total")
@@ -1867,26 +1779,11 @@ let top_cmd =
           totals, derived from the server's stats reply (health + merged \
           worker registries). --once prints a single snapshot for \
           scripts; --json emits the raw document.")
-    Term.(
-      const run $ connect $ once $ json $ interval $ log_level_arg
-      $ log_json_arg)
+    Term.(const run $ connect_required_arg $ once $ json_arg $ interval $ log_t)
 
 (* ---- soak ---- *)
 
 let soak_cmd =
-  let n =
-    Arg.(
-      value & opt (some int) None
-      & info [ "n" ] ~docv:"N" ~doc:"Override the scenario's process count.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:
-            "Base seed: schedule k is derived from (S, k) alone, so any \
-             finding is re-derivable long after the run.")
-  in
   let schedules =
     Arg.(
       value & opt (some int) None
@@ -1915,22 +1812,6 @@ let soak_cmd =
             "Schedules per batch; the corpus cements and checkpoints once \
              per batch, so a crash loses at most one batch of work.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"J"
-          ~doc:
-            "Fan each batch out over J domains (capped at the core count); \
-             results are index-deterministic at any job count.")
-  in
-  let tiers =
-    Arg.(
-      value & opt string "crash"
-      & info [ "tiers" ] ~docv:"KINDS"
-          ~doc:
-            "Comma-separated fault tiers to sample: any of crash, omission, \
-             recovery, byzantine.")
-  in
   let max_faults =
     Arg.(
       value & opt int 2
@@ -1942,11 +1823,6 @@ let soak_cmd =
       value & opt int 30
       & info [ "within" ] ~docv:"W"
           ~doc:"Local-step window fault points are drawn from.")
-  in
-  let budget =
-    Arg.(
-      value & opt int 20_000
-      & info [ "budget" ] ~docv:"B" ~doc:"Per-schedule step budget.")
   in
   let corpus_dir =
     Arg.(
@@ -1967,7 +1843,12 @@ let soak_cmd =
   in
   let chaos_store =
     Arg.(
-      value & opt (some string) None
+      value
+      & opt
+          (some
+             (enum_of Experiments.Soak.chaos_name
+                Experiments.Soak.[ Kill; Torn; Bitflip ]))
+          None
       & info [ "chaos-store" ] ~docv:"MODE"
           ~doc:
             "Fault-injection hook for the corpus itself: kill (SIGKILL after \
@@ -1991,99 +1872,77 @@ let soak_cmd =
              after the first batch — the unbounded-memory gate for long \
              soaks.")
   in
-  let run name scenario_file scenario_dir nprocs seed schedules until duration
-      batch jobs tiers max_faults within budget corpus_dir resume chaos_store
-      chaos_at max_heap_growth log_level log_json =
-    let name = resolve_scenario ~cmd:"soak" name scenario_file scenario_dir in
-    let log = make_log ~json:log_json log_level in
-    let kinds = parse_tiers tiers in
-    let chaos =
-      match chaos_store with
-      | None -> None
-      | Some m -> (
-          match Experiments.Soak.chaos_of_name m with
-          | Some c -> Some c
-          | None ->
-              Format.eprintf
-                "unknown --chaos-store mode %S (known: kill, torn, bitflip)@."
-                m;
-              exit 2)
+  let run s seed schedules until duration batch jobs kinds max_faults within
+      budget corpus_dir resume chaos chaos_at max_heap_growth log =
+    let soak_log = Svm.Log.sub log "soak" in
+    let cfg =
+      {
+        Experiments.Soak.default_config with
+        Experiments.Soak.seed;
+        schedules;
+        until;
+        duration;
+        batch;
+        jobs;
+        kinds;
+        max_faults;
+        within;
+        budget;
+        resume;
+        chaos;
+        chaos_at;
+        log = soak_log;
+      }
     in
-    match Experiments.Scenario.find ?nprocs name with
+    Format.printf
+      "soaking %s (n=%d, x=%d): seed %d, up to %d fault(s) of {%s} \
+       within %d step(s), batch %d@."
+      s.Experiments.Scenario.name s.Experiments.Scenario.nprocs
+      s.Experiments.Scenario.x seed max_faults
+      (String.concat ","
+         (List.map Svm.Adversary.fault_kind_name kinds))
+      within batch;
+    match Experiments.Soak.run cfg ~corpus_dir s with
     | Error m ->
-        prerr_endline m;
-        exit 2
-    | Ok s -> (
-        let soak_log = Svm.Log.sub log "soak" in
-        let cfg =
-          {
-            Experiments.Soak.default_config with
-            Experiments.Soak.seed;
-            schedules;
-            until;
-            duration;
-            batch;
-            jobs;
-            kinds;
-            max_faults;
-            within;
-            budget;
-            resume;
-            chaos;
-            chaos_at;
-            log = soak_log;
-          }
-        in
+        Format.eprintf "soak failed: %s@." m;
+        exit 3
+    | Ok o ->
         Format.printf
-          "soaking %s (n=%d, x=%d): seed %d, up to %d fault(s) of {%s} \
-           within %d step(s), batch %d@."
-          s.Experiments.Scenario.name s.Experiments.Scenario.nprocs
-          s.Experiments.Scenario.x seed max_faults
-          (String.concat ","
-             (List.map Svm.Adversary.fault_kind_name kinds))
-          within batch;
-        match Experiments.Soak.run cfg ~corpus_dir s with
-        | Error m ->
-            Format.eprintf "soak failed: %s@." m;
-            exit 3
-        | Ok o ->
+          "soaked schedules [%d, %d): %d run(s) in %d batch(es), %d \
+           clean, %d deadlocked@."
+          o.Experiments.Soak.o_first_index o.Experiments.Soak.o_next_index
+          o.Experiments.Soak.o_executed o.Experiments.Soak.o_batches
+          o.Experiments.Soak.o_clean o.Experiments.Soak.o_deadlocks;
+        List.iter
+          (fun d -> Format.printf "new finding %s@." d)
+          o.Experiments.Soak.o_new_findings;
+        Format.printf
+          "findings: %d new, %d duplicate; corpus holds %d record(s)@."
+          (List.length o.Experiments.Soak.o_new_findings)
+          o.Experiments.Soak.o_dup_findings
+          o.Experiments.Soak.o_corpus_records;
+        (match o.Experiments.Soak.o_stop with
+        | `Schedules -> ()
+        | `Duration -> Svm.Log.infof soak_log "duration reached"
+        | `Sigterm ->
+            Svm.Log.infof soak_log
+              "SIGTERM: drained, cemented and checkpointed; --resume \
+               continues at schedule %d"
+              o.Experiments.Soak.o_next_index);
+        (* The unbounded-memory gate: batch-independent work must not
+           accumulate across batches. *)
+        (match max_heap_growth with
+        | Some cap
+          when o.Experiments.Soak.o_heap_growth_words > cap ->
             Format.printf
-              "soaked schedules [%d, %d): %d run(s) in %d batch(es), %d \
-               clean, %d deadlocked@."
-              o.Experiments.Soak.o_first_index o.Experiments.Soak.o_next_index
-              o.Experiments.Soak.o_executed o.Experiments.Soak.o_batches
-              o.Experiments.Soak.o_clean o.Experiments.Soak.o_deadlocks;
-            List.iter
-              (fun d -> Format.printf "new finding %s@." d)
-              o.Experiments.Soak.o_new_findings;
+              "heap growth after first batch: %d words (cap %d) — FAIL@."
+              o.Experiments.Soak.o_heap_growth_words cap;
+            exit 1
+        | Some cap ->
             Format.printf
-              "findings: %d new, %d duplicate; corpus holds %d record(s)@."
-              (List.length o.Experiments.Soak.o_new_findings)
-              o.Experiments.Soak.o_dup_findings
-              o.Experiments.Soak.o_corpus_records;
-            (match o.Experiments.Soak.o_stop with
-            | `Schedules -> ()
-            | `Duration -> Svm.Log.infof soak_log "duration reached"
-            | `Sigterm ->
-                Svm.Log.infof soak_log
-                  "SIGTERM: drained, cemented and checkpointed; --resume \
-                   continues at schedule %d"
-                  o.Experiments.Soak.o_next_index);
-            (* The unbounded-memory gate: batch-independent work must not
-               accumulate across batches. *)
-            (match max_heap_growth with
-            | Some cap
-              when o.Experiments.Soak.o_heap_growth_words > cap ->
-                Format.printf
-                  "heap growth after first batch: %d words (cap %d) — FAIL@."
-                  o.Experiments.Soak.o_heap_growth_words cap;
-                exit 1
-            | Some cap ->
-                Format.printf
-                  "heap growth after first batch: %d words (cap %d)@."
-                  o.Experiments.Soak.o_heap_growth_words cap
-            | None -> ());
-            exit 0)
+              "heap growth after first batch: %d words (cap %d)@."
+              o.Experiments.Soak.o_heap_growth_words cap
+        | None -> ())
   in
   Cmd.v
     (Cmd.info "soak"
@@ -2093,10 +1952,9 @@ let soak_cmd =
           content-addressed corpus; SIGTERM drains cleanly and --resume \
           picks up at the next unexecuted schedule")
     Term.(
-      const run $ scenario_arg $ scenario_file_arg $ scenario_dir_arg $ n
-      $ seed $ schedules $ until $ duration $ batch $ jobs $ tiers
-      $ max_faults $ within $ budget $ corpus_dir $ resume $ chaos_store
-      $ chaos_at $ max_heap_growth $ log_level_arg $ log_json_arg)
+      const run $ scenario_t $ seed_arg $ schedules $ until $ duration $ batch
+      $ jobs_t $ tiers_arg $ max_faults $ within $ budget_arg 20_000
+      $ corpus_dir $ resume $ chaos_store $ chaos_at $ max_heap_growth $ log_t)
 
 (* ---- corpus ---- *)
 
@@ -2118,7 +1976,12 @@ let corpus_cmd =
   in
   let kind =
     Arg.(
-      value & opt (some string) None
+      value
+      & opt
+          (some
+             (enum_of Corpus.Record.kind_name
+                Corpus.Record.[ Finding; Metrics; State ]))
+          None
       & info [ "kind" ] ~docv:"KIND"
           ~doc:"Restrict --list to finding, metrics or state records.")
   in
@@ -2149,79 +2012,66 @@ let corpus_cmd =
              byte-identity-checked against the input before the old \
              segments are dropped. Refuses while any record is quarantined.")
   in
-  let run dir list kind cat check compact =
-    let kind_filter =
-      match kind with
-      | None -> None
-      | Some k -> (
-          match Corpus.Record.kind_of_name k with
-          | Some _ as f -> f
-          | None ->
-              Format.eprintf
-                "unknown record kind %S (known: finding, metrics, state)@." k;
-              exit 2)
+  let run dir list kind_filter cat check compact =
+    let store =
+      or_exit2 (Result.map_error (( ^ ) "corpus: ") (Corpus.Store.open_ dir))
     in
-    match Corpus.Store.open_ dir with
-    | Error m ->
-        Format.eprintf "corpus: %s@." m;
-        exit 2
-    | Ok store ->
-        Fun.protect
-          ~finally:(fun () -> Corpus.Store.close store)
-          (fun () ->
-            if compact then (
-              match Corpus.Store.compact store with
-              | Ok n ->
-                  Format.eprintf "[corpus] compacted %d record(s) into one \
-                                  segment@." n
-              | Error m ->
-                  Format.eprintf "corpus: compaction refused: %s@." m;
-                  exit 1);
-            (match cat with
-            | None -> ()
-            | Some d -> (
-                match Corpus.Store.find store d with
-                | Some r -> print_string r.Corpus.Record.payload
-                | None ->
-                    Format.eprintf
-                      "corpus: no valid record at %s (absent, or quarantined \
-                       by this read)@."
-                      d;
-                    exit 1));
-            if list then begin
-              let rows =
-                Corpus.Store.fold store ~init:[] ~f:(fun acc ~digest r ->
-                    match kind_filter with
-                    | Some k when r.Corpus.Record.kind <> k -> acc
-                    | _ ->
-                        (digest, Corpus.Record.kind_name r.Corpus.Record.kind)
-                        :: acc)
-              in
-              List.sort compare rows
-              |> List.iter (fun (d, k) -> Format.printf "%s %s@." d k)
-            end;
-            (* Opening (and any listing) already re-verified everything;
-               the quarantine list is the verdict. *)
-            let quarantined = Corpus.Store.quarantined store in
-            if check then begin
-              List.iter
-                (fun q ->
-                  Format.printf "quarantined: %a@." Corpus.Store.pp_quarantine
-                    q)
-                quarantined;
-              Format.printf "%d record(s) valid, %d quarantined@."
-                (Corpus.Store.count store)
-                (List.length quarantined)
-            end
-            else if (not list) && cat = None then
-              Format.printf
-                "%d record(s): %d cemented segment(s), %d in the tail, %d \
-                 quarantined@."
-                (Corpus.Store.count store)
-                (Corpus.Store.segments store)
-                (Corpus.Store.tail_count store)
-                (List.length quarantined);
-            if quarantined <> [] && check then exit 1)
+    Fun.protect
+      ~finally:(fun () -> Corpus.Store.close store)
+      (fun () ->
+        if compact then (
+          match Corpus.Store.compact store with
+          | Ok n ->
+              Format.eprintf "[corpus] compacted %d record(s) into one \
+                              segment@." n
+          | Error m ->
+              Format.eprintf "corpus: compaction refused: %s@." m;
+              exit 1);
+        (match cat with
+        | None -> ()
+        | Some d -> (
+            match Corpus.Store.find store d with
+            | Some r -> print_string r.Corpus.Record.payload
+            | None ->
+                Format.eprintf
+                  "corpus: no valid record at %s (absent, or quarantined \
+                   by this read)@."
+                  d;
+                exit 1));
+        if list then begin
+          let rows =
+            Corpus.Store.fold store ~init:[] ~f:(fun acc ~digest r ->
+                match kind_filter with
+                | Some k when r.Corpus.Record.kind <> k -> acc
+                | _ ->
+                    (digest, Corpus.Record.kind_name r.Corpus.Record.kind)
+                    :: acc)
+          in
+          List.sort compare rows
+          |> List.iter (fun (d, k) -> Format.printf "%s %s@." d k)
+        end;
+        (* Opening (and any listing) already re-verified everything;
+           the quarantine list is the verdict. *)
+        let quarantined = Corpus.Store.quarantined store in
+        if check then begin
+          List.iter
+            (fun q ->
+              Format.printf "quarantined: %a@." Corpus.Store.pp_quarantine
+                q)
+            quarantined;
+          Format.printf "%d record(s) valid, %d quarantined@."
+            (Corpus.Store.count store)
+            (List.length quarantined)
+        end
+        else if (not list) && cat = None then
+          Format.printf
+            "%d record(s): %d cemented segment(s), %d in the tail, %d \
+             quarantined@."
+            (Corpus.Store.count store)
+            (Corpus.Store.segments store)
+            (Corpus.Store.tail_count store)
+            (List.length quarantined);
+        if quarantined <> [] && check then exit 1)
   in
   Cmd.v
     (Cmd.info "corpus"

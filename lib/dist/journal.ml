@@ -116,10 +116,13 @@ let close t = close_out t.j_oc
    description, named by a digest of its fingerprint and holding the job
    id, so a lookup reads one file instead of parsing every journal. It
    lives beside the job directories but holds no journal, so
-   {!list_ids} never reports it. *)
+   {!list_ids} never reports it. The digest covers the protocol version
+   too: a marker completed by a binary of another version may hold an
+   outcome this one computes differently, so it must not answer. *)
 let marker ~dir fingerprint =
   Filename.concat (Filename.concat dir "completed")
-    (Digest.to_hex (Digest.string fingerprint))
+    (Digest.to_hex
+       (Digest.string (Printf.sprintf "v%d:%s" Proto.net_version fingerprint)))
 
 let mark_complete t ~fingerprint =
   mkdir_p (Filename.concat t.j_dir "completed");

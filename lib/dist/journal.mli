@@ -53,7 +53,9 @@ val mark_complete : t -> fingerprint:string -> unit
 (** Record that the job of this journal ran to completion, under the
     job description's {!Proto.job_fingerprint}: a later identical job
     finds the journal with {!completed_id} in one file read. The marker
-    is written atomically and replaces any earlier one. *)
+    is keyed by {!Proto.net_version} as well, so a marker left by a
+    binary of another protocol version is never a hit. It is written
+    atomically and replaces any earlier one. *)
 
 val completed_id : ?dir:string -> fingerprint:string -> unit -> string option
 (** The id of the journal last marked complete for this fingerprint. A

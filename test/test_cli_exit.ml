@@ -28,6 +28,9 @@ let table =
      ^ tmp "cli4.replay", 0);
     ( "explore --algo safe_agreement_no_cancel --expect-violation --jobs 0",
       0 );
+    ( "soak --algo safe_agreement --schedules 10 --jobs 0 --corpus "
+      ^ tmp "cli-soak-jobs0",
+      0 );
     (* the DSL surface: check/compile/fmt on the shipped examples, a
        sweep of a scenario file, and the registry listing *)
     ("sdl check ../examples/x_safe_agreement.sdl", 0);
@@ -71,6 +74,40 @@ let table =
     (* a worker needs a queue to pull from *)
     ("work", 2);
     ("stats", 2);
+    (* a flag that cannot take effect in the chosen mode is rejected,
+       never silently ignored *)
+    ("sweep --algo safe_agreement --runs 200 --resume nosuch", 2);
+    ( "explore --algo safe_agreement_no_cancel --expect-violation \
+       --connect 127.0.0.1:1 --dist 1",
+      2 );
+    ( "explore --algo safe_agreement_no_cancel --expect-violation --dist 1 \
+       --metrics-out " ^ tmp "cli-dist.metrics.json",
+      2 );
+    ( "explore --algo safe_agreement_no_cancel --expect-violation \
+       --connect 127.0.0.1:1 --metrics-out " ^ tmp "cli-net.metrics.json",
+      2 );
+    ("sweep --algo safe_agreement --runs 200 --dist 1 --jobs 2", 2);
+    ("sweep --algo safe_agreement --runs 200 --connect 127.0.0.1:1 --jobs 2", 2);
+    ("sweep --algo safe_agreement --runs 200 --shard-size 5", 2);
+    ("sweep --algo safe_agreement --runs 200 --shard-timeout 5", 2);
+    ("sweep --algo safe_agreement --runs 200 --chaos-kill-shard 0", 2);
+    ( "sweep --algo safe_agreement --runs 200 --journal-dir "
+      ^ tmp "cli-jobs",
+      2 );
+    ( "sweep --algo safe_agreement --runs 200 --connect 127.0.0.1:1 \
+       --shard-size 5",
+      2 );
+    ("sweep --algo safe_agreement --runs 200 --spans " ^ tmp "cli.spans", 2);
+    ( "sweep --algo safe_agreement --runs 200 --dist 1 --spans "
+      ^ tmp "cli.spans",
+      2 );
+    (* serve runs in exactly one of its three modes *)
+    ("serve --list --listen 127.0.0.1:0", 2);
+    ("serve --list --resume no-such-job", 2);
+    ("serve --list --fsync", 2);
+    ("serve --list --workers 3", 2);
+    ("serve --list --shard-timeout 5", 2);
+    ("serve", 2);
     (* 3 — internal / distributed failure *)
     ( "sweep --algo safe_agreement_no_cancel --dist 2 --resume no-such-job \
        --journal-dir /tmp/asmsim-cli-nojobs --out " ^ tmp "cli3.replay",

@@ -543,6 +543,31 @@ let journal_fsync_rename_reopen () =
       Alcotest.(check bool) "old id is gone" false
         (List.mem old_id (Dist.Journal.list_ids ~dir ()))
 
+(* The result-cache marker is keyed by the protocol version as well as
+   the job fingerprint: a marker an older binary left under the bare
+   fingerprint must not answer, a same-version completion must. *)
+let marker_tracks_net_version () =
+  let dir, id = journal_setup () in
+  let fingerprint = "job-fingerprint" in
+  let completed = Filename.concat dir "completed" in
+  Unix.mkdir completed 0o755;
+  Out_channel.with_open_bin
+    (Filename.concat completed (Digest.to_hex (Digest.string fingerprint)))
+    (fun oc -> output_string oc id);
+  check
+    Alcotest.(option string)
+    "a bare-fingerprint marker is no cache hit" None
+    (Dist.Journal.completed_id ~dir ~fingerprint ());
+  match Dist.Journal.reopen ~dir id with
+  | Error m -> Alcotest.failf "journal must reopen: %s" m
+  | Ok j ->
+      Dist.Journal.mark_complete j ~fingerprint;
+      Dist.Journal.close j;
+      check
+        Alcotest.(option string)
+        "a same-version marker is a cache hit" (Some id)
+        (Dist.Journal.completed_id ~dir ~fingerprint ())
+
 let suite =
   [
     ( "dist",
@@ -580,5 +605,7 @@ let suite =
           journal_fsync_flag;
         Alcotest.test_case "journal --fsync survives rename-then-reopen"
           `Quick journal_fsync_rename_reopen;
+        Alcotest.test_case "cache marker tracks the protocol version" `Quick
+          marker_tracks_net_version;
       ] );
   ]
