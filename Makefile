@@ -2,7 +2,7 @@
 # a blocked run fails the pipeline fast instead of hanging it.
 #
 #   make ci            — what CI runs: typecheck + full test suite + the
-#                        seven smokes below + explore-determinism
+#                        seven smokes below + soak-heap + explore-determinism
 #   make ci-heavy      — full box: heavy sweeps under ASMSIM_HEAVY=1
 #   make smoke         — one sweep per fault tier through the real CLI
 #   make smoke-trace   — sweep a seeded bug, export + validate its Chrome trace
@@ -24,7 +24,7 @@
 #                        shipped seeded-bug twin, local sweep byte-identical
 #                        to the builtin, then the same source submitted over
 #                        TCP — same bytes again; truncated source exits 2
-#   make soak-heap     — 60s soak on 4 domains gated on Gc-measured heap
+#   make soak-heap     — 60s soak at --jobs 4 gated on Gc-measured heap
 #                        growth (the unbounded-memory detector)
 #   make explore-determinism — the explorer's stdout and metrics snapshot
 #                        must not depend on the job count (both engines)
@@ -306,10 +306,11 @@ smoke-obs: build
 	grep -Eq 'across [34] process' $$D/merge.err; \
 	timeout $(SMOKE_TIMEOUT) $$BIN trace-check $$D/fleet.json
 
-# Sixty seconds of continuous soaking on 4 domains, gated on the
-# Gc-measured major-heap growth after the first batch: the journaled
-# arenas, program reuse and per-batch cementing must hold the working
-# set flat no matter how long the soak runs.
+# Sixty seconds of continuous soaking at --jobs 4 (capped at the host's
+# cores), gated on the Gc-measured major-heap growth after the first
+# batch: the journaled arenas, program reuse, the one domain farm per
+# soak and per-batch cementing must hold the working set flat no matter
+# how long the soak runs.
 soak-heap: build
 	rm -rf _build/soakheap
 	timeout 120 $(ASMSIM) soak --algo safe_agreement --seed 1 --duration 60 \
@@ -325,6 +326,7 @@ ci: check
 	$(MAKE) smoke-soak
 	$(MAKE) smoke-obs
 	$(MAKE) smoke-sdl
+	$(MAKE) soak-heap
 	$(MAKE) explore-determinism
 
 # The parallel explorer must be bit-for-bit deterministic in the job
@@ -366,4 +368,4 @@ explore-determinism: build
 	diff _build/exdet/clean-j1.out _build/exdet/clean-j8.out
 	diff _build/exdet/clean-j1.metrics.json _build/exdet/clean-j8.metrics.json
 
-ci-heavy: ci test-heavy soak-heap
+ci-heavy: ci test-heavy

@@ -24,7 +24,6 @@ type config = {
   resume : bool;
   chaos : chaos option;
   chaos_at : int;
-  gc_tune : bool;
   log : Svm.Log.t;
   metrics : Metrics.t option;
 }
@@ -44,7 +43,6 @@ let default_config =
     resume = false;
     chaos = None;
     chaos_at = 3;
-    gc_tune = true;
     log = Svm.Log.null;
     metrics = None;
   }
@@ -125,8 +123,9 @@ let run_one cfg ~env ~progs ~monitors ~adv =
       | exception Adversary.Deadlock -> V_deadlock)
 
 (* Run schedules [lo, hi) on a fresh arena; returns interesting indices
-   (violating or deadlocked) in index order plus the clean count. *)
-let run_slice cfg (s : Scenario.t) ~stop ~lo ~hi =
+   (violating or deadlocked) in index order, the clean count and how many
+   schedules ran before a SIGTERM stopped the chunk. *)
+let run_chunk cfg (s : Scenario.t) ~stop ~lo ~hi =
   let env, progs = s.Scenario.make () in
   Env.enable_journal env;
   let nprocs = s.Scenario.nprocs in
@@ -141,6 +140,21 @@ let run_slice cfg (s : Scenario.t) ~stop ~lo ~hi =
     incr k
   done;
   (List.rev !interesting, !clean, !k - lo)
+
+(* A batch is dealt out in chunks of this many schedules, claimed one at
+   a time by the farm's domains. Schedules differ wildly in cost — a
+   blocked one spins to the step budget where a clean one takes tens of
+   steps — and the blocked ones cluster: small chunks spread a cluster
+   over every domain. *)
+let chunk = 16
+
+(* A SIGTERM can stop chunks at different points; only the longest
+   contiguous prefix is durably "executed" — the resume index must never
+   skip an unexecuted schedule. *)
+let rec durable_next ~lo = function
+  | [] -> lo
+  | (a, b, ran) :: rest ->
+      if ran = b - a then durable_next ~lo:b rest else a + ran
 
 (* ------------------------------------------------------------------ *)
 (* Findings → corpus records                                           *)
@@ -267,10 +281,6 @@ let run cfg ~corpus_dir (s : Scenario.t) =
     match Corpus.Store.open_ ~log:cfg.log ?chaos:store_chaos corpus_dir with
     | Error m -> Error m
     | Ok store ->
-        if cfg.gc_tune then
-          (* The hot loop allocates short-lived run state at a furious
-             rate; a wider minor heap keeps it out of the major heap. *)
-          Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22 };
         let stop = Atomic.make false in
         let old_handler =
           Sys.signal Sys.sigterm
@@ -281,6 +291,7 @@ let run cfg ~corpus_dir (s : Scenario.t) =
             Sys.set_signal Sys.sigterm old_handler;
             Corpus.Store.close store)
           (fun () ->
+            Par.with_farm ~jobs:cfg.jobs @@ fun farm ->
             let first =
               if cfg.resume then checkpoint_next cfg s store else 0
             in
@@ -349,51 +360,32 @@ let run cfg ~corpus_dir (s : Scenario.t) =
                 | Some u -> min size (u - !next)
               in
               let lo = !next and hi = !next + size in
-              (* Contiguous slices, one per domain; results merge in
-                 slice order, so the outcome is jobs-independent. *)
-              let per = (size + cfg.jobs - 1) / cfg.jobs in
-              let bounds =
-                List.init cfg.jobs (fun j ->
-                    (lo + (j * per), min hi (lo + ((j + 1) * per))))
-                |> List.filter (fun (a, b) -> a < b)
+              let bounds c =
+                (lo + (c * chunk), min hi (lo + ((c + 1) * chunk)))
               in
-              let slices =
-                if cfg.jobs = 1 then
-                  List.map
-                    (fun (a, b) -> Some (run_slice cfg s ~stop ~lo:a ~hi:b))
-                    bounds
-                else
-                  Par.run ~jobs:cfg.jobs ~tasks:(List.length bounds) (fun j ->
-                      let a, b = List.nth bounds j in
-                      run_slice cfg s ~stop ~lo:a ~hi:b)
-                  |> Array.to_list
+              (* No [skip]: every slot is filled. *)
+              let chunks =
+                Par.run_in farm
+                  ~tasks:((size + chunk - 1) / chunk)
+                  (fun c ->
+                    let a, b = bounds c in
+                    (a, b, run_chunk cfg s ~stop ~lo:a ~hi:b))
+                |> Array.to_list |> List.map Option.get
               in
-              (* A SIGTERM can stop slices at different points; only the
-                 longest contiguous prefix is durably "executed" — the
-                 resume index must never skip an unexecuted schedule.
-                 Work past a gap is not wasted: its findings dedup. *)
-              let contiguous =
-                List.fold_left2
-                  (fun acc (a, b) slice ->
-                    match (acc, slice) with
-                    | `Gap n, _ -> `Gap n
-                    | `Upto _, None -> `Gap a
-                    | `Upto _, Some (_, _, n) ->
-                        if n = b - a then `Upto b else `Gap (a + n)
-                  )
-                  (`Upto lo) bounds slices
-              in
+              (* Chunks merge in chunk order, which is index order, so the
+                 outcome does not depend on the job count. Work past a
+                 gap in the durable prefix is not wasted: its findings
+                 dedup when a resume runs it again. *)
               let next' =
-                match contiguous with `Upto n | `Gap n -> n
+                durable_next ~lo
+                  (List.map (fun (a, b, (_, _, ran)) -> (a, b, ran)) chunks)
               in
               let ran = next' - lo in
               List.iter
-                (function
-                  | None -> ()
-                  | Some (interesting, cl, _) ->
-                      clean := !clean + cl;
-                      List.iter (fun (k, v) -> record_finding k v) interesting)
-                slices;
+                (fun (_, _, (interesting, cl, _)) ->
+                  clean := !clean + cl;
+                  List.iter (fun (k, v) -> record_finding k v) interesting)
+                chunks;
               executed := !executed + ran;
               next := next';
               bump cfg "soak.batches";

@@ -17,11 +17,12 @@
     schedule index.
 
     Throughput posture: for explorable scenarios one journaled
-    environment arena serves every schedule of a slice
+    environment arena serves every schedule of a chunk
     ({!Svm.Env.with_rollback} — no per-run allocation of the store),
     programs are reused (they are immutable values), batches bound the
-    working set, and [jobs] fans slices out over domains with
-    index-deterministic results. *)
+    working set, and each batch is dealt out in fixed-size chunks of
+    schedules to one {!Svm.Par} farm of [jobs] domains that lives as
+    long as the run, with results merged in index order. *)
 
 type chaos = Kill | Torn | Bitflip
 
@@ -37,7 +38,7 @@ type config = {
           content-identical *)
   duration : float option;  (** stop after this many wall seconds *)
   batch : int;  (** schedules per batch; a cement per batch *)
-  jobs : int;  (** domains; slices merge index-deterministically *)
+  jobs : int;  (** domains; chunks merge index-deterministically *)
   kinds : Svm.Adversary.fault_kind list;  (** fault tiers to sample *)
   max_faults : int;  (** faults per schedule drawn from [0..max] *)
   within : int;  (** local-step window faults land in *)
@@ -45,7 +46,6 @@ type config = {
   resume : bool;  (** continue from the corpus's last checkpoint *)
   chaos : chaos option;  (** store-level crash/corruption injection *)
   chaos_at : int;  (** which corpus append the chaos strikes *)
-  gc_tune : bool;  (** widen the minor heap for the hot loop *)
   log : Svm.Log.t;
       (** leveled diagnostics: batch and finding progress at [Info] *)
   metrics : Svm.Metrics.t option;
@@ -54,7 +54,7 @@ type config = {
 val default_config : config
 (** seed 1, unbounded schedules, batch 256, 1 job, crash-stop tier,
     up to 2 faults within 30 local steps, budget 20_000, no resume, no
-    chaos, GC tuning on. *)
+    chaos. *)
 
 type outcome = {
   o_executed : int;  (** schedules run by this invocation *)
@@ -78,4 +78,14 @@ val run :
     the call (restored on exit): on SIGTERM the current batch finishes,
     cements, checkpoints, and the run returns [`Sigterm] — the caller
     exits 0 and a later [resume] continues. [Error] for a non-explorable
-    scenario, an unopenable corpus, or a bad configuration. *)
+    scenario, an unopenable corpus, or a bad configuration. Leaves the
+    GC settings as it found them. *)
+
+val durable_next : lo:int -> (int * int * int) list -> int
+(** [durable_next ~lo chunks] is where a resume must continue after a
+    batch starting at [lo], given its chunks in index order as
+    [(a, b, ran)]: the chunk of schedules [a .. b-1] ran its first
+    [ran] of them. It is
+    the end of the longest run of schedules from [lo] with no gap —
+    a SIGTERM can stop chunks at different points, and the resume
+    index must never skip an unexecuted schedule. *)

@@ -3,11 +3,7 @@ exception Type_error of string
 type 'a t = { inj : 'a -> Univ.t; prj : Univ.t -> 'a }
 
 let of_embedding name (e : 'a Univ.embedding) =
-  let prj u =
-    match e.prj u with
-    | Some v -> v
-    | None -> raise (Type_error name)
-  in
+  let prj u = try e.prj u with Univ.Mismatch -> raise (Type_error name) in
   { inj = e.inj; prj }
 
 let int = of_embedding "int" (Univ.embed ())

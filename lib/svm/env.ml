@@ -1,10 +1,20 @@
 exception Violation of string
 
+(* Monomorphic equality and hash: a lookup per step, so no polymorphic
+   compare or generic hash walk. *)
 module Key = struct
   type t = Op.fam * Op.key
 
-  let equal (f1, k1) (f2, k2) = String.equal f1 f2 && k1 = k2
-  let hash = Hashtbl.hash
+  let rec equal_ints (a : int list) (b : int list) =
+    match (a, b) with
+    | [], [] -> true
+    | x :: a, y :: b -> Int.equal x y && equal_ints a b
+    | _ :: _, [] | [], _ :: _ -> false
+
+  let equal (f1, k1) (f2, k2) = String.equal f1 f2 && equal_ints k1 k2
+
+  let hash (f, k) =
+    List.fold_left (fun h x -> (h * 31) + x) (String.hash f) k land max_int
 end
 
 module Tbl = Hashtbl.Make (Key)
@@ -135,119 +145,150 @@ let with_rollback t f =
 
 let violation fmt = Format.kasprintf (fun s -> raise (Violation s)) fmt
 
-let kind_mismatch info =
-  violation "object %a accessed with mismatched kind" Op.pp_info info
+(* Instances are resolved straight from the op's (family, key); the
+   [Op.info] the messages print is only built on the error path. *)
+let info kind fam key = { Op.kind; fam; key }
 
-let find t (info : Op.info) (make : unit -> instance) =
-  let key = (info.fam, info.key) in
-  match Tbl.find_opt t.instances key with
-  | Some i -> i
-  | None ->
-      let i = make () in
-      Tbl.add t.instances key i;
-      log t (U_create key);
-      i
+let kind_mismatch kind fam key =
+  violation "object %a accessed with mismatched kind" Op.pp_info
+    (info kind fam key)
 
-let register t info =
-  match find t info (fun () -> I_register (ref None)) with
+let create_instance t k i =
+  Tbl.add t.instances k i;
+  log t (U_create k)
+
+let register t fam key =
+  let k = (fam, key) in
+  match Tbl.find t.instances k with
   | I_register r -> r
   | I_snapshot _ | I_ts _ | I_cons _ | I_kset _ | I_queue _ ->
-      kind_mismatch info
+      kind_mismatch Op.Register fam key
+  | exception Not_found ->
+      let r = ref None in
+      create_instance t k (I_register r);
+      r
 
-let snapshot t info =
-  match find t info (fun () -> I_snapshot (Array.make t.nprocs None)) with
+let snapshot t fam key =
+  let k = (fam, key) in
+  match Tbl.find t.instances k with
   | I_snapshot a -> a
   | I_register _ | I_ts _ | I_cons _ | I_kset _ | I_queue _ ->
-      kind_mismatch info
+      kind_mismatch Op.Snapshot fam key
+  | exception Not_found ->
+      let a = Array.make t.nprocs None in
+      create_instance t k (I_snapshot a);
+      a
 
-let ts t info =
+let ts t fam key =
   if t.x < 2 then
     violation "test&set %a requires consensus number >= 2 (model has x = %d)"
-      Op.pp_info info t.x;
-  match find t info (fun () -> I_ts (ref false)) with
+      Op.pp_info
+      (info Op.Test_and_set fam key)
+      t.x;
+  let k = (fam, key) in
+  match Tbl.find t.instances k with
   | I_ts r -> r
   | I_register _ | I_snapshot _ | I_cons _ | I_kset _ | I_queue _ ->
-      kind_mismatch info
+      kind_mismatch Op.Test_and_set fam key
+  | exception Not_found ->
+      let r = ref false in
+      create_instance t k (I_ts r);
+      r
 
-let cons t info =
-  match find t info (fun () -> I_cons { decided = None; accessors = [] }) with
+let cons t fam key =
+  let k = (fam, key) in
+  match Tbl.find t.instances k with
   | I_cons c -> c
   | I_register _ | I_snapshot _ | I_ts _ | I_kset _ | I_queue _ ->
-      kind_mismatch info
+      kind_mismatch Op.Consensus fam key
+  | exception Not_found ->
+      let c = { decided = None; accessors = [] } in
+      create_instance t k (I_cons c);
+      c
 
 (* Key convention: [l] or [l; m; ...] — head is the object's l (how many
    distinct values it may decide), the optional second component is its
    port count m. *)
-let kset t (info : Op.info) =
+let kset t fam key =
   if not t.allow_kset then
-    violation "k-set object %a is not allowed in this model" Op.pp_info info;
-  let k, ports =
-    match info.key with
-    | k :: m :: _ -> (k, Some m)
-    | [ k ] -> (k, None)
+    violation "k-set object %a is not allowed in this model" Op.pp_info
+      (info Op.Kset fam key);
+  let l, ports =
+    match key with
+    | l :: m :: _ -> (l, Some m)
+    | [ l ] -> (l, None)
     | [] -> (1, None)
   in
-  if k <= 0 then violation "k-set object %a has non-positive k" Op.pp_info info;
+  if l <= 0 then
+    violation "k-set object %a has non-positive k" Op.pp_info
+      (info Op.Kset fam key);
   (match ports with
   | Some m when m <= 0 ->
-      violation "k-set object %a has non-positive port count" Op.pp_info info
+      violation "k-set object %a has non-positive port count" Op.pp_info
+        (info Op.Kset fam key)
   | Some _ | None -> ());
-  match find t info (fun () -> I_kset { k; ports; values = []; accessors = [] }) with
+  let k = (fam, key) in
+  match Tbl.find t.instances k with
   | I_kset s -> s
   | I_register _ | I_snapshot _ | I_ts _ | I_cons _ | I_queue _ ->
-      kind_mismatch info
+      kind_mismatch Op.Kset fam key
+  | exception Not_found ->
+      let s = { k = l; ports; values = []; accessors = [] } in
+      create_instance t k (I_kset s);
+      s
 
 (* A queue has consensus number 2 (like test&set), so it is legal in any
    model with x >= 2 regardless of how many processes share it. *)
-let queue t info =
+let queue t fam key =
   if t.x < 2 then
     violation "queue %a requires consensus number >= 2 (model has x = %d)"
-      Op.pp_info info t.x;
-  match find t info (fun () -> I_queue (ref [])) with
+      Op.pp_info (info Op.Queue fam key) t.x;
+  let k = (fam, key) in
+  match Tbl.find t.instances k with
   | I_queue q -> q
   | I_register _ | I_snapshot _ | I_ts _ | I_cons _ | I_kset _ ->
-      kind_mismatch info
+      kind_mismatch Op.Queue fam key
+  | exception Not_found ->
+      let q = ref [] in
+      create_instance t k (I_queue q);
+      q
 
 let check_pid t pid =
   if pid < 0 || pid >= t.nprocs then
     violation "pid %d out of range [0, %d)" pid t.nprocs
 
-let the_info op =
-  match Op.info op with
-  | Some i -> i
-  | None -> assert false (* only called for non-Yield ops *)
-
 let apply (type r) t ~pid (op : r Op.t) : r =
   check_pid t pid;
   match op with
   | Op.Yield -> ()
-  | Op.Reg_read _ -> !(register t (the_info op))
-  | Op.Reg_write (_, _, v) ->
-      let r = register t (the_info op) in
+  | Op.Reg_read (fam, key) -> !(register t fam key)
+  | Op.Reg_write (fam, key, v) ->
+      let r = register t fam key in
       log t (U_reg (r, !r));
       r := Some v
-  | Op.Snap_set (_, _, v) ->
-      let a = snapshot t (the_info op) in
+  | Op.Snap_set (fam, key, v) ->
+      let a = snapshot t fam key in
       log t (U_snap (a, pid, a.(pid)));
       a.(pid) <- Some v
-  | Op.Snap_scan _ -> Array.copy (snapshot t (the_info op))
-  | Op.Ts _ ->
-      let r = ts t (the_info op) in
+  | Op.Snap_scan (fam, key) -> Array.copy (snapshot t fam key)
+  | Op.Ts (fam, key) ->
+      let r = ts t fam key in
       if !r then false
       else begin
         log t (U_ts (r, false));
         r := true;
         true
       end
-  | Op.Cons_propose (_, _, v) ->
-      let info = the_info op in
-      let c = cons t info in
+  | Op.Cons_propose (fam, key, v) ->
+      let c = cons t fam key in
       if not (List.mem pid c.accessors) then begin
         if List.length c.accessors >= t.x then
           violation
             "consensus %a: port discipline violated (pid %d is the %dth \
              distinct accessor but x = %d)"
-            Op.pp_info info pid
+            Op.pp_info
+            (info Op.Consensus fam key)
+            pid
             (List.length c.accessors + 1)
             t.x;
         log t (U_cons_accessors (c, c.accessors));
@@ -259,9 +300,8 @@ let apply (type r) t ~pid (op : r Op.t) : r =
           log t (U_cons_decided (c, None));
           c.decided <- Some v;
           v)
-  | Op.Kset_propose (_, _, v) ->
-      let info = the_info op in
-      let s = kset t info in
+  | Op.Kset_propose (fam, key, v) ->
+      let s = kset t fam key in
       (match s.ports with
       | None -> ()
       | Some m ->
@@ -269,7 +309,7 @@ let apply (type r) t ~pid (op : r Op.t) : r =
             if List.length s.accessors >= m then
               violation
                 "(m,l)-set object %a: port discipline violated (m = %d)"
-                Op.pp_info info m;
+                Op.pp_info (info Op.Kset fam key) m;
             log t (U_kset_accessors (s, s.accessors));
             s.accessors <- pid :: s.accessors
           end);
@@ -281,12 +321,12 @@ let apply (type r) t ~pid (op : r Op.t) : r =
       else begin
         match s.values with decided :: _ -> decided | [] -> assert false
       end
-  | Op.Queue_enq (_, _, v) ->
-      let q = queue t (the_info op) in
+  | Op.Queue_enq (fam, key, v) ->
+      let q = queue t fam key in
       log t (U_queue (q, !q));
       q := !q @ [ v ]
-  | Op.Queue_deq _ -> (
-      let q = queue t (the_info op) in
+  | Op.Queue_deq (fam, key) -> (
+      let q = queue t fam key in
       match !q with
       | [] -> None
       | head :: rest ->
@@ -312,13 +352,13 @@ let apply (type r) t ~pid (op : r Op.t) : r =
           log t (U_oracle (counts, k, q));
           Hashtbl.replace counts k (Option.value ~default:0 q + 1);
           f ~pid ~query:(Option.value ~default:0 q))
-  | Op.Cas (_, _, expected, desired) ->
+  | Op.Cas (fam, key, expected, desired) ->
       if not t.allow_cas then
         violation
           "compare&swap %a: consensus number is infinite, not allowed in \
            this model (pass ~allow_cas:true to host it)"
-          Op.pp_info (the_info op);
-      let r = register t (the_info op) in
+          Op.pp_info (info Op.Register fam key);
+      let r = register t fam key in
       if !r = expected then begin
         log t (U_reg (r, !r));
         r := Some desired;
@@ -456,13 +496,14 @@ let canonical_parts c = (c.c_instances, c.c_oracle_queries)
 let prewarm t infos =
   List.iter
     (fun (info : Op.info) ->
+      let fam = info.fam and key = info.key in
       match info.kind with
-      | Op.Register -> ignore (register t info)
-      | Op.Snapshot -> ignore (snapshot t info)
-      | Op.Test_and_set -> ignore (ts t info)
-      | Op.Consensus -> ignore (cons t info)
-      | Op.Kset -> ignore (kset t info)
-      | Op.Queue -> ignore (queue t info)
+      | Op.Register -> ignore (register t fam key)
+      | Op.Snapshot -> ignore (snapshot t fam key)
+      | Op.Test_and_set -> ignore (ts t fam key)
+      | Op.Consensus -> ignore (cons t fam key)
+      | Op.Kset -> ignore (kset t fam key)
+      | Op.Queue -> ignore (queue t fam key)
       | Op.Oracle -> ())
     infos
 

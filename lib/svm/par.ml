@@ -1,10 +1,15 @@
 (* A zero-dependency multicore pool over stdlib [Domain], in two
    flavours:
 
-   - [run]: the original indexed task farm. Tasks [0 .. tasks-1] are
-     handed out through one atomic counter and results land in
-     per-index slots — still the right scheduler for pre-sliced,
-     uniform work (sweep cells, dist shards, soak batches).
+   - [with_farm]/[run_in]: an indexed task farm. A farm spawns its
+     helper domains once, on the first round that needs them, and keeps
+     them parked on a condition variable between rounds until
+     [with_farm] returns, so a caller that runs many rounds (soak
+     batches) spawns no domain per round. In each round, tasks
+     [0 .. tasks-1] are handed out through one atomic counter and
+     results land in per-index slots — the right scheduler for
+     pre-sliced work (sweep cells, dist shards, soak chunks). [run] is
+     a one-round farm.
 
    - [run_dynamic]: a work-stealing pool for work that splits as it
      runs. Each worker owns a fixed-capacity circular deque
@@ -21,33 +26,112 @@
    set of expanded states is schedule-independent — under
    [run_dynamic]). *)
 
-let run (type a) ~jobs ?(oversubscribe = false)
-    ?(skip = fun (_ : int) -> false) ~tasks (f : int -> a) : a option array =
-  if jobs < 1 then invalid_arg "Par.run: jobs must be >= 1";
-  if tasks < 0 then invalid_arg "Par.run: tasks must be >= 0";
+(* Never run more domains than the machine has cores: oversubscribed
+   domains only add stop-the-world GC synchronisation. Callers' results
+   cannot tell the difference (they must already be jobs-agnostic), so
+   the cap is safe; [oversubscribe] bypasses it for tests that need the
+   multi-domain code paths exercised regardless of the host. *)
+let cap_jobs ~oversubscribe jobs =
+  if oversubscribe then jobs else min jobs (Domain.recommended_domain_count ())
+
+type farm = {
+  size : int;  (* domains a round may use, the caller included *)
+  mutable helpers : unit Domain.t list;  (* spawned by the first round *)
+  lock : Mutex.t;
+  wake : Condition.t;  (* a new round was posted, or the farm closes *)
+  finished : Condition.t;  (* the last helper left the current round *)
+  mutable round : int;
+  mutable body : unit -> unit;  (* the current round's claim loop *)
+  mutable running : int;  (* helpers still inside the current round *)
+  mutable in_round : bool;
+  mutable closing : bool;
+}
+
+(* A helper's life: wait for a round newer than [seen], run its claim
+   loop (which never raises), report back, repeat until closing. *)
+let rec serve farm seen =
+  Mutex.lock farm.lock;
+  while farm.round = seen && not farm.closing do
+    Condition.wait farm.wake farm.lock
+  done;
+  let round = farm.round and body = farm.body and closing = farm.closing in
+  Mutex.unlock farm.lock;
+  if not closing then begin
+    body ();
+    Mutex.lock farm.lock;
+    farm.running <- farm.running - 1;
+    if farm.running = 0 then Condition.signal farm.finished;
+    Mutex.unlock farm.lock;
+    serve farm round
+  end
+
+(* Run [body] on every domain of the farm, the caller's included, and
+   return once all of them are done with it. *)
+let round farm body =
+  if farm.helpers = [] then
+    for _ = 2 to farm.size do
+      let seen = farm.round in
+      farm.helpers <- Domain.spawn (fun () -> serve farm seen) :: farm.helpers
+    done;
+  farm.in_round <- true;
+  Mutex.lock farm.lock;
+  farm.body <- body;
+  farm.running <- List.length farm.helpers;
+  farm.round <- farm.round + 1;
+  Condition.broadcast farm.wake;
+  Mutex.unlock farm.lock;
+  body ();
+  Mutex.lock farm.lock;
+  while farm.running > 0 do
+    Condition.wait farm.finished farm.lock
+  done;
+  farm.body <- ignore;
+  Mutex.unlock farm.lock;
+  farm.in_round <- false
+
+let with_farm ~jobs ?(oversubscribe = false) k =
+  if jobs < 1 then invalid_arg "Par.with_farm: jobs must be >= 1";
+  let farm =
+    {
+      size = cap_jobs ~oversubscribe jobs;
+      helpers = [];
+      lock = Mutex.create ();
+      wake = Condition.create ();
+      finished = Condition.create ();
+      round = 0;
+      body = ignore;
+      running = 0;
+      in_round = false;
+      closing = false;
+    }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.lock farm.lock;
+      farm.closing <- true;
+      Condition.broadcast farm.wake;
+      Mutex.unlock farm.lock;
+      List.iter Domain.join farm.helpers)
+    (fun () -> k farm)
+
+let run_in (type a) farm ?(skip = fun (_ : int) -> false) ~tasks
+    (f : int -> a) : a option array =
+  if tasks < 0 then invalid_arg "Par.run_in: tasks must be >= 0";
+  if farm.in_round then invalid_arg "Par.run_in: called from inside its farm";
   if tasks = 0 then [||]
   else begin
-    (* Never run more domains than the machine has cores: oversubscribed
-       domains only add stop-the-world GC synchronisation. Callers' results
-       cannot tell the difference (they must already be jobs-agnostic), so
-       the cap is safe; [oversubscribe] bypasses it for tests that need the
-       multi-domain code paths exercised regardless of the host. *)
-    let jobs =
-      if oversubscribe then jobs
-      else min jobs (Domain.recommended_domain_count ())
-    in
     let results : a option array = Array.make tasks None in
     (* Count the tasks the skip predicate admits right now: if none
-       survive, spawning domains would be pure overhead (the snapshot
-       may be stale — skip is consulted again at claim time — but a
-       task skipped here and admitted later was equally claimable as
-       "skipped" by a worker, which callers already tolerate). *)
+       survive, waking (or spawning) domains would be pure overhead (the
+       snapshot may be stale — skip is consulted again at claim time —
+       but a task skipped here and admitted later was equally claimable
+       as "skipped" by a worker, which callers already tolerate). *)
     let live = ref 0 in
     for i = 0 to tasks - 1 do
       if not (skip i) then incr live
     done;
     if !live = 0 then results
-    else if jobs = 1 || tasks = 1 then begin
+    else if farm.size = 1 || tasks = 1 then begin
       for i = 0 to tasks - 1 do
         if not (skip i) then results.(i) <- Some (f i)
       done;
@@ -65,25 +149,27 @@ let run (type a) ~jobs ?(oversubscribe = false)
             if not (Atomic.compare_and_set failure cur (Some (i, exn))) then
               note_failure i exn
       in
-      let worker () =
+      let claim () =
         let continue = ref true in
         while !continue do
           let i = Atomic.fetch_and_add next 1 in
           if i >= tasks || Atomic.get failure <> None then continue := false
-          else if not (skip i) then (
-            match f i with
-            | v -> results.(i) <- Some v
-            | exception exn -> note_failure i exn)
+          else
+            try if not (skip i) then results.(i) <- Some (f i)
+            with exn -> note_failure i exn
         done
       in
-      let n = min jobs tasks in
-      let domains = Array.init (n - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      Array.iter Domain.join domains;
+      round farm claim;
       (match Atomic.get failure with Some (_, exn) -> raise exn | None -> ());
       results
     end
   end
+
+let run ~jobs ?oversubscribe ?skip ~tasks f =
+  if jobs < 1 then invalid_arg "Par.run: jobs must be >= 1";
+  if tasks < 0 then invalid_arg "Par.run: tasks must be >= 0";
+  with_farm ~jobs:(max 1 (min jobs tasks)) ?oversubscribe (fun farm ->
+      run_in farm ?skip ~tasks f)
 
 (* ------------------------------------------------------------------ *)
 (* Work-stealing deques                                                 *)
@@ -248,10 +334,7 @@ let worker_loop p f w =
 let run_dynamic (type w) ~jobs ?(oversubscribe = false) ~(roots : w list)
     (f : w t -> worker:int -> w -> unit) : w t =
   if jobs < 1 then invalid_arg "Par.run_dynamic: jobs must be >= 1";
-  let njobs =
-    if oversubscribe then jobs
-    else min jobs (Domain.recommended_domain_count ())
-  in
+  let njobs = cap_jobs ~oversubscribe jobs in
   let p =
     {
       deques = Array.init njobs (fun _ -> deque_create ());

@@ -44,10 +44,11 @@ let reg_write (c : 'a Codec.t) fam key v =
 let snap_set (c : 'a Codec.t) fam key v =
   perform (Op.Snap_set (fam, key, c.inj v))
 
+(* The blocked-spin hot path (a decider scanning until its budget runs
+   out): decode the scan in one pass, in the scan's own step. *)
 let snap_scan (c : 'a Codec.t) fam key =
-  map
-    (Array.map (Option.map c.prj))
-    (perform (Op.Snap_scan (fam, key)))
+  let decode = function None -> None | Some u -> Some (c.prj u) in
+  Step (Op.Snap_scan (fam, key), fun a -> Done (Array.map decode a))
 
 let ts fam key = perform (Op.Ts (fam, key))
 

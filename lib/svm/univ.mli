@@ -8,7 +8,12 @@
 
 type t
 
-type 'a embedding = { inj : 'a -> t; prj : t -> 'a option }
+exception Mismatch
+(** Raised by [prj] on a value another embedding injected. *)
+
+type 'a embedding = { inj : 'a -> t; prj : t -> 'a }
+(** [prj] raises rather than return an option: it runs on every decode
+    of a simulated step, and a [Some] per decode is measurable there. *)
 
 val embed : unit -> 'a embedding
 (** [embed ()] creates a fresh embedding. Two distinct calls give

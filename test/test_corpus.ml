@@ -294,7 +294,6 @@ let soak_cfg =
     Experiments.Soak.seed = 7;
     schedules = Some 80;
     batch = 20;
-    gc_tune = false;
   }
 
 let soak_run ?(cfg = soak_cfg) dir =
@@ -337,6 +336,28 @@ let soak_dedups_across_runs () =
   check Alcotest.int "resume starts at the checkpoint" 80
     resumed.Experiments.Soak.o_first_index
 
+(* A soak must not leave its GC settings behind in the caller. *)
+let soak_leaves_gc_alone () =
+  let before = (Gc.get ()).Gc.minor_heap_size in
+  let cfg = { soak_cfg with Experiments.Soak.schedules = Some 20 } in
+  ignore (soak_run ~cfg (fresh_dir ()));
+  check Alcotest.int "minor heap size as found" before
+    (Gc.get ()).Gc.minor_heap_size
+
+(* The resume index after a batch [100, 140) dealt in chunks of 16: the
+   end of the longest gap-free run from the batch's start. *)
+let soak_durable_next () =
+  let next chunks = Experiments.Soak.durable_next ~lo:100 chunks in
+  check Alcotest.int "all chunks complete" 140
+    (next [ (100, 116, 16); (116, 132, 16); (132, 140, 8) ]);
+  check Alcotest.int "gap in the first chunk" 105
+    (next [ (100, 116, 5); (116, 132, 16); (132, 140, 8) ]);
+  check Alcotest.int "middle chunk never started" 116
+    (next [ (100, 116, 16); (116, 132, 0); (132, 140, 8) ]);
+  check Alcotest.int "gap in the last chunk" 135
+    (next [ (100, 116, 16); (116, 132, 16); (132, 140, 3) ]);
+  check Alcotest.int "no chunks" 100 (next [])
+
 let suite =
   [
     ( "corpus",
@@ -359,5 +380,9 @@ let suite =
           (killed_soak_converges "torn");
         Alcotest.test_case "findings dedup across soak runs" `Quick
           soak_dedups_across_runs;
+        Alcotest.test_case "soak leaves the GC settings alone" `Quick
+          soak_leaves_gc_alone;
+        Alcotest.test_case "durable prefix over chunks" `Quick
+          soak_durable_next;
       ] );
   ]

@@ -91,6 +91,22 @@ let codec_type_error () =
   Alcotest.check_raises "bool of int" (Codec.Type_error "bool") (fun () ->
       ignore (Codec.bool.Codec.prj u))
 
+(* Every structural projection names its own codec in the error, and a
+   mismatch raises the same exception a base codec does. *)
+let codec_structural_type_errors () =
+  let u = Codec.int.Codec.inj 1 in
+  let raises name prj =
+    Alcotest.check_raises (name ^ " of int") (Codec.Type_error name)
+      (fun () -> ignore (prj u))
+  in
+  raises "pair" Codec.(pair int int).Codec.prj;
+  raises "option" Codec.(option int).Codec.prj;
+  raises "list" Codec.(list int).Codec.prj;
+  raises "array" Codec.(arr int).Codec.prj;
+  Alcotest.check_raises "list of pair" (Codec.Type_error "list") (fun () ->
+      let u = Codec.(pair int int).Codec.inj (1, 2) in
+      ignore (Codec.(list int).Codec.prj u))
+
 let codec_nested () =
   let c = Codec.list (Codec.option (Codec.pair Codec.int Codec.string)) in
   let v = [ Some (1, "a"); None; Some (2, "b") ] in
@@ -263,6 +279,72 @@ let env_kind_mismatch () =
     (match Env.apply e ~pid:0 (Op.Snap_scan ("obj", [])) with
     | (_ : Univ.t option array) -> false
     | exception Env.Violation _ -> true)
+
+(* The messages are part of the verdicts a sweep prints: pinned. *)
+let env_kind_mismatch_texts () =
+  let u = Codec.int.Codec.inj 1 in
+  let message setup op =
+    let e = Env.create ~nprocs:2 ~x:1 ~allow_cas:true () in
+    setup e;
+    match op e with
+    | () -> "no violation"
+    | exception Env.Violation m -> m
+  in
+  let snap_set fam key e = Env.apply e ~pid:0 (Op.Snap_set (fam, key, u)) in
+  let reg_write fam key e = Env.apply e ~pid:1 (Op.Reg_write (fam, key, u)) in
+  check Alcotest.string "read of a snapshot"
+    "object register m[1;2] accessed with mismatched kind"
+    (message (snap_set "m" [ 1; 2 ]) (fun e ->
+         ignore (Env.apply e ~pid:0 (Op.Reg_read ("m", [ 1; 2 ])))));
+  check Alcotest.string "write to a snapshot"
+    "object register m[1;2] accessed with mismatched kind"
+    (message (snap_set "m" [ 1; 2 ]) (reg_write "m" [ 1; 2 ]));
+  check Alcotest.string "cas on a snapshot"
+    "object register m[] accessed with mismatched kind"
+    (message (snap_set "m" []) (fun e ->
+         ignore (Env.apply e ~pid:0 (Op.Cas ("m", [], None, u)))));
+  check Alcotest.string "scan of a register"
+    "object snapshot r[3] accessed with mismatched kind"
+    (message (reg_write "r" [ 3 ]) (fun e ->
+         ignore (Env.apply e ~pid:0 (Op.Snap_scan ("r", [ 3 ])))));
+  check Alcotest.string "set on a register"
+    "object snapshot r[] accessed with mismatched kind"
+    (message (reg_write "r" []) (snap_set "r" []))
+
+(* Instances are found by the contents of (family, key), never by the
+   physical identity of the literal a program wrote. *)
+let env_runtime_key () =
+  let e = env () in
+  let fam = String.concat "" [ "o"; "bj" ] and key = List.init 2 succ in
+  Alcotest.(check bool) "family not physically the literal" true (fam != "obj");
+  Env.apply e ~pid:0 (Op.Reg_write ("obj", [ 1; 2 ], Codec.int.Codec.inj 7));
+  check Alcotest.(option int) "runtime key reads the literal's instance"
+    (Some 7)
+    (Option.map Codec.int.Codec.prj
+       (Env.apply e ~pid:1 (Op.Reg_read (fam, key))));
+  check Alcotest.int "one instance" 1 (Env.instance_count e)
+
+(* A 41x41 grid of two-component keys holds pairs the key hash sends to
+   the same bucket ([0; 31] and [1; 0], say, under a fold of h * 31 + x):
+   every key must still be its own instance. *)
+let env_colliding_keys () =
+  let e = env () in
+  let cells =
+    List.concat_map (fun a -> List.init 41 (fun b -> (a, b))) (List.init 41 Fun.id)
+  in
+  List.iter
+    (fun (a, b) ->
+      let v = Codec.int.Codec.inj ((a * 100) + b) in
+      Env.apply e ~pid:0 (Op.Reg_write ("c", [ a; b ], v)))
+    cells;
+  check Alcotest.int "one instance per key" (List.length cells)
+    (Env.instance_count e);
+  List.iter
+    (fun (a, b) ->
+      check Alcotest.(option int) "each key keeps its own value"
+        (Some ((a * 100) + b))
+        (Option.map Codec.int.Codec.prj (Env.peek_register e "c" [ a; b ])))
+    cells
 
 let env_pid_range () =
   let e = env () in
@@ -454,6 +536,8 @@ let suite =
         Alcotest.test_case "roundtrips" `Quick codec_roundtrips;
         Alcotest.test_case "interop" `Quick codec_interop;
         Alcotest.test_case "type error" `Quick codec_type_error;
+        Alcotest.test_case "structural type errors" `Quick
+          codec_structural_type_errors;
         Alcotest.test_case "nested" `Quick codec_nested;
         Alcotest.test_case "array copies" `Quick codec_array_copies;
         Alcotest.test_case "assoc" `Quick codec_assoc;
@@ -479,6 +563,10 @@ let suite =
         Alcotest.test_case "k-set" `Quick env_kset;
         Alcotest.test_case "k-set forbidden" `Quick env_kset_forbidden;
         Alcotest.test_case "kind mismatch" `Quick env_kind_mismatch;
+        Alcotest.test_case "kind mismatch texts" `Quick env_kind_mismatch_texts;
+        Alcotest.test_case "runtime-built key" `Quick env_runtime_key;
+        Alcotest.test_case "colliding keys stay distinct" `Quick
+          env_colliding_keys;
         Alcotest.test_case "pid range" `Quick env_pid_range;
         Alcotest.test_case "instance count" `Quick env_instance_count;
       ] );
