@@ -240,6 +240,8 @@ let rec interp st j (p : Univ.t Prog.t) : Univ.t Prog.t =
   match p with
   | Prog.Done v -> Prog.return v
   | Prog.Step (op, k) -> run_op st j op k
+  | Prog.Await (op, pred) ->
+      run_op st j op (fun r -> match pred r with Some next -> next | None -> p)
 
 and run_op :
     type r. sim_state -> int -> r Op.t -> (r -> Univ.t Prog.t) -> Univ.t Prog.t

@@ -26,6 +26,14 @@ let step t ~tid =
           fun r ->
             t.threads.(tid) <- Running (k r);
             Prog.return `Stepped )
+  | Running (Prog.Await (op, pred)) ->
+      Prog.Step
+        ( op,
+          fun r ->
+            (match pred r with
+            | Some next -> t.threads.(tid) <- Running next
+            | None -> ());
+            Prog.return `Stepped )
 
 let round_robin_next t ~after =
   let n = Array.length t.threads in

@@ -142,7 +142,7 @@ let run_chunk cfg (s : Scenario.t) ~stop ~lo ~hi =
   (List.rev !interesting, !clean, !k - lo)
 
 (* A batch is dealt out in chunks of this many schedules, claimed one at
-   a time by the farm's domains. Schedules differ wildly in cost — a
+   a time by [Par.run]'s domains. Schedules differ wildly in cost — a
    blocked one spins to the step budget where a clean one takes tens of
    steps — and the blocked ones cluster: small chunks spread a cluster
    over every domain. *)
@@ -291,7 +291,6 @@ let run cfg ~corpus_dir (s : Scenario.t) =
             Sys.set_signal Sys.sigterm old_handler;
             Corpus.Store.close store)
           (fun () ->
-            Par.with_farm ~jobs:cfg.jobs @@ fun farm ->
             let first =
               if cfg.resume then checkpoint_next cfg s store else 0
             in
@@ -365,7 +364,7 @@ let run cfg ~corpus_dir (s : Scenario.t) =
               in
               (* No [skip]: every slot is filled. *)
               let chunks =
-                Par.run_in farm
+                Par.run ~jobs:cfg.jobs
                   ~tasks:((size + chunk - 1) / chunk)
                   (fun c ->
                     let a, b = bounds c in

@@ -21,8 +21,9 @@
     ({!Svm.Env.with_rollback} — no per-run allocation of the store),
     programs are reused (they are immutable values), batches bound the
     working set, and each batch is dealt out in fixed-size chunks of
-    schedules to one {!Svm.Par} farm of [jobs] domains that lives as
-    long as the run, with results merged in index order. *)
+    schedules to [jobs] domains through {!Svm.Par.run} (whose farm is
+    spawned once per process, not per batch), with results merged in
+    index order. *)
 
 type chaos = Kill | Torn | Bitflip
 

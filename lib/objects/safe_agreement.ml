@@ -29,20 +29,11 @@ let first_stable sm =
   in
   go 0
 
+(* Wait until no entry is unstable and one is stable. With no stable
+   entry yet (decide raced an early propose), keep scanning too. *)
 let decide t ~key =
-  Prog.loop
-    (fun () ->
-      let* sm = Prog.snap_scan cell t.fam key in
-      let unstable = Array.exists (fun e -> level e = 1) sm in
-      if unstable then Prog.return (`Again ())
-      else
-        match first_stable sm with
-        | Some v -> Prog.return (`Stop v)
-        | None ->
-            (* No proposal has stabilized yet (decide raced an early
-               propose); keep scanning. *)
-            Prog.return (`Again ()))
-    ()
+  Prog.snap_scan_until cell t.fam key (fun sm ->
+      if Array.exists (fun e -> level e = 1) sm then None else first_stable sm)
 
 let peek_decided env t ~key =
   match Env.peek_snapshot env t.fam key with

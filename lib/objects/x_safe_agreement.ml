@@ -35,13 +35,15 @@ let make ?(static_owners = false) ?(first_subset_only = false) ~fam
 
 let publish t ~key ~pid:_ v = Prog.snap_set Codec.any t.val_fam key v
 
-let read_published t ~key =
-  let* cells = Prog.snap_scan Codec.any t.val_fam key in
+let first_published cells =
   let rec first i =
     if i >= Array.length cells then None
     else match cells.(i) with Some v -> Some v | None -> first (i + 1)
   in
-  Prog.return (first 0)
+  first 0
+
+let read_published t ~key =
+  Prog.map first_published (Prog.snap_scan Codec.any t.val_fam key)
 
 let propose t ~key ~pid v =
   let* owner =
@@ -76,13 +78,7 @@ let propose t ~key ~pid v =
     scan 0 t.set_list v
 
 let decide t ~key ~pid:_ =
-  Prog.loop
-    (fun () ->
-      let* published = read_published t ~key in
-      match published with
-      | Some v -> Prog.return (`Stop v)
-      | None -> Prog.return (`Again ()))
-    ()
+  Prog.snap_scan_until Codec.any t.val_fam key first_published
 
 (* Graceful degradation under responsive omission (the §4 cancel
    semantics): [decide] above spins forever when every owner hangs

@@ -66,6 +66,7 @@ type t = {
   mutable oracle_queries : (Op.fam * int, int) Hashtbl.t option;
   mutable journaling : bool;
   mutable journal : undo list;
+  mutable version : int;
 }
 
 let create ~nprocs ~x ?(allow_kset = false) ?(allow_cas = false) () =
@@ -81,10 +82,12 @@ let create ~nprocs ~x ?(allow_kset = false) ?(allow_cas = false) () =
     oracle_queries = None;
     journaling = false;
     journal = [];
+    version = 0;
   }
 
 let nprocs t = t.nprocs
 let x t = t.x
+let version t = t.version
 
 (* ------------------------------------------------------------------ *)
 (* Undo journal                                                        *)
@@ -97,7 +100,11 @@ let x t = t.x
    instead of the O(store) deep copy it replaces. *)
 type checkpoint = undo list
 
-let log t u = if t.journaling then t.journal <- u :: t.journal
+(* Every mutation goes through [log], journaled or not, so [log] is
+   where the store's version moves. *)
+let log t u =
+  t.version <- t.version + 1;
+  if t.journaling then t.journal <- u :: t.journal
 
 let enable_journal t =
   t.journaling <- true;
@@ -127,6 +134,7 @@ let undo1 t = function
 
 let rollback t (cp : checkpoint) =
   if not t.journaling then invalid_arg "Env.rollback: journaling is off";
+  t.version <- t.version + 1;
   let rec go () =
     if t.journal != cp then
       match t.journal with
@@ -514,4 +522,6 @@ let preload_queue t fam key vs =
   if t.x < 2 then violation "queue %a requires x >= 2" Op.pp_info info;
   match Tbl.find_opt t.instances (fam, key) with
   | Some _ -> invalid_arg "Env.preload_queue: instance already exists"
-  | None -> Tbl.add t.instances (fam, key) (I_queue (ref vs))
+  | None ->
+      Tbl.add t.instances (fam, key) (I_queue (ref vs));
+      t.version <- t.version + 1

@@ -36,6 +36,21 @@ val apply : t -> pid:int -> 'r Op.t -> 'r
 (** [apply t ~pid op] atomically executes [op] on behalf of process
     [pid]. Called by the scheduler, one call per step. *)
 
+val version : t -> int
+(** A counter that moves on every change to the store: each mutation
+    {!apply} performs (a write, a won test&set, a propose that records
+    an accessor or a value, an enqueue, a non-empty dequeue, a
+    successful compare&swap, an oracle query), each lazy instance
+    creation, each {!rollback} and {!preload_queue}. Reads of existing
+    instances never move it — nor do a test&set of a won flag, a failed compare&swap or an
+    empty dequeue, which change nothing.
+
+    So two equal versions of one store imply equal answers to every
+    read in between — the guarantee {!Exec} parks a blocked
+    {!Prog.Await} on. A hash of the store could not give it: equal
+    hashes do not imply equal stores. The counter is per store and only
+    grows; a {!copy} starts at the original's count. *)
+
 (** {1 Inspection (for tests and experiments; not available to programs)} *)
 
 val peek_register : t -> Op.fam -> Op.key -> Univ.t option

@@ -13,7 +13,20 @@ type 'a result = {
 type 'a state = Running of 'a Prog.t | Finished of 'a outcome
 
 let next_op_info (p : 'a Prog.t) =
-  match p with Prog.Done _ -> None | Prog.Step (op, _) -> Op.info op
+  match p with
+  | Prog.Done _ -> None
+  | Prog.Step (op, _) -> Op.info op
+  | Prog.Await (op, _) -> Op.info op
+
+(* The ops an [Await] parks on: pure reads, whose result is a function
+   of the store alone (the contract of {!Prog.Await}). *)
+let parkable (type r) (op : r Op.t) =
+  match op with
+  | Op.Reg_read _ | Op.Snap_scan _ -> true
+  | Op.Reg_write _ | Op.Snap_set _ | Op.Ts _ | Op.Cons_propose _
+  | Op.Kset_propose _ | Op.Queue_enq _ | Op.Queue_deq _ | Op.Cas _
+  | Op.Oracle_query _ | Op.Yield ->
+      false
 
 let outcome_name = function
   | Decided _ -> "decided"
@@ -241,6 +254,14 @@ let run ?(budget = 2_000_000) ?(record_trace = false) ?(monitors = []) ?metrics
         stuck := pid :: !stuck;
         monitor pid !step (Monitor.Stalled { pid; step = !step; info })
   in
+  (* Parked processes. A pid whose [Await] try failed on a pure read
+     parks at the store's {!Env.version}: until the version moves, a
+     new try would read the same value and fail the same pure predicate
+     again. [parked.(pid)] is that version, -1 when the pid is not
+     parked; [parked_info] caches the op's info. Any step the pid
+     really takes un-parks it, and so does a restart. *)
+  let parked = Array.make n (-1) in
+  let parked_info = Array.make n None in
   (try
      while !continue && !step < budget do
     match !live with
@@ -252,12 +273,26 @@ let run ?(budget = 2_000_000) ?(record_trace = false) ?(monitors = []) ?metrics
         | Finished _ ->
             invalid_arg "Exec.run: adversary picked a non-runnable process"
         | Running prog -> (
-            let next = next_op_info prog in
+            let park = parked.(pid) in
+            let next =
+              if park >= 0 then parked_info.(pid) else next_op_info prog
+            in
             let fault =
               Adversary.fault_now adversary ~pid ~local_step:op_counts.(pid)
                 ~global_step:!step ~next
             in
             match fault with
+            | None when park >= 0 && park = Env.version env ->
+                (* A parked try: the read would return what the last try
+                   read and the predicate would fail again, so only
+                   those two are skipped. Everything else a step does
+                   happens, in the same order. *)
+                note_op pid next false;
+                scheduled pid;
+                op_counts.(pid) <- op_counts.(pid) + 1;
+                record !step pid next;
+                monitor pid !step
+                  (Monitor.Op_applied { pid; step = !step; info = next })
             | Some Adversary.Crash_stop ->
                 finish pid Crashed;
                 note_fault Adversary.Crash_stop;
@@ -277,13 +312,26 @@ let run ?(budget = 2_000_000) ?(record_trace = false) ?(monitors = []) ?metrics
                 (* Local [Prog] state is lost; shared memory survives.
                    The pending operation does not execute. *)
                 states.(pid) <- Running progs.(pid);
+                parked.(pid) <- -1;
                 note_fault Adversary.Crash_recovery;
                 restarts := pid :: !restarts;
                 decided (Trace.Restart pid);
                 record !step pid None;
                 monitor pid !step (Monitor.Restarted { pid; step = !step })
             | (Some Adversary.Byzantine | None) as fault -> (
-                match prog with
+                if park >= 0 then parked.(pid) <- -1;
+                (* A real try of an [Await] runs as the [Step] it
+                   abbreviates, which comes back to this node on [None]. *)
+                let unrolled =
+                  match prog with
+                  | Prog.Await (op, pred) ->
+                      Prog.Step
+                        ( op,
+                          fun r ->
+                            match pred r with Some p -> p | None -> prog )
+                  | Prog.Done _ | Prog.Step _ -> prog
+                in
+                (match unrolled with
                 | Prog.Done v ->
                     scheduled pid;
                     finish pid (Decided v);
@@ -319,7 +367,16 @@ let run ?(budget = 2_000_000) ?(record_trace = false) ?(monitors = []) ?metrics
                         monitor pid !step
                           (Monitor.Op_applied
                              { pid; step = !step; info = next });
-                        advance pid k r next))));
+                        advance pid k r next)
+                | Prog.Await _ -> assert false (* unrolled above *));
+                (* A failed try of a pure read left the pid on the same
+                   node: park it. *)
+                match (prog, states.(pid)) with
+                | Prog.Await (op, _), Running p when p == prog && parkable op
+                  ->
+                    parked.(pid) <- Env.version env;
+                    parked_info.(pid) <- next
+                | _ -> ())));
         incr step
      done
    with Monitor.Violation _ as e ->

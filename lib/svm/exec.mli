@@ -12,7 +12,24 @@
     value). The run ends when every process has decided, crashed or got
     stuck, or when the step budget is exhausted — remaining live
     processes are then reported as [Blocked], which is how the
-    experiments detect the permanent blocking the paper reasons about. *)
+    experiments detect the permanent blocking the paper reasons about.
+
+    {b Parked spins.} A process whose {!Prog.Await} try fails on a pure
+    read is {e parked} at the store's {!Env.version}. While that
+    version stands, a new try would read what the last one read and
+    the pure predicate would fail again, so when the adversary picks a
+    parked process, no fault fires, and the version is unchanged, the
+    step skips exactly those two parts: the read and the predicate.
+    Everything else a step does still happens, in the same order — the
+    scheduling tally, the op count, the per-op metrics, the trace event
+    and scheduling decision, the [Op_applied] monitor event. So every
+    result, trace, replay artifact, metrics snapshot and violation is
+    byte-identical to running the [Await] as the [Step] it abbreviates.
+    A passing try, a restart, or any change to the store un-parks the
+    process; a Byzantine value or a [Codec.Type_error] is met by a real
+    try, as any other step. A stateful {!Prog.loop} never parks: it has
+    no single node to stay on, and its next try depends on more than
+    the store. *)
 
 type 'a outcome =
   | Decided of 'a

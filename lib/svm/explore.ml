@@ -99,23 +99,27 @@ type rfp =
   | R_enq of Op.fam * Op.key
   | R_deq of Op.fam * Op.key
 
+let rfootprint_op (type r) ~pid (op : r Op.t) =
+  match op with
+  | Op.Yield -> R_none
+  | Op.Oracle_query (f, _) -> R_oracle (f, pid)
+  | Op.Reg_read (f, k) -> R_read (f, k)
+  | Op.Reg_write (f, k, v) -> R_write (f, k, v)
+  | Op.Cas (f, k, _, _) -> R_cas (f, k)
+  | Op.Snap_set (f, k, _) -> R_snap_set (f, k)
+  | Op.Snap_scan (f, k) -> R_snap_scan (f, k)
+  | Op.Ts (f, k) -> R_ts (f, k)
+  | Op.Cons_propose (f, k, _) -> R_cons (f, k, pid)
+  | Op.Kset_propose (f, k, _) -> R_kset (f, k)
+  | Op.Queue_enq (f, k, _) -> R_enq (f, k)
+  | Op.Queue_deq (f, k) -> R_deq (f, k)
+
+(* An [Await] is footprinted as the [Step] it abbreviates: its op. *)
 let rfootprint (type a) ~pid (prog : a Prog.t) =
   match prog with
   | Prog.Done _ -> R_none
-  | Prog.Step (op, _) -> (
-      match op with
-      | Op.Yield -> R_none
-      | Op.Oracle_query (f, _) -> R_oracle (f, pid)
-      | Op.Reg_read (f, k) -> R_read (f, k)
-      | Op.Reg_write (f, k, v) -> R_write (f, k, v)
-      | Op.Cas (f, k, _, _) -> R_cas (f, k)
-      | Op.Snap_set (f, k, _) -> R_snap_set (f, k)
-      | Op.Snap_scan (f, k) -> R_snap_scan (f, k)
-      | Op.Ts (f, k) -> R_ts (f, k)
-      | Op.Cons_propose (f, k, _) -> R_cons (f, k, pid)
-      | Op.Kset_propose (f, k, _) -> R_kset (f, k)
-      | Op.Queue_enq (f, k, _) -> R_enq (f, k)
-      | Op.Queue_deq (f, k) -> R_deq (f, k))
+  | Prog.Step (op, _) -> rfootprint_op ~pid op
+  | Prog.Await (op, _) -> rfootprint_op ~pid op
 
 (* Same shared-object location, without allocating the [option] pair
    an extraction function would — this runs once per (sleep entry ×
@@ -538,7 +542,19 @@ let rec dfs ctx ~frontier ~on_run depth crashes rev_crashed rev_choices sleep =
                           intern_id ctx.intern (saved_pk, encode_result op r);
                         ctx.esig <- esig_step ctx.env saved_es fp_t ~pid
                       end;
-                      ctx.states.(pid) <- Running (k r));
+                      ctx.states.(pid) <- Running (k r)
+                  | Prog.Await (op, pred) -> (
+                      (* The [Step] it abbreviates, run in place: a failed
+                         try leaves the pid on the same node. *)
+                      let r = Env.apply ctx.env ~pid op in
+                      if dedup then begin
+                        ctx.pkey.(pid) <-
+                          intern_id ctx.intern (saved_pk, encode_result op r);
+                        ctx.esig <- esig_step ctx.env saved_es fp_t ~pid
+                      end;
+                      match pred r with
+                      | Some next -> ctx.states.(pid) <- Running next
+                      | None -> ()));
                   let child_sleep =
                     if dedup then sleep_filter ctx.states fp_t pid !sleep
                     else []
@@ -1269,7 +1285,22 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
                               e;
                           esig := esig_step env saved_es fps.(pid) ~pid
                         end;
-                        states.(pid) <- Running (k r));
+                        states.(pid) <- Running (k r)
+                    | Prog.Await (op, pred) -> (
+                        (* As in the plan engine: the abbreviated [Step],
+                           in place. *)
+                        let r = Env.apply env ~pid op in
+                        if dedup then begin
+                          let e = (saved_pk, encode_result op r) in
+                          pkey.(pid) <-
+                            Visited.Intern.id g.g_intern
+                              ~hash:(Hashtbl.hash_param 64 256 e)
+                              e;
+                          esig := esig_step env saved_es fps.(pid) ~pid
+                        end;
+                        match pred r with
+                        | Some next -> states.(pid) <- Running next
+                        | None -> ()));
                     node (depth + 1) crashes rev_crashed child_sleep None;
                     Env.rollback env cp;
                     states.(pid) <- Running prog;

@@ -1,15 +1,10 @@
 (* A zero-dependency multicore pool over stdlib [Domain], in two
-   flavours:
+   flavours, both run as rounds on one process-wide farm of domains:
 
-   - [with_farm]/[run_in]: an indexed task farm. A farm spawns its
-     helper domains once, on the first round that needs them, and keeps
-     them parked on a condition variable between rounds until
-     [with_farm] returns, so a caller that runs many rounds (soak
-     batches) spawns no domain per round. In each round, tasks
-     [0 .. tasks-1] are handed out through one atomic counter and
-     results land in per-index slots — the right scheduler for
-     pre-sliced work (sweep cells, dist shards, soak chunks). [run] is
-     a one-round farm.
+   - [run]: an indexed task farm. Tasks [0 .. tasks-1] are handed out
+     through one atomic counter and results land in per-index slots —
+     the right scheduler for pre-sliced work (sweep cells, dist shards,
+     soak chunks).
 
    - [run_dynamic]: a work-stealing pool for work that splits as it
      runs. Each worker owns a fixed-capacity circular deque
@@ -18,6 +13,19 @@
      explorer feeds it subtree items and consults [want_work] to
      decide when to split — so splitting happens exactly when some
      domain is starving, not on a static pre-cut.
+
+   The farm's helper domains are spawned by the first round that needs
+   them and parked on a condition variable between rounds, so a
+   process running many rounds (sweeps, soak batches, explorations)
+   spawns no domain per call: in OCaml 5 every domain spawned and
+   joined grows the major heap, so a domain per call is memory that
+   grows with the number of calls. There is one farm, sized by the
+   round using it; a round of another size retires it (joins its
+   helpers) and spawns a new one, and the last farm is joined at exit.
+   Every parked domain still answers each stop-the-world GC, so a farm
+   per size (a domain parked per size ever used) or a farm larger than
+   the machine (an oversubscribed round's) would tax all the work that
+   runs beside it: neither is kept.
 
    Determinism note: neither pool promises anything about execution
    order. Callers needing deterministic output must make per-item
@@ -34,22 +42,32 @@
 let cap_jobs ~oversubscribe jobs =
   if oversubscribe then jobs else min jobs (Domain.recommended_domain_count ())
 
+(* ------------------------------------------------------------------ *)
+(* The farm                                                             *)
+(* ------------------------------------------------------------------ *)
+
 type farm = {
-  size : int;  (* domains a round may use, the caller included *)
-  mutable helpers : unit Domain.t list;  (* spawned by the first round *)
+  size : int;  (* domains a round uses, the caller's included *)
+  mutable helpers : unit Domain.t list;  (* workers 1 .. size-1 *)
   lock : Mutex.t;
   wake : Condition.t;  (* a new round was posted, or the farm closes *)
   finished : Condition.t;  (* the last helper left the current round *)
   mutable round : int;
-  mutable body : unit -> unit;  (* the current round's claim loop *)
+  mutable body : int -> unit;  (* the current round, given a worker index *)
   mutable running : int;  (* helpers still inside the current round *)
-  mutable in_round : bool;
   mutable closing : bool;
 }
 
-(* A helper's life: wait for a round newer than [seen], run its claim
-   loop (which never raises), report back, repeat until closing. *)
-let rec serve farm seen =
+(* The farm, and who holds it: a round takes [busy] for its whole
+   length, and only the holder reads or replaces [current]. A call that
+   finds it taken — nested in a task, or from another thread — runs on
+   its caller alone. *)
+let current : farm option ref = ref None
+let busy = Atomic.make false
+
+(* A helper's life: wait for a round newer than [seen], run its body
+   (which never raises), report back, repeat until closing. *)
+let rec serve farm ~worker seen =
   Mutex.lock farm.lock;
   while farm.round = seen && not farm.closing do
     Condition.wait farm.wake farm.lock
@@ -57,119 +75,140 @@ let rec serve farm seen =
   let round = farm.round and body = farm.body and closing = farm.closing in
   Mutex.unlock farm.lock;
   if not closing then begin
-    body ();
+    body worker;
     Mutex.lock farm.lock;
     farm.running <- farm.running - 1;
     if farm.running = 0 then Condition.signal farm.finished;
     Mutex.unlock farm.lock;
-    serve farm round
+    serve farm ~worker round
   end
 
-(* Run [body] on every domain of the farm, the caller's included, and
-   return once all of them are done with it. *)
-let round farm body =
-  if farm.helpers = [] then
-    for _ = 2 to farm.size do
-      let seen = farm.round in
-      farm.helpers <- Domain.spawn (fun () -> serve farm seen) :: farm.helpers
-    done;
-  farm.in_round <- true;
+let retire farm =
   Mutex.lock farm.lock;
-  farm.body <- body;
-  farm.running <- List.length farm.helpers;
-  farm.round <- farm.round + 1;
+  farm.closing <- true;
   Condition.broadcast farm.wake;
   Mutex.unlock farm.lock;
-  body ();
-  Mutex.lock farm.lock;
-  while farm.running > 0 do
-    Condition.wait farm.finished farm.lock
-  done;
-  farm.body <- ignore;
-  Mutex.unlock farm.lock;
-  farm.in_round <- false
+  List.iter Domain.join farm.helpers
 
-let with_farm ~jobs ?(oversubscribe = false) k =
-  if jobs < 1 then invalid_arg "Par.with_farm: jobs must be >= 1";
-  let farm =
-    {
-      size = cap_jobs ~oversubscribe jobs;
-      helpers = [];
-      lock = Mutex.create ();
-      wake = Condition.create ();
-      finished = Condition.create ();
-      round = 0;
-      body = ignore;
-      running = 0;
-      in_round = false;
-      closing = false;
-    }
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock farm.lock;
-      farm.closing <- true;
-      Condition.broadcast farm.wake;
-      Mutex.unlock farm.lock;
-      List.iter Domain.join farm.helpers)
-    (fun () -> k farm)
+let () =
+  at_exit (fun () ->
+      if Atomic.compare_and_set busy false true then begin
+        Option.iter retire !current;
+        current := None;
+        Atomic.set busy false
+      end)
 
-let run_in (type a) farm ?(skip = fun (_ : int) -> false) ~tasks
-    (f : int -> a) : a option array =
-  if tasks < 0 then invalid_arg "Par.run_in: tasks must be >= 0";
-  if farm.in_round then invalid_arg "Par.run_in: called from inside its farm";
-  if tasks = 0 then [||]
-  else begin
-    let results : a option array = Array.make tasks None in
-    (* Count the tasks the skip predicate admits right now: if none
-       survive, waking (or spawning) domains would be pure overhead (the
-       snapshot may be stale — skip is consulted again at claim time —
-       but a task skipped here and admitted later was equally claimable
-       as "skipped" by a worker, which callers already tolerate). *)
-    let live = ref 0 in
-    for i = 0 to tasks - 1 do
-      if not (skip i) then incr live
-    done;
-    if !live = 0 then results
-    else if farm.size = 1 || tasks = 1 then begin
-      for i = 0 to tasks - 1 do
-        if not (skip i) then results.(i) <- Some (f i)
-      done;
-      results
-    end
-    else begin
-      let next = Atomic.make 0 in
-      let failure : (int * exn) option Atomic.t = Atomic.make None in
-      (* Keep the failure with the smallest task index so the exception
-         that propagates does not depend on worker timing. *)
-      let rec note_failure i exn =
-        match Atomic.get failure with
-        | Some (j, _) when j <= i -> ()
-        | cur ->
-            if not (Atomic.compare_and_set failure cur (Some (i, exn))) then
-              note_failure i exn
+(* The farm for a round of [size] domains; the caller holds [busy]. *)
+let farm_of_size size =
+  match !current with
+  | Some farm when farm.size = size -> farm
+  | old ->
+      Option.iter retire old;
+      let farm =
+        {
+          size;
+          helpers = [];
+          lock = Mutex.create ();
+          wake = Condition.create ();
+          finished = Condition.create ();
+          round = 0;
+          body = ignore;
+          running = 0;
+          closing = false;
+        }
       in
-      let claim () =
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= tasks || Atomic.get failure <> None then continue := false
-          else
-            try if not (skip i) then results.(i) <- Some (f i)
-            with exn -> note_failure i exn
-        done
-      in
-      round farm claim;
-      (match Atomic.get failure with Some (_, exn) -> raise exn | None -> ());
-      results
-    end
-  end
+      farm.helpers <-
+        List.init (size - 1) (fun i ->
+            Domain.spawn (fun () -> serve farm ~worker:(i + 1) 0));
+      current := Some farm;
+      farm
 
-let run ~jobs ?oversubscribe ?skip ~tasks f =
+(* Run [body w] on every domain of a [size]-domain farm — worker 0 is
+   the caller — and return once all of them are done with it. [false]
+   (and nothing run) when the farm is busy. *)
+let on_farm ~size body =
+  if not (Atomic.compare_and_set busy false true) then false
+  else
+    Fun.protect
+      ~finally:(fun () -> Atomic.set busy false)
+      (fun () ->
+        let farm = farm_of_size size in
+        Mutex.lock farm.lock;
+        farm.body <- body;
+        farm.running <- size - 1;
+        farm.round <- farm.round + 1;
+        Condition.broadcast farm.wake;
+        Mutex.unlock farm.lock;
+        body 0;
+        Mutex.lock farm.lock;
+        while farm.running > 0 do
+          Condition.wait farm.finished farm.lock
+        done;
+        farm.body <- ignore;
+        Mutex.unlock farm.lock;
+        (* Only a farm that fits the machine is kept: a parked domain
+           still answers every stop-the-world GC, so domains parked
+           beyond the cores (possible only with [oversubscribe]) would
+           tax everything that runs after them. *)
+        if size > Domain.recommended_domain_count () then begin
+          retire farm;
+          current := None
+        end;
+        true)
+
+(* ------------------------------------------------------------------ *)
+(* The indexed task farm                                                *)
+(* ------------------------------------------------------------------ *)
+
+let run (type a) ~jobs ?(oversubscribe = false)
+    ?(skip = fun (_ : int) -> false) ~tasks (f : int -> a) : a option array =
   if jobs < 1 then invalid_arg "Par.run: jobs must be >= 1";
   if tasks < 0 then invalid_arg "Par.run: tasks must be >= 0";
-  with_farm ~jobs:(max 1 (min jobs tasks)) ?oversubscribe (fun farm ->
-      run_in farm ?skip ~tasks f)
+  let results : a option array = Array.make tasks None in
+  (* Count the tasks the skip predicate admits right now: if none
+     survive, waking (or spawning) domains would be pure overhead (the
+     snapshot may be stale — skip is consulted again at claim time —
+     but a task skipped here and admitted later was equally claimable
+     as "skipped" by a worker, which callers already tolerate). *)
+  let live = ref 0 in
+  for i = 0 to tasks - 1 do
+    if not (skip i) then incr live
+  done;
+  let sequential () =
+    for i = 0 to tasks - 1 do
+      if not (skip i) then results.(i) <- Some (f i)
+    done
+  in
+  (if !live > 0 then
+     let size = cap_jobs ~oversubscribe (min jobs tasks) in
+     if size = 1 then sequential ()
+     else begin
+       let next = Atomic.make 0 in
+       let failure : (int * exn) option Atomic.t = Atomic.make None in
+       (* Keep the failure with the smallest task index so the exception
+          that propagates does not depend on worker timing. *)
+       let rec note_failure i exn =
+         match Atomic.get failure with
+         | Some (j, _) when j <= i -> ()
+         | cur ->
+             if not (Atomic.compare_and_set failure cur (Some (i, exn))) then
+               note_failure i exn
+       in
+       let claim _worker =
+         let continue = ref true in
+         while !continue do
+           let i = Atomic.fetch_and_add next 1 in
+           if i >= tasks || Atomic.get failure <> None then continue := false
+           else
+             try if not (skip i) then results.(i) <- Some (f i)
+             with exn -> note_failure i exn
+         done
+       in
+       if on_farm ~size claim then
+         match Atomic.get failure with Some (_, exn) -> raise exn | None -> ()
+       else sequential ()
+     end);
+  results
 
 (* ------------------------------------------------------------------ *)
 (* Work-stealing deques                                                 *)
@@ -334,34 +373,44 @@ let worker_loop p f w =
 let run_dynamic (type w) ~jobs ?(oversubscribe = false) ~(roots : w list)
     (f : w t -> worker:int -> w -> unit) : w t =
   if jobs < 1 then invalid_arg "Par.run_dynamic: jobs must be >= 1";
-  let njobs = cap_jobs ~oversubscribe jobs in
-  let p =
-    {
-      deques = Array.init njobs (fun _ -> deque_create ());
-      pending = Atomic.make 0;
-      starving = Atomic.make 0;
-      stolen = Atomic.make 0;
-      first_exn = Atomic.make None;
-      njobs;
-    }
-  in
-  (* Seed worker 0: with the explorer's single root this preserves the
-     sequential depth-first order exactly when [njobs = 1] (no thieves,
-     [want_work] always false, so the caller never splits). *)
-  List.iter
-    (fun r ->
-      Atomic.incr p.pending;
-      if not (deque_push p.deques.(0) r) then
-        invalid_arg "Par.run_dynamic: more roots than deque capacity")
-    roots;
-  if njobs = 1 then worker_loop p f 0
-  else begin
-    let domains =
-      Array.init (njobs - 1) (fun i ->
-          Domain.spawn (fun () -> worker_loop p f (i + 1)))
+  let want = cap_jobs ~oversubscribe jobs in
+  (* The deques are sized by the domains that will really run: all of
+     [want] on the farm, or the caller alone when the farm is busy. *)
+  let pool njobs =
+    let p =
+      {
+        deques = Array.init njobs (fun _ -> deque_create ());
+        pending = Atomic.make 0;
+        starving = Atomic.make 0;
+        stolen = Atomic.make 0;
+        first_exn = Atomic.make None;
+        njobs;
+      }
     in
-    worker_loop p f 0;
-    Array.iter Domain.join domains
-  end;
+    (* Seed worker 0: with the explorer's single root this preserves the
+       sequential depth-first order exactly when [njobs = 1] (no
+       thieves, [want_work] always false, so the caller never splits). *)
+    List.iter
+      (fun r ->
+        Atomic.incr p.pending;
+        if not (deque_push p.deques.(0) r) then
+          invalid_arg "Par.run_dynamic: more roots than deque capacity")
+      roots;
+    p
+  in
+  let shared =
+    if want = 1 then None
+    else
+      let p = pool want in
+      if on_farm ~size:want (worker_loop p f) then Some p else None
+  in
+  let p =
+    match shared with
+    | Some p -> p
+    | None ->
+        let p = pool 1 in
+        worker_loop p f 0;
+        p
+  in
   (match Atomic.get p.first_exn with Some exn -> raise exn | None -> ());
   p

@@ -1,11 +1,21 @@
-type 'a t = Done of 'a | Step : 'r Op.t * ('r -> 'a t) -> 'a t
+type 'a t =
+  | Done of 'a
+  | Step : 'r Op.t * ('r -> 'a t) -> 'a t
+  | Await : 'r Op.t * ('r -> 'a t option) -> 'a t
 
 let return x = Done x
 
+(* [bind] maps through an [Await] once, when the program is built: a
+   failed try ([None]) leaves an interpreter on this very node, so the
+   node is physically the same however long the spin lasts. *)
 let rec bind p f =
   match p with
   | Done v -> f v
   | Step (op, k) -> Step (op, fun r -> bind (k r) f)
+  | Await (op, pred) ->
+      Await
+        ( op,
+          fun r -> match pred r with None -> None | Some p -> Some (bind p f) )
 
 let map f p = bind p (fun v -> Done (f v))
 let perform op = Step (op, fun r -> Done r)
@@ -44,11 +54,18 @@ let reg_write (c : 'a Codec.t) fam key v =
 let snap_set (c : 'a Codec.t) fam key v =
   perform (Op.Snap_set (fam, key, c.inj v))
 
-(* The blocked-spin hot path (a decider scanning until its budget runs
-   out): decode the scan in one pass, in the scan's own step. *)
+(* Decode the scan in one pass, in the scan's own step. *)
 let snap_scan (c : 'a Codec.t) fam key =
   let decode = function None -> None | Some u -> Some (c.prj u) in
   Step (Op.Snap_scan (fam, key), fun a -> Done (Array.map decode a))
+
+let snap_scan_until (c : 'a Codec.t) fam key f =
+  let decode = function None -> None | Some u -> Some (c.prj u) in
+  Await
+    ( Op.Snap_scan (fam, key),
+      fun a ->
+        match f (Array.map decode a) with None -> None | Some v -> Some (Done v)
+    )
 
 let ts fam key = perform (Op.Ts (fam, key))
 

@@ -7,7 +7,29 @@
     can interpret someone else's program operation by operation (this is
     what the BG-style simulators do). *)
 
-type 'a t = Done of 'a | Step : 'r Op.t * ('r -> 'a t) -> 'a t
+type 'a t =
+  | Done of 'a
+  | Step : 'r Op.t * ('r -> 'a t) -> 'a t
+  | Await : 'r Op.t * ('r -> 'a t option) -> 'a t
+      (** [Await (op, pred)] is a stateless spin: each try performs
+          [op] as one step; [pred r = Some p] continues with [p], and
+          [None] means "try again from this same node". It abbreviates
+          the [Step] that loops back to itself on [None], and every
+          interpreter but {!Exec} runs it as exactly that step.
+
+          {b Contract.} [op] is [Reg_read] or [Snap_scan], and [pred]
+          is a pure function of the result. Then a failed try is fully
+          determined by the store it read: while the store is unchanged
+          ({!Env.version}), another try reads the same value and fails
+          again, so {!Exec} may skip the read and the predicate of such
+          a try (the process is {e parked}) with no observable
+          difference. An [Await] over any other op is legal but never
+          parks.
+
+          A spin that carries state (a counter, the previous collect)
+          stays a {!loop}: its next try depends on more than the store,
+          so an unchanged store does not determine it, and there is no
+          single node to park on. *)
 
 val return : 'a -> 'a t
 val bind : 'a t -> ('a -> 'b t) -> 'b t
@@ -38,6 +60,13 @@ val reg_read : 'a Codec.t -> Op.fam -> Op.key -> 'a option t
 val reg_write : 'a Codec.t -> Op.fam -> Op.key -> 'a -> unit t
 val snap_set : 'a Codec.t -> Op.fam -> Op.key -> 'a -> unit t
 val snap_scan : 'a Codec.t -> Op.fam -> Op.key -> 'a option array t
+
+val snap_scan_until :
+  'a Codec.t -> Op.fam -> Op.key -> ('a option array -> 'b option) -> 'b t
+(** [snap_scan_until c fam key f] scans until [f] of the decoded scan
+    is [Some v], and returns [v]: one [Await], so a decider blocked on
+    an unchanged snapshot parks (see {!t}). [f] must be pure. *)
+
 val ts : Op.fam -> Op.key -> bool t
 val cons_propose : 'a Codec.t -> Op.fam -> Op.key -> 'a -> 'a t
 val kset_propose : 'a Codec.t -> Op.fam -> Op.key -> 'a -> 'a t

@@ -14,19 +14,19 @@ let min_some view =
     (fun m e -> match e with None -> m | Some v -> min m v)
     max_int view
 
+(* Scan "mem" until n - t entries are written, then decide the least. *)
+let await_quorum ~n ~t =
+  Prog.snap_scan_until int_c "mem" [] (fun view ->
+      if count_some view >= n - t then Some (int_c.Codec.inj (min_some view))
+      else None)
+
 let kset_read_write ~n ~t ~k =
   if t >= k then invalid_arg "Algorithms.kset_read_write: requires t < k";
   let model = Core.Model.read_write ~n ~t in
   let code ~pid:_ ~input =
     let v = int_c.Codec.prj input in
     let* () = Prog.snap_set int_c "mem" [] v in
-    Prog.loop
-      (fun () ->
-        let* view = Prog.snap_scan int_c "mem" [] in
-        if count_some view >= n - t then
-          Prog.return (`Stop (int_c.Codec.inj (min_some view)))
-        else Prog.return (`Again ()))
-      ()
+    await_quorum ~n ~t
   in
   Core.Algorithm.make ~name:(Printf.sprintf "kset-rw(n=%d,t=%d,k=%d)" n t k)
     ~model code
@@ -64,13 +64,7 @@ let kset_grouped ~n ~t ~x ~k =
     let group = pid / x in
     let* gv = Prog.cons_propose int_c "gcons" [ group ] v in
     let* () = Prog.snap_set int_c "mem" [] gv in
-    Prog.loop
-      (fun () ->
-        let* view = Prog.snap_scan int_c "mem" [] in
-        if count_some view >= n - t then
-          Prog.return (`Stop (int_c.Codec.inj (min_some view)))
-        else Prog.return (`Again ()))
-      ()
+    await_quorum ~n ~t
   in
   Core.Algorithm.make
     ~name:(Printf.sprintf "kset-grouped(n=%d,t=%d,x=%d,k=%d)" n t x k)

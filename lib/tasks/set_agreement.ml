@@ -23,9 +23,7 @@ let algorithm ~n ~t ~m ~l ~k =
     (* The (m, l)-set object of this group: key = [l; m; group]. *)
     let* gv = Prog.kset_propose int_c "mlset" [ l; m; group ] v in
     let* () = Prog.snap_set int_c "mem" [] gv in
-    Prog.loop
-      (fun () ->
-        let* view = Prog.snap_scan int_c "mem" [] in
+    Prog.snap_scan_until int_c "mem" [] (fun view ->
         let written =
           Array.fold_left (fun c e -> if e = None then c else c + 1) 0 view
         in
@@ -35,9 +33,8 @@ let algorithm ~n ~t ~m ~l ~k =
               (fun acc e -> match e with None -> acc | Some w -> min acc w)
               max_int view
           in
-          Prog.return (`Stop (int_c.Codec.inj best))
-        else Prog.return (`Again ()))
-      ()
+          Some (int_c.Codec.inj best)
+        else None)
   in
   Core.Algorithm.make
     ~name:(Printf.sprintf "kset-from-(%d,%d)-set(n=%d,t=%d,k=%d)" m l n t k)

@@ -73,7 +73,12 @@ let exhaustive ?(max_crashes = 0) ~max_steps ~make ~property () =
               | Prog.Done v -> states'.(pid) <- Done v
               | Prog.Step (op, k) ->
                   let r = Env.apply env' ~pid op in
-                  states'.(pid) <- Running (k r));
+                  states'.(pid) <- Running (k r)
+              | Prog.Await (op, pred) -> (
+                  let r = Env.apply env' ~pid op in
+                  match pred r with
+                  | Some next -> states'.(pid) <- Running next
+                  | None -> ()));
               dfs env' states' (depth + 1) crashes crashed
                 (Step pid :: rev_choices)
           | Done _ | Crashed -> assert false);
