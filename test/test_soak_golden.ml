@@ -1,6 +1,7 @@
 (* Byte pins for the soak driver.
 
-   Each pin soaks a seeded bug into a fresh corpus through [Soak.run]
+   Each pin soaks a scenario under one set of fault tiers into a fresh
+   corpus through [Soak.run]
    and renders what the CLI would show of it: the outcome lines, the
    new findings' content addresses in discovery order, and the sorted
    [corpus --list] of the corpus left behind. The rendering must equal
@@ -14,6 +15,8 @@ open Experiments
 
 type pin = {
   file : string;
+  algo : string;
+  kinds : Svm.Adversary.fault_kind list;
   seed : int;
   schedules : int option;
   until : int option;
@@ -24,6 +27,8 @@ let pins =
   [
     {
       file = "no_cancel.seed1";
+      algo = "safe_agreement_no_cancel";
+      kinds = [ Svm.Adversary.Crash_stop ];
       seed = 1;
       schedules = Some 1000;
       until = None;
@@ -31,6 +36,8 @@ let pins =
     };
     {
       file = "no_cancel.seed2";
+      algo = "safe_agreement_no_cancel";
+      kinds = [ Svm.Adversary.Crash_stop ];
       seed = 2;
       schedules = Some 1000;
       until = None;
@@ -39,10 +46,35 @@ let pins =
     (* The [make smoke-soak] range: --seed 7 --until 120 --batch 40. *)
     {
       file = "no_cancel.smoke";
+      algo = "safe_agreement_no_cancel";
+      kinds = [ Svm.Adversary.Crash_stop ];
       seed = 7;
       schedules = None;
       until = Some 120;
       batch = 40;
+    };
+    (* The omission tier finds both shrunk violations and deadlocks
+       (every process halted, one stuck): the deadlock record's payload
+       is pinned through its content address. *)
+    {
+      file = "no_cancel.omission";
+      algo = "safe_agreement_no_cancel";
+      kinds = [ Svm.Adversary.Omission ];
+      seed = 1;
+      schedules = Some 400;
+      until = None;
+      batch = Soak.default_config.Soak.batch;
+    };
+    (* A correct protocol under Byzantine faults: no violation, only
+       deadlock records. *)
+    {
+      file = "safe_agreement.byzantine";
+      algo = "safe_agreement";
+      kinds = [ Svm.Adversary.Byzantine ];
+      seed = 1;
+      schedules = Some 400;
+      until = None;
+      batch = Soak.default_config.Soak.batch;
     };
   ]
 
@@ -69,7 +101,7 @@ let listing dir =
 
 let render ~jobs pin =
   let s =
-    match Scenario.find "safe_agreement_no_cancel" with
+    match Scenario.find pin.algo with
     | Ok s -> s
     | Error m -> Alcotest.fail m
   in
@@ -80,6 +112,7 @@ let render ~jobs pin =
       schedules = pin.schedules;
       until = pin.until;
       batch = pin.batch;
+      kinds = pin.kinds;
       jobs;
     }
   in
