@@ -8,7 +8,8 @@
 #   make smoke-trace   — sweep a seeded bug, export + validate its Chrome trace
 #   make smoke-dist    — --dist runs (a private worker fleet, one worker's
 #                        link chaos-cut; one run SIGTERMed and resumed) must
-#                        be byte-identical to in-process
+#                        be byte-identical to in-process; a SIGKILLed run's
+#                        socket directory is removed by the next run
 #   make smoke-net     — the TCP service: serve + chaos-net remote workers,
 #                        byte-identical to in-process; SIGTERM drains to 0
 #   make smoke-soak    — the soak runner + corpus store: a SIGKILLed-and-
@@ -86,7 +87,11 @@ smoke-trace: build
 # "suspended"), and `serve --resume` must finish it, restoring the
 # journalled shards, with the in-process verdict. The first of its 50
 # shards lands in a few percent of the sweep's ~1.7 s (2-core host), so
-# the signal always finds it running.
+# the signal always finds it running. Last, SIGKILL: a --dist sweep
+# killed once a shard is journalled leaves its private socket directory
+# behind (under TMPDIR, which must stay under 64 bytes or the socket
+# goes to /tmp); the next --dist run must remove it. The killed run's
+# orphaned workers are killed by the socket path in their argv.
 smoke-dist: build
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) sweep --algo safe_agreement_no_cancel \
 	  --expect-violation --out _build/dist.replay > _build/dist-a.out
@@ -120,6 +125,23 @@ smoke-dist: build
 	  > $$D/c.out 2> $$D/c.err; \
 	grep -Eq ' [1-9][0-9]* resumed' $$D/c.err; \
 	tail -n +2 $$D/a.out | diff - $$D/c.out
+	rm -rf _build/distkill && mkdir -p _build/distkill
+	set -e; \
+	BIN=$$PWD/_build/default/bin/asmsim.exe; D=$$PWD/_build/distkill; \
+	export TMPDIR=$$D; \
+	SW="sweep --algo safe_agreement -t 2 --window 8 --budget 5000"; \
+	$$BIN $$SW --dist 1 --shard-size 20 --journal-dir $$D/jobs \
+	  > $$D/a.out 2> $$D/a.err & P=$$!; \
+	for i in $$(seq 1 200); do \
+	  grep -qs '"shard"' $$D/jobs/*/journal.jsonl && break; sleep 0.02; \
+	done; \
+	kill -KILL $$P || { echo "smoke-dist: the sweep ended before SIGKILL"; exit 1; }; \
+	wait $$P || test $$? -eq 137; \
+	K=$$(echo $$D/asmsim-*); test -S $$K/queue; \
+	pkill -KILL -f -- "$$K/queue" || true; \
+	timeout $(SMOKE_TIMEOUT) $$BIN sweep --algo safe_agreement --runs 200 \
+	  --dist 1 --journal-dir $$D/jobs2 > $$D/b.out 2> $$D/b.err; \
+	test ! -e $$K || { echo "smoke-dist: $$K survived the next --dist run"; exit 1; }
 
 # The network service end to end, through the real CLI: the same
 # seeded-bug sweep run in-process and over loopback TCP — a serve

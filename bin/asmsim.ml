@@ -1420,9 +1420,19 @@ let work_cmd =
   in
   let chaos_every =
     Arg.(
-      value & opt int 7
-      & info [ "chaos-every" ] ~docv:"N"
+      value
+      & opt (some int) None
+      & info [ "chaos-every" ] ~docv:"N" ~absent:"7"
           ~doc:"Fire the --chaos-net fault on every Nth frame written.")
+  in
+  let chaos mode every =
+    match (mode, every) with
+    | None, Some _ -> Error "--chaos-every needs --chaos-net"
+    | _ ->
+        Ok
+          (Option.map
+             (Dist.Net.chaos ~every:(Option.value every ~default:7))
+             mode)
   in
   let retries =
     Arg.(
@@ -1432,7 +1442,7 @@ let work_cmd =
             "Consecutive failed connection attempts before giving up \
              (--connect).")
   in
-  let run (_, addr) chaos_net chaos_every retries log spans =
+  let run (_, addr) chaos retries log spans =
     (* Every networked worker keeps a registry: its snapshot rides
        each heartbeat pong, which is what feeds `asmsim top'. *)
     let metrics = Svm.Metrics.create () in
@@ -1442,8 +1452,7 @@ let work_cmd =
            ?spans:(make_spans ~role:"worker" spans)
            ())
         with
-        Dist.Client.chaos =
-          Option.map (Dist.Net.chaos ~every:chaos_every) chaos_net;
+        Dist.Client.chaos = chaos;
         max_failures = retries;
       }
     in
@@ -1458,8 +1467,9 @@ let work_cmd =
           over TCP, or the private queue a --dist run spawns its workers \
           against — and stream the results back.")
     Term.(
-      const run $ connect_required_arg $ chaos_net $ chaos_every $ retries
-      $ log_t $ spans_arg)
+      const run $ connect_required_arg
+      $ term_result' (const chaos $ chaos_net $ chaos_every)
+      $ retries $ log_t $ spans_arg)
 
 type serve_mode =
   | List_jobs of string
@@ -1846,8 +1856,8 @@ let soak_cmd =
       value
       & opt
           (some
-             (enum_of Experiments.Soak.chaos_name
-                Experiments.Soak.[ Kill; Torn; Bitflip ]))
+             (enum
+                [ ("kill", `Kill); ("torn", `Torn); ("bitflip", `Bitflip) ]))
           None
       & info [ "chaos-store" ] ~docv:"MODE"
           ~doc:
@@ -1859,9 +1869,21 @@ let soak_cmd =
   in
   let chaos_at =
     Arg.(
-      value & opt int 3
-      & info [ "chaos-at" ] ~docv:"A"
+      value
+      & opt (some int) None
+      & info [ "chaos-at" ] ~docv:"A" ~absent:"3"
           ~doc:"Which corpus append the kill/torn chaos strikes.")
+  in
+  (* --chaos-at only takes effect with a chaos that strikes an append. *)
+  let chaos store at =
+    let at' = Option.value at ~default:3 in
+    match (store, at) with
+    | None, None -> Ok None
+    | Some `Kill, _ -> Ok (Some (Corpus.Store.Kill_at_append at'))
+    | Some `Torn, _ -> Ok (Some (Corpus.Store.Torn_at_append at'))
+    | Some `Bitflip, None -> Ok (Some Corpus.Store.Bitflip_after_cement)
+    | (None | Some `Bitflip), Some _ ->
+        Error "--chaos-at needs --chaos-store kill or torn"
   in
   let max_heap_growth =
     Arg.(
@@ -1873,7 +1895,7 @@ let soak_cmd =
              soaks.")
   in
   let run s seed schedules until duration batch jobs kinds max_faults within
-      budget corpus_dir resume chaos chaos_at max_heap_growth log =
+      budget corpus_dir resume chaos max_heap_growth log =
     let soak_log = Svm.Log.sub log "soak" in
     let cfg =
       {
@@ -1890,7 +1912,6 @@ let soak_cmd =
         budget;
         resume;
         chaos;
-        chaos_at;
         log = soak_log;
       }
     in
@@ -1954,7 +1975,9 @@ let soak_cmd =
     Term.(
       const run $ scenario_t $ seed_arg $ schedules $ until $ duration $ batch
       $ jobs_t $ tiers_arg $ max_faults $ within $ budget_arg 20_000
-      $ corpus_dir $ resume $ chaos_store $ chaos_at $ max_heap_growth $ log_t)
+      $ corpus_dir $ resume
+      $ term_result' (const chaos $ chaos_store $ chaos_at)
+      $ max_heap_growth $ log_t)
 
 (* ---- corpus ---- *)
 

@@ -61,24 +61,79 @@ let listen ?(backlog = 64) addr =
   in
   (fd, port)
 
+(* Whether a connect to the Unix-domain socket at [path] is refused —
+   nothing listens there any more. Non-blocking, so a live listener
+   with a full backlog counts as live rather than stalling the caller. *)
+let refused path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.set_nonblock fd;
+      match Unix.connect fd (Unix.ADDR_UNIX path) with
+      | () -> false
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true
+      | exception Unix.Unix_error _ -> false)
+
+(* A private directory's owner removes it when the run ends, unless the
+   run was SIGKILLed. Such a leftover is removed here, by the next run,
+   only when it is certainly one: this user's, mode 0700, holding a
+   [queue] socket a connect to which is refused. Every other directory
+   — another tool's, a live fleet's — is left alone. *)
+let remove_stale temp_dir =
+  let uid = Unix.getuid () in
+  let stale dir =
+    match (Unix.lstat dir, Unix.lstat (Filename.concat dir "queue")) with
+    | ( { Unix.st_kind = Unix.S_DIR; st_uid; st_perm; _ },
+        { Unix.st_kind = Unix.S_SOCK; _ } ) ->
+        st_uid = uid && st_perm = 0o700
+        && refused (Filename.concat dir "queue")
+    | _ -> false
+    | exception Unix.Unix_error _ -> false
+  in
+  match Sys.readdir temp_dir with
+  | exception Sys_error _ -> ()
+  | names ->
+      Array.iter
+        (fun name ->
+          let dir = Filename.concat temp_dir name in
+          if String.starts_with ~prefix:"asmsim-" name && stale dir then begin
+            (try Sys.remove (Filename.concat dir "queue")
+             with Sys_error _ -> ());
+            try Unix.rmdir dir with Unix.Unix_error _ -> ()
+          end)
+        names
+
 (* A Unix-domain socket in a fresh directory only this user may enter
    (mode 0700): no other user's process can dial it, whatever it knows
    about the protocol. sun_path holds ~108 bytes, so a long temp dir
-   falls back to /tmp. *)
+   falls back to /tmp. The socket is bound and listening under a
+   temporary name before it is renamed to [queue], so a [queue] socket
+   that refuses a connect is never one still being set up. *)
 let listen_private () =
   let base = Filename.get_temp_dir_name () in
   let temp_dir = if String.length base > 64 then "/tmp" else base in
+  remove_stale temp_dir;
   let dir = Filename.temp_dir ~temp_dir ~perms:0o700 "asmsim-" "" in
   let path = Filename.concat dir "queue" in
+  let binding = Filename.concat dir "binding" in
   let remove () =
-    (try Sys.remove path with Sys_error _ -> ());
+    List.iter
+      (fun p -> try Sys.remove p with Sys_error _ -> ())
+      [ binding; path ];
     try Unix.rmdir dir with Unix.Unix_error _ -> ()
   in
-  match listen (Unix.ADDR_UNIX path) with
-  | fd, _ -> (fd, path, remove)
-  | exception exn ->
-      remove ();
-      raise exn
+  let fail fd exn =
+    Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fd;
+    remove ();
+    raise exn
+  in
+  match listen (Unix.ADDR_UNIX binding) with
+  | exception exn -> fail None exn
+  | fd, _ -> (
+      match Unix.rename binding path with
+      | () -> (fd, path, remove)
+      | exception exn -> fail (Some fd) exn)
 
 (* Every exchange is a small frame answered by another (a worker sends
    progress then result back to back), so Nagle's algorithm meeting the

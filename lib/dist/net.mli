@@ -25,7 +25,12 @@ val listen_private : unit -> Unix.file_descr * string * (unit -> unit)
 (** A listener only this user's processes can dial: a Unix-domain
     socket inside a fresh temporary directory of mode 0700. Returns the
     socket, its path (a {!parse_addr} address) and a function removing
-    the path and its directory. *)
+    the path and its directory.
+
+    A run killed before it could call that function leaves its
+    directory behind; the next call removes every such sibling — an
+    [asmsim-*] directory of this user, mode 0700, whose [queue] socket
+    refuses a connect — and leaves every other directory alone. *)
 
 val dial : ?timeout:float -> Unix.sockaddr -> (Unix.file_descr, string) result
 (** Blocking connect bounded by [timeout] (default 10s) — a dead or

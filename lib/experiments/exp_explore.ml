@@ -1,11 +1,7 @@
 open Svm
 open Svm.Prog.Syntax
 
-let decided_ints (run : 'a Explore.run) =
-  Array.to_list run.Explore.outcomes
-  |> List.filter_map (function
-       | Exec.Decided u -> Some (Codec.int.Codec.prj u)
-       | Exec.Crashed | Exec.Blocked | Exec.Stuck -> None)
+let decided_ints = Sdl.Compile.decided_ints
 
 (* Scope line for a clean result: how many representative runs were
    checked and how much of the tree the prunings discharged. *)

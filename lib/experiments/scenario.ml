@@ -21,22 +21,13 @@ type t = {
 (* Exhaustive-exploration properties (pure functions of the run record) *)
 (* ------------------------------------------------------------------ *)
 
-let decided_ints run =
-  Array.to_list run.Explore.outcomes
-  |> List.filter_map (function
-       | Exec.Decided u -> Some (Codec.int.Codec.prj u)
-       | Exec.Crashed | Exec.Blocked | Exec.Stuck -> None)
-
-let agreement_property ~lo ~hi run =
-  let ds = decided_ints run in
-  if List.exists (fun v -> v < lo || v > hi) ds then
-    Error "validity: decided value outside the proposed range"
-  else
-    match ds with
-    | [] -> Ok ()
-    | d :: rest ->
-        if List.for_all (fun v -> v = d) rest then Ok ()
-        else Error "agreement: two distinct values decided"
+(* The int-coded kits are shared with compiled DSL twins: a twin's
+   verdicts and artifacts are byte-identical to its builtin's. *)
+let decided_ints = Sdl.Compile.decided_ints
+let agreement_property = Sdl.Compile.agreement_property
+let pp_int = Sdl.Compile.pp_int
+let int_in = Sdl.Compile.int_in
+let agreement_monitors = Sdl.Compile.agreement_monitors
 
 let agreement_except_property ~sentinel ~lo ~hi run =
   let ds = decided_ints run in
@@ -66,26 +57,6 @@ let winners_property ~bound run =
 (* ------------------------------------------------------------------ *)
 (* Monitor kits over int-coded decisions                                *)
 (* ------------------------------------------------------------------ *)
-
-let pp_int u =
-  match Codec.int.Codec.prj u with
-  | v -> string_of_int v
-  | exception Codec.Type_error _ -> "<univ>"
-
-let int_in ~lo ~hi u =
-  match Codec.int.Codec.prj u with
-  | v -> v >= lo && v <= hi
-  | exception Codec.Type_error _ -> false
-
-(* [decided_value_integrity] instead of plain [validity]: identical on
-   crash-only runs (no Corrupted events), and under Byzantine sweeps it
-   checks exactly the degradation claim — no honest process adopts a
-   forged value — without charging a Byzantine pid's own "decision". *)
-let agreement_monitors ~lo ~hi () =
-  [
-    Monitor.agreement ~pp:pp_int ();
-    Monitor.decided_value_integrity ~pp:pp_int ~allowed:(int_in ~lo ~hi) ();
-  ]
 
 (* At most [bound] processes decide [true]. *)
 let winners_monitor ~bound () =

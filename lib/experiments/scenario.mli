@@ -15,7 +15,7 @@
     [stall_bound] blocking account, which is sound for sweeps with at
     most one injected fault).
 
-    Replay artifacts produced by {!Svm.Explore.sweep_crashes} via
+    Replay artifacts produced by sweeps and soaks via
     {!sweep_meta} carry the scenario name and size, so
     [asmsim replay file] can rebuild the exact system and re-drive the
     recorded schedule against it. *)
@@ -85,7 +85,8 @@ val registered_scenarios : unit -> t list
 
 val sweep_meta : t -> (string * string) list
 (** Replay-artifact metadata identifying the scenario ([scenario],
-    [nprocs], [x]) — pass as {!Svm.Explore.sweep_crashes}'s [meta]. *)
+    [nprocs], [x]) — pass as {!Svm.Explore.sweep_faults}'s or
+    {!Svm.Explore.finding}'s [meta]. *)
 
 val of_replay_meta : (string * string) list -> (t, string) result
 (** Rebuild the scenario a replay artifact was recorded against. *)

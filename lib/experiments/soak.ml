@@ -1,15 +1,5 @@
 open Svm
 
-type chaos = Kill | Torn | Bitflip
-
-let chaos_of_name = function
-  | "kill" -> Some Kill
-  | "torn" -> Some Torn
-  | "bitflip" -> Some Bitflip
-  | _ -> None
-
-let chaos_name = function Kill -> "kill" | Torn -> "torn" | Bitflip -> "bitflip"
-
 type config = {
   seed : int;
   schedules : int option;
@@ -22,8 +12,7 @@ type config = {
   within : int;
   budget : int;
   resume : bool;
-  chaos : chaos option;
-  chaos_at : int;
+  chaos : Corpus.Store.chaos option;
   log : Svm.Log.t;
   metrics : Metrics.t option;
 }
@@ -42,7 +31,6 @@ let default_config =
     budget = 20_000;
     resume = false;
     chaos = None;
-    chaos_at = 3;
     log = Svm.Log.null;
     metrics = None;
   }
@@ -73,58 +61,33 @@ let bump cfg = Metrics.bump cfg.metrics
    one splitmix stream per index yields the scheduler seed and the
    fault-plan seed. Any schedule can be re-derived years later — which
    is what lets findings re-run, shrink, and resume without storing the
-   schedules themselves. *)
-let derive cfg k =
+   schedules themselves. The schedule comes back as the fault schedule
+   a sweep cell would name, [random(SEED) + [faults]], with the
+   scheduler that name stands for. *)
+let schedule cfg ~nprocs k =
   let r = Rng.create ((cfg.seed * 1_000_003) + k) in
   let sched_seed = Rng.int r 1_000_000_000 in
   let fault_seed = Rng.int r 1_000_000_000 in
   let nfaults = Rng.int r (cfg.max_faults + 1) in
-  (sched_seed, fault_seed, nfaults)
-
-let fault_plan cfg ~nprocs k =
-  let _, fault_seed, nfaults = derive cfg k in
-  List.map
-    (fun (victim, op, kind) -> { Explore.victim; op; kind })
-    (Adversary.random_fault_plan ~within:cfg.within ~seed:fault_seed
-       ~max_faults:nfaults ~kinds:cfg.kinds ~nprocs ())
-
-let adversary cfg ~nprocs k =
-  let sched_seed, fault_seed, nfaults = derive cfg k in
-  Adversary.random_faults ~within:cfg.within ~seed:fault_seed
-    ~max_faults:nfaults ~kinds:cfg.kinds ~nprocs
-    (Adversary.random ~seed:sched_seed)
+  let faults =
+    List.map
+      (fun (victim, op, kind) -> { Explore.victim; op; kind })
+      (Adversary.random_fault_plan ~within:cfg.within ~seed:fault_seed
+         ~max_faults:nfaults ~kinds:cfg.kinds ~nprocs ())
+  in
+  ( { Explore.scheduler = Printf.sprintf "random(%d)" sched_seed; faults },
+    fun () -> Adversary.random ~seed:sched_seed )
 
 (* ------------------------------------------------------------------ *)
 (* The hot loop                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type verdict = V_clean | V_deadlock | V_violation
-
-(* One schedule against a reused arena: checkpoint, run, roll back —
-   the environment is bit-identical before and after, so thousands of
-   schedules share one store with zero per-run copying. The verdict
-   classification mirrors [Explore.run_fault]. *)
-let run_one cfg ~env ~progs ~monitors ~adv =
-  Env.with_rollback env (fun () ->
-      match
-        Exec.run ~budget:cfg.budget ~monitors:(monitors ()) ~env
-          ~adversary:adv progs
-      with
-      | r ->
-          let halted =
-            Array.for_all
-              (function
-                | Exec.Crashed | Exec.Stuck -> true
-                | Exec.Decided _ | Exec.Blocked -> false)
-              r.Exec.outcomes
-          in
-          if halted && r.Exec.stuck <> [] then V_deadlock else V_clean
-      | exception Monitor.Violation _ -> V_violation
-      | exception Adversary.Deadlock -> V_deadlock)
-
-(* Run schedules [lo, hi) on a fresh arena; returns interesting indices
-   (violating or deadlocked) in index order, the clean count and how many
-   schedules ran before a SIGTERM stopped the chunk. *)
+(* Run schedules [lo, hi) on a fresh arena; returns the interesting
+   (violating or deadlocked) indices with their verdicts in index order,
+   the clean count and how many schedules ran before a SIGTERM stopped
+   the chunk. Every schedule is checkpointed, judged and rolled back —
+   the environment is bit-identical before and after, so the chunk's
+   schedules share one store with zero per-run copying. *)
 let run_chunk cfg (s : Scenario.t) ~stop ~lo ~hi =
   let env, progs = s.Scenario.make () in
   Env.enable_journal env;
@@ -133,10 +96,18 @@ let run_chunk cfg (s : Scenario.t) ~stop ~lo ~hi =
   let clean = ref 0 in
   let k = ref lo in
   while !k < hi && not (Atomic.get stop) do
-    let adv = adversary cfg ~nprocs !k in
-    (match run_one cfg ~env ~progs ~monitors:s.Scenario.monitors ~adv with
-    | V_clean -> incr clean
-    | (V_deadlock | V_violation) as v -> interesting := (!k, v) :: !interesting);
+    let fault, scheduler = schedule cfg ~nprocs !k in
+    let adversary =
+      Explore.fault_adversary (scheduler ()) fault.Explore.faults
+    in
+    (match
+       Env.with_rollback env (fun () ->
+           Explore.judge ~budget:cfg.budget
+             ~monitors:(s.Scenario.monitors ())
+             ~env ~adversary progs)
+     with
+    | Explore.Clean -> incr clean
+    | v -> interesting := (!k, v) :: !interesting);
     incr k
   done;
   (List.rev !interesting, !clean, !k - lo)
@@ -160,76 +131,42 @@ let rec durable_next ~lo = function
 (* Findings → corpus records                                           *)
 (* ------------------------------------------------------------------ *)
 
-let scenario_meta (s : Scenario.t) =
-  [
-    ("scenario", s.Scenario.name);
-    ("nprocs", string_of_int s.Scenario.nprocs);
-    ("x", string_of_int s.Scenario.x);
-  ]
-
-(* A violating schedule is re-run deterministically with the trace
-   recorder on, shrunk through the standard delta-debugger (the soak's
-   own scheduler plus round-robin as collapse target), and serialized
-   exactly like a sweep finding — [asmsim replay] replays soak
-   artifacts unchanged. Shrinking is also what makes corpus dedup
-   bite: many random schedules reduce to the same minimal one. *)
-let finding_record cfg (s : Scenario.t) k =
-  let nprocs = s.Scenario.nprocs in
-  let sched_seed, _, _ = derive cfg k in
-  let sched_name = Printf.sprintf "random(%d)" sched_seed in
-  let plan = fault_plan cfg ~nprocs k in
-  let scheduler () = Adversary.random ~seed:sched_seed in
-  let make = s.Scenario.make and monitors = s.Scenario.monitors in
-  match
-    Explore.run_fault ~budget:cfg.budget ~make ~monitors ~scheduler plan
-  with
+(* A deadlock is filed as its schedule. A violation is filed as
+   {!Explore.finding} files a sweep's: re-run traced, shrunk through the
+   standard delta-debugger (the soak's own scheduler plus round-robin as
+   collapse target) and serialized as a replay artifact — [asmsim
+   replay] replays soak artifacts unchanged. Shrinking is also what
+   makes corpus dedup bite: many random schedules reduce to the same
+   minimal one. *)
+let finding_record cfg (s : Scenario.t) k verdict =
+  let fault, scheduler = schedule cfg ~nprocs:s.Scenario.nprocs k in
+  let meta = Scenario.sweep_meta s in
+  let finding ~meta payload =
+    Some (Corpus.Record.make ~kind:Corpus.Record.Finding ~meta ~payload)
+  in
+  match verdict with
   | Explore.Clean -> None
   | Explore.Deadlocked ->
-      let fault = { Explore.scheduler = sched_name; faults = plan } in
-      let payload =
-        Format.asprintf "deadlock %a@." Explore.pp_fault_schedule fault
+      finding
+        ~meta:(("verdict", "deadlock") :: meta)
+        (Format.asprintf "deadlock %a@." Explore.pp_fault_schedule fault)
+  | Explore.Violating _ ->
+      let f =
+        Explore.finding ~budget:cfg.budget ~make:s.Scenario.make
+          ~monitors:s.Scenario.monitors
+          ~schedulers:
+            [
+              (fault.Explore.scheduler, scheduler);
+              ("round-robin", fun () -> Adversary.round_robin ());
+            ]
+          ~meta fault
       in
-      Some
-        (Corpus.Record.make ~kind:Corpus.Record.Finding
-           ~meta:(("verdict", "deadlock") :: scenario_meta s)
-           ~payload)
-  | Explore.Violating v ->
-      let schedulers =
-        [
-          (sched_name, scheduler);
-          ("round-robin", fun () -> Adversary.round_robin ());
-        ]
-      in
-      let fault = { Explore.scheduler = sched_name; faults = plan } in
-      let shrunk, violation, _runs =
-        Explore.shrink ~budget:cfg.budget ~make ~monitors ~schedulers fault v
-      in
-      let t =
-        match violation.Monitor.trace with
-        | Some t -> t
-        | None -> Trace.create ()
-      in
-      let payload =
-        Trace.to_replay
-          ~meta:
-            (scenario_meta s
-            @ [
-                ("monitor", violation.Monitor.monitor);
-                ("message", violation.Monitor.message);
-                ("step", string_of_int violation.Monitor.step);
-                ("pid", string_of_int violation.Monitor.pid);
-                ( "schedule",
-                  Format.asprintf "%a" Explore.pp_fault_schedule shrunk );
-              ])
-          t
-      in
-      Some
-        (Corpus.Record.make ~kind:Corpus.Record.Finding
-           ~meta:
-             (("verdict", "violation")
-             :: ("monitor", violation.Monitor.monitor)
-             :: scenario_meta s)
-           ~payload)
+      finding
+        ~meta:
+          (("verdict", "violation")
+          :: ("monitor", f.Explore.violation.Monitor.monitor)
+          :: meta)
+        f.Explore.replay
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints                                                         *)
@@ -237,7 +174,7 @@ let finding_record cfg (s : Scenario.t) k =
 
 let state_record cfg (s : Scenario.t) ~next =
   Corpus.Record.make ~kind:Corpus.Record.State
-    ~meta:(("seed", string_of_int cfg.seed) :: scenario_meta s)
+    ~meta:(("seed", string_of_int cfg.seed) :: Scenario.sweep_meta s)
     ~payload:(Printf.sprintf "next %d\n" next)
 
 let checkpoint_next cfg (s : Scenario.t) store =
@@ -271,14 +208,7 @@ let run cfg ~corpus_dir (s : Scenario.t) =
   else if cfg.batch < 1 then Error "batch must be at least 1"
   else if cfg.jobs < 1 then Error "jobs must be at least 1"
   else
-    let store_chaos =
-      match cfg.chaos with
-      | None -> None
-      | Some Kill -> Some (Corpus.Store.Kill_at_append cfg.chaos_at)
-      | Some Torn -> Some (Corpus.Store.Torn_at_append cfg.chaos_at)
-      | Some Bitflip -> Some Corpus.Store.Bitflip_after_cement
-    in
-    match Corpus.Store.open_ ~log:cfg.log ?chaos:store_chaos corpus_dir with
+    match Corpus.Store.open_ ~log:cfg.log ?chaos:cfg.chaos corpus_dir with
     | Error m -> Error m
     | Ok store ->
         let stop = Atomic.make false in
@@ -324,11 +254,8 @@ let run cfg ~corpus_dir (s : Scenario.t) =
               | _ -> false
             in
             let record_finding k v =
-              (* Re-derive outside the arena: fresh env, trace on. *)
-              (match v with
-              | V_deadlock -> incr deadlocks
-              | _ -> ());
-              match finding_record cfg s k with
+              (match v with Explore.Deadlocked -> incr deadlocks | _ -> ());
+              match finding_record cfg s k v with
               | None -> ()
               | Some r -> (
                   match Corpus.Store.add store r with

@@ -7,9 +7,17 @@
     — so any schedule can be re-derived, re-run and shrunk long after
     the soak that first executed it.
 
-    Findings (monitor violations, shrunk and serialized exactly as
-    sweep replay artifacts, and whole-system deadlocks) are written to
-    a {!Corpus.Store} and deduplicated by content address: re-finding a
+    Schedules are built, judged and filed through the sweep's own
+    primitives: {!Svm.Explore.fault_adversary} turns a schedule into an
+    adversary, {!Svm.Explore.judge} gives its run a verdict, and
+    {!Svm.Explore.finding} re-runs a violating one traced, shrinks it
+    and serializes its replay artifact — so a schedule the soak calls
+    violating is one a sweep cell would call violating, and its
+    artifact is the one a sweep would write.
+
+    Findings (shrunk monitor violations, and whole-system deadlocks
+    filed as their schedule) are written to a {!Corpus.Store} and
+    deduplicated by content address: re-finding a
     known counterexample — in this run, a previous run, or a resumed
     run — is counted but not re-reported. Each batch ends with a
     cement, so a crash loses at most the current batch, and a [State]
@@ -24,11 +32,6 @@
     schedules to [jobs] domains through {!Svm.Par.run} (whose farm is
     spawned once per process, not per batch), with results merged in
     index order. *)
-
-type chaos = Kill | Torn | Bitflip
-
-val chaos_of_name : string -> chaos option
-val chaos_name : chaos -> string
 
 type config = {
   seed : int;
@@ -45,8 +48,8 @@ type config = {
   within : int;  (** local-step window faults land in *)
   budget : int;  (** step budget per schedule *)
   resume : bool;  (** continue from the corpus's last checkpoint *)
-  chaos : chaos option;  (** store-level crash/corruption injection *)
-  chaos_at : int;  (** which corpus append the chaos strikes *)
+  chaos : Corpus.Store.chaos option;
+      (** store-level crash/corruption injection *)
   log : Svm.Log.t;
       (** leveled diagnostics: batch and finding progress at [Info] *)
   metrics : Svm.Metrics.t option;

@@ -19,12 +19,12 @@
 
    - {e Byte identity with builtins}: the declared object name doubles
      as the {!Svm.Op.fam}, the statement interpreter adds no operations
-     of its own (continuation plumbing is free), and the monitor /
-     property builders below are verbatim mirrors of the kits in
-     [lib/experiments/scenario.ml] — so a DSL twin of a registry
-     scenario produces the identical op stream, verdict strings, and
-     replay artifacts. The differential tests in [test_sdl.ml] and
-     [make smoke-sdl] pin this. *)
+     of its own (continuation plumbing is free), and the int-coded
+     monitor / property kits below are the very ones the registry's
+     builtins use ([Experiments.Scenario] takes them from here) — so a
+     DSL twin of a registry scenario produces the identical op stream,
+     verdict strings, and replay artifacts. The differential tests in
+     [test_sdl.ml] and [make smoke-sdl] pin this. *)
 
 open Svm
 module So = Shared_objects
@@ -47,7 +47,7 @@ type t = {
   c_property : Univ.t Explore.run -> (unit, string) result;
 }
 
-(* ---- int-coded value helpers (mirrors of scenario.ml's kits) ---- *)
+(* ---- int-coded value kits, shared with the scenario registry ---- *)
 
 let inj = Codec.int.Codec.inj
 
@@ -72,9 +72,6 @@ let decided_ints run =
        | Exec.Decided u -> Some (Codec.int.Codec.prj u)
        | Exec.Crashed | Exec.Blocked | Exec.Stuck -> None)
 
-(* Verbatim mirror of [Scenario.agreement_property] — same checks, same
-   order, same strings, so a DSL twin's verdict output is
-   byte-identical to the builtin's. *)
 let agreement_property ~lo ~hi run =
   let ds = decided_ints run in
   if List.exists (fun v -> v < lo || v > hi) ds then
@@ -85,6 +82,16 @@ let agreement_property ~lo ~hi run =
     | d :: rest ->
         if List.for_all (fun v -> v = d) rest then Ok ()
         else Error "agreement: two distinct values decided"
+
+(* [decided_value_integrity] instead of plain [validity]: identical on
+   crash-only runs (no Corrupted events), and under Byzantine sweeps it
+   checks exactly the degradation claim — no honest process adopts a
+   forged value — without charging a Byzantine pid's own "decision". *)
+let agreement_monitors ~lo ~hi () =
+  [
+    Monitor.agreement ~pp:pp_int ();
+    Monitor.decided_value_integrity ~pp:pp_int ~allowed:(int_in ~lo ~hi) ();
+  ]
 
 let validity_property ~lo ~hi run =
   let ds = decided_ints run in
@@ -283,11 +290,7 @@ let prop_monitors ~nprocs p () =
   match p.Ast.p_desc with
   | Ast.Agreement { lo; hi } ->
       let lo = resolve_bound ~nprocs lo and hi = resolve_bound ~nprocs hi in
-      [
-        Monitor.agreement ~pp:pp_int ();
-        Monitor.decided_value_integrity ~pp:pp_int ~allowed:(int_in ~lo ~hi)
-          ();
-      ]
+      agreement_monitors ~lo ~hi ()
   | Ast.K_agreement { k; lo; hi } ->
       let lo = resolve_bound ~nprocs lo and hi = resolve_bound ~nprocs hi in
       [

@@ -269,12 +269,3 @@ let random_crashes ?within ~seed ~max_crashes ~nprocs base =
          ())
   in
   with_crashes base specs
-
-let random_faults ?within ~seed ~max_faults ~kinds ~nprocs base =
-  let specs =
-    List.map
-      (fun (pid, step, kind) ->
-        { kind; trigger = Crash_at_local { pid; step } })
-      (random_plan ?within ~seed ~max:max_faults ~kinds ~nprocs ())
-  in
-  with_faults base specs

@@ -140,24 +140,11 @@ val random_fault_plan :
   nprocs:int ->
   unit ->
   (int * int * fault_kind) list
-(** The raw random plan behind {!random_faults}: up to [max_faults]
-    distinct victims as [(pid, local step, kind)] triples, steps drawn
-    uniformly from [\[0, within)] (default 300), kinds uniformly from
-    [kinds], deterministic from [seed]. Exposed so randomized drivers
-    (the soak runner) can both inflict a plan and hand the {e same}
-    plan to the shrinker. *)
-
-val random_faults :
-  ?within:int ->
-  seed:int ->
-  max_faults:int ->
-  kinds:fault_kind list ->
-  nprocs:int ->
-  t ->
-  t
-(** {!with_faults} over {!random_fault_plan}, every trigger a
-    [Crash_at_local]. [random_crashes] is the [kinds = \[Crash_stop\]]
-    special case (and draws the identical plan for a given seed). *)
+(** A random fault plan: up to [max_faults] distinct victims as
+    [(pid, local step, kind)] triples, steps drawn uniformly from
+    [\[0, within)] (default 300), kinds uniformly from [kinds],
+    deterministic from [seed]. {!random_crashes} inflicts the
+    [kinds = \[Crash_stop\]] plan. *)
 
 val crash_count : t -> int
 (** Crash-stop faults this adversary has inflicted so far in the current

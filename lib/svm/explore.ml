@@ -679,7 +679,12 @@ let run_subtree ~dedup ~max_steps ~max_crashes ~run_cap ~property
   Env.disable_journal s.s_env;
   task_result_of_ctx ctx
 
-(* Phase A: walk the tree sequentially down to [frontier_depth], with
+(* The depth every plan is sliced at: a constant, so a plan — and what
+   a task index denotes — is a function of the exploration's parameters
+   alone. *)
+let phase_a_depth = 3
+
+(* Phase A: walk the tree sequentially down to [phase_a_depth], with
    the same dedup/sleep machinery, emitting work in DFS order — runs
    completing above the frontier come out as already-resolved leaf
    tasks, frontier nodes as subtree tasks. The frontier depth must not
@@ -689,8 +694,7 @@ let run_subtree ~dedup ~max_steps ~max_crashes ~run_cap ~property
    count of tasks bounds the runs the merge will still need. Only a
    counterexample ends the walk early — no task after it can ever be
    merged. *)
-let explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~property
-    ~make () =
+let explore_tasks ~dedup ~max_steps ~max_crashes ~property ~make () =
   let env0, progs = make () in
   Env.enable_journal env0;
   let n = Array.length progs in
@@ -738,7 +742,7 @@ let explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~property
          })
   in
   (try
-     dfs ctx ~frontier:(Some (frontier_depth, capture)) ~on_run 0 0 [] [] []
+     dfs ctx ~frontier:(Some (phase_a_depth, capture)) ~on_run 0 0 [] [] []
    with Phase_stop -> ());
   Env.disable_journal env0;
   (Array.of_list (List.rev !emitted), ctx.pruned_states, ctx.pruned_commutes)
@@ -765,10 +769,9 @@ type 'a plan = {
 }
 
 let plan ?(max_crashes = 0) ?(max_runs = 2_000_000) ?(dedup = true)
-    ?(frontier_depth = 3) ~max_steps ~make ~property () =
+    ~max_steps ~make ~property () =
   let tasks, phase_pruned_states, phase_pruned_commutes =
-    explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~property
-      ~make ()
+    explore_tasks ~dedup ~max_steps ~max_crashes ~property ~make ()
   in
   {
     pl_tasks = tasks;
@@ -910,11 +913,8 @@ let merge_plan ?metrics ?on_progress p ~outcome_of =
    work-stealing engine defers to the moment a counterexample, the run
    budget, or an exception enters the picture. *)
 let exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
-    ?oversubscribe ?dedup ?frontier_depth ~max_steps ~make ~property () =
-  let p =
-    plan ?max_crashes ?max_runs ?dedup ?frontier_depth ~max_steps ~make
-      ~property ()
-  in
+    ?oversubscribe ?dedup ~max_steps ~make ~property () =
+  let p = plan ?max_crashes ?max_runs ?dedup ~max_steps ~make ~property () in
   let ntasks = plan_tasks p in
   (* Lowest task index found to end the merge so far — a counterexample,
      or a task that hit the run cap on its own: the merge stops there,
@@ -1329,15 +1329,7 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
   Env.disable_journal env
 
 let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
-    ?(oversubscribe = false) ?(dedup = true) ?frontier_depth ~max_steps ~make
-    ~property () =
-  match frontier_depth with
-  | Some _ ->
-      (* An explicit frontier is a request for the static-split plan
-         engine — the path [Dist] workers run. *)
-      exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ~jobs
-        ~oversubscribe ~dedup ?frontier_depth ~max_steps ~make ~property ()
-  | None ->
+    ?(oversubscribe = false) ?(dedup = true) ~max_steps ~make ~property () =
   let run_cap = Option.value max_runs ~default:2_000_000 in
   let g =
     {
@@ -1386,7 +1378,7 @@ let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
        original exception). Nothing from the aborted pass is kept —
        no metrics were recorded yet. *)
     exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ~jobs
-      ~oversubscribe ~dedup ?frontier_depth ~max_steps ~make ~property ()
+      ~oversubscribe ~dedup ~max_steps ~make ~property ()
   else begin
     let sum f = Array.fold_left (fun n a -> n + f a) 0 accs in
     let explored = sum (fun a -> a.c_runs) in
@@ -1483,25 +1475,19 @@ let default_schedulers ~nprocs =
 
 type verdict = Clean | Deadlocked | Violating of Monitor.violation
 
-(* One fault run. Only [run_fault] records a trace: a sweep cell's
-   verdict needs none, and the one trace a sweep reads — its first
-   violation's — [sweep_merge] re-derives by re-running that cell. *)
-let fault_verdict ~record_trace ?(budget = 20_000) ~make ~monitors ~scheduler
-    faults =
-  let env, progs = make () in
-  let specs =
-    List.map
-      (fun { victim; op; kind } ->
-        {
-          Adversary.kind;
-          trigger = Adversary.Crash_at_local { pid = victim; step = op };
-        })
-      faults
-  in
-  let adversary = Adversary.with_faults (scheduler ()) specs in
-  match
-    Exec.run ~budget ~record_trace ~monitors:(monitors ()) ~env ~adversary progs
-  with
+let fault_adversary base faults =
+  Adversary.with_faults base
+    (List.map
+       (fun { victim; op; kind } ->
+         {
+           Adversary.kind;
+           trigger = Adversary.Crash_at_local { pid = victim; step = op };
+         })
+       faults)
+
+let judge ?(budget = 20_000) ?(record_trace = false) ~monitors ~env ~adversary
+    progs =
+  match Exec.run ~budget ~record_trace ~monitors ~env ~adversary progs with
   | r ->
       (* "All processes stuck" is a finding of the omission tier, not a
          crash of the checker: the run ended with nobody decided and
@@ -1516,6 +1502,15 @@ let fault_verdict ~record_trace ?(budget = 20_000) ~make ~monitors ~scheduler
       if halted && r.Exec.stuck <> [] then Deadlocked else Clean
   | exception Monitor.Violation v -> Violating v
   | exception Adversary.Deadlock -> Deadlocked
+
+(* One fault run on a fresh environment. Only [run_fault] records a
+   trace: a sweep cell's verdict needs none, and the one trace a sweep
+   reads — its first violation's — [finding] re-derives by re-running
+   that cell. *)
+let fault_verdict ~record_trace ?budget ~make ~monitors ~scheduler faults =
+  let env, progs = make () in
+  let adversary = fault_adversary (scheduler ()) faults in
+  judge ?budget ~record_trace ~monitors:(monitors ()) ~env ~adversary progs
 
 let run_fault ?budget ~make ~monitors ~scheduler faults =
   fault_verdict ~record_trace:true ?budget ~make ~monitors ~scheduler faults
@@ -1597,6 +1592,47 @@ let shrink ?budget ~make ~monitors ~schedulers fault violation0 =
      | None -> ());
   let shrunk, violation = !best in
   (shrunk, violation, !runs)
+
+let finding ?budget ~make ~monitors ~schedulers ~meta fault =
+  let scheduler =
+    match List.assoc_opt fault.scheduler schedulers with
+    | Some s -> s
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Explore.finding: scheduler %S is not in schedulers"
+             fault.scheduler)
+  in
+  let v =
+    match run_fault ?budget ~make ~monitors ~scheduler fault.faults with
+    | Violating v -> v
+    | Clean | Deadlocked ->
+        invalid_arg
+          (Format.asprintf
+             "Explore.finding: %a violated once and not on its traced re-run"
+             pp_fault_schedule fault)
+  in
+  let shrunk, violation, shrink_runs =
+    shrink ?budget ~make ~monitors ~schedulers fault v
+  in
+  let t =
+    match violation.Monitor.trace with
+    | Some t -> t
+    | None -> Trace.create () (* run_fault records traces *)
+  in
+  let replay =
+    Trace.to_replay
+      ~meta:
+        (meta
+        @ [
+            ("monitor", violation.Monitor.monitor);
+            ("message", violation.Monitor.message);
+            ("step", string_of_int violation.Monitor.step);
+            ("pid", string_of_int violation.Monitor.pid);
+            ("schedule", Format.asprintf "%a" pp_fault_schedule shrunk);
+          ])
+      t
+  in
+  { fault; shrunk; violation; shrink_runs; replay }
 
 let fault_sets ~nprocs ~kinds ~max_faults ~op_window =
   let kinds = match kinds with [] -> [ Adversary.Crash_stop ] | ks -> ks in
@@ -1683,11 +1719,9 @@ let sweep_cell_schedule p i =
 
 (* In-order merge of per-cell verdicts. [verdict_of] may be backed by
    in-process results or by tags shipped from worker processes. Cell
-   verdicts are untraced, so the first [Violating] cell is re-run here
-   through the traced {!run_fault} — deterministic: fresh environment,
-   scheduler and monitors — and shrinking starts from that run's
-   violation. The re-run is not a shrink run: [shrink_runs] counts the
-   shrinker's candidates only. *)
+   verdicts are untraced; {!finding} re-runs the first [Violating] cell
+   traced — deterministic: fresh environment, scheduler and monitors —
+   and shrinks from that run's violation. *)
 let sweep_merge ?metrics ?on_progress p ~verdict_of =
   let n_dispatch = sweep_cells p in
   let runs = ref 0 in
@@ -1700,7 +1734,7 @@ let sweep_merge ?metrics ?on_progress p ~verdict_of =
        incr runs;
        note metrics "sweep.runs";
        heartbeat on_progress !runs;
-       let sched_name, scheduler, faults = p.sp_descriptors.(i) in
+       let sched_name, _, faults = p.sp_descriptors.(i) in
        match verdict with
        | Clean -> note metrics "sweep.verdict.clean"
        | Deadlocked ->
@@ -1709,45 +1743,14 @@ let sweep_merge ?metrics ?on_progress p ~verdict_of =
              deadlock := Some { scheduler = sched_name; faults }
        | Violating _ ->
            note metrics "sweep.verdict.violating";
-           let fault = { scheduler = sched_name; faults } in
-           let v =
-             match
-               run_fault ?budget:p.sp_budget ~make:p.sp_make
-                 ~monitors:p.sp_monitors ~scheduler faults
-             with
-             | Violating v -> v
-             | Clean | Deadlocked ->
-                 invalid_arg
-                   (Format.asprintf
-                      "Explore.sweep_merge: cell %d (%a) violated once and \
-                       not on its traced re-run"
-                      i pp_fault_schedule fault)
+           let f =
+             finding ?budget:p.sp_budget ~make:p.sp_make
+               ~monitors:p.sp_monitors ~schedulers:p.sp_schedulers
+               ~meta:p.sp_meta
+               { scheduler = sched_name; faults }
            in
-           let shrunk, violation, shrink_runs =
-             shrink ?budget:p.sp_budget ~make:p.sp_make ~monitors:p.sp_monitors
-               ~schedulers:p.sp_schedulers fault v
-           in
-           note_by metrics "sweep.shrink_runs" shrink_runs;
-           let replay =
-             let t =
-               match violation.Monitor.trace with
-               | Some t -> t
-               | None -> Trace.create () (* run_fault records traces *)
-             in
-             Trace.to_replay
-               ~meta:
-                 (p.sp_meta
-                 @ [
-                     ("monitor", violation.Monitor.monitor);
-                     ("message", violation.Monitor.message);
-                     ("step", string_of_int violation.Monitor.step);
-                     ("pid", string_of_int violation.Monitor.pid);
-                     ( "schedule",
-                       Format.asprintf "%a" pp_fault_schedule shrunk );
-                   ])
-               t
-           in
-           found := Some { fault; shrunk; violation; shrink_runs; replay };
+           note_by metrics "sweep.shrink_runs" f.shrink_runs;
+           found := Some f;
            raise Found
      done;
      if Array.length p.sp_descriptors > p.sp_max_runs then exhausted := true
@@ -1792,13 +1795,6 @@ let sweep_faults ?kinds ?max_faults ?op_window ?max_runs ?budget ?schedulers
           (* skipped past the first violation; only reachable if the
              merge still needs it, and re-running is deterministic *)
           sweep_cell p i)
-
-let sweep_crashes ?max_crashes ?op_window ?max_runs ?budget ?schedulers ?meta
-    ?metrics ?on_progress ?jobs ?oversubscribe ~make ~monitors () =
-  sweep_faults
-    ~kinds:[ Adversary.Crash_stop ]
-    ?max_faults:max_crashes ?op_window ?max_runs ?budget ?schedulers ?meta
-    ?metrics ?on_progress ?jobs ?oversubscribe ~make ~monitors ()
 
 let replay ?budget ?metrics ~make ~monitors decisions =
   let env, progs = make () in

@@ -79,7 +79,6 @@ val exhaustive :
   ?jobs:int ->
   ?oversubscribe:bool ->
   ?dedup:bool ->
-  ?frontier_depth:int ->
   max_steps:int ->
   make:(unit -> Env.t * 'a Prog.t array) ->
   property:('a run -> (unit, string) Stdlib.result) ->
@@ -89,11 +88,6 @@ val exhaustive :
     depth-first. [make] builds a fresh environment and programs (called
     once per engine pass — see below). Defaults: [max_crashes = 0],
     [max_runs = 2_000_000], [jobs = 1], [dedup = true].
-
-    Passing [frontier_depth] explicitly selects the static-split plan
-    engine outright (it is that engine's phase-A parameter; the
-    work-stealing engine has no frontier). Leave it unset to get the
-    work-stealing engine with plan-engine fallback described below.
 
     {b Two engines, one contract.} The first pass runs the
     work-stealing engine: one {!Visited} table shared by all [jobs]
@@ -142,7 +136,6 @@ val exhaustive_plan :
   ?jobs:int ->
   ?oversubscribe:bool ->
   ?dedup:bool ->
-  ?frontier_depth:int ->
   max_steps:int ->
   make:(unit -> Env.t * 'a Prog.t array) ->
   property:('a run -> (unit, string) Stdlib.result) ->
@@ -201,6 +194,33 @@ type sweep_outcome = {
 
 type verdict = Clean | Deadlocked | Violating of Monitor.violation
 
+(** The sweep and the soak driver ([Experiments.Soak]) share the three
+    decisions below — which adversary a fault schedule denotes, which
+    verdict a run earns, what a finding's replay artifact holds — so a
+    schedule judged by one is judged the same by the other. *)
+
+val fault_adversary : Adversary.t -> fault_point list -> Adversary.t
+(** [fault_adversary base faults] layers [faults] over the scheduling
+    policy [base] ({!Adversary.with_faults}, each point an
+    [Adversary.Crash_at_local] trigger). *)
+
+val judge :
+  ?budget:int ->
+  ?record_trace:bool ->
+  monitors:'a Monitor.t list ->
+  env:Env.t ->
+  adversary:Adversary.t ->
+  'a Prog.t array ->
+  verdict
+(** Run [progs] on [env] under [adversary] and [monitors]
+    ({!Exec.run}) and classify the run: [Violating] when a monitor
+    fires, [Deadlocked] when every process halted without deciding
+    (all crashed or stuck, at least one stuck) or the adversary found
+    nobody to run, [Clean] otherwise. Defaults: [budget = 20_000],
+    [record_trace = false]. The caller owns [env]: a fresh one per run,
+    or one journaled arena rolled back around each run
+    ({!Env.with_rollback}). *)
+
 val run_fault :
   ?budget:int ->
   make:(unit -> Env.t * 'a Prog.t array) ->
@@ -208,11 +228,10 @@ val run_fault :
   scheduler:(unit -> Adversary.t) ->
   fault_point list ->
   verdict
-(** One run under one fault schedule: the monitors' verdict, with
-    "everybody halted without deciding" reported as [Deadlocked]. The
-    run records a trace, so a [Violating] verdict carries it — what
-    shrinking and replay artifacts are built from. Sweep cells
-    ({!sweep_cell}) run the same schedule untraced. *)
+(** {!judge} one run under one fault schedule, on a fresh environment
+    and programs from [make]. The run records a trace, so a [Violating]
+    verdict carries it — what shrinking and replay artifacts are built
+    from. Sweep cells ({!sweep_cell}) run the same schedule untraced. *)
 
 val default_schedulers : nprocs:int -> (string * (unit -> Adversary.t)) list
 (** Round-robin, both priority orders, and two seeded random policies —
@@ -264,23 +283,6 @@ val sweep_faults :
     the sweep's heartbeat, fired once per run so long sweeps are never
     silent. *)
 
-val sweep_crashes :
-  ?max_crashes:int ->
-  ?op_window:int ->
-  ?max_runs:int ->
-  ?budget:int ->
-  ?schedulers:(string * (unit -> Adversary.t)) list ->
-  ?meta:(string * string) list ->
-  ?metrics:Metrics.t ->
-  ?on_progress:(runs:int -> unit) ->
-  ?jobs:int ->
-  ?oversubscribe:bool ->
-  make:(unit -> Env.t * 'a Prog.t array) ->
-  monitors:(unit -> 'a Monitor.t list) ->
-  unit ->
-  sweep_outcome
-(** {!sweep_faults} over the crash-stop tier only. *)
-
 val shrink :
   ?budget:int ->
   make:(unit -> Env.t * 'a Prog.t array) ->
@@ -295,6 +297,23 @@ val shrink :
     [scheduler] must name an entry of [schedulers] (resolved once up
     front, [Invalid_argument] otherwise); the violation passed in is
     the one its own run produced. *)
+
+val finding :
+  ?budget:int ->
+  make:(unit -> Env.t * 'a Prog.t array) ->
+  monitors:(unit -> 'a Monitor.t list) ->
+  schedulers:(string * (unit -> Adversary.t)) list ->
+  meta:(string * string) list ->
+  fault_schedule ->
+  found
+(** Build the finding of a schedule an untraced run judged [Violating]:
+    re-run it traced ({!run_fault}), {!shrink} from that run's
+    violation, and serialize the shrunk run's trace as a replay
+    artifact whose metadata is [meta] followed by [monitor], [message],
+    [step], [pid] and the shrunk [schedule]. The traced re-run is not
+    counted in [shrink_runs]. [Invalid_argument] if the schedule's
+    scheduler is not in [schedulers], or if the re-run does not violate
+    (the programs are not deterministic). *)
 
 val replay :
   ?budget:int ->
@@ -339,14 +358,13 @@ val plan :
   ?max_crashes:int ->
   ?max_runs:int ->
   ?dedup:bool ->
-  ?frontier_depth:int ->
   max_steps:int ->
   make:(unit -> Env.t * 'a Prog.t array) ->
   property:('a run -> (unit, string) Stdlib.result) ->
   unit ->
   'a plan
-(** Phase A of {!exhaustive}: walk the tree to [frontier_depth] and
-    capture tasks. Same defaults as {!exhaustive}. The tasks do not
+(** Phase A of {!exhaustive}: walk the tree to a fixed frontier depth
+    of 3 and capture tasks. Same defaults as {!exhaustive}. The tasks do not
     depend on [max_runs] (a subtree can yield no run at all, so no
     task count bounds the runs still needed); only the merge and each
     task's own run cap do. *)
@@ -422,11 +440,8 @@ val sweep_merge :
   verdict_of:(int -> verdict) ->
   sweep_outcome
 (** Fold per-cell verdicts in sweep order into a {!sweep_outcome} — the
-    exact merge {!sweep_faults} performs, including shrinking the first
-    violation and serializing its replay artifact (always locally,
-    after the merge). Only a verdict's constructor is read: the first
-    [Violating] cell is re-run through the traced {!run_fault}
-    (deterministic) and shrunk from that run's violation, so untraced
-    {!sweep_cell} verdicts suffice. The re-run is not counted in
-    [shrink_runs]. A caller holding only a remote tag maps it through
-    {!sweep_cell} to build a [verdict]. *)
+    exact merge {!sweep_faults} performs, including the first
+    violation's {!finding} (always locally, after the merge). Only a
+    verdict's constructor is read — {!finding} re-runs the cell traced —
+    so untraced {!sweep_cell} verdicts suffice. A caller holding only a
+    remote tag maps it through {!sweep_cell} to build a [verdict]. *)

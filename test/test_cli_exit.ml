@@ -101,6 +101,14 @@ let table =
     ( "sweep --algo safe_agreement --runs 200 --dist 1 --spans "
       ^ tmp "cli.spans",
       2 );
+    (* a chaos parameter without the chaos it parameterises *)
+    ( "soak --algo safe_agreement --schedules 10 --chaos-at 5 --corpus "
+      ^ tmp "cli-soak-chaos-at",
+      2 );
+    ( "soak --algo safe_agreement --schedules 10 --chaos-store bitflip \
+       --chaos-at 5 --corpus " ^ tmp "cli-soak-bitflip-at",
+      2 );
+    ("work --connect " ^ tmp "cli-no-queue/queue" ^ " --chaos-every 3", 2);
     (* serve runs in exactly one of its three modes *)
     ("serve --list --listen 127.0.0.1:0", 2);
     ("serve --list --resume no-such-job", 2);

@@ -286,6 +286,55 @@ let private_queue () =
       true
       (contains_sub recorded "connect failed (Permission denied)")
 
+(* A SIGKILLed run never removes its private directory; the next
+   [listen_private] removes it — and only it. Each directory below is
+   named like a private one, [queue] a socket bound and listened on, or
+   not there at all. *)
+let stale_private_dirs () =
+  let base = fresh_dir () in
+  let dir ?(mode = 0o700) ?listener name =
+    let d = Filename.concat base name in
+    Unix.mkdir d 0o700;
+    Unix.chmod d mode;
+    let fd =
+      Option.map
+        (fun () ->
+          fst (Dist.Net.listen (Unix.ADDR_UNIX (Filename.concat d "queue"))))
+        listener
+    in
+    (d, fd)
+  in
+  let closed (d, fd) =
+    Option.iter Unix.close fd;
+    d
+  in
+  let stale = closed (dir ~listener:() "asmsim-stale") in
+  let live, live_fd = dir ~listener:() "asmsim-live" in
+  let no_socket = closed (dir "asmsim-unbound") in
+  let open_mode = closed (dir ~mode:0o755 ~listener:() "asmsim-open") in
+  let other_name = closed (dir ~listener:() "other-stale") in
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name base;
+  let fd, path, remove =
+    Fun.protect
+      ~finally:(fun () -> Filename.set_temp_dir_name saved)
+      Dist.Net.listen_private
+  in
+  Unix.close fd;
+  remove ();
+  Option.iter Unix.close live_fd;
+  let exists d = Sys.file_exists d in
+  Alcotest.(check bool) "own directory is under the temp dir" true
+    (Filename.dirname (Filename.dirname path) = base);
+  Alcotest.(check bool) "stale directory removed" false (exists stale);
+  Alcotest.(check bool) "live fleet's directory kept" true (exists live);
+  Alcotest.(check bool) "directory with no socket kept" true (exists no_socket);
+  Alcotest.(check bool) "directory not of mode 0700 kept" true
+    (exists open_mode);
+  Alcotest.(check bool) "directory of another name kept" true
+    (exists other_name);
+  ignore (Sys.command ("rm -rf " ^ Filename.quote base))
+
 (* ------------------------------------------------------------------ *)
 (* SIGTERM suspends; resume finishes from the journal                   *)
 (* ------------------------------------------------------------------ *)
@@ -586,6 +635,8 @@ let suite =
           `Quick hostile_shard;
         Alcotest.test_case "only this user reaches the private queue" `Quick
           private_queue;
+        Alcotest.test_case "a killed run's private directory is removed"
+          `Quick stale_private_dirs;
         Alcotest.test_case "resume runs no shard twice" `Quick resume_no_rerun;
         Alcotest.test_case "resume refuses a different job" `Quick
           resume_rejects_other_job;

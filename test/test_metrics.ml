@@ -132,7 +132,8 @@ let test_sweep_metrics_accounting () =
   let m = Metrics.create () in
   let beats = ref 0 in
   let outcome =
-    Explore.sweep_crashes ~max_crashes:1 ~op_window:2 ~max_runs:50 ~metrics:m
+    Explore.sweep_faults ~kinds:[ Adversary.Crash_stop ] ~max_faults:1
+      ~op_window:2 ~max_runs:50 ~metrics:m
       ~on_progress:(fun ~runs:_ -> incr beats)
       ~make:sa_make
       ~monitors:(fun () -> [ Monitor.agreement () ])
