@@ -748,26 +748,106 @@ let proto_v2_codec () =
   | Ok _ -> Alcotest.fail "payload-less stats reply accepted"
   | Error _ -> ()
 
+(* The key sets of the stats document, in order: [asmsim top] and the
+   benchmark's fleet probe read these members by name. *)
+let health_keys =
+  [
+    "uptime_s"; "draining"; "peers"; "workers"; "clients"; "pending";
+    "jobs_active"; "queue_depth"; "in_flight"; "jobs"; "peer_detail";
+  ]
+
+let job_keys =
+  [
+    "jid"; "scenario"; "cells"; "shards"; "done"; "running"; "executed";
+    "resumed"; "retries"; "watchers";
+  ]
+
+let peer_keys = [ "name"; "role"; "busy"; "bytes_in"; "frames_in"; "frames_out" ]
+
+let keys_of what = function
+  | Json.Obj kvs -> List.map fst kvs
+  | v -> Alcotest.failf "%s is not an object: %s" what (Json.to_string v)
+
+(* Pin the key set of [health] and of every entry of its [jobs] and
+   [peer_detail] lists; returns the two lists' lengths. *)
+let pin_stats_keys doc =
+  let health =
+    match Json.member "health" doc with
+    | Some h -> h
+    | None -> Alcotest.fail "stats doc has no health member"
+  in
+  Alcotest.(check (list string)) "health keys" health_keys
+    (keys_of "health" health);
+  let entries name keys =
+    let l =
+      Option.value ~default:[]
+        (Option.bind (Json.member name health) Json.to_list)
+    in
+    List.iter
+      (fun v -> Alcotest.(check (list string)) (name ^ " keys") keys (keys_of name v))
+      l;
+    List.length l
+  in
+  (entries "jobs" job_keys, entries "peer_detail" peer_keys)
+
 (* `asmsim top --once' against a live server with workers attached: the
    one query must see every connected peer and an empty queue, and the
-   --json twin must emit the raw stats document. *)
+   --json twin must emit the raw stats document. Before the workers
+   join, a job submitted over a raw client socket waits in the queue,
+   so the document's per-job and per-peer entries can be pinned. *)
 let top_sees_the_fleet () =
   let dir = fresh_dir () in
   let srv, port = start_server ~dir () in
-  let w1 = start_worker ~err:(Filename.concat dir "tw1.err") port in
-  let w2 = start_worker ~err:(Filename.concat dir "tw2.err") port in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let client =
+    match Dist.Net.dial ~timeout:5. addr with
+    | Error m -> Alcotest.failf "dial failed: %s" m
+    | Ok fd -> fd
+  in
+  let workers = ref [] in
   Fun.protect
     ~finally:(fun () ->
-      kill_quiet w1 Sys.sigkill;
-      kill_quiet w2 Sys.sigkill;
+      (try Unix.close client with Unix.Unix_error _ -> ());
+      List.iter (fun w -> kill_quiet w Sys.sigkill) !workers;
       kill_quiet srv Sys.sigterm;
-      ignore (reap w1);
-      ignore (reap w2);
+      List.iter (fun w -> ignore (reap w)) !workers;
       ignore (reap srv))
     (fun () ->
-      let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-      (* Workers race the query to the handshake; poll until both are
-         counted rather than sleeping blind. *)
+      (match
+         Dist.Net.client_handshake client ~role:Dist.Proto.Client_role
+           ~fingerprint:(fingerprint ())
+       with
+      | Ok () -> ()
+      | Error (Dist.Net.Hs_rejected m | Dist.Net.Hs_link m) ->
+          Alcotest.failf "handshake failed: %s" m);
+      let job =
+        Experiments.Harness.sweep_job ~max_runs:200 (scenario "x_compete")
+      in
+      Dist.Frame.write client
+        (Dist.Proto.client_to_server_to_json
+           (Dist.Proto.Cs_submit { job; resume = None }));
+      (match Dist.Frame.read ~timeout:5. client with
+      | Ok v -> (
+          match Dist.Proto.server_to_client_of_json v with
+          | Ok (Dist.Proto.Sc_accepted _) -> ()
+          | Ok _ -> Alcotest.fail "expected the job to be accepted"
+          | Error m -> Alcotest.failf "unreadable reply: %s" m)
+      | Error e -> Alcotest.failf "no reply to a submit: %a" Dist.Frame.pp_error e);
+      (match Dist.Client.stats_query (client_config ()) addr with
+      | Error m -> Alcotest.failf "stats query failed: %s" m
+      | Ok doc ->
+          Alcotest.(check (pair int int))
+            "one waiting job; the submitter and the probe" (1, 2)
+            (pin_stats_keys doc));
+      (try Unix.close client with Unix.Unix_error _ -> ());
+      workers :=
+        [
+          start_worker ~err:(Filename.concat dir "tw1.err") port;
+          start_worker ~err:(Filename.concat dir "tw2.err") port;
+        ];
+      (* Workers race the query to the handshake, and then run the
+         waiting job; poll until both are counted and the job is over
+         rather than sleeping blind. *)
       let deadline = Unix.gettimeofday () +. 10. in
       let rec query () =
         match Dist.Client.stats_query (client_config ()) addr with
@@ -778,8 +858,8 @@ let top_sees_the_fleet () =
                 (Option.bind (Json.member "health" doc) (Json.member k))
                 Json.to_int
             in
-            match health "workers" with
-            | Some 2 -> doc
+            match (health "workers", health "jobs_active") with
+            | Some 2, Some 0 -> doc
             | _ when Unix.gettimeofday () > deadline ->
                 Alcotest.failf "top never saw both workers: %s"
                   (Json.to_string doc)
@@ -788,6 +868,8 @@ let top_sees_the_fleet () =
                 query ())
       in
       let doc = query () in
+      Alcotest.(check (pair int int)) "no jobs; two workers and the probe"
+        (0, 3) (pin_stats_keys doc);
       let health k =
         Option.bind
           (Option.bind (Json.member "health" doc) (Json.member k))
