@@ -91,7 +91,8 @@ smoke-trace: build
 # killed once a shard is journalled leaves its private socket directory
 # behind (under TMPDIR, which must stay under 64 bytes or the socket
 # goes to /tmp); the next --dist run must remove it. The killed run's
-# orphaned workers are killed by the socket path in their argv.
+# orphaned workers find nothing listening on its socket and exit: within
+# 2 s no process may name the socket path in its argv.
 smoke-dist: build
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) sweep --algo safe_agreement_no_cancel \
 	  --expect-violation --out _build/dist.replay > _build/dist-a.out
@@ -138,7 +139,11 @@ smoke-dist: build
 	kill -KILL $$P || { echo "smoke-dist: the sweep ended before SIGKILL"; exit 1; }; \
 	wait $$P || test $$? -eq 137; \
 	K=$$(echo $$D/asmsim-*); test -S $$K/queue; \
-	pkill -KILL -f -- "$$K/queue" || true; \
+	for i in $$(seq 1 20); do \
+	  pgrep -f -- "$$K/queue" > /dev/null || break; sleep 0.1; \
+	done; \
+	! pgrep -f -- "$$K/queue" > /dev/null || \
+	  { echo "smoke-dist: orphaned workers still dial $$K/queue"; exit 1; }; \
 	timeout $(SMOKE_TIMEOUT) $$BIN sweep --algo safe_agreement --runs 200 \
 	  --dist 1 --journal-dir $$D/jobs2 > $$D/b.out 2> $$D/b.err; \
 	test ! -e $$K || { echo "smoke-dist: $$K survived the next --dist run"; exit 1; }

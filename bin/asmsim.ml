@@ -116,7 +116,7 @@ let seed_arg =
 
 let crashes_arg =
   Arg.(
-    value & opt int 0
+    value & opt count_conv 0
     & info [ "crashes" ] ~docv:"C"
         ~doc:"Crash budget: the most crashes a run injects.")
 
@@ -402,12 +402,12 @@ let jobs_t =
 
 let budget_arg default =
   Arg.(
-    value & opt int default
+    value & opt count_conv default
     & info [ "budget" ] ~docv:"B" ~doc:"Step budget of each run or re-run.")
 
 let runs_arg default =
   Arg.(
-    value & opt int default
+    value & opt count_conv default
     & info [ "runs" ] ~docv:"R" ~doc:"Maximum runs before giving up.")
 
 let tiers_arg =
@@ -832,12 +832,12 @@ let print_outcome ?(expect_violation = false) ?(out = "failure.replay") =
 let sweep_cmd =
   let t =
     Arg.(
-      value & opt int 1
+      value & opt count_conv 1
       & info [ "t" ] ~docv:"T" ~doc:"Sweep fault schedules of up to T crashes.")
   in
   let window =
     Arg.(
-      value & opt int 6
+      value & opt count_conv 6
       & info [ "window" ] ~docv:"W"
           ~doc:"Crash-point op-index window per victim.")
   in
@@ -883,7 +883,7 @@ let sweep_cmd =
 let explore_cmd =
   let steps =
     Arg.(
-      value & opt (some int) None
+      value & opt (some count_conv) None
       & info [ "steps" ] ~docv:"D"
           ~doc:
             "Depth bound (scheduler choices); defaults to the scenario's \
@@ -1581,7 +1581,7 @@ let serve_cmd =
                ~fingerprint:(Experiments.Harness.registry_fingerprint ())
                ())
             with
-            Dist.Queue.shard_size;
+            Dist.Queue_core.shard_size;
             shard_timeout = shard_timeout';
             heartbeat_timeout = Option.value heartbeat ~default:20.;
             max_retries = Option.value max_retries ~default:10;
@@ -1621,7 +1621,7 @@ let serve_cmd =
         let cfg =
           {
             l.queue with
-            Dist.Queue.log = net_log;
+            Dist.Queue_core.log = net_log;
             metrics = Some metrics;
           }
         in

@@ -7,9 +7,11 @@
     jitter ({!Policy.reconnect_delay}) and reconnect. Consecutive
     failures to {e establish} a session are bounded by
     [config.max_failures]; a typed handshake rejection is permanent and
-    never retried. A live session resets the failure budget, so a
-    chaos-ridden but reachable server is reconnected to indefinitely —
-    which is exactly what the chaos harness exercises. *)
+    never retried, and neither is a Unix-domain socket that refuses the
+    dial or is gone (a private queue whose run ended). A live session
+    resets the failure budget, so a chaos-ridden but reachable server is
+    reconnected to indefinitely — which is exactly what the chaos
+    harness exercises. *)
 
 type config = {
   fingerprint : string;  (** our registry fingerprint, sent in the hello *)
@@ -42,8 +44,9 @@ val worker_loop :
   lookup:(Proto.job -> (Worker.instance, string) result) ->
   Unix.sockaddr ->
   int
-(** Serve shards until the server says [Nw_shutdown] (exit 0) or the
-    connection budget runs out (exit 1); a handshake rejection exits 2.
+(** Serve shards until the server says [Nw_shutdown] (exit 0), the
+    connection budget runs out or a Unix-domain queue is gone (exit 1);
+    a handshake rejection exits 2.
     One connection serves many jobs: the server announces each job once
     ([Nw_job]), the worker expands it with [lookup] and keeps the plan
     until the server says the job is over ([Nw_job_over]). All writes

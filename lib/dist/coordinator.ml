@@ -21,7 +21,7 @@ let default_config ?(workers = 2) ?(exe = Sys.executable_name) () =
     log = Svm.Log.null;
   }
 
-type stats = Queue.fleet_stats = {
+type stats = Queue_core.fleet_stats = {
   job_id : string;
   shards : int;
   shard_size : int;

@@ -31,7 +31,7 @@ val default_config : ?workers:int -> ?exe:string -> unit -> config
     [Sys.executable_name], journal in {!Journal.default_dir}, no
     chaos. *)
 
-type stats = Queue.fleet_stats = {
+type stats = Queue_core.fleet_stats = {
   job_id : string;
   shards : int;
   shard_size : int;

@@ -124,12 +124,16 @@ let marker ~dir fingerprint =
     (Digest.to_hex
        (Digest.string (Printf.sprintf "v%d:%s" Proto.net_version fingerprint)))
 
+(* A missing marker only costs a later re-run, so failing to write one
+   is not an error. *)
 let mark_complete t ~fingerprint =
-  mkdir_p (Filename.concat t.j_dir "completed");
-  let file = marker ~dir:t.j_dir fingerprint in
-  let tmp = file ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc -> output_string oc t.j_id);
-  Unix.rename tmp file
+  try
+    mkdir_p (Filename.concat t.j_dir "completed");
+    let file = marker ~dir:t.j_dir fingerprint in
+    let tmp = file ^ ".tmp" in
+    Out_channel.with_open_bin tmp (fun oc -> output_string oc t.j_id);
+    Unix.rename tmp file
+  with Sys_error _ | Unix.Unix_error _ -> ()
 
 let completed_id ?(dir = default_dir) ~fingerprint () =
   match

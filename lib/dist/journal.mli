@@ -55,7 +55,8 @@ val mark_complete : t -> fingerprint:string -> unit
     finds the journal with {!completed_id} in one file read. The marker
     is keyed by {!Proto.net_version} as well, so a marker left by a
     binary of another protocol version is never a hit. It is written
-    atomically and replaces any earlier one. *)
+    atomically and replaces any earlier one. A marker that cannot be
+    written is skipped: it only costs a later re-run. *)
 
 val completed_id : ?dir:string -> fingerprint:string -> unit -> string option
 (** The id of the journal last marked complete for this fingerprint. A

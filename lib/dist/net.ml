@@ -61,9 +61,10 @@ let listen ?(backlog = 64) addr =
   in
   (fd, port)
 
-(* Whether a connect to the Unix-domain socket at [path] is refused —
-   nothing listens there any more. Non-blocking, so a live listener
-   with a full backlog counts as live rather than stalling the caller. *)
+(* Whether a connect to the Unix-domain socket at [path] is refused or
+   finds no socket — nothing listens there any more. Non-blocking, so a
+   live listener with a full backlog counts as live rather than
+   stalling the caller. *)
 let refused path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -72,7 +73,8 @@ let refused path =
       Unix.set_nonblock fd;
       match Unix.connect fd (Unix.ADDR_UNIX path) with
       | () -> false
-      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true
+      | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
+          true
       | exception Unix.Unix_error _ -> false)
 
 (* A private directory's owner removes it when the run ends, unless the

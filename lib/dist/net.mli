@@ -32,6 +32,11 @@ val listen_private : unit -> Unix.file_descr * string * (unit -> unit)
     [asmsim-*] directory of this user, mode 0700, whose [queue] socket
     refuses a connect — and leaves every other directory alone. *)
 
+val refused : string -> bool
+(** Whether a connect to the Unix-domain socket at this path is refused
+    or finds no socket: nothing listens there, and a private queue never
+    comes back on its path. *)
+
 val dial : ?timeout:float -> Unix.sockaddr -> (Unix.file_descr, string) result
 (** Blocking connect bounded by [timeout] (default 10s) — a dead or
     black-holed address fails instead of hanging the caller. A TCP

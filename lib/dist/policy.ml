@@ -29,12 +29,6 @@ let heartbeat ~timeout ~silent ~pinged =
   else if (silent > timeout /. 2.) && not pinged then Ping
   else Wait
 
-(* Earliest future instant the heartbeat state can change: the ping
-   edge if it has not fired yet, else the death edge. *)
-let heartbeat_deadline ~timeout ~silent ~pinged =
-  if pinged then timeout -. silent
-  else Float.min ((timeout /. 2.) -. silent) (timeout -. silent)
-
 (* {2 Client reconnection} *)
 
 (* Full-jitter exponential backoff: attempt [k] (0-based) sleeps a

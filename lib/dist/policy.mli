@@ -31,11 +31,6 @@ type heartbeat_action =
 val heartbeat :
   timeout:float -> silent:float -> pinged:bool -> heartbeat_action
 
-val heartbeat_deadline :
-  timeout:float -> silent:float -> pinged:bool -> float
-(** Seconds until the next heartbeat edge for this peer (may be
-    negative if already past). *)
-
 (** {1 Client reconnection} *)
 
 val reconnect_delay :

@@ -92,6 +92,14 @@ let opt_int_field name v =
 
 let to_bool = function Json.Bool b -> Some b | _ -> None
 
+(* Counts and bounds from the wire: planning with a negative one would
+   raise, so it is a typed rejection here. *)
+let negative name = Error (Printf.sprintf "field %S must not be negative" name)
+
+let count_field name v =
+  let* n = field name Json.to_int v in
+  if n < 0 then negative name else Ok n
+
 let opt_str_field name v =
   match Json.member name v with
   | None | Some Json.Null -> Ok None
@@ -123,10 +131,14 @@ let job_of_json v =
             | None -> Error "tiers must be strings")
           tiers (Ok [])
       in
-      let* sw_max_faults = field "max_faults" Json.to_int v in
-      let* sw_op_window = field "op_window" Json.to_int v in
-      let* sw_max_runs = field "max_runs" Json.to_int v in
-      let* sw_budget = opt_int_field "budget" v in
+      let* sw_max_faults = count_field "max_faults" v in
+      let* sw_op_window = count_field "op_window" v in
+      let* sw_max_runs = count_field "max_runs" v in
+      let* sw_budget =
+        match opt_int_field "budget" v with
+        | Ok (Some b) when b < 0 -> negative "budget"
+        | r -> r
+      in
       Ok
         {
           scenario;
@@ -136,9 +148,9 @@ let job_of_json v =
             Sweep { sw_tiers; sw_max_faults; sw_op_window; sw_max_runs; sw_budget };
         }
   | "explore" ->
-      let* ex_max_steps = field "max_steps" Json.to_int v in
-      let* ex_max_crashes = field "max_crashes" Json.to_int v in
-      let* ex_max_runs = field "max_runs" Json.to_int v in
+      let* ex_max_steps = count_field "max_steps" v in
+      let* ex_max_crashes = count_field "max_crashes" v in
+      let* ex_max_runs = count_field "max_runs" v in
       let* ex_dedup = field "dedup" to_bool v in
       Ok
         {

@@ -48,6 +48,8 @@ val max_source_bytes : int
 
 val job_to_json : job -> Svm.Json.t
 val job_of_json : Svm.Json.t -> (job, string) result
+(** Rejects a negative count or bound (faults, window, runs, budget,
+    steps, crashes): planning it would raise. *)
 
 val job_fingerprint : job -> string
 (** Canonical one-line encoding, used to match a [--resume] request

@@ -1,10 +1,18 @@
-(** The [asmsim serve] engine: a single-threaded TCP job queue that
-    accepts many concurrent sweep/explore submissions, deals their
-    shards to remote workers, journals every completed shard, and
-    streams the payloads back to the submitting clients — which merge
-    locally, so results stay byte-identical to in-process runs.
+(** The [asmsim serve] job queue: many concurrent sweep/explore
+    submissions, their shards dealt to remote workers, every completed
+    shard journalled and streamed back to the submitting clients, which
+    merge locally, so results stay byte-identical to in-process runs.
 
-    Robustness posture, all on one [Unix.select] loop:
+    The queue is two parts. {!Queue_core} decides: sessions, jobs,
+    shards, retries, deadlines, the drain, stats and every journal call,
+    as events in and actions out, with no socket and no clock. This
+    module is the shell around it: the listener, one connection per
+    peer with its {!Frame} decoder and byte-rate window, one
+    [Unix.select] loop, SIGTERM and the clock. It carries out the
+    core's actions in order; a failed write goes back to the core as a
+    lost peer.
+
+    Robustness posture:
     - handshake deadline and a typed reject for version or registry
       fingerprint skew — a wrong peer is told why and cut, never hung;
     - per-peer frame stall deadlines ({!Frame.decoder}'s
@@ -12,45 +20,24 @@
       of the frame size cap — slow-loris and flooding peers are cut;
     - heartbeats with the {!Policy.heartbeat} half-timeout ping, shard
       deadlines, and {!Policy.retry} backoff/hostile handling;
+    - a job that cannot be planned is a typed [Sc_rejected], never the
+      server's end;
     - every accepted shard is journalled before it is streamed, so
       SIGTERM drains gracefully: stop accepting, let in-flight shards
       finish and checkpoint, tell clients [Sc_draining] (their job id
       resumes the work later), then exit cleanly;
     - completed journals double as a result cache: a fresh submit whose
       fingerprint matches a fully-completed journal of the same job is
-      answered from that journal — found in one file read through
-      {!Journal.completed_id}, payloads re-validated, zero shards
-      re-executed ([net_cache_hits_total] counts the hits);
+      answered from that journal ({!Journal.completed_id}), payloads
+      re-validated, zero shards re-executed;
     - every worker told about a job is told when it is over
       ({!Proto.Nw_job_over}), so long-lived workers hold only live plans.
 
-    The same engine also runs privately ({!run_fleet}): one job, one
+    The same loop also runs privately ({!run_fleet}): one job, one
     private Unix-domain socket, a fleet of forked workers — that is
     [--dist N]. *)
 
-type config = {
-  fingerprint : string;  (** scenario-registry fingerprint to enforce *)
-  shard_size : int option;  (** fixed shard size; default scales to workers *)
-  shard_timeout : float;
-  heartbeat_timeout : float;
-  handshake_timeout : float;
-  frame_stall_timeout : float;  (** deadline for completing one frame *)
-  rate_limit : int;  (** per-peer inbound bytes per second *)
-  max_retries : int;  (** shard attempts before it is declared hostile *)
-  backoff : float;  (** base of the exponential re-deal delay *)
-  journal_dir : string;
-  fsync : bool;  (** fsync journals on every checkpoint *)
-  log : Svm.Log.t;
-      (** leveled diagnostics: peer losses and retries at [Warn], job
-          lifecycle at [Info], per-shard dealing at [Debug] *)
-  metrics : Svm.Metrics.t option;
-      (** connection / retry / queue-depth counters land here; also the
-          base registry folded into {!Proto.Sc_stats} replies, together
-          with every worker-pushed registry (live and departed) *)
-  spans : Span.t option;
-      (** when set, the queue stamps [admit]/[dispatch]/[merge] spans
-          per job/shard for cross-process trace correlation *)
-}
+type config = Queue_core.config
 
 val default_config : fingerprint:string -> unit -> config
 
@@ -69,15 +56,7 @@ val serve :
 
 (** {1 Private fleet} *)
 
-type fleet_stats = {
-  job_id : string;  (** journal id: the [resume] handle *)
-  shards : int;
-  shard_size : int;
-  resumed : int;  (** shards restored from the journal *)
-  executed : int;  (** shard results received this run *)
-  spawned : int;  (** worker processes forked, replacements included *)
-  reassigned : int;  (** shard attempts lost to cut links or dead workers *)
-}
+type fleet_stats = Queue_core.fleet_stats
 
 val run_fleet :
   config ->

@@ -67,6 +67,9 @@ let table =
     ("sdl fmt /no/such/file.sdl", 2);
     ("stats ../examples/x_safe_agreement.sdl --algo safe_agreement", 2);
     ("sweep --algo safe_agreement --tiers gamma-rays", 2);
+    (* a negative count is a usage error, never an internal one *)
+    ("sweep --algo x_compete --window=-3", 2);
+    ("sweep --algo x_compete --runs=-1", 2);
     ("soak --algo safe_agreement --tiers gamma-rays", 2);
     ("explore --algo no_such_scenario", 2);
     ("replay /no/such/file.replay", 2);

@@ -16,13 +16,7 @@ open Corpus
 let check = Alcotest.check
 let exe = "../bin/asmsim.exe"
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "asmsim-corpus-test-%d-%d" (Unix.getpid ()) !counter)
+let fresh_dir () = Tmpdir.fresh ~create:false "asmsim-corpus-test"
 
 let read_file p =
   let ic = open_in_bin p in
@@ -362,27 +356,27 @@ let suite =
   [
     ( "corpus",
       [
-        Alcotest.test_case "record round-trip, one canonical rendering" `Quick
+        Tmpdir.test_case "record round-trip, one canonical rendering" `Quick
           record_roundtrip;
-        Alcotest.test_case "unframable metadata is rejected" `Quick
+        Tmpdir.test_case "unframable metadata is rejected" `Quick
           record_rejects_unframable_meta;
-        Alcotest.test_case "dedup, per-append durability, cement" `Quick
+        Tmpdir.test_case "dedup, per-append durability, cement" `Quick
           store_dedup_and_reopen;
-        Alcotest.test_case "torn tail truncated on reopen" `Quick
+        Tmpdir.test_case "torn tail truncated on reopen" `Quick
           torn_tail_truncated;
-        Alcotest.test_case "bit-flip quarantines, typed; compaction refuses"
+        Tmpdir.test_case "bit-flip quarantines, typed; compaction refuses"
           `Quick bitflip_quarantines;
-        Alcotest.test_case "compaction is byte-identical to its input" `Quick
+        Tmpdir.test_case "compaction is byte-identical to its input" `Quick
           compaction_preserves_bytes;
-        Alcotest.test_case "SIGKILL mid-append, resume converges" `Quick
+        Tmpdir.test_case "SIGKILL mid-append, resume converges" `Quick
           (killed_soak_converges "kill");
-        Alcotest.test_case "torn append + SIGKILL, resume converges" `Quick
+        Tmpdir.test_case "torn append + SIGKILL, resume converges" `Quick
           (killed_soak_converges "torn");
-        Alcotest.test_case "findings dedup across soak runs" `Quick
+        Tmpdir.test_case "findings dedup across soak runs" `Quick
           soak_dedups_across_runs;
-        Alcotest.test_case "soak leaves the GC settings alone" `Quick
+        Tmpdir.test_case "soak leaves the GC settings alone" `Quick
           soak_leaves_gc_alone;
-        Alcotest.test_case "durable prefix over chunks" `Quick
+        Tmpdir.test_case "durable prefix over chunks" `Quick
           soak_durable_next;
       ] );
   ]

@@ -33,17 +33,7 @@ let scenario name =
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "asmsim-dist-test-%d-%d" (Unix.getpid ()) !counter)
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
+let fresh_dir () = Tmpdir.fresh "asmsim-dist-test"
 
 let config ?(workers = 2) ?(exe = exe) ?shard_size ?journal_dir ?resume ?chaos
     () =
@@ -621,42 +611,42 @@ let suite =
   [
     ( "dist",
       [
-        Alcotest.test_case "sweep identity (seeded bug 1)" `Quick
+        Tmpdir.test_case "sweep identity (seeded bug 1)" `Quick
           (sweep_identity "safe_agreement_no_cancel");
-        Alcotest.test_case "sweep identity (seeded bug 2)" `Quick
+        Tmpdir.test_case "sweep identity (seeded bug 2)" `Quick
           (sweep_identity "x_safe_agreement_first_subset");
-        Alcotest.test_case "explore identity (seeded bug 1)" `Quick
+        Tmpdir.test_case "explore identity (seeded bug 1)" `Quick
           (explore_identity "safe_agreement_no_cancel" ~max_crashes:1);
-        Alcotest.test_case "worker SIGKILL changes nothing (sweep)" `Quick
+        Tmpdir.test_case "worker SIGKILL changes nothing (sweep)" `Quick
           chaos_identical;
-        Alcotest.test_case "worker SIGKILL changes nothing (explore)" `Quick
+        Tmpdir.test_case "worker SIGKILL changes nothing (explore)" `Quick
           chaos_explore_identical;
-        Alcotest.test_case "hostile shard is reported, not retried forever"
+        Tmpdir.test_case "hostile shard is reported, not retried forever"
           `Quick hostile_shard;
-        Alcotest.test_case "only this user reaches the private queue" `Quick
+        Tmpdir.test_case "only this user reaches the private queue" `Quick
           private_queue;
-        Alcotest.test_case "a killed run's private directory is removed"
+        Tmpdir.test_case "a killed run's private directory is removed"
           `Quick stale_private_dirs;
-        Alcotest.test_case "resume runs no shard twice" `Quick resume_no_rerun;
-        Alcotest.test_case "resume refuses a different job" `Quick
+        Tmpdir.test_case "resume runs no shard twice" `Quick resume_no_rerun;
+        Tmpdir.test_case "resume refuses a different job" `Quick
           resume_rejects_other_job;
-        Alcotest.test_case "retry backoff schedule is exact" `Quick
+        Tmpdir.test_case "retry backoff schedule is exact" `Quick
           policy_backoff_schedule;
-        Alcotest.test_case "shard is hostile after k+1 kills" `Quick
+        Tmpdir.test_case "shard is hostile after k+1 kills" `Quick
           policy_hostile_after_k_plus_1;
-        Alcotest.test_case "heartbeat pings at half-timeout, once" `Quick
+        Tmpdir.test_case "heartbeat pings at half-timeout, once" `Quick
           policy_heartbeat_edges;
-        Alcotest.test_case "reconnect backoff: growth, cap, jitter floor"
+        Tmpdir.test_case "reconnect backoff: growth, cap, jitter floor"
           `Quick policy_reconnect_jitter;
-        Alcotest.test_case "journal survives a torn final line" `Quick
+        Tmpdir.test_case "journal survives a torn final line" `Quick
           journal_torn_line_load;
-        Alcotest.test_case "journal reopen truncates the torn tail" `Quick
+        Tmpdir.test_case "journal reopen truncates the torn tail" `Quick
           journal_torn_line_reopen;
-        Alcotest.test_case "journal --fsync writes identical bytes" `Quick
+        Tmpdir.test_case "journal --fsync writes identical bytes" `Quick
           journal_fsync_flag;
-        Alcotest.test_case "journal --fsync survives rename-then-reopen"
+        Tmpdir.test_case "journal --fsync survives rename-then-reopen"
           `Quick journal_fsync_rename_reopen;
-        Alcotest.test_case "cache marker tracks the protocol version" `Quick
+        Tmpdir.test_case "cache marker tracks the protocol version" `Quick
           marker_tracks_net_version;
       ] );
   ]

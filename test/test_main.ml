@@ -9,6 +9,7 @@ let () =
    @ Test_plan_golden.suite
    @ Test_metrics.suite @ Test_timeline.suite @ Test_props.suite
    @ Test_json.suite @ Test_log.suite @ Test_dist.suite @ Test_net.suite
+   @ Test_queue_model.suite
    @ Test_corpus.suite @ Test_soak_golden.suite @ Test_sdl.suite
    @ Test_cli_exit.suite
    @ Test_cli_surface.suite)

@@ -25,17 +25,7 @@ let scenario name =
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "asmsim-net-test-%d-%d" (Unix.getpid ()) !counter)
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
+let fresh_dir () = Tmpdir.fresh "asmsim-net-test"
 
 let fingerprint () = Experiments.Harness.registry_fingerprint ()
 
@@ -289,7 +279,9 @@ let reject_version_skew () =
    hand-built frame can exercise the server-side path. Beyond the
    truncated source, a source under the byte cap but nested tens of
    thousands of levels deep (once a Stack_overflow that killed the
-   whole server) must bounce the same way. *)
+   whole server) must bounce the same way, and so must a registry job
+   with a negative run cap or window (once an [Invalid_argument] from
+   planning that killed the whole server). *)
 let deeply_nested_source =
   let parens n s =
     String.concat ""
@@ -322,27 +314,27 @@ let reject_bad_source () =
             | Error (Dist.Net.Hs_link m) ->
                 Alcotest.failf "handshake link error: %s" m)
       in
-      let submit_bad source needles =
+      let sourced source =
+        {
+          Dist.Proto.scenario = "zzz";
+          nprocs = None;
+          source = Some source;
+          mode =
+            Dist.Proto.Sweep
+              {
+                sw_tiers = [ "crash" ];
+                sw_max_faults = 1;
+                sw_op_window = 6;
+                sw_max_runs = 100;
+                sw_budget = None;
+              };
+        }
+      in
+      let submit_bad job needles =
         let fd = dial_ok () in
         Fun.protect
           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
           (fun () ->
-            let job =
-              {
-                Dist.Proto.scenario = "zzz";
-                nprocs = None;
-                source = Some source;
-                mode =
-                  Dist.Proto.Sweep
-                    {
-                      sw_tiers = [ "crash" ];
-                      sw_max_faults = 1;
-                      sw_op_window = 6;
-                      sw_max_runs = 100;
-                      sw_budget = None;
-                    };
-              }
-            in
             Dist.Frame.write fd
               (Dist.Proto.client_to_server_to_json
                  (Dist.Proto.Cs_submit { job; resume = None }));
@@ -360,9 +352,17 @@ let reject_bad_source () =
                 | Ok _ -> Alcotest.fail "bad source must be rejected"
                 | Error m -> Alcotest.failf "unreadable reply: %s" m))
       in
-      submit_bad "scenario \"zzz\" { nprocs 2"
+      submit_bad
+        (sourced "scenario \"zzz\" { nprocs 2")
         [ "cannot expand job"; "scenario source" ];
-      submit_bad deeply_nested_source [ "cannot expand job"; "nest" ];
+      submit_bad (sourced deeply_nested_source) [ "cannot expand job"; "nest" ];
+      let x_compete = scenario "x_compete" in
+      submit_bad
+        (Experiments.Harness.sweep_job ~max_runs:(-1) x_compete)
+        [ "max_runs"; "must not be negative" ];
+      submit_bad
+        (Experiments.Harness.sweep_job ~op_window:(-3) x_compete)
+        [ "op_window"; "must not be negative" ];
       (* the server survives: a fresh connection still gets stats *)
       let fd2 = dial_ok () in
       Fun.protect
@@ -891,29 +891,29 @@ let suite =
   [
     ( "net",
       [
-        Alcotest.test_case "fingerprint skew is rejected, typed" `Quick
+        Tmpdir.test_case "fingerprint skew is rejected, typed" `Quick
           reject_fingerprint_skew;
-        Alcotest.test_case "v2 codec: stats and metrics-bearing pong" `Quick
+        Tmpdir.test_case "v2 codec: stats and metrics-bearing pong" `Quick
           proto_v2_codec;
-        Alcotest.test_case "stats query sees peers and queue" `Quick
+        Tmpdir.test_case "stats query sees peers and queue" `Quick
           top_sees_the_fleet;
-        Alcotest.test_case "version skew is rejected, typed" `Quick
+        Tmpdir.test_case "version skew is rejected, typed" `Quick
           reject_version_skew;
-        Alcotest.test_case "malformed DSL source is rejected, typed" `Quick
+        Tmpdir.test_case "malformed DSL source is rejected, typed" `Quick
           reject_bad_source;
-        Alcotest.test_case "DSL source job: TCP identity, 1 worker" `Quick
+        Tmpdir.test_case "DSL source job: TCP identity, 1 worker" `Quick
           dsl_source_identity;
-        Alcotest.test_case "TCP identity, 2 remote workers" `Quick
+        Tmpdir.test_case "TCP identity, 2 remote workers" `Quick
           net_identity_clean;
-        Alcotest.test_case "TCP identity under --chaos-net drop" `Quick
+        Tmpdir.test_case "TCP identity under --chaos-net drop" `Quick
           net_identity_chaos;
-        Alcotest.test_case "TCP identity, 4 workers, chaos + SIGKILL" `Quick
+        Tmpdir.test_case "TCP identity, 4 workers, chaos + SIGKILL" `Quick
           net_identity_chaos_kill;
-        Alcotest.test_case "completed journal answers a re-submit" `Quick
+        Tmpdir.test_case "completed journal answers a re-submit" `Quick
           cache_answers_completed_resubmit;
-        Alcotest.test_case "one worker, 50 jobs: job table stays bounded"
+        Tmpdir.test_case "one worker, 50 jobs: job table stays bounded"
           `Quick worker_job_table_bounded;
-        Alcotest.test_case "SIGTERM drains; the job resumes" `Quick
+        Tmpdir.test_case "SIGTERM drains; the job resumes" `Quick
           drain_and_resume;
       ] );
   ]

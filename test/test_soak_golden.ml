@@ -78,13 +78,7 @@ let pins =
     };
   ]
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "asmsim-soak-golden-%d-%d" (Unix.getpid ()) !counter)
+let fresh_dir () = Tmpdir.fresh ~create:false "asmsim-soak-golden"
 
 let listing dir =
   match Corpus.Store.open_ dir with
@@ -157,9 +151,9 @@ let suite =
       List.concat_map
         (fun pin ->
           [
-            Alcotest.test_case (pin.file ^ " jobs=1") `Quick
+            Tmpdir.test_case (pin.file ^ " jobs=1") `Quick
               (check_pin ~jobs:1 pin);
-            Alcotest.test_case (pin.file ^ " jobs=2") `Quick
+            Tmpdir.test_case (pin.file ^ " jobs=2") `Quick
               (check_pin ~jobs:2 pin);
           ])
         pins );
