@@ -51,12 +51,6 @@ let backoff cfg rng failures =
          ~attempt:(failures - 1)
          ~rand:(Random.State.float rng 1.0))
 
-(* A Unix-domain queue is private to one run: once nothing listens on
-   its path, no redial can bring it back. *)
-let gone = function
-  | Unix.ADDR_UNIX path -> Net.refused path
-  | Unix.ADDR_INET _ -> false
-
 (* Dial + handshake, driving the shared bounded-reconnect state.
    [session fd] runs until it raises [Link] (reconnect) or [Quit]. *)
 let connect_loop cfg ~role addr session =
@@ -74,7 +68,9 @@ let connect_loop cfg ~role addr session =
     else begin
       backoff cfg rng !failures;
       match Net.dial ~timeout:cfg.dial_timeout addr with
-      | Error m when gone addr ->
+      | Error m when Net.refused addr ->
+          (* A Unix-domain queue is private to one run: once nothing
+             listens on its path, no redial can bring it back. *)
           Error
             (Printf.sprintf "nothing listens on %s: %s"
                (Net.string_of_sockaddr addr) m)

@@ -124,8 +124,6 @@ let marker ~dir fingerprint =
     (Digest.to_hex
        (Digest.string (Printf.sprintf "v%d:%s" Proto.net_version fingerprint)))
 
-(* A missing marker only costs a later re-run, so failing to write one
-   is not an error. *)
 let mark_complete t ~fingerprint =
   try
     mkdir_p (Filename.concat t.j_dir "completed");

@@ -61,21 +61,24 @@ let listen ?(backlog = 64) addr =
   in
   (fd, port)
 
-(* Whether a connect to the Unix-domain socket at [path] is refused or
-   finds no socket — nothing listens there any more. Non-blocking, so a
-   live listener with a full backlog counts as live rather than
-   stalling the caller. *)
-let refused path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.set_nonblock fd;
-      match Unix.connect fd (Unix.ADDR_UNIX path) with
-      | () -> false
-      | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-          true
-      | exception Unix.Unix_error _ -> false)
+(* Whether a connect to a Unix-domain socket is refused or finds no
+   socket — nothing listens there any more. Non-blocking, so a live
+   listener with a full backlog counts as live rather than stalling the
+   caller. A TCP address is never [refused]: its server may come back. *)
+let refused = function
+  | Unix.ADDR_INET _ -> false
+  | Unix.ADDR_UNIX _ as addr ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.set_nonblock fd;
+          match Unix.connect fd addr with
+          | () -> false
+          | exception
+              Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
+              true
+          | exception Unix.Unix_error _ -> false)
 
 (* A private directory's owner removes it when the run ends, unless the
    run was SIGKILLed. Such a leftover is removed here, by the next run,
@@ -89,7 +92,7 @@ let remove_stale temp_dir =
     | ( { Unix.st_kind = Unix.S_DIR; st_uid; st_perm; _ },
         { Unix.st_kind = Unix.S_SOCK; _ } ) ->
         st_uid = uid && st_perm = 0o700
-        && refused (Filename.concat dir "queue")
+        && refused (Unix.ADDR_UNIX (Filename.concat dir "queue"))
     | _ -> false
     | exception Unix.Unix_error _ -> false
   in
@@ -183,13 +186,6 @@ let chaos_mode_name = function
   | Delay -> "delay"
   | Truncate -> "truncate"
   | Garbage -> "garbage"
-
-let chaos_mode_of_string = function
-  | "drop" -> Ok Drop
-  | "delay" -> Ok Delay
-  | "truncate" -> Ok Truncate
-  | "garbage" -> Ok Garbage
-  | s -> Error (Printf.sprintf "unknown chaos mode %S" s)
 
 type chaos = { c_mode : chaos_mode; c_every : int; mutable c_count : int }
 

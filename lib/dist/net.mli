@@ -32,10 +32,10 @@ val listen_private : unit -> Unix.file_descr * string * (unit -> unit)
     [asmsim-*] directory of this user, mode 0700, whose [queue] socket
     refuses a connect — and leaves every other directory alone. *)
 
-val refused : string -> bool
-(** Whether a connect to the Unix-domain socket at this path is refused
-    or finds no socket: nothing listens there, and a private queue never
-    comes back on its path. *)
+val refused : Unix.sockaddr -> bool
+(** Whether a connect to this Unix-domain socket is refused or finds no
+    socket: nothing listens there, and a private queue never comes back
+    on its path. Never for a TCP address. *)
 
 val dial : ?timeout:float -> Unix.sockaddr -> (Unix.file_descr, string) result
 (** Blocking connect bounded by [timeout] (default 10s) — a dead or
@@ -60,7 +60,6 @@ val no_delay : Unix.file_descr -> unit
 type chaos_mode = Drop | Delay | Truncate | Garbage
 
 val chaos_mode_name : chaos_mode -> string
-val chaos_mode_of_string : string -> (chaos_mode, string) result
 
 type chaos
 

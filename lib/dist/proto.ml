@@ -94,11 +94,12 @@ let to_bool = function Json.Bool b -> Some b | _ -> None
 
 (* Counts and bounds from the wire: planning with a negative one would
    raise, so it is a typed rejection here. *)
-let negative name = Error (Printf.sprintf "field %S must not be negative" name)
+let non_negative name n =
+  if n < 0 then Error (Printf.sprintf "field %S must not be negative" name)
+  else Ok n
 
 let count_field name v =
-  let* n = field name Json.to_int v in
-  if n < 0 then negative name else Ok n
+  Result.bind (field name Json.to_int v) (non_negative name)
 
 let opt_str_field name v =
   match Json.member name v with
@@ -134,11 +135,8 @@ let job_of_json v =
       let* sw_max_faults = count_field "max_faults" v in
       let* sw_op_window = count_field "op_window" v in
       let* sw_max_runs = count_field "max_runs" v in
-      let* sw_budget =
-        match opt_int_field "budget" v with
-        | Ok (Some b) when b < 0 -> negative "budget"
-        | r -> r
-      in
+      let* sw_budget = opt_int_field "budget" v in
+      let* _ = non_negative "budget" (Option.value sw_budget ~default:0) in
       Ok
         {
           scenario;

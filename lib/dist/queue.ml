@@ -15,15 +15,13 @@ type conn = {
   c_id : int;
   c_fd : Unix.file_descr;
   c_dec : Frame.decoder;
-  mutable c_win_start : float;
-  mutable c_win_bytes : int;
+  mutable c_window : float * int;  (** byte-rate window: start, bytes *)
 }
 
 type shell = {
   cfg : config;
   core : Core.t;
-  listener : Unix.file_descr;
-  mutable listening : bool;
+  listener : Unix.file_descr;  (** closed once the drain starts *)
   mutable conns : conn list;
   mutable next_id : int;
   term : bool ref;
@@ -32,12 +30,6 @@ type shell = {
 let now () = Unix.gettimeofday ()
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let feed s ev = Core.handle s.core ~now:(now ()) ev
-
-let close_listener s =
-  if s.listening then begin
-    s.listening <- false;
-    close_quiet s.listener
-  end
 
 let drop s c =
   close_quiet c.c_fd;
@@ -56,11 +48,11 @@ let rec perform s = function
   | Core.Cut (id, _) :: rest ->
       List.iter (fun c -> if c.c_id = id then drop s c) s.conns;
       perform s rest
-  | Core.Send (id, msg) :: rest -> (
+  | Core.Send (id, frame) :: rest -> (
       match List.find_opt (fun c -> c.c_id = id) s.conns with
       | None -> perform s rest
       | Some c -> (
-          match Frame.write c.c_fd (Core.json_of_msg msg) with
+          match Frame.write c.c_fd frame with
           | () -> perform s rest
           | exception Unix.Unix_error (err, _, _) ->
               perform s
@@ -74,10 +66,11 @@ let rec accept s =
       let id = s.next_id in
       s.next_id <- id + 1;
       let dec = Frame.decoder ~stall_timeout:s.cfg.frame_stall_timeout () in
-      s.conns <-
-        s.conns
-        @ [ { c_id = id; c_fd = fd; c_dec = dec; c_win_start = now (); c_win_bytes = 0 } ];
-      let name = Printf.sprintf "peer %d (%s)" id (Net.string_of_sockaddr addr) in
+      let c = { c_id = id; c_fd = fd; c_dec = dec; c_window = (now (), 0) } in
+      s.conns <- s.conns @ [ c ];
+      let name =
+        Printf.sprintf "peer %d (%s)" id (Net.string_of_sockaddr addr)
+      in
       perform s (feed s (Core.Accepted { peer = id; name }));
       accept s
   | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> accept s
@@ -95,13 +88,12 @@ let pump s c =
   | 0 -> perform s (lose s c "closed its end")
   | n -> (
       let t = now () in
-      let (win_start, win_bytes), over =
+      let window, over =
         Policy.rate_check ~limit_per_s:s.cfg.rate_limit
-          ~window_start:c.c_win_start ~window_bytes:c.c_win_bytes ~arrived:n
-          ~now:t
+          ~window_start:(fst c.c_window) ~window_bytes:(snd c.c_window)
+          ~arrived:n ~now:t
       in
-      c.c_win_start <- win_start;
-      c.c_win_bytes <- win_bytes;
+      c.c_window <- window;
       if over then perform s (lose s c "byte-rate cap exceeded")
       else
         let rec frames acc =
@@ -130,7 +122,7 @@ let pump s c =
    loop ends on [stop], or once a drain has no shard left in flight. *)
 let rec loop s ~max_wait ~round ~stop =
   if !(s.term) && not (Core.draining s.core) then begin
-    close_listener s;
+    close_quiet s.listener;
     perform s (feed s Core.Drain)
   end;
   if not (stop () || (Core.draining s.core && Core.in_flight s.core = 0))
@@ -142,26 +134,28 @@ let rec loop s ~max_wait ~round ~stop =
       | None -> max_wait
       | Some d -> Float.min max_wait (Float.max 0.01 (d -. t))
     in
+    let listening = not (Core.draining s.core) in
     let fds =
-      (if s.listening then [ s.listener ] else [])
+      (if listening then [ s.listener ] else [])
       @ List.map (fun c -> c.c_fd) s.conns
     in
     let readable, _, _ =
       try Unix.select fds [] [] wait
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    if s.listening && List.mem s.listener readable then accept s;
+    if listening && List.mem s.listener readable then accept s;
     List.iter
-      (fun c -> if List.memq c s.conns && List.mem c.c_fd readable then pump s c)
+      (fun c ->
+        if List.memq c s.conns && List.mem c.c_fd readable then pump s c)
       s.conns;
     perform s (feed s Core.Tick);
     loop s ~max_wait ~round ~stop
   end
 
 let shutdown s =
+  if not (Core.draining s.core) then close_quiet s.listener;
   perform s (Core.shutdown s.core);
-  List.iter (drop s) s.conns;
-  close_listener s
+  List.iter (drop s) s.conns
 
 (* Run [f] on a shell around [listener]. SIGPIPE is ignored (a dead
    peer is a failed write) and SIGTERM starts the drain, its previous
@@ -175,7 +169,6 @@ let with_shell ?chaos cfg ~lookup listener f =
       cfg;
       core = Core.create ?chaos cfg ~lookup ~now:(now ());
       listener;
-      listening = true;
       conns = [];
       next_id = 0;
       term = ref false;
@@ -253,15 +246,6 @@ let run_fleet cfg ~workers ~exe ?chaos_kill_shard ?resume ~job inst =
             Svm.Log.debugf cfg.log
               "job %s: %d shard(s) of %d cell(s), %d resumed, %d worker(s)"
               r.job_id r.shards r.shard_size r.resumed workers;
-            let exited pid status =
-              incr deaths;
-              Svm.Log.warnf cfg.log "worker process %d %s" pid
-                (match status with
-                | Unix.WEXITED c -> Printf.sprintf "exited with code %d" c
-                | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-                    Printf.sprintf "died of signal %d" n);
-              false
-            in
             let tend () =
               let executed = (stats ()).executed in
               if executed > !progress then begin
@@ -273,7 +257,15 @@ let run_fleet cfg ~workers ~exe ?chaos_kill_shard ?resume ~job inst =
                   (fun pid ->
                     match Unix.waitpid [ Unix.WNOHANG ] pid with
                     | 0, _ -> true
-                    | _, status -> exited pid status
+                    | _, status ->
+                        incr deaths;
+                        Svm.Log.warnf cfg.log "worker process %d %s" pid
+                          (match status with
+                          | Unix.WEXITED c ->
+                              Printf.sprintf "exited with code %d" c
+                          | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+                              Printf.sprintf "died of signal %d" n);
+                        false
                     | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
                     | exception Unix.Unix_error _ -> false)
                   !pids;

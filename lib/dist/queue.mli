@@ -1,41 +1,30 @@
-(** The [asmsim serve] job queue: many concurrent sweep/explore
-    submissions, their shards dealt to remote workers, every completed
-    shard journalled and streamed back to the submitting clients, which
-    merge locally, so results stay byte-identical to in-process runs.
+(** The [asmsim serve] job queue: concurrent sweep/explore submissions,
+    their shards dealt to remote workers, every completed shard
+    journalled and streamed back to the submitting clients, which merge
+    locally, so results stay byte-identical to in-process runs.
 
-    The queue is two parts. {!Queue_core} decides: sessions, jobs,
-    shards, retries, deadlines, the drain, stats and every journal call,
-    as events in and actions out, with no socket and no clock. This
-    module is the shell around it: the listener, one connection per
-    peer with its {!Frame} decoder and byte-rate window, one
-    [Unix.select] loop, SIGTERM and the clock. It carries out the
-    core's actions in order; a failed write goes back to the core as a
-    lost peer.
+    {!Queue_core} decides — sessions, jobs, shards, retries, deadlines,
+    the drain, stats, journal calls — from events, with no socket and no
+    clock. This module is the shell around it: the listener, one
+    connection per peer with its {!Frame} decoder and byte-rate window
+    ({!Policy.rate_check}), one [Unix.select] loop, SIGTERM and the
+    clock. It carries out the core's actions in order; a failed write
+    goes back to the core as a lost peer.
 
-    Robustness posture:
-    - handshake deadline and a typed reject for version or registry
-      fingerprint skew — a wrong peer is told why and cut, never hung;
-    - per-peer frame stall deadlines ({!Frame.decoder}'s
-      [stall_timeout]) and byte-rate caps ({!Policy.rate_check}) on top
-      of the frame size cap — slow-loris and flooding peers are cut;
-    - heartbeats with the {!Policy.heartbeat} half-timeout ping, shard
-      deadlines, and {!Policy.retry} backoff/hostile handling;
-    - a job that cannot be planned is a typed [Sc_rejected], never the
-      server's end;
-    - every accepted shard is journalled before it is streamed, so
-      SIGTERM drains gracefully: stop accepting, let in-flight shards
-      finish and checkpoint, tell clients [Sc_draining] (their job id
-      resumes the work later), then exit cleanly;
-    - completed journals double as a result cache: a fresh submit whose
-      fingerprint matches a fully-completed journal of the same job is
-      answered from that journal ({!Journal.completed_id}), payloads
-      re-validated, zero shards re-executed;
-    - every worker told about a job is told when it is over
-      ({!Proto.Nw_job_over}), so long-lived workers hold only live plans.
+    Hence the robustness posture: a wrong peer (version, registry
+    fingerprint, handshake deadline) gets a typed reject and is cut;
+    slow-loris and flooding peers are cut by frame stall deadlines and
+    byte-rate caps; dead workers by heartbeats and shard deadlines, their
+    shards requeued with backoff until {!Policy.retry} calls one hostile;
+    a job that cannot be planned is a typed [Sc_rejected], never the
+    server's end. Every accepted shard is journalled before it is
+    streamed, so SIGTERM drains: no new peers or shards, in-flight shards
+    finish, clients hear [Sc_draining] and resume by job id later. A
+    completed journal answers a resubmit of the same job with zero
+    shards re-executed ({!Journal.completed_id}).
 
-    The same loop also runs privately ({!run_fleet}): one job, one
-    private Unix-domain socket, a fleet of forked workers — that is
-    [--dist N]. *)
+    The same loop runs privately too ({!run_fleet}): one job, a private
+    Unix-domain socket, a fleet of forked workers — that is [--dist N]. *)
 
 type config = Queue_core.config
 

@@ -39,17 +39,7 @@ let default_config ~fingerprint () =
     spans = None;
   }
 
-type msg =
-  | Welcome of Proto.welcome
-  | To_worker of Proto.net_to_worker
-  | To_client of Proto.server_to_client
-
-let json_of_msg = function
-  | Welcome w -> Proto.welcome_to_json w
-  | To_worker m -> Proto.net_to_worker_to_json m
-  | To_client m -> Proto.server_to_client_to_json m
-
-type action = Send of int * msg | Cut of int * string
+type action = Send of int * Json.t | Cut of int * string
 
 type event =
   | Accepted of { peer : int; name : string }
@@ -169,13 +159,13 @@ let queue_depth t = sum_jobs t remaining
 let in_flight t = sum_jobs t (fun jb -> count jb running)
 let draining t = t.draining
 
-let send t p msg =
+let send t p frame =
   p.p_frames_out <- p.p_frames_out + 1;
   bump t "net_frames_out_total";
-  t.out <- Send (p.p_id, msg) :: t.out
+  t.out <- Send (p.p_id, frame) :: t.out
 
-let to_worker t p m = send t p (To_worker m)
-let to_client t p m = send t p (To_client m)
+let to_worker t p m = send t p (Proto.net_to_worker_to_json m)
+let to_client t p m = send t p (Proto.server_to_client_to_json m)
 
 let each_worker t f =
   List.iter
@@ -294,17 +284,19 @@ let make_job ~job ~units ~shard_size ~inst journal =
     jb_over = None;
   }
 
+let announce t p w jb =
+  if not (Hashtbl.mem w.plans jb.jb_id) then begin
+    Hashtbl.replace w.plans jb.jb_id false;
+    to_worker t p (Proto.Nw_job { jid = jb.jb_id; job = jb.jb_job })
+  end
+
 (* Put a job in the queue and announce it to every worker. *)
 let register t jb =
   let admit_start = Span.now_us () in
   t.jobs <- t.jobs @ [ jb ];
   bump t "net_jobs_total";
   gauge_peers t;
-  each_worker t (fun p w ->
-      if not (Hashtbl.mem w.plans jb.jb_id) then begin
-        Hashtbl.replace w.plans jb.jb_id false;
-        to_worker t p (Proto.Nw_job { jid = jb.jb_id; job = jb.jb_job })
-      end);
+  each_worker t (fun p w -> announce t p w jb);
   Span.emit t.cfg.spans ~phase:"admit" ~job:jb.jb_tag ~shard:(-1)
     ~start_us:admit_start
 
@@ -381,7 +373,8 @@ let revive t ~id ~job ~inst =
         let sh = jb.jb_shards.(shard) in
         if sh.sh_state <> Sh_done then
           match jb.jb_check ~lo:sh.sh_lo ~hi:sh.sh_hi payload with
-          | Ok finding -> shard_done t jb ~shard ~payload ~finding ~restored:true
+          | Ok finding ->
+              shard_done t jb ~shard ~payload ~finding ~restored:true
           | Error _ -> ())
     l.l_done;
   Ok jb
@@ -398,9 +391,7 @@ let cached t ~job ~inst =
   with
   | Some id when find_job t id = None -> (
       match revive t ~id ~job ~inst with
-      | Ok jb when remaining jb = 0 ->
-          bump t "net_cache_hits_total";
-          Some jb
+      | Ok jb when remaining jb = 0 -> Some jb
       | Ok jb ->
           Journal.close jb.jb_journal;
           None
@@ -443,6 +434,7 @@ let admission t ~job ~resume ~inst =
       | None -> (
           match cached t ~job ~inst with
           | Some jb ->
+              bump t "net_cache_hits_total";
               Ok
                 (enqueue t jb
                    "answered from its completed journal (cache hit, %d \
@@ -555,7 +547,7 @@ let handle_worker_msg t p w = function
 let handle_hello t p v =
   let reject msg =
     bump t "net_handshake_rejects_total";
-    send t p (Welcome (Proto.Rejected msg));
+    send t p (Proto.welcome_to_json (Proto.Rejected msg));
     cut t p ~reason:("handshake rejected: " ^ msg)
   in
   match Proto.hello_of_json v with
@@ -568,23 +560,19 @@ let handle_hello t p v =
            h.Proto.h_version Proto.net_version)
   | Ok h when h.Proto.h_fingerprint <> t.cfg.fingerprint ->
       reject "scenario-registry fingerprint mismatch"
-  | Ok { Proto.h_role = Proto.Client_role; _ } ->
-      send t p (Welcome Proto.Welcome);
-      p.p_sort <- Client_peer { watching = None };
-      bump t "net_clients_total";
-      logf t "%s joined as a client" p.p_name
-  | Ok { Proto.h_role = Proto.Worker_role; _ } ->
-      send t p (Welcome Proto.Welcome);
-      let w = { plans = Hashtbl.create 4; state = W_idle; push = None } in
-      p.p_sort <- Worker_peer w;
-      bump t "net_workers_total";
-      logf t "%s joined as a worker" p.p_name;
-      (* Catch it up on every live job. *)
-      List.iter
-        (fun jb ->
-          Hashtbl.replace w.plans jb.jb_id false;
-          to_worker t p (Proto.Nw_job { jid = jb.jb_id; job = jb.jb_job }))
-        t.jobs
+  | Ok h -> (
+      send t p (Proto.welcome_to_json Proto.Welcome);
+      logf t "%s joined as a %s" p.p_name (Proto.role_name h.Proto.h_role);
+      match h.Proto.h_role with
+      | Proto.Client_role ->
+          p.p_sort <- Client_peer { watching = None };
+          bump t "net_clients_total"
+      | Proto.Worker_role ->
+          let w = { plans = Hashtbl.create 4; state = W_idle; push = None } in
+          p.p_sort <- Worker_peer w;
+          bump t "net_workers_total";
+          (* Catch it up on every live job. *)
+          List.iter (announce t p w) t.jobs)
 
 (* {2 Live stats}
 
@@ -695,6 +683,27 @@ let received t p ~bytes frames =
 
 (* {2 Dealing, deadlines} *)
 
+(* Deal shard [sh] of [jb] to the idle worker [p]. *)
+let assign t p w jb sh =
+  let dispatch_start = Span.now_us () in
+  to_worker t p
+    (Proto.Nw_assign
+       { jid = jb.jb_id; shard = sh.sh_id; lo = sh.sh_lo; hi = sh.sh_hi });
+  debugf t "job %s shard %d dealt to %s" jb.jb_id sh.sh_id p.p_name;
+  Span.emit t.cfg.spans ~phase:"dispatch" ~job:jb.jb_tag ~shard:sh.sh_id
+    ~start_us:dispatch_start;
+  sh.sh_state <- Sh_running p.p_id;
+  let deadline = t.now +. t.cfg.shard_timeout in
+  w.state <- W_busy { job = jb; shard = sh; deadline };
+  (* The [--chaos-kill-shard] hook: losing the link of the worker just
+     dealt shard K must change nothing but the stats. *)
+  match t.chaos with
+  | Some (k, n) when k = sh.sh_id && n > 0 ->
+      t.chaos <- Some (k, n - 1);
+      cut t p
+        ~reason:(Printf.sprintf "chaos: link cut right after dealing shard %d" k)
+  | _ -> ()
+
 (* FIFO over jobs, in order over shards, each to an idle worker that
    has acked the job's plan. *)
 let deal t =
@@ -702,78 +711,56 @@ let deal t =
     sh.sh_state = Sh_pending && sh.sh_not_before <= t.now
     && sh.sh_lo <= jb.jb_cut
   in
-  let next_shard w =
-    List.find_map
-      (fun jb ->
-        if Hashtbl.find_opt w.plans jb.jb_id = Some true then
-          Option.map (fun sh -> (jb, sh)) (Array.find_opt (eligible jb) jb.jb_shards)
-        else None)
-      t.jobs
+  let next w jb =
+    if Hashtbl.find_opt w.plans jb.jb_id <> Some true then None
+    else
+      Array.find_opt (eligible jb) jb.jb_shards
+      |> Option.map (fun sh -> (jb, sh))
   in
   each_worker t (fun p w ->
-      match if w.state = W_idle then next_shard w else None with
-      | None -> ()
-      | Some (jb, sh) -> (
-          let dispatch_start = Span.now_us () in
-          to_worker t p
-            (Proto.Nw_assign
-               { jid = jb.jb_id; shard = sh.sh_id; lo = sh.sh_lo; hi = sh.sh_hi });
-          debugf t "job %s shard %d dealt to %s" jb.jb_id sh.sh_id p.p_name;
-          Span.emit t.cfg.spans ~phase:"dispatch" ~job:jb.jb_tag ~shard:sh.sh_id
-            ~start_us:dispatch_start;
-          sh.sh_state <- Sh_running p.p_id;
-          w.state <-
-            W_busy { job = jb; shard = sh; deadline = t.now +. t.cfg.shard_timeout };
-          (* The [--chaos-kill-shard] hook: losing the link of the worker
-             just dealt shard K must change nothing but the stats. *)
-          match t.chaos with
-          | Some (k, n) when k = sh.sh_id && n > 0 ->
-              t.chaos <- Some (k, n - 1);
-              cut t p
-                ~reason:
-                  (Printf.sprintf "chaos: link cut right after dealing shard %d" k)
-          | _ -> ()));
+      if w.state = W_idle then
+        Option.iter
+          (fun (jb, sh) -> assign t p w jb sh)
+          (List.find_map (next w) t.jobs));
   Metrics.record t.cfg.metrics "net_queue_depth" (queue_depth t)
 
-(* The instant of a peer's next timed decision: its handshake deadline,
-   or the earlier of its shard deadline and its next heartbeat edge (a
-   ping at half the timeout, death at the full timeout). *)
-let due t p =
-  let heartbeat =
-    p.p_last
-    +. (if p.p_pinged then t.cfg.heartbeat_timeout
-        else t.cfg.heartbeat_timeout /. 2.)
-  in
+(* A peer's next timed decision: the instant it falls due, and what it
+   does then. That is the handshake deadline, or the earlier of the
+   shard deadline and the next heartbeat edge (a ping at half the
+   timeout, death at the full timeout). *)
+let timer t p =
+  let timeout = t.cfg.heartbeat_timeout in
+  let edge = p.p_last +. if p.p_pinged then timeout else timeout /. 2. in
   match p.p_sort with
-  | Pending deadline -> deadline
-  | Worker_peer { state = W_busy { deadline; _ }; _ } ->
-      Float.min deadline heartbeat
-  | Worker_peer _ | Client_peer _ -> heartbeat
-
-let fire t p =
-  match p.p_sort with
-  | Pending _ -> cut t p ~reason:"handshake timeout"
+  | Pending deadline ->
+      (deadline, fun () -> cut t p ~reason:"handshake timeout")
   | Worker_peer { state = W_busy { job; shard; deadline }; _ }
-    when t.now > deadline ->
-      cut t p
-        ~reason:
-          (Printf.sprintf "job %s shard %d timed out" job.jb_id shard.sh_id)
-  | Worker_peer _ | Client_peer _ -> (
-      match
-        Policy.heartbeat ~timeout:t.cfg.heartbeat_timeout
-          ~silent:(t.now -. p.p_last) ~pinged:p.p_pinged
-      with
-      | Policy.Dead -> cut t p ~reason:"heartbeat timeout"
-      | Policy.Wait -> ()
-      | Policy.Ping ->
-          p.p_pinged <- true;
-          send t p
-            (match p.p_sort with
-            | Client_peer _ -> To_client Proto.Sc_ping
-            | _ -> To_worker Proto.Nw_ping))
+    when deadline < edge ->
+      ( deadline,
+        fun () ->
+          cut t p
+            ~reason:
+              (Printf.sprintf "job %s shard %d timed out" job.jb_id shard.sh_id)
+      )
+  | Worker_peer _ | Client_peer _ ->
+      ( edge,
+        fun () ->
+          match
+            Policy.heartbeat ~timeout ~silent:(t.now -. p.p_last)
+              ~pinged:p.p_pinged
+          with
+          | Policy.Dead -> cut t p ~reason:"heartbeat timeout"
+          | Policy.Wait -> ()
+          | Policy.Ping ->
+              p.p_pinged <- true;
+              match p.p_sort with
+              | Client_peer _ -> to_client t p Proto.Sc_ping
+              | _ -> to_worker t p Proto.Nw_ping )
 
 let next_deadline t ~now =
-  let d = List.fold_left (fun d p -> Float.min d (due t p)) infinity t.peers in
+  let d =
+    List.fold_left (fun d p -> Float.min d (fst (timer t p))) infinity t.peers
+  in
   let d =
     List.fold_left
       (fun d jb ->
@@ -814,9 +801,12 @@ let handle t ~now ev =
       Option.iter (fun p -> received t p ~bytes frames) (find_peer t peer)
   | Lost { peer; reason } -> Option.iter (gone t ~reason) (find_peer t peer)
   | Tick ->
-      List.iter (fun p -> if now > due t p then fire t p) t.peers;
+      List.iter
+        (fun p ->
+          let at, fire = timer t p in
+          if now > at then fire ())
+        t.peers;
       if not t.draining then deal t
-  | Drain when t.draining -> ()
   | Drain ->
       t.draining <- true;
       logf t "draining: no new connections or shards; checkpointing \

@@ -36,15 +36,8 @@ val default_config : fingerprint:string -> unit -> config
 
 (** {1 Events and actions} *)
 
-type msg =
-  | Welcome of Proto.welcome  (** the handshake verdict *)
-  | To_worker of Proto.net_to_worker
-  | To_client of Proto.server_to_client
-
-val json_of_msg : msg -> Svm.Json.t
-
 type action =
-  | Send of int * msg  (** write this frame to the peer *)
+  | Send of int * Svm.Json.t  (** write this frame to the peer *)
   | Cut of int * string  (** close the peer; the core has forgotten it *)
 
 type event =

@@ -109,6 +109,7 @@ type vpeer = {
   id : int;
   role : role;
   mutable outbox : Json.t list;  (** frames for the core, oldest first *)
+  mutable welcomed : bool;  (** the handshake verdict arrived *)
   mutable hung : bool;  (** sends nothing more *)
   mutable busy : (string * int) option;  (** dealt, result not delivered *)
 }
@@ -192,45 +193,51 @@ let post p v = if not p.hung then p.outbox <- p.outbox @ [ v ]
 let to_core p m = post p (Proto.net_from_worker_to_json m)
 let range m s = (s * m.fx.shard_size, min (Dist.Worker.cells_of_instance m.fx.inst) ((s + 1) * m.fx.shard_size))
 
-(* What a virtual peer does with one frame from the core. *)
-let answer m p msg =
-  match (p.role, msg) with
-  | _, Core.Welcome Proto.Welcome -> ()
-  | Client, Core.Welcome (Proto.Rejected r) | Client, Core.To_client (Proto.Sc_rejected r) ->
-      if m.draining then m.verdict <- Some `Drained
-      else m.verdict <- Some (`Failed ("rejected: " ^ r))
-  | Worker, Core.Welcome (Proto.Rejected r) ->
+(* What a virtual peer does with one frame from the core: the first is
+   the handshake verdict, every later one a message of its role. *)
+let answer m p frame =
+  let decoded =
+    match p.role with
+    | _ when not p.welcomed ->
+        p.welcomed <- true;
+        Result.map (fun w -> `Welcome w) (Proto.welcome_of_json frame)
+    | Worker -> Result.map (fun w -> `Worker w) (Proto.net_to_worker_of_json frame)
+    | Client -> Result.map (fun c -> `Client c) (Proto.server_to_client_of_json frame)
+  in
+  match decoded with
+  | Error e -> fail m "peer %d got an undecodable frame: %s" p.id e
+  | Ok (`Welcome Proto.Welcome) -> ()
+  | Ok (`Welcome (Proto.Rejected r)) when p.role = Worker ->
       if not m.draining then fail m "an honest worker was turned away: %s" r
-  | Worker, Core.To_worker (Proto.Nw_job { jid; _ }) ->
+  | Ok (`Welcome (Proto.Rejected r) | `Client (Proto.Sc_rejected r)) ->
+      m.verdict <- Some (if m.draining then `Drained else `Failed ("rejected: " ^ r))
+  | Ok (`Worker (Proto.Nw_job { jid; _ })) ->
       to_core p
         (Proto.Nf_job_ok { jid; cells = Dist.Worker.cells_of_instance m.fx.inst })
-  | Worker, Core.To_worker (Proto.Nw_assign { jid; shard; lo; hi }) ->
+  | Ok (`Worker (Proto.Nw_assign { jid; shard; lo; hi })) ->
       if p.busy <> None then fail m "peer %d dealt shard %d while busy" p.id shard;
       if (lo, hi) <> range m shard then fail m "shard %d dealt as [%d,%d)" shard lo hi;
       m.dealt <- shard :: m.dealt;
       p.busy <- Some (jid, shard);
       to_core p (Proto.Nf_result { jid; shard; payload = m.fx.honest.(shard) })
-  | Worker, Core.To_worker Proto.Nw_ping -> to_core p (Proto.Nf_pong { metrics = None })
-  | Worker, Core.To_worker (Proto.Nw_job_over _ | Proto.Nw_shutdown) -> ()
-  | Client, Core.To_client (Proto.Sc_accepted { jid; cells; shard_size }) ->
+  | Ok (`Worker Proto.Nw_ping) -> to_core p (Proto.Nf_pong { metrics = None })
+  | Ok (`Worker (Proto.Nw_job_over _ | Proto.Nw_shutdown)) -> ()
+  | Ok (`Client (Proto.Sc_accepted { jid; cells; shard_size })) -> (
       if cells <> Dist.Worker.cells_of_instance m.fx.inst || shard_size <> m.fx.shard_size
       then fail m "accepted with %d cells in shards of %d" cells shard_size;
-      (match m.jid with
+      match m.jid with
       | Some j when j <> jid -> fail m "job %s became %s" j jid
       | _ -> m.jid <- Some jid)
-  | Client, Core.To_client (Proto.Sc_shard { shard; payload }) ->
+  | Ok (`Client (Proto.Sc_shard { shard; payload })) ->
       if payload <> m.fx.honest.(shard) then
         fail m "a forged result landed: shard %d = %s" shard (Json.to_string payload);
       m.got.(shard) <- Some payload
-  | Client, Core.To_client (Proto.Sc_done { executed; resumed }) ->
+  | Ok (`Client (Proto.Sc_done { executed; resumed })) ->
       m.verdict <- Some (`Done (executed, resumed))
-  | Client, Core.To_client (Proto.Sc_failed r) -> m.verdict <- Some (`Failed r)
-  | Client, Core.To_client Proto.Sc_draining -> m.verdict <- Some `Drained
-  | Client, Core.To_client Proto.Sc_ping ->
-      post p (Proto.client_to_server_to_json Proto.Cs_pong)
-  | Client, Core.To_client (Proto.Sc_stats _) -> ()
-  | Worker, Core.To_client _ | Client, Core.To_worker _ ->
-      fail m "peer %d got a frame of the other role" p.id
+  | Ok (`Client (Proto.Sc_failed r)) -> m.verdict <- Some (`Failed r)
+  | Ok (`Client Proto.Sc_draining) -> m.verdict <- Some `Drained
+  | Ok (`Client Proto.Sc_ping) -> post p (Proto.client_to_server_to_json Proto.Cs_pong)
+  | Ok (`Client (Proto.Sc_stats _)) -> ()
 
 (* Feed one event, carry out the core's actions, check the invariants. *)
 let step m ev =
@@ -248,9 +255,9 @@ let step m ev =
               if p.busy <> None then count "busy worker cut";
               forget m p
           | None -> fail m "cut of peer %d, which is not connected" id)
-      | Core.Send (id, msg) -> (
+      | Core.Send (id, frame) -> (
           match find m id with
-          | Some p -> answer m p msg
+          | Some p -> answer m p frame
           | None -> fail m "a frame for peer %d, which is not connected" id))
     acts;
   let busy = List.length (List.filter (fun p -> p.busy <> None) m.peers) in
@@ -259,7 +266,9 @@ let step m ev =
       (Core.in_flight m.core) busy
 
 let connect m role =
-  let p = { id = m.next_id; role; outbox = []; hung = false; busy = None } in
+  let p =
+    { id = m.next_id; role; outbox = []; welcomed = false; hung = false; busy = None }
+  in
   m.next_id <- m.next_id + 1;
   m.peers <- m.peers @ [ p ];
   step m (Core.Accepted { peer = p.id; name = Printf.sprintf "v%d" p.id });
