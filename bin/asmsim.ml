@@ -1577,7 +1577,7 @@ let serve_cmd =
         let* () = refuse "needs --resume" resume_only in
         let queue =
           {
-            (Dist.Queue.default_config
+            (Dist.Queue_core.default_config
                ~fingerprint:(Experiments.Harness.registry_fingerprint ())
                ())
             with

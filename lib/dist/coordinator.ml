@@ -45,7 +45,7 @@ let run ?metrics ?on_progress ~fingerprint cfg ~job ~instance =
     let units = Worker.cells_of_instance instance in
     let qcfg =
       {
-        (Queue.default_config ~fingerprint ()) with
+        (Queue_core.default_config ~fingerprint ()) with
         shard_size =
           Some
             (match cfg.shard_size with

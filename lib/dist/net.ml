@@ -187,6 +187,13 @@ let chaos_mode_name = function
   | Truncate -> "truncate"
   | Garbage -> "garbage"
 
+let chaos_mode_of_string = function
+  | "drop" -> Ok Drop
+  | "delay" -> Ok Delay
+  | "truncate" -> Ok Truncate
+  | "garbage" -> Ok Garbage
+  | s -> Error (Printf.sprintf "unknown chaos mode %S" s)
+
 type chaos = { c_mode : chaos_mode; c_every : int; mutable c_count : int }
 
 let chaos ?(every = 7) mode = { c_mode = mode; c_every = max 1 every; c_count = 0 }

@@ -2,8 +2,6 @@ module Core = Queue_core
 
 type config = Core.config
 
-let default_config = Core.default_config
-
 (* {2 The shell}
 
    Everything that touches the operating system: the listener, one
@@ -111,9 +109,9 @@ let pump s c =
         | Some err when List.memq c s.conns ->
             perform s (lose s c (Format.asprintf "%a" Frame.pp_error err))
         | _ -> ())
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      perform s (lose s c "connection reset")
+  | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ()
+  | exception Unix.Unix_error (err, _, _) ->
+      perform s (lose s c ("read failed: " ^ Unix.error_message err))
 
 (* The one select loop of [serve] and [run_fleet]. Each round runs
    [round] (a fleet tends its children there), waits for traffic or the
@@ -154,8 +152,7 @@ let rec loop s ~max_wait ~round ~stop =
 
 let shutdown s =
   if not (Core.draining s.core) then close_quiet s.listener;
-  perform s (Core.shutdown s.core);
-  List.iter (drop s) s.conns
+  perform s (Core.shutdown s.core)
 
 (* Run [f] on a shell around [listener]. SIGPIPE is ignored (a dead
    peer is a failed write) and SIGTERM starts the drain, its previous

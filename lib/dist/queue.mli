@@ -27,8 +27,7 @@
     Unix-domain socket, a fleet of forked workers — that is [--dist N]. *)
 
 type config = Queue_core.config
-
-val default_config : fingerprint:string -> unit -> config
+(** Built with {!Queue_core.default_config}. *)
 
 val serve :
   ?on_listen:(int -> unit) ->

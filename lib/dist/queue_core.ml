@@ -290,7 +290,6 @@ let announce t p w jb =
     to_worker t p (Proto.Nw_job { jid = jb.jb_id; job = jb.jb_job })
   end
 
-(* Put a job in the queue and announce it to every worker. *)
 let register t jb =
   let admit_start = Span.now_us () in
   t.jobs <- t.jobs @ [ jb ];
@@ -398,7 +397,6 @@ let cached t ~job ~inst =
       | Error _ -> None)
   | _ -> None
 
-(* Queue a job new to the queue, saying how it came. *)
 let enqueue t jb fmt =
   Printf.ksprintf
     (fun how ->
@@ -683,7 +681,6 @@ let received t p ~bytes frames =
 
 (* {2 Dealing, deadlines} *)
 
-(* Deal shard [sh] of [jb] to the idle worker [p]. *)
 let assign t p w jb sh =
   let dispatch_start = Span.now_us () in
   to_worker t p
