@@ -120,8 +120,8 @@ type entry = Ev of float * Core.event | Note of string
    reaches a fault checks nothing about it. *)
 let tally : (string, int) Hashtbl.t = Hashtbl.create 16
 
-let count what =
-  Hashtbl.replace tally what (1 + Option.value ~default:0 (Hashtbl.find_opt tally what))
+let times what = Option.value ~default:0 (Hashtbl.find_opt tally what)
+let count what = Hashtbl.replace tally what (1 + times what)
 
 type model = {
   seed : int;
@@ -135,7 +135,8 @@ type model = {
   mutable trace : entry list;  (** newest first *)
   mutable jid : string option;
   got : Json.t option array;  (** payloads the client collected *)
-  mutable verdict : [ `Done of int * int | `Failed of string | `Drained ] option;
+  mutable verdict :
+    [ `Done of int * int | `Failed of string | `Drained ] option;
   mutable draining : bool;
   mutable dealt : int list;  (** shards dealt since the last revive *)
 }
@@ -162,7 +163,9 @@ let new_core ~dir ~now fx =
 
 let contains s sub =
   let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
   go 0
 
 let render = function
@@ -170,11 +173,13 @@ let render = function
   | Ev (t, ev) -> (
       let at = Printf.sprintf "%8.2f " t in
       match ev with
-      | Core.Accepted { peer; name } -> Printf.sprintf "%saccept %d %s" at peer name
+      | Core.Accepted { peer; name } ->
+          Printf.sprintf "%saccept %d %s" at peer name
       | Core.Received { peer; frames; _ } ->
           Printf.sprintf "%sfrom %d: %s" at peer
             (String.concat " " (List.map Json.to_string frames))
-      | Core.Lost { peer; reason } -> Printf.sprintf "%slost %d: %s" at peer reason
+      | Core.Lost { peer; reason } ->
+          Printf.sprintf "%slost %d: %s" at peer reason
       | Core.Tick -> at ^ "tick"
       | Core.Drain -> at ^ "drain")
 
@@ -186,12 +191,28 @@ let fail m fmt =
     fmt
 
 let note m fmt = Printf.ksprintf (fun s -> m.trace <- Note s :: m.trace) fmt
-let noted m what fmt = count what; note m fmt
+
+let noted m what fmt =
+  count what;
+  note m fmt
+
 let find m id = List.find_opt (fun p -> p.id = id) m.peers
 let forget m p = m.peers <- List.filter (fun q -> q.id <> p.id) m.peers
 let post p v = if not p.hung then p.outbox <- p.outbox @ [ v ]
 let to_core p m = post p (Proto.net_from_worker_to_json m)
-let range m s = (s * m.fx.shard_size, min (Dist.Worker.cells_of_instance m.fx.inst) ((s + 1) * m.fx.shard_size))
+let plan_cells m = Dist.Worker.cells_of_instance m.fx.inst
+let range m s =
+  (s * m.fx.shard_size, min (plan_cells m) ((s + 1) * m.fx.shard_size))
+
+(* Take back the result a worker has not sent yet. *)
+let unsend p =
+  p.outbox <-
+    List.filter
+      (fun v ->
+        match Proto.net_from_worker_of_json v with
+        | Ok (Proto.Nf_result _) -> false
+        | _ -> true)
+      p.outbox
 
 (* What a virtual peer does with one frame from the core: the first is
    the handshake verdict, every later one a message of its role. *)
@@ -201,8 +222,10 @@ let answer m p frame =
     | _ when not p.welcomed ->
         p.welcomed <- true;
         Result.map (fun w -> `Welcome w) (Proto.welcome_of_json frame)
-    | Worker -> Result.map (fun w -> `Worker w) (Proto.net_to_worker_of_json frame)
-    | Client -> Result.map (fun c -> `Client c) (Proto.server_to_client_of_json frame)
+    | Worker ->
+        Result.map (fun w -> `Worker w) (Proto.net_to_worker_of_json frame)
+    | Client ->
+        Result.map (fun c -> `Client c) (Proto.server_to_client_of_json frame)
   in
   match decoded with
   | Error e -> fail m "peer %d got an undecodable frame: %s" p.id e
@@ -210,33 +233,37 @@ let answer m p frame =
   | Ok (`Welcome (Proto.Rejected r)) when p.role = Worker ->
       if not m.draining then fail m "an honest worker was turned away: %s" r
   | Ok (`Welcome (Proto.Rejected r) | `Client (Proto.Sc_rejected r)) ->
-      m.verdict <- Some (if m.draining then `Drained else `Failed ("rejected: " ^ r))
+      m.verdict <-
+        Some (if m.draining then `Drained else `Failed ("rejected: " ^ r))
   | Ok (`Worker (Proto.Nw_job { jid; _ })) ->
-      to_core p
-        (Proto.Nf_job_ok { jid; cells = Dist.Worker.cells_of_instance m.fx.inst })
+      to_core p (Proto.Nf_job_ok { jid; cells = plan_cells m })
   | Ok (`Worker (Proto.Nw_assign { jid; shard; lo; hi })) ->
-      if p.busy <> None then fail m "peer %d dealt shard %d while busy" p.id shard;
-      if (lo, hi) <> range m shard then fail m "shard %d dealt as [%d,%d)" shard lo hi;
+      if p.busy <> None then
+        fail m "peer %d dealt shard %d while busy" p.id shard;
+      if (lo, hi) <> range m shard then
+        fail m "shard %d dealt as [%d,%d)" shard lo hi;
       m.dealt <- shard :: m.dealt;
       p.busy <- Some (jid, shard);
       to_core p (Proto.Nf_result { jid; shard; payload = m.fx.honest.(shard) })
   | Ok (`Worker Proto.Nw_ping) -> to_core p (Proto.Nf_pong { metrics = None })
   | Ok (`Worker (Proto.Nw_job_over _ | Proto.Nw_shutdown)) -> ()
   | Ok (`Client (Proto.Sc_accepted { jid; cells; shard_size })) -> (
-      if cells <> Dist.Worker.cells_of_instance m.fx.inst || shard_size <> m.fx.shard_size
-      then fail m "accepted with %d cells in shards of %d" cells shard_size;
+      if (cells, shard_size) <> (plan_cells m, m.fx.shard_size) then
+        fail m "accepted with %d cells in shards of %d" cells shard_size;
       match m.jid with
       | Some j when j <> jid -> fail m "job %s became %s" j jid
       | _ -> m.jid <- Some jid)
   | Ok (`Client (Proto.Sc_shard { shard; payload })) ->
       if payload <> m.fx.honest.(shard) then
-        fail m "a forged result landed: shard %d = %s" shard (Json.to_string payload);
+        fail m "a forged result landed: shard %d = %s" shard
+          (Json.to_string payload);
       m.got.(shard) <- Some payload
   | Ok (`Client (Proto.Sc_done { executed; resumed })) ->
       m.verdict <- Some (`Done (executed, resumed))
   | Ok (`Client (Proto.Sc_failed r)) -> m.verdict <- Some (`Failed r)
   | Ok (`Client Proto.Sc_draining) -> m.verdict <- Some `Drained
-  | Ok (`Client Proto.Sc_ping) -> post p (Proto.client_to_server_to_json Proto.Cs_pong)
+  | Ok (`Client Proto.Sc_ping) ->
+      post p (Proto.client_to_server_to_json Proto.Cs_pong)
   | Ok (`Client (Proto.Sc_stats _)) -> ()
 
 (* Feed one event, carry out the core's actions, check the invariants. *)
@@ -267,7 +294,14 @@ let step m ev =
 
 let connect m role =
   let p =
-    { id = m.next_id; role; outbox = []; welcomed = false; hung = false; busy = None }
+    {
+      id = m.next_id;
+      role;
+      outbox = [];
+      welcomed = false;
+      hung = false;
+      busy = None;
+    }
   in
   m.next_id <- m.next_id + 1;
   m.peers <- m.peers @ [ p ];
@@ -276,7 +310,10 @@ let connect m role =
     (Proto.hello_to_json
        {
          Proto.h_version = Proto.net_version;
-         h_role = (match role with Worker -> Proto.Worker_role | Client -> Proto.Client_role);
+         h_role =
+           (match role with
+           | Worker -> Proto.Worker_role
+           | Client -> Proto.Client_role);
          h_fingerprint = "model";
        });
   if role = Client then
@@ -286,20 +323,19 @@ let connect m role =
 
 (* Deliver the first [n] frames [p] has for the core. *)
 let deliver m p n =
-  let rec split n l =
-    if n = 0 then ([], l)
-    else match l with [] -> ([], []) | x :: l -> let a, b = split (n - 1) l in (x :: a, b)
-  in
-  let frames, rest = split n p.outbox in
-  p.outbox <- rest;
+  let frames = List.filteri (fun i _ -> i < n) p.outbox in
+  p.outbox <- List.filteri (fun i _ -> i >= n) p.outbox;
   List.iter
     (fun v ->
       match Proto.net_from_worker_of_json v with
-      | Ok (Proto.Nf_result { jid; shard; _ }) when p.busy = Some (jid, shard) ->
+      | Ok (Proto.Nf_result { jid; shard; _ }) when p.busy = Some (jid, shard)
+        ->
           p.busy <- None
       | _ -> ())
     frames;
-  let bytes = List.fold_left (fun n v -> n + String.length (Json.to_string v)) 0 frames in
+  let bytes =
+    List.fold_left (fun n v -> n + String.length (Json.to_string v)) 0 frames
+  in
   step m (Core.Received { peer = p.id; bytes; frames })
 
 let tick m dt =
@@ -307,7 +343,9 @@ let tick m dt =
   step m Core.Tick
 
 let pick m l = List.nth l (Rng.int m.rng (List.length l))
-let honest_workers m = List.filter (fun p -> p.role = Worker && not p.hung) m.peers
+let honest_workers m =
+  List.filter (fun p -> p.role = Worker && not p.hung) m.peers
+
 let client_up m = List.exists (fun p -> p.role = Client) m.peers
 
 (* A well-formed result that is not the honest one. *)
@@ -320,13 +358,7 @@ let flip = function
 let forge m p =
   let result jid shard payload =
     (* A Byzantine worker lies instead of answering. *)
-    p.outbox <-
-      List.filter
-        (fun v ->
-          match Proto.net_from_worker_of_json v with
-          | Ok (Proto.Nf_result _) -> false
-          | _ -> true)
-        p.outbox;
+    unsend p;
     to_core p (Proto.Nf_result { jid; shard; payload })
   in
   match (Rng.int m.rng 4, p.busy) with
@@ -339,7 +371,8 @@ let forge m p =
       let lo, hi = range m s in
       result jid s (Json.String (String.make (hi - lo) 'X'))
   | 2, Some (jid, s) ->
-      noted m "wrong length" "peer %d forges a wrong length for shard %d" p.id s;
+      noted m "wrong length" "peer %d forges a wrong length for shard %d" p.id
+        s;
       result jid s
         (match m.fx.honest.(s) with
         | Json.String t -> Json.String (t ^ "C")
@@ -347,8 +380,10 @@ let forge m p =
   | _, Some (jid, own) ->
       (* Busy with its own shard, it cannot be dealt [s] before the
          forgery arrives: [s] is not its to answer. *)
-      let s = (own + 1 + Rng.int m.rng (Array.length m.fx.honest - 1)) mod Array.length m.fx.honest in
-      noted m "unowned" "peer %d forges shard %d, which it does not own" p.id s;
+      let n = Array.length m.fx.honest in
+      let s = (own + 1 + Rng.int m.rng (n - 1)) mod n in
+      noted m "unowned" "peer %d forges shard %d, which it does not own" p.id
+        s;
       result jid s (flip m.fx.honest.(s))
 
 (* One step of the seeded schedule. *)
@@ -376,13 +411,7 @@ let random_step m =
   else if r < 77 && List.exists (fun p -> p.busy <> None) workers_up then begin
     let p = pick m (List.filter (fun p -> p.busy <> None) workers_up) in
     noted m "omission" "peer %d's result is lost" p.id;
-    p.outbox <-
-      List.filter
-        (fun v ->
-          match Proto.net_from_worker_of_json v with
-          | Ok (Proto.Nf_result _) -> false
-          | _ -> true)
-        p.outbox
+    unsend p
   end
   else if r < 85 && workers_up <> [] then forge m (pick m workers_up)
   else if r < 86 && client_up m then
@@ -399,12 +428,17 @@ let settle m =
   while m.verdict = None do
     incr rounds;
     if !rounds > 2000 then fail m "the job never ended";
-    while List.length (honest_workers m) < workers do connect m Worker done;
+    while List.length (honest_workers m) < workers do
+      connect m Worker
+    done;
     if not (client_up m) then connect m Client;
     List.iter
-      (fun p -> if p.outbox <> [] && List.memq p m.peers then deliver m p (List.length p.outbox))
+      (fun p ->
+        if p.outbox <> [] && List.memq p m.peers then
+          deliver m p (List.length p.outbox))
       m.peers;
-    if m.verdict = None && List.for_all (fun p -> p.outbox = []) m.peers then tick m 1.
+    if m.verdict = None && List.for_all (fun p -> p.outbox = []) m.peers then
+      tick m 1.
   done
 
 let journalled m =
@@ -425,7 +459,8 @@ let check_done m ~executed ~resumed =
     fail m "a shard was journalled twice: %s"
       (String.concat "," (List.map string_of_int shards));
   List.iter
-    (fun (s, v) -> if v <> m.fx.honest.(s) then fail m "journalled a false shard %d" s)
+    (fun (s, v) ->
+      if v <> m.fx.honest.(s) then fail m "journalled a false shard %d" s)
     j;
   if executed + resumed <> List.length j then
     fail m "done with %d executed + %d resumed, %d journalled" executed resumed
@@ -437,9 +472,12 @@ let check_done m ~executed ~resumed =
         fail m "shard %d is under the cut but missing" s)
     m.fx.honest;
   let merged =
-    repr (Dist.Merge.instance m.fx.inst ~shard_size:m.fx.shard_size ~payloads:m.got)
+    repr
+      (Dist.Merge.instance m.fx.inst ~shard_size:m.fx.shard_size
+         ~payloads:m.got)
   in
-  if merged <> m.fx.outcome then fail m "merged %s, honestly %s" merged m.fx.outcome
+  if merged <> m.fx.outcome then
+    fail m "merged %s, honestly %s" merged m.fx.outcome
 
 let finish m =
   match m.verdict with
@@ -492,7 +530,8 @@ let run_seed dir seed =
        has run dry, and the shell would shut down. *)
     tick m (shard_timeout +. heartbeat_timeout +. 1.);
     if Core.in_flight m.core <> 0 then
-      fail m "%d shard(s) still in flight after the drain" (Core.in_flight m.core);
+      fail m "%d shard(s) still in flight after the drain"
+        (Core.in_flight m.core);
     note m "shutdown";
     ignore (Core.shutdown m.core);
     m.peers <- [];
@@ -526,8 +565,7 @@ let model () =
   List.iter
     (fun what ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %d time(s)" what
-           (Option.value ~default:0 (Hashtbl.find_opt tally what)))
+        (Printf.sprintf "%s: %d time(s)" what (times what))
         true (Hashtbl.mem tally what))
     [
       "done"; "done past a finding"; "revive"; "crash"; "hang"; "omission";
