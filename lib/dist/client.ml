@@ -51,13 +51,36 @@ let backoff cfg rng failures =
          ~attempt:(failures - 1)
          ~rand:(Random.State.float rng 1.0))
 
+type dial_error =
+  | Unreachable of string  (** the dial failed *)
+  | Rejected of string  (** a typed handshake refusal: never retried *)
+  | Handshake of string  (** the link failed mid-handshake *)
+
+(* One dial and handshake. *)
+let establish cfg ~role addr =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
+  match Net.dial ~timeout:cfg.dial_timeout addr with
+  | Error m -> Error (Unreachable m)
+  | Ok fd -> (
+      match Net.client_handshake fd ~role ~fingerprint:cfg.fingerprint with
+      | Ok () -> Ok fd
+      | Error e ->
+          close_quiet fd;
+          Error
+            (match e with
+            | Net.Hs_rejected m -> Rejected m
+            | Net.Hs_link m -> Handshake m))
+
 (* Dial + handshake, driving the shared bounded-reconnect state.
    [session fd] runs until it raises [Link] (reconnect) or [Quit]. *)
 let connect_loop cfg ~role addr session =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   let rng = Random.State.make_self_init () in
   let failures = ref 0 in
+  let retry what m =
+    incr failures;
+    warnf cfg "%s failed (%s); attempt %d" what m !failures
+  in
   let rec go () =
     if !failures > cfg.max_failures then begin
       Log.errorf cfg.log "giving up after %d consecutive connection failures"
@@ -67,100 +90,90 @@ let connect_loop cfg ~role addr session =
     end
     else begin
       backoff cfg rng !failures;
-      match Net.dial ~timeout:cfg.dial_timeout addr with
-      | Error m when Net.refused addr ->
+      match establish cfg ~role addr with
+      | Error (Unreachable m) when Net.refused addr ->
           (* A Unix-domain queue is private to one run: once nothing
              listens on its path, no redial can bring it back. *)
           Error
             (Printf.sprintf "nothing listens on %s: %s"
                (Net.string_of_sockaddr addr) m)
-      | Error m ->
-          incr failures;
-          warnf cfg "connect failed (%s); attempt %d" m !failures;
+      | Error (Unreachable m) ->
+          retry "connect" m;
+          go ()
+      | Error (Rejected m) -> Error (Printf.sprintf "server rejected us: %s" m)
+      | Error (Handshake m) ->
+          retry "handshake" m;
           go ()
       | Ok fd -> (
-          match
-            Net.client_handshake fd ~role ~fingerprint:cfg.fingerprint
-          with
-          | Error (Net.Hs_rejected m) ->
-              close_quiet fd;
-              Error (Printf.sprintf "server rejected us: %s" m)
-          | Error (Net.Hs_link m) ->
+          failures := 0;
+          match session fd with
+          | () ->
               close_quiet fd;
               incr failures;
-              warnf cfg "handshake failed (%s); attempt %d" m !failures;
               go ()
-          | Ok () -> (
-              failures := 0;
-              match session fd with
-              | () ->
-                  close_quiet fd;
-                  incr failures;
-                  go ()
-              | exception Link m ->
-                  close_quiet fd;
-                  incr failures;
-                  Metrics.bump cfg.metrics "net_link_losses_total";
-                  warnf cfg "link lost (%s); reconnecting" m;
-                  go ()
-              | exception Quit code ->
-                  close_quiet fd;
-                  Ok code
-              | exception exn ->
-                  close_quiet fd;
-                  raise exn))
+          | exception Link m ->
+              close_quiet fd;
+              incr failures;
+              Metrics.bump cfg.metrics "net_link_losses_total";
+              warnf cfg "link lost (%s); reconnecting" m;
+              go ()
+          | exception Quit code ->
+              close_quiet fd;
+              Ok code
+          | exception exn ->
+              close_quiet fd;
+              raise exn)
     end
   in
   go ()
 
-(* ------------------------------------------------------------------ *)
-(* Remote worker                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let worker_send cfg fd msg =
-  try Net.chaos_write ?chaos:cfg.chaos fd (Proto.net_from_worker_to_json msg)
-  with
+(* One frame out, through the chaos harness when configured (workers
+   only); a failed write is a lost link. *)
+let send cfg fd encode msg =
+  try Net.chaos_write ?chaos:cfg.chaos fd (encode msg) with
   | Net.Chaos_cut ->
       Metrics.bump cfg.metrics "worker_chaos_cuts_total";
       raise (Link "chaos cut the connection")
   | Unix.Unix_error (e, _, _) -> raise (Link (Unix.error_message e))
 
-(* The heartbeat answer doubles as the metrics push: every pong carries
-   this worker's full registry snapshot (cumulative, so the server just
-   keeps the latest). Piggybacking on the cadence the server already
-   enforces means telemetry costs zero extra frames and stops exactly
-   when the worker does — staleness is the failure signal. *)
-let worker_pong cfg fd =
-  worker_send cfg fd
-    (Proto.Nf_pong { metrics = Option.map Metrics.snapshot cfg.metrics })
-
-let worker_recv cfg fd =
+(* One frame in, decoded; a silent, torn or undecodable frame is a lost
+   link. *)
+let recv cfg fd decode =
   match Frame.read ~timeout:cfg.read_timeout fd with
+  | Error e -> raise (frame_error e)
   | Ok v -> (
-      match Proto.net_to_worker_of_json v with
+      match decode v with
       | Ok m -> m
       | Error m -> raise (Link ("undecodable server frame: " ^ m)))
-  | Error e -> raise (frame_error e)
+
+(* ------------------------------------------------------------------ *)
+(* Remote worker                                                        *)
+(* ------------------------------------------------------------------ *)
 
 (* The job table holds the plans of live jobs only: the server announces
    a job before its first shard and says when it is over, so a worker
    serving jobs for days holds what it is working on, not what it has
-   ever seen. [worker_jobs_open] rides the metrics push. *)
+   ever seen. [worker_jobs_open] rides the metrics push.
+
+   A worker speaks only when spoken to: job-ok/err to a job, a pong to a
+   ping, a result to an assignment. The pong doubles as the metrics
+   push: every pong carries this worker's full registry snapshot
+   (cumulative, so the server just keeps the latest), so telemetry costs
+   zero extra frames and stops exactly when the worker does — staleness
+   is the failure signal. *)
 let worker_session cfg ~lookup fd =
+  let send = send cfg fd Proto.net_from_worker_to_json in
+  let recv () = recv cfg fd Proto.net_to_worker_of_json in
   let jobs : (string, Worker.instance * string) Hashtbl.t = Hashtbl.create 4 in
   let gauge () =
     Metrics.record cfg.metrics "worker_jobs_open" (Hashtbl.length jobs)
   in
-  let close_job jid =
-    Hashtbl.remove jobs jid;
-    gauge ();
-    debugf cfg "closed job %s" jid
+  let job_ok jid inst =
+    send (Proto.Nf_job_ok { jid; cells = Worker.cells_of_instance inst })
   in
   let open_job jid job =
     match Hashtbl.find_opt jobs jid with
-    | Some (inst, _) ->
-        worker_send cfg fd
-          (Proto.Nf_job_ok { jid; cells = Worker.cells_of_instance inst })
+    | Some (inst, _) -> job_ok jid inst
     | None -> (
         match lookup job with
         | Ok inst ->
@@ -170,32 +183,22 @@ let worker_session cfg ~lookup fd =
             Metrics.bump cfg.metrics "worker_jobs_opened_total";
             logf cfg "opened job %s (%d cells)" jid
               (Worker.cells_of_instance inst);
-            worker_send cfg fd
-              (Proto.Nf_job_ok { jid; cells = Worker.cells_of_instance inst })
+            job_ok jid inst
         | Error msg ->
             warnf cfg "cannot open job %s: %s" jid msg;
-            worker_send cfg fd (Proto.Nf_job_err { jid; msg }))
+            send (Proto.Nf_job_err { jid; msg }))
   in
-  (* Between cells of a long shard, answer pings (and honour shutdown)
-     so the server's heartbeats survive slow compute. *)
-  let poll_control () =
-    match Unix.select [ fd ] [] [] 0.0 with
-    | [], _, _ -> ()
-    | _ -> (
-        match worker_recv cfg fd with
-        | Proto.Nw_ping -> worker_pong cfg fd
-        | Proto.Nw_shutdown -> raise (Quit 0)
-        | Proto.Nw_job { jid; job } -> open_job jid job
-        | Proto.Nw_job_over { jid } -> close_job jid
-        | Proto.Nw_assign _ -> raise (Link "assigned a shard while busy"))
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  in
-  let rec loop () =
-    (match worker_recv cfg fd with
-    | Proto.Nw_ping -> worker_pong cfg fd
+  let rec handle ~busy = function
+    | Proto.Nw_ping ->
+        send
+          (Proto.Nf_pong { metrics = Option.map Metrics.snapshot cfg.metrics })
     | Proto.Nw_shutdown -> raise (Quit 0)
     | Proto.Nw_job { jid; job } -> open_job jid job
-    | Proto.Nw_job_over { jid } -> close_job jid
+    | Proto.Nw_job_over { jid } ->
+        Hashtbl.remove jobs jid;
+        gauge ();
+        debugf cfg "closed job %s" jid
+    | Proto.Nw_assign _ when busy -> raise (Link "assigned a shard while busy")
     | Proto.Nw_assign { jid; shard; lo; hi } -> (
         let recv_start = Span.now_us () in
         match Hashtbl.find_opt jobs jid with
@@ -204,20 +207,26 @@ let worker_session cfg ~lookup fd =
             debugf cfg "job %s shard %d [%d,%d) assigned" jid shard lo hi;
             Span.emit cfg.spans ~phase:"receive" ~job:tag ~shard
               ~start_us:recv_start;
-            let tick completed =
-              worker_send cfg fd (Proto.Nf_progress { jid; shard; completed });
-              poll_control ()
-            in
             let exec_start = Span.now_us () in
-            let payload = Worker.compute_shard inst ~lo ~hi ~tick in
+            let payload = Worker.compute_shard inst ~lo ~hi ~tick:poll in
             Span.emit cfg.spans ~phase:"execute" ~job:tag ~shard
               ~start_us:exec_start;
             let reply_start = Span.now_us () in
-            worker_send cfg fd (Proto.Nf_result { jid; shard; payload });
+            send (Proto.Nf_result { jid; shard; payload });
             Span.emit cfg.spans ~phase:"reply" ~job:tag ~shard
               ~start_us:reply_start;
             Metrics.bump cfg.metrics "worker_shards_total";
-            Metrics.bump cfg.metrics ~by:(hi - lo) "worker_cells_total"));
+            Metrics.bump cfg.metrics ~by:(hi - lo) "worker_cells_total")
+  (* Between cells of a long shard, answer pings (and honour shutdown)
+     so the server's heartbeats survive slow compute. *)
+  and poll () =
+    match Unix.select [ fd ] [] [] 0.0 with
+    | [], _, _ -> ()
+    | _ -> handle ~busy:true (recv ())
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  in
+  let rec loop () =
+    handle ~busy:false (recv ());
     loop ()
   in
   loop ()
@@ -256,25 +265,13 @@ exception Done of int * int  (* executed, resumed *)
 exception Refused of string
 exception Draining
 
-let client_send fd msg =
-  try Frame.write fd (Proto.client_to_server_to_json msg)
-  with Unix.Unix_error (e, _, _) -> raise (Link (Unix.error_message e))
-
-let client_recv cfg fd =
-  match Frame.read ~timeout:cfg.read_timeout fd with
-  | Ok v -> (
-      match Proto.server_to_client_of_json v with
-      | Ok m -> m
-      | Error m -> raise (Link ("undecodable server frame: " ^ m)))
-  | Error e -> raise (frame_error e)
+(* The client's side of the link: frames to and from the server. *)
+let client_link cfg fd =
+  ( send cfg fd Proto.client_to_server_to_json,
+    fun () -> recv cfg fd Proto.server_to_client_of_json )
 
 let submit ?metrics ?resume cfg ~instance ~job addr =
   let units = Worker.cells_of_instance instance in
-  let check =
-    match instance with
-    | Worker.Sweep_instance _ -> Proto.check_sweep_payload
-    | Worker.Explore_instance _ -> Proto.check_explore_payload
-  in
   (* Survives reconnects: once accepted, later sessions resume by id
      and re-receive the journalled backlog (idempotent stores). *)
   let jid = ref resume in
@@ -284,13 +281,14 @@ let submit ?metrics ?resume cfg ~instance ~job addr =
   let tag = Span.job_tag (Proto.job_fingerprint job) in
   let session fd =
     incr reconnects;
+    let send, recv = client_link cfg fd in
     let submit_start = Span.now_us () in
-    client_send fd (Proto.Cs_submit { job; resume = !jid });
+    send (Proto.Cs_submit { job; resume = !jid });
     Span.emit cfg.spans ~phase:"submit" ~job:tag ~shard:(-1)
       ~start_us:submit_start;
     let rec loop () =
-      (match client_recv cfg fd with
-      | Proto.Sc_ping -> client_send fd Proto.Cs_pong
+      (match recv () with
+      | Proto.Sc_ping -> send Proto.Cs_pong
       | Proto.Sc_stats _ -> ()
       | Proto.Sc_rejected m -> raise (Refused m)
       | Proto.Sc_failed m -> raise (Refused m)
@@ -311,8 +309,8 @@ let submit ?metrics ?resume cfg ~instance ~job addr =
           jid := Some j;
           if !payloads = [||] then begin
             shard_size := ss;
-            let nshards = if units = 0 then 0 else (units + ss - 1) / ss in
-            payloads := Array.make nshards None
+            payloads :=
+              Array.make (Worker.shard_count ~units ~shard_size:ss) None
           end
           else if ss <> !shard_size then
             raise
@@ -322,9 +320,10 @@ let submit ?metrics ?resume cfg ~instance ~job addr =
       | Proto.Sc_shard { shard; payload } ->
           if shard >= 0 && shard < Array.length !payloads then begin
             let collect_start = Span.now_us () in
-            let lo = shard * !shard_size in
-            let hi = min units ((shard + 1) * !shard_size) in
-            match check ~lo ~hi payload with
+            let lo, hi =
+              Worker.shard_range ~units ~shard_size:!shard_size shard
+            in
+            match Worker.check_payload instance ~lo ~hi payload with
             | Ok _ ->
                 !payloads.(shard) <- Some payload;
                 Span.emit cfg.spans ~phase:"collect" ~job:tag ~shard
@@ -375,36 +374,27 @@ let submit ?metrics ?resume cfg ~instance ~job addr =
    server should say so immediately, not back off for seconds — [top]
    refreshes soon anyway and scripts want a crisp failure. *)
 let stats_query cfg addr =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  match Net.dial ~timeout:cfg.dial_timeout addr with
-  | Error m -> Error (Printf.sprintf "cannot reach server: %s" m)
+  match establish cfg ~role:Proto.Client_role addr with
+  | Error (Unreachable m) -> Error (Printf.sprintf "cannot reach server: %s" m)
+  | Error (Rejected m) -> Error (Printf.sprintf "server rejected us: %s" m)
+  | Error (Handshake m) -> Error (Printf.sprintf "handshake failed: %s" m)
   | Ok fd -> (
+      let send, recv = client_link cfg fd in
       let query () =
-        match
-          Net.client_handshake fd ~role:Proto.Client_role
-            ~fingerprint:cfg.fingerprint
-        with
-        | Error (Net.Hs_rejected m) ->
-            Error (Printf.sprintf "server rejected us: %s" m)
-        | Error (Net.Hs_link m) ->
-            Error (Printf.sprintf "handshake failed: %s" m)
-        | Ok () ->
-            client_send fd Proto.Cs_stats;
-            (* Answer heartbeats while waiting: the reply races the
-               server's ping cadence on a busy queue. *)
-            let rec wait () =
-              match client_recv cfg fd with
-              | Proto.Sc_ping ->
-                  client_send fd Proto.Cs_pong;
-                  wait ()
-              | Proto.Sc_stats doc -> Ok doc
-              | Proto.Sc_draining -> Error "server is draining"
-              | Proto.Sc_rejected m | Proto.Sc_failed m -> Error m
-              | Proto.Sc_accepted _ | Proto.Sc_shard _ | Proto.Sc_done _ ->
-                  wait ()
-            in
-            wait ()
+        send Proto.Cs_stats;
+        (* Answer heartbeats while waiting: the reply races the
+           server's ping cadence on a busy queue. *)
+        let rec wait () =
+          match recv () with
+          | Proto.Sc_ping ->
+              send Proto.Cs_pong;
+              wait ()
+          | Proto.Sc_stats doc -> Ok doc
+          | Proto.Sc_draining -> Error "server is draining"
+          | Proto.Sc_rejected m | Proto.Sc_failed m -> Error m
+          | Proto.Sc_accepted _ | Proto.Sc_shard _ | Proto.Sc_done _ -> wait ()
+        in
+        wait ()
       in
       match Fun.protect ~finally:(fun () -> close_quiet fd) query with
       | r -> r

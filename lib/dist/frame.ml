@@ -50,11 +50,16 @@ let write fd v =
 (* Blocking reads                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let be32 b =
-  (Char.code (Bytes.get b 0) lsl 24)
-  lor (Char.code (Bytes.get b 1) lsl 16)
-  lor (Char.code (Bytes.get b 2) lsl 8)
-  lor Char.code (Bytes.get b 3)
+let be32_at b off =
+  (Char.code (Bytes.get b off) lsl 24)
+  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
+  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
+  lor Char.code (Bytes.get b (off + 3))
+
+let parse payload =
+  match Svm.Json.of_string payload with
+  | Ok v -> Ok v
+  | Error m -> Error (Bad_json m)
 
 (* Block until [fd] is readable or the absolute [deadline] passes;
    [false] means the deadline won. *)
@@ -95,17 +100,14 @@ let read ?(max_len = default_max_len) ?timeout fd =
   | `Eof k -> Error (Truncated k)
   | `Stalled k -> Error (Stalled k)
   | `Full -> (
-      let len = be32 hdr in
+      let len = be32_at hdr 0 in
       if len > max_len then Error (Oversized len)
       else
         let payload = Bytes.create len in
         match read_full payload len with
         | `Eof k -> Error (Truncated (4 + k))
         | `Stalled k -> Error (Stalled (4 + k))
-        | `Full -> (
-            match Svm.Json.of_string (Bytes.unsafe_to_string payload) with
-            | Ok v -> Ok v
-            | Error m -> Error (Bad_json m)))
+        | `Full -> parse (Bytes.unsafe_to_string payload))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental decoding                                                 *)
@@ -159,12 +161,6 @@ let feed ?now d src n =
   d.len <- d.len + n;
   if d.len > 0 && d.frame_since = None then d.frame_since <- now
 
-let be32_at b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
-
 (* An incomplete frame has overstayed its deadline when the decoder was
    given a stall timeout, the caller supplies the clock, and the first
    byte of the pending frame is older than the allowance. Whole frames
@@ -191,7 +187,5 @@ let next ?now d =
         d.frame_since <- None
       end
       else d.frame_since <- now;
-      match Svm.Json.of_string payload with
-      | Ok v -> Ok (Some v)
-      | Error m -> Error (Bad_json m)
+      Result.map Option.some (parse payload)
     end

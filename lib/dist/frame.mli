@@ -28,6 +28,10 @@ val encode : Svm.Json.t -> bytes
 (** The exact bytes {!write} would send — header plus payload. Exposed
     for the chaos harness, which needs to send {e partial} frames. *)
 
+val write_all : Unix.file_descr -> bytes -> int -> int -> unit
+(** [write_all fd b off len] writes bytes [off, off + len) of [b],
+    looping over short writes and [EINTR]. *)
+
 val write : Unix.file_descr -> Svm.Json.t -> unit
 (** Encode and write one frame, looping over short writes. Raises
     [Unix.Unix_error] (e.g. [EPIPE]) if the peer is gone — callers

@@ -1,29 +1,32 @@
-module Json = Svm.Json
-
-(* Fold shard payloads back into a sweep outcome through the exact
-   in-process merge. Cells whose shard never arrived (past the finding
-   cut, or a payload the check rejected) recompute locally — both are
+(* Fold shard payloads back into an outcome through the exact in-process
+   merge. Cells whose shard never arrived (past the finding cut, or a
+   payload the check rejected) recompute locally — both are
    deterministic, so the outcome is independent of which side ran what. *)
+
+(* [settle i c] for every cell [i] a payload decodes to [c]. *)
+let each_cell decode ~units ~shard_size ~payloads settle =
+  Array.iteri
+    (fun shard ->
+      Option.iter (fun p ->
+          let lo, hi = Worker.shard_range ~units ~shard_size shard in
+          Result.iter
+            (Array.iteri (fun i c -> settle (lo + i) c))
+            (decode ~lo ~hi p)))
+    payloads
+
 let sweep ?metrics ?on_progress plan ~shard_size ~payloads =
   let units = Svm.Explore.sweep_cells plan in
-  let tags = Array.make units ' ' in
-  Array.iteri
-    (fun shard p ->
-      match p with
-      | Some (Json.String s) ->
-          let lo = shard * shard_size in
-          String.iteri (fun i c -> tags.(lo + i) <- c) s
-      | _ -> ())
-    payloads;
+  let verdicts = Array.make units None in
+  each_cell Worker.decode_sweep ~units ~shard_size ~payloads (fun i v ->
+      verdicts.(i) <- v);
   let verdict_of i =
-    match tags.(i) with
-    | 'C' -> Svm.Explore.Clean
-    | 'D' -> Svm.Explore.Deadlocked
-    | _ ->
-        (* 'V', or a cell past the cut whose shard was never dealt:
-           recompute locally — deterministic either way. The cell runs
-           untraced; [sweep_merge] re-derives the one trace it needs,
-           the first violation's, by a traced re-run. *)
+    match verdicts.(i) with
+    | Some v -> v
+    | None ->
+        (* A violating cell, or one past the cut whose shard was never
+           dealt: recompute locally — deterministic either way. The cell
+           runs untraced; [sweep_merge] re-derives the one trace it
+           needs, the first violation's, by a traced re-run. *)
         Svm.Explore.sweep_cell plan i
   in
   Svm.Explore.sweep_merge ?metrics ?on_progress plan ~verdict_of
@@ -31,19 +34,8 @@ let sweep ?metrics ?on_progress plan ~shard_size ~payloads =
 let explore ?metrics ?on_progress plan ~shard_size ~payloads =
   let units = Svm.Explore.plan_tasks plan in
   let summaries = Array.make units None in
-  Array.iteri
-    (fun shard p ->
-      match p with
-      | Some (Json.List l) ->
-          let lo = shard * shard_size in
-          List.iteri
-            (fun i v ->
-              match Proto.summary_of_json v with
-              | Ok s -> summaries.(lo + i) <- Some s
-              | Error _ -> ())
-            l
-      | _ -> ())
-    payloads;
+  each_cell Worker.decode_explore ~units ~shard_size ~payloads (fun i s ->
+      summaries.(i) <- Some s);
   let outcome_of i =
     match summaries.(i) with
     | Some s -> (s, None)

@@ -6,8 +6,10 @@
     client — so that outcomes are byte-identical to a single-process run no
     matter which transport carried the shards. [payloads.(shard)] is
     the validated payload for that shard, or [None] if it never
-    arrived (e.g. past a sweep's finding cut): missing or partial
-    cells recompute locally, which is deterministic either way. *)
+    arrived (e.g. past a sweep's finding cut). Payloads are read back
+    with {!Worker.decode_sweep} / {!Worker.decode_explore}; missing
+    cells, and violating sweep cells, recompute locally, which is
+    deterministic either way. *)
 
 val sweep :
   ?metrics:Svm.Metrics.t ->

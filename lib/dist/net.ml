@@ -140,9 +140,11 @@ let listen_private () =
       | () -> (fd, path, remove)
       | exception exn -> fail (Some fd) exn)
 
-(* Every exchange is a small frame answered by another (a worker sends
-   progress then result back to back), so Nagle's algorithm meeting the
-   peer's delayed ACK would stall each one for tens of milliseconds. *)
+(* Every exchange is a small frame answered by another (an assignment
+   by a result, a ping by a pong), and the queue at times writes two
+   back to back (a client's last shard, then the job's end), so Nagle's
+   algorithm meeting the peer's delayed ACK would stall the second for
+   tens of milliseconds. *)
 let no_delay fd =
   try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
@@ -187,30 +189,11 @@ let chaos_mode_name = function
   | Truncate -> "truncate"
   | Garbage -> "garbage"
 
-let chaos_mode_of_string = function
-  | "drop" -> Ok Drop
-  | "delay" -> Ok Delay
-  | "truncate" -> Ok Truncate
-  | "garbage" -> Ok Garbage
-  | s -> Error (Printf.sprintf "unknown chaos mode %S" s)
-
 type chaos = { c_mode : chaos_mode; c_every : int; mutable c_count : int }
 
 let chaos ?(every = 7) mode = { c_mode = mode; c_every = max 1 every; c_count = 0 }
 
 exception Chaos_cut
-
-let write_raw fd b off len =
-  let rec go off len =
-    if len > 0 then begin
-      let w =
-        try Unix.write fd b off len
-        with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-      in
-      go (off + w) (len - w)
-    end
-  in
-  go off len
 
 let garbage_bytes = Bytes.of_string (String.init 64 (fun i -> Char.chr (0xc0 lor (i land 0x3f))))
 
@@ -232,10 +215,10 @@ let chaos_write ?chaos fd v =
             Frame.write fd v
         | Truncate ->
             let b = Frame.encode v in
-            write_raw fd b 0 (max 1 (Bytes.length b / 2));
+            Frame.write_all fd b 0 (max 1 (Bytes.length b / 2));
             cut fd
         | Garbage ->
-            write_raw fd garbage_bytes 0 (Bytes.length garbage_bytes);
+            Frame.write_all fd garbage_bytes 0 (Bytes.length garbage_bytes);
             cut fd
       end
 

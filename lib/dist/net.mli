@@ -60,7 +60,6 @@ val no_delay : Unix.file_descr -> unit
 type chaos_mode = Drop | Delay | Truncate | Garbage
 
 val chaos_mode_name : chaos_mode -> string
-val chaos_mode_of_string : string -> (chaos_mode, string) result
 
 type chaos
 

@@ -160,119 +160,6 @@ let job_of_json v =
   | m -> Error (Printf.sprintf "unknown mode %S" m)
 
 (* ------------------------------------------------------------------ *)
-(* Shard payloads                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let tag_of_verdict = function
-  | Svm.Explore.Clean -> 'C'
-  | Svm.Explore.Deadlocked -> 'D'
-  | Svm.Explore.Violating _ -> 'V'
-
-let verdict_tag_ok = function 'C' | 'D' | 'V' -> true | _ -> false
-
-let bool_int b = Json.Int (if b then 1 else 0)
-
-let summary_to_json (s : Svm.Explore.task_summary) =
-  Json.List
-    [
-      bool_int s.Svm.Explore.ts_leaf;
-      Json.Int s.Svm.Explore.ts_runs;
-      Json.Int s.Svm.Explore.ts_truncated;
-      bool_int s.Svm.Explore.ts_cex;
-      Json.Int s.Svm.Explore.ts_pruned_states;
-      Json.Int s.Svm.Explore.ts_pruned_commutes;
-      bool_int s.Svm.Explore.ts_exhausted;
-    ]
-
-let summary_of_json v =
-  match Json.to_list v with
-  | Some
-      [
-        Json.Int leaf;
-        Json.Int runs;
-        Json.Int truncated;
-        Json.Int cex;
-        Json.Int pruned_states;
-        Json.Int pruned_commutes;
-        Json.Int exhausted;
-      ]
-    when runs >= 0 && truncated >= 0 && pruned_states >= 0
-         && pruned_commutes >= 0 ->
-      Ok
-        {
-          Svm.Explore.ts_leaf = leaf <> 0;
-          ts_runs = runs;
-          ts_truncated = truncated;
-          ts_cex = cex <> 0;
-          ts_pruned_states = pruned_states;
-          ts_pruned_commutes = pruned_commutes;
-          ts_exhausted = exhausted <> 0;
-        }
-  | _ -> Error "task summary must be a list of seven ints"
-
-(* ------------------------------------------------------------------ *)
-(* Shard payload validation                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Validate a sweep shard payload for cells [lo, hi): one verdict tag
-   per cell. [Ok (Some i)] is the absolute index of the first violating
-   cell — the merge cut. Total: worker payloads are wire data. *)
-let check_sweep_payload ~lo ~hi payload =
-  match payload with
-  | Json.String s ->
-      let n = hi - lo in
-      if String.length s <> n then
-        Error
-          (Printf.sprintf "expected %d verdict tags, got %d" n
-             (String.length s))
-      else begin
-        let finding = ref None in
-        let bad = ref None in
-        String.iteri
-          (fun i c ->
-            if not (verdict_tag_ok c) then begin
-              if !bad = None then bad := Some c
-            end
-            else if c = 'V' && !finding = None then finding := Some (lo + i))
-          s;
-        match !bad with
-        | Some c -> Error (Printf.sprintf "bad verdict tag %C" c)
-        | None -> Ok !finding
-      end
-  | _ -> Error "sweep shard payload must be a tag string"
-
-(* Same for an explore shard: one task summary per task in [lo, hi);
-   the cut is the first task that found a counterexample or hit its
-   budget. *)
-let check_explore_payload ~lo ~hi payload =
-  match payload with
-  | Json.List l ->
-      let n = hi - lo in
-      if List.length l <> n then
-        Error
-          (Printf.sprintf "expected %d task summaries, got %d" n
-             (List.length l))
-      else begin
-        let rec go i finding = function
-          | [] -> Ok finding
-          | v :: rest -> (
-              match summary_of_json v with
-              | Error m -> Error m
-              | Ok s ->
-                  let finding =
-                    if
-                      finding = None
-                      && (s.Svm.Explore.ts_cex || s.Svm.Explore.ts_exhausted)
-                    then Some (lo + i)
-                    else finding
-                  in
-                  go (i + 1) finding rest)
-        in
-        go 0 None l
-      end
-  | _ -> Error "explore shard payload must be a summary list"
-
-(* ------------------------------------------------------------------ *)
 (* Network handshake                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -291,8 +178,11 @@ let net_magic = "asmsim-net"
    every plan it ever expanded.
    v5: an explore plan no longer depends on the run budget (phase A
    never stops splitting at [max_runs] tasks), so a capped explore job
-   expands to more tasks than a v4 binary would deal. *)
-let net_version = 5
+   expands to more tasks than a v4 binary would deal.
+   v6: a worker sends no progress frames mid-shard; the heartbeat ping,
+   which it answers between cells, is the only liveness signal, and a
+   v5 worker's progress frame would be undecodable here. *)
+let net_version = 6
 
 type role = Worker_role | Client_role
 
@@ -355,7 +245,6 @@ type net_from_worker =
   | Nf_job_ok of { jid : string; cells : int }
   | Nf_job_err of { jid : string; msg : string }
   | Nf_pong of { metrics : Svm.Json.t option }
-  | Nf_progress of { jid : string; shard : int; completed : int }
   | Nf_result of { jid : string; shard : int; payload : Svm.Json.t }
 
 let net_to_worker_to_json = function
@@ -423,14 +312,6 @@ let net_from_worker_to_json = function
       Json.Obj
         (("t", Json.String "pong")
         :: (match metrics with None -> [] | Some m -> [ ("metrics", m) ]))
-  | Nf_progress { jid; shard; completed } ->
-      Json.Obj
-        [
-          ("t", Json.String "progress");
-          ("jid", Json.String jid);
-          ("shard", Json.Int shard);
-          ("completed", Json.Int completed);
-        ]
   | Nf_result { jid; shard; payload } ->
       Json.Obj
         [
@@ -452,11 +333,6 @@ let net_from_worker_of_json v =
       let* msg = field "msg" Json.to_str v in
       Ok (Nf_job_err { jid; msg })
   | "pong" -> Ok (Nf_pong { metrics = Json.member "metrics" v })
-  | "progress" ->
-      let* jid = field "jid" Json.to_str v in
-      let* shard = field "shard" Json.to_int v in
-      let* completed = field "completed" Json.to_int v in
-      Ok (Nf_progress { jid; shard; completed })
   | "result" -> (
       let* jid = field "jid" Json.to_str v in
       let* shard = field "shard" Json.to_int v in

@@ -6,11 +6,13 @@
     {!Svm.Explore.plan} (planning is a pure function of the
     parameters). Nothing structural ever crosses the wire — a shard is
     a half-open index range into the shared plan, and a shard result is
-    the minimal plain data the deterministic merge needs: one verdict
-    tag per sweep cell, or one seven-field summary per explore task.
+    an opaque payload whose format {!Worker} alone knows.
     Counterexamples, violations and replay artifacts are {e never}
     serialized; the merging side recovers them by re-running the single
     finding cell locally.
+
+    A worker speaks only when spoken to: job-ok or job-err to a job
+    announcement, a pong to a ping, a result to an assignment.
 
     All decoders are total and return [result] — worker input is wire
     bytes from an arbitrary peer. *)
@@ -54,34 +56,6 @@ val job_of_json : Svm.Json.t -> (job, string) result
 val job_fingerprint : job -> string
 (** Canonical one-line encoding, used to match a [--resume] request
     against the job recorded in a journal. *)
-
-(** {1 Shard payload codecs} *)
-
-val tag_of_verdict : Svm.Explore.verdict -> char
-(** ['C'] clean, ['D'] deadlocked, ['V'] violating. A sweep shard's
-    payload is the string of tags for its cell range; the violation
-    payload itself stays behind — the merging side re-runs the cell. *)
-
-val verdict_tag_ok : char -> bool
-
-val summary_to_json : Svm.Explore.task_summary -> Svm.Json.t
-(** Seven ints: leaf, runs, truncated, cex, pruned states, pruned
-    commutes, exhausted. An explore shard's payload is the list of
-    summaries for its task range. *)
-
-val summary_of_json : Svm.Json.t -> (Svm.Explore.task_summary, string) result
-
-(** {1 Shard payload validation}
-
-    Total validators over wire payloads, shared by the job queue and
-    the submitting client. [Ok (Some i)] reports the absolute index of
-    the first merge-stopping finding inside the shard. *)
-
-val check_sweep_payload :
-  lo:int -> hi:int -> Svm.Json.t -> (int option, string) result
-
-val check_explore_payload :
-  lo:int -> hi:int -> Svm.Json.t -> (int option, string) result
 
 (** {1 Network handshake}
 
@@ -143,7 +117,6 @@ type net_from_worker =
           cadence it already pays for — no extra frames, no extra
           timers, and a silent worker's staleness is visible as a
           missing push *)
-  | Nf_progress of { jid : string; shard : int; completed : int }
   | Nf_result of { jid : string; shard : int; payload : Svm.Json.t }
 
 val net_to_worker_to_json : net_to_worker -> Svm.Json.t

@@ -252,7 +252,7 @@ let cut t p ~reason =
 (* {2 Jobs} *)
 
 let make_job ~job ~units ~shard_size ~inst journal =
-  let nshards = if units = 0 then 0 else (units + shard_size - 1) / shard_size in
+  let nshards = Worker.shard_count ~units ~shard_size in
   let fp = Proto.job_fingerprint job in
   {
     jb_id = Journal.id journal;
@@ -261,16 +261,14 @@ let make_job ~job ~units ~shard_size ~inst journal =
     jb_tag = Span.job_tag fp;
     jb_units = units;
     jb_shard_size = shard_size;
-    jb_check =
-      (match inst with
-      | Worker.Sweep_instance _ -> Proto.check_sweep_payload
-      | Worker.Explore_instance _ -> Proto.check_explore_payload);
+    jb_check = Worker.check_payload inst;
     jb_shards =
       Array.init nshards (fun i ->
+          let lo, hi = Worker.shard_range ~units ~shard_size i in
           {
             sh_id = i;
-            sh_lo = i * shard_size;
-            sh_hi = min units ((i + 1) * shard_size);
+            sh_lo = lo;
+            sh_hi = hi;
             sh_state = Sh_pending;
             sh_not_before = 0.;
             sh_attempts = 0;
@@ -493,8 +491,6 @@ let handle_worker_msg t p w = function
           bump t "net_metrics_pushes_total";
           debugf t "%s pushed a metrics snapshot" p.p_name
       | Error m -> cut t p ~reason:("bad metrics push: " ^ m))
-  | Proto.Nf_progress { jid; shard; completed } ->
-      debugf t "%s: job %s shard %d at %d cell(s)" p.p_name jid shard completed
   | Proto.Nf_job_ok { jid; cells } -> (
       match find_job t jid with
       | None -> ()

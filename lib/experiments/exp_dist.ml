@@ -12,21 +12,21 @@ let scenario name =
   | Ok s -> Ok s
   | Error e -> Error e
 
-let fresh_dir () =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "asmsim-exp-dist-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
+let rec remove path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun n -> remove (Filename.concat path n)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-(* Every run journals, under this process's own temporary directory. *)
-let config ?(workers = 2) ?resume ?chaos () =
+(* Every run journals under [dir], the experiment's own temporary
+   directory. *)
+let config ~dir ?(workers = 2) ?resume ?chaos () =
   {
     (Dist.Coordinator.default_config ~workers ()) with
     Dist.Coordinator.shard_size = Some 7;
-    journal_dir = Some (fresh_dir ());
+    journal_dir = Some dir;
     resume;
     chaos_kill_shard = chaos;
   }
@@ -61,14 +61,14 @@ let sweep_pair s cfg =
       in
       Ok (base, o, stats, identical)
 
-let identity_at workers =
+let identity_at ~dir workers =
   let label =
     Printf.sprintf "identity: %d worker process(es) vs in-process" workers
   in
   match scenario "safe_agreement_no_cancel" with
   | Error e -> Report.check ~label ~ok:false ~detail:e
   | Ok s -> (
-      match sweep_pair s (config ~workers ()) with
+      match sweep_pair s (config ~dir ~workers ()) with
       | Error m -> Report.check ~label ~ok:false ~detail:m
       | Ok (base, _, stats, identical) ->
           Report.check ~label ~ok:identical
@@ -78,7 +78,7 @@ let identity_at workers =
                   across %d shard(s)"
                  (sweep_repr base) stats.shards))
 
-let explore_identity () =
+let explore_identity ~dir =
   let label = "identity: exhaustive explorer, 2 workers vs in-process" in
   match scenario "safe_agreement_no_cancel" with
   | Error e -> Report.check ~label ~ok:false ~detail:e
@@ -91,7 +91,7 @@ let explore_identity () =
           let metrics' = Metrics.create ~wall_clock:false () in
           match
             Harness.explore_scenario_dist ~max_crashes:1 ~metrics:metrics'
-              { (config ()) with Dist.Coordinator.shard_size = Some 9 }
+              { (config ~dir ()) with Dist.Coordinator.shard_size = Some 9 }
               s
           with
           | Error m -> Report.check ~label ~ok:false ~detail:m
@@ -111,14 +111,14 @@ let explore_identity () =
 (* The degradation table: cut the link of the worker holding shard 0,
    k times in a row — up to the hostile threshold, which the next row
    crosses. The outcome must never change; only the stats may. *)
-let degradation k =
+let degradation ~dir k =
   let label =
     Printf.sprintf "crash-tolerance: %d worker link(s) cut mid-shard" k
   in
   match scenario "safe_agreement_no_cancel" with
   | Error e -> Report.check ~label ~ok:false ~detail:e
   | Ok s -> (
-      match sweep_pair s (config ~chaos:(0, k) ()) with
+      match sweep_pair s (config ~dir ~chaos:(0, k) ()) with
       | Error m -> Report.check ~label ~ok:false ~detail:m
       | Ok (_, _, stats, identical) ->
           Report.check ~label
@@ -128,12 +128,12 @@ let degradation k =
                  "outcome identical; %d worker(s) spawned, %d reassignment(s)"
                  stats.spawned stats.reassigned))
 
-let hostile () =
+let hostile ~dir =
   let label = "hostile shard: reported on its 3rd lost worker, never retried" in
   match scenario "safe_agreement_no_cancel" with
   | Error e -> Report.check ~label ~ok:false ~detail:e
   | Ok s -> (
-      match Harness.sweep_scenario_dist (config ~chaos:(0, 3) ()) s with
+      match Harness.sweep_scenario_dist (config ~dir ~chaos:(0, 3) ()) s with
       | Ok _ ->
           Report.check ~label ~ok:false
             ~detail:"a shard that kills every worker succeeded"
@@ -162,21 +162,20 @@ let first_shard_journal ~dir id =
       Dist.Journal.close j;
       Ok (Dist.Journal.id j)
 
-let resume () =
+let resume ~dir =
   let label = "resume: journalled job restarts without re-running shards" in
   match scenario "safe_agreement_no_cancel" with
   | Error e -> Report.check ~label ~ok:false ~detail:e
   | Ok s -> (
-      let dir = fresh_dir () in
       let stopped =
-        match Harness.sweep_scenario_dist (config ()) s with
+        match Harness.sweep_scenario_dist (config ~dir ()) s with
         | Ok (_, { job_id; _ }) -> first_shard_journal ~dir job_id
         | Error m -> Error m
       in
       match stopped with
       | Error m -> Report.check ~label ~ok:false ~detail:m
       | Ok id -> (
-          match sweep_pair s (config ~resume:id ()) with
+          match sweep_pair s (config ~dir ~resume:id ()) with
           | Error m -> Report.check ~label ~ok:false ~detail:m
           | Ok (_, _, stats, identical) ->
               Report.check ~label
@@ -187,7 +186,25 @@ let resume () =
                       outcome identical to in-process"
                      stats.resumed stats.executed)))
 
+(* The journals of every run go when the experiment ends, whether its
+   checks passed, failed or raised. *)
 let run () =
+  let dir = Filename.temp_dir "asmsim-exp-dist-" "" in
+  let checks =
+    Fun.protect
+      ~finally:(fun () -> remove dir)
+      (fun () ->
+        [
+          identity_at ~dir 1;
+          identity_at ~dir 2;
+          identity_at ~dir 4;
+          explore_identity ~dir;
+          degradation ~dir 1;
+          degradation ~dir 2;
+          hostile ~dir;
+          resume ~dir;
+        ])
+  in
   {
     Report.id = "DIST";
     title = "multi-process distribution: identity, crash-tolerance, resume";
@@ -198,15 +215,5 @@ let run () =
        artifacts of the in-process run — under worker crashes and \
        across interrupted runs included.";
     metrics = [];
-    checks =
-      [
-        identity_at 1;
-        identity_at 2;
-        identity_at 4;
-        explore_identity ();
-        degradation 1;
-        degradation 2;
-        hostile ();
-        resume ();
-      ];
+    checks;
   }

@@ -194,10 +194,10 @@ let dist_instance (job : Dist.Proto.job) =
 
 (* {2 Network service}
 
-   The handshake fingerprint digests the scenario registry (plus the
-   protocol version): two binaries that would expand some job into
-   different plans must disagree on it, so they are rejected at the
-   door instead of corrupting a job mid-flight. *)
+   The handshake fingerprint digests the registered scenario names and
+   the protocol version, not the scenarios' definitions: binaries with
+   different scenario sets are rejected at the door, but two builds
+   whose same-named scenarios differ only in code are not. *)
 
 let registry_fingerprint () =
   let h =

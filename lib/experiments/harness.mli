@@ -151,10 +151,13 @@ val explore_scenario_dist :
 (** {!explore_scenario} across worker processes. *)
 
 val registry_fingerprint : unit -> string
-(** Digest of the scenario registry and the network protocol version,
-    exchanged in the {!Dist.Net} handshake: two binaries that could
-    expand a job into different plans disagree on it and are rejected
-    at connect time instead of corrupting a job mid-flight. *)
+(** Digest of the registered scenario {e names} and the network
+    protocol version, exchanged in the {!Dist.Net} handshake: a binary
+    whose scenario set or protocol differs is rejected at connect time.
+    It does not digest what a scenario does, so two builds whose
+    scenarios share names but differ in code (a changed default depth,
+    a fixed bug) still pass the handshake and could expand one job into
+    different plans. *)
 
 val submit_job_net :
   ?metrics:Svm.Metrics.t ->

@@ -395,7 +395,7 @@ let build ?nprocs name =
   | "x_compete" ->
       check_min ~min:3 (sized 4) (fun n ->
           scenario ~name ~doc:"Figure 5 x_compete (x=2): at most x winners"
-            ~nprocs:n ~x:2 ~explore_steps:12
+            ~nprocs:n ~x:2 ~explore_steps:20
             ~property:(fun _ -> winners_property ~bound:2)
             (fun n ->
               let make, ms = x_compete ~x:2 n in

@@ -5,8 +5,6 @@
 
 let exe = Unix.realpath "../bin/asmsim.exe"
 
-let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
-
 let run_case args =
   let cmd = Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote exe) args in
   match Unix.system cmd with
@@ -14,7 +12,10 @@ let run_case args =
   | Unix.WSIGNALED s -> Alcotest.failf "killed by signal %d" s
   | Unix.WSTOPPED s -> Alcotest.failf "stopped by signal %d" s
 
-let table =
+(* Every file a row writes lands under [dir], a fresh directory removed
+   when the test ends. *)
+let table dir =
+  let tmp name = Filename.concat dir name in
   [
     (* 0 — clean *)
     ("canonical 3,1,1", 0);
@@ -73,7 +74,7 @@ let table =
     ("soak --algo safe_agreement --tiers gamma-rays", 2);
     ("explore --algo no_such_scenario", 2);
     ("replay /no/such/file.replay", 2);
-    ("serve --resume no-such-job --journal-dir /tmp/asmsim-cli-nojobs", 2);
+    ("serve --resume no-such-job --journal-dir " ^ tmp "nojobs", 2);
     (* a worker needs a queue to pull from *)
     ("work", 2);
     ("stats", 2);
@@ -121,7 +122,7 @@ let table =
     ("serve", 2);
     (* 3 — internal / distributed failure *)
     ( "sweep --algo safe_agreement_no_cancel --dist 2 --resume no-such-job \
-       --journal-dir /tmp/asmsim-cli-nojobs --out " ^ tmp "cli3.replay",
+       --journal-dir " ^ tmp "nojobs" ^ " --out " ^ tmp "cli3.replay",
       3 );
   ]
 
@@ -131,7 +132,7 @@ let exit_codes () =
       Alcotest.(check int)
         (Printf.sprintf "asmsim %s" args)
         expected (run_case args))
-    table
+    (table (Tmpdir.fresh "asmsim-cli-test"))
 
 let suite =
-  [ ("cli-exit", [ Alcotest.test_case "exit-code table" `Quick exit_codes ]) ]
+  [ ("cli-exit", [ Tmpdir.test_case "exit-code table" `Quick exit_codes ]) ]

@@ -524,6 +524,80 @@ let net_identity_chaos_kill () =
         (stats.Dist.Client.executed > 0))
 
 (* ------------------------------------------------------------------ *)
+(* liveness mid-shard                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One worker, one shard, and a server heartbeat timeout a quarter of
+   the shard's compute time. Between its job-ok and its result the
+   worker sends nothing but the pongs it answers from [compute_shard]'s
+   tick, so those alone must keep it alive: the job must finish in one
+   attempt, identical to the in-process run. The job is a safe_agreement
+   sweep of up to 2 crashes in a window of 12 under a 50,000-step
+   budget: 2,345 cells, one shard, ≈1.9 s on a 2-core host, since a
+   survivor blocked by a crash spins to the budget. The timeout is a
+   quarter of the in-process run's time, so a ping is due every eighth
+   of the shard, and on that host the longest 32-cell stretch between
+   two ticks is about a twentieth. *)
+let liveness_mid_shard () =
+  let s = scenario "safe_agreement" in
+  let max_faults = 2 and op_window = 12 and budget = 50_000 in
+  let metrics = Metrics.create ~wall_clock:false () in
+  let t0 = Unix.gettimeofday () in
+  let base =
+    Experiments.Harness.sweep_scenario ~max_faults ~op_window ~budget ~jobs:1
+      ~metrics s
+  in
+  let heartbeat = (Unix.gettimeofday () -. t0) /. 4. in
+  let dir = fresh_dir () in
+  let srv, port = start_server ~shard_size:4096 ~heartbeat ~dir () in
+  let worker = start_worker ~err:(Filename.concat dir "live.err") port in
+  Fun.protect
+    ~finally:(fun () ->
+      kill_quiet worker Sys.sigkill;
+      kill_quiet srv Sys.sigterm;
+      ignore (reap worker);
+      ignore (reap srv))
+    (fun () ->
+      let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+      let job =
+        Experiments.Harness.sweep_job ~max_faults ~op_window ~budget s
+      in
+      let metrics' = Metrics.create ~wall_clock:false () in
+      (match
+         Experiments.Harness.submit_job_net ~metrics:metrics' (client_config ())
+           job addr
+       with
+      | Error m -> Alcotest.failf "submit failed: %s" m
+      | Ok (Dist.Client.Suspended _, _) ->
+          Alcotest.fail "job suspended without a drain"
+      | Ok (Dist.Client.Finished (Dist.Client.Explore_outcome _), _) ->
+          Alcotest.fail "sweep came back as an explore result"
+      | Ok (Dist.Client.Finished (Dist.Client.Sweep_outcome o), stats) ->
+          check Alcotest.string "outcome identical to in-process"
+            (sweep_repr base) (sweep_repr o);
+          check Alcotest.string "metrics identical to in-process"
+            (Metrics.snapshot_string metrics)
+            (Metrics.snapshot_string metrics');
+          check Alcotest.int "one shard" 1 stats.Dist.Client.shards;
+          check Alcotest.int "every shard executed" stats.Dist.Client.shards
+            stats.Dist.Client.executed);
+      let counter name doc =
+        Option.bind
+          (Option.bind
+             (Option.bind (Json.member "metrics" doc) (Json.member "counters"))
+             (Json.member name))
+          Json.to_int
+        |> Option.value ~default:0
+      in
+      match Dist.Client.stats_query (client_config ()) addr with
+      | Error m -> Alcotest.failf "stats query failed: %s" m
+      | Ok doc ->
+          check Alcotest.int "no shard reassigned" 0
+            (counter "net_shard_retries_total" doc);
+          check Alcotest.int "the worker joined once" 1
+            (counter "net_workers_total" doc))
+
+(* ------------------------------------------------------------------ *)
 (* result cache                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -697,9 +771,9 @@ let drain_and_resume () =
 
 let proto_v2_codec () =
   Alcotest.(check int)
-    "budget-independent explore plans bumped the version past job-over \
-     notices (4)"
-    5 Dist.Proto.net_version;
+    "dropping the worker's progress frames bumped the version past \
+     budget-independent explore plans (5)"
+    6 Dist.Proto.net_version;
   (match
      Dist.Proto.net_to_worker_of_json
        (Dist.Proto.net_to_worker_to_json (Dist.Proto.Nw_job_over { jid = "j1" }))
@@ -909,6 +983,8 @@ let suite =
           net_identity_chaos;
         Tmpdir.test_case "TCP identity, 4 workers, chaos + SIGKILL" `Quick
           net_identity_chaos_kill;
+        Tmpdir.test_case "pings answered mid-shard keep one worker alive"
+          `Quick liveness_mid_shard;
         Tmpdir.test_case "completed journal answers a re-submit" `Quick
           cache_answers_completed_resubmit;
         Tmpdir.test_case "one worker, 50 jobs: job table stays bounded"

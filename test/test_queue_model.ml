@@ -72,7 +72,7 @@ let fixture ~shard_size name job =
     Array.to_list honest
     |> List.mapi (fun i p ->
            let lo, hi = range i in
-           match Proto.check_sweep_payload ~lo ~hi p with
+           match Dist.Worker.check_payload inst ~lo ~hi p with
            | Ok (Some cell) -> cell
            | Ok None -> max_int
            | Error m -> Alcotest.failf "%s: honest shard %d: %s" name i m)
