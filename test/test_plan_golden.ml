@@ -1,4 +1,4 @@
-(* Byte pins for the plan engine (the static-split explorer).
+(* Byte pins for both configurations of the explorer.
 
    The plan engine defines the verdict whenever a counterexample or the
    run budget enters the picture, and it is what distributed explore
@@ -12,7 +12,14 @@
    Each scenario is pinned at (crashes, depth) = (0, d), (1, d),
    (1, d-2) and (2, d-4), d its golden [depth], plus one capped run
    whose cap is above the plan's task count, so the merge's budget
-   cut-off is pinned too. *)
+   cut-off is pinned too.
+
+   Engine C (the default, work-stealing configuration) is pinned the
+   same way under [engine_golden/], at the same configurations minus
+   the capped one, at one domain and at two oversubscribed ones. Its
+   clean-pass numbers differ from the plan engine's: it shares one
+   visited table across the whole tree and prunes through the refined
+   commutation relation. *)
 
 open Svm
 
@@ -118,24 +125,44 @@ let through_merge (s : Experiments.Scenario.t) c =
   let r = Dist.Merge.explore ~metrics plan ~shard_size ~payloads in
   (r, metrics)
 
-let render route s =
+let engine ~jobs ?oversubscribe (s : Experiments.Scenario.t) c =
+  let metrics = Metrics.create ~wall_clock:false () in
+  let r =
+    Explore.exhaustive ~max_crashes:c.crashes ~metrics ~jobs ?oversubscribe
+      ~max_steps:c.steps ~make:s.Experiments.Scenario.make
+      ~property:s.Experiments.Scenario.exhaustive_property ()
+  in
+  (r, metrics)
+
+let render configs route s =
   String.concat ""
     (List.map
        (fun c ->
          let r, metrics = route s c in
          Printf.sprintf "%s\n%s\n--- metrics\n%s\n" (header c) (result_repr r)
            (Metrics.snapshot_string metrics))
-       (configs s @ [ capped s ]))
+       (configs s))
 
-let golden (s : Experiments.Scenario.t) =
-  In_channel.with_open_bin
-    (Filename.concat "plan_golden" s.Experiments.Scenario.name)
-    In_channel.input_all
-
-let check_pin name route s () =
+(* On a mismatch the actual bytes are written next to the golden in the
+   build tree as NAME.actual. *)
+let check_pin ~dir ~configs name route (s : Experiments.Scenario.t) () =
+  let file = Filename.concat dir s.Experiments.Scenario.name in
+  let expected =
+    try In_channel.with_open_bin file In_channel.input_all
+    with Sys_error _ -> ""
+  in
+  let actual = render configs route s in
+  if expected <> actual then begin
+    (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+    Out_channel.with_open_bin (file ^ ".actual") (fun oc ->
+        output_string oc actual)
+  end;
   Alcotest.(check string)
     (s.Experiments.Scenario.name ^ " via " ^ name)
-    (golden s) (render route s)
+    expected actual
+
+let plan_pin = check_pin ~dir:"plan_golden" ~configs:(fun s -> configs s @ [ capped s ])
+let engine_pin = check_pin ~dir:"engine_golden" ~configs
 
 (* A run budget may cut coverage short, but never silently: a capped
    exploration either says so ([exhausted_budget]) or has explored
@@ -196,11 +223,24 @@ let suite =
           let n = s.Experiments.Scenario.name in
           [
             Alcotest.test_case (n ^ " jobs=1") `Quick
-              (check_pin "jobs=1" (in_process ~jobs:1) s);
+              (plan_pin "jobs=1" (in_process ~jobs:1) s);
             Alcotest.test_case (n ^ " jobs=2") `Quick
-              (check_pin "jobs=2" (in_process ~jobs:2) s);
+              (plan_pin "jobs=2" (in_process ~jobs:2) s);
             Alcotest.test_case (n ^ " merge of summaries") `Quick
-              (check_pin "merge" through_merge s);
+              (plan_pin "merge" through_merge s);
+          ])
+        (scenarios ()) );
+    ( "engine-golden",
+      List.concat_map
+        (fun (s : Experiments.Scenario.t) ->
+          let n = s.Experiments.Scenario.name in
+          [
+            Alcotest.test_case (n ^ " jobs=1") `Quick
+              (engine_pin "jobs=1" (engine ~jobs:1) s);
+            Alcotest.test_case (n ^ " jobs=2 oversubscribed") `Quick
+              (engine_pin "jobs=2 oversubscribed"
+                 (engine ~jobs:2 ~oversubscribe:true)
+                 s);
           ])
         (scenarios ()) );
   ]
