@@ -627,8 +627,11 @@ let remote_t ~local =
             "Shard the work across W worker OS processes (0 = in-process): \
              a private job queue on a Unix-domain socket only this user \
              can reach, served by W `asmsim work --connect' children. \
-             Output is bit-for-bit identical to the in-process run. \
-             Completed shards are journalled under --journal-dir, so a run \
+             A sweep's output is bit-for-bit identical to the in-process \
+             run. An exploration reaches the same verdict and \
+             counterexample, but a clean one reports the counts of the \
+             sharded plan engine, not those of the in-process default \
+             engine. Completed shards are journalled under --journal-dir, so a run \
              stopped by SIGTERM suspends and can be picked up with \
              --resume.")
   in
@@ -640,8 +643,11 @@ let remote_t ~local =
           ~doc:
             "Submit the job to a running `asmsim serve --listen' daemon \
              instead of executing locally. Shard payloads stream back and \
-             merge locally, so output is bit-for-bit identical to the \
-             in-process run. With --resume JOB, continue a job the server \
+             merge locally, so a sweep's output is bit-for-bit identical \
+             to the in-process run. An exploration reaches the same \
+             verdict and counterexample, but a clean one reports the \
+             counts of the sharded plan engine, not those of the \
+             in-process default engine. With --resume JOB, continue a job the server \
              suspended while draining.")
   in
   let chaos =

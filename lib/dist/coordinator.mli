@@ -4,8 +4,10 @@
     caller's domain, listening on a Unix-domain socket only this user
     can reach, and N forked [exe work --connect] children pull its
     shards exactly as remote workers pull a [serve] daemon's. Payloads fold through the same
-    {!Merge} as every other path, so the outcome is bit-for-bit that of
-    an in-process run, however the workers fare. A dead child is
+    {!Merge} as every other path, so the outcome is that of an
+    in-process run however the workers fare: bit-for-bit for a sweep;
+    for an exploration the same verdict and counterexample, with the
+    plan engine's counts ({!Svm.Explore.exhaustive_plan}). A dead child is
     replaced; a shard that loses its worker 3 times in a row is reported
     hostile; finished shards are journalled, and SIGTERM suspends the
     job for a later [resume]. *)

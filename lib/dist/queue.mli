@@ -1,7 +1,8 @@
 (** The [asmsim serve] job queue: concurrent sweep/explore submissions,
     their shards dealt to remote workers, every completed shard
     journalled and streamed back to the submitting clients, which merge
-    locally, so results stay byte-identical to in-process runs.
+    locally, so results match in-process runs (byte-identical for
+    sweeps; see {!Coordinator} for explorations).
 
     {!Queue_core} decides — sessions, jobs, shards, retries, deadlines,
     the drain, stats, journal calls — from events, with no socket and no

@@ -168,8 +168,9 @@ val submit_job_net :
   (Dist.Client.submission * Dist.Client.stats, string) result
 (** Submit a job to an [asmsim serve] daemon: expand the plan locally
     (via {!dist_instance}, so the server's cell count is cross-checked)
-    and merge the shard stream with {!Dist.Client.submit} — output is
-    byte-identical to the in-process run. *)
+    and merge the shard stream with {!Dist.Client.submit} — a sweep's
+    output is byte-identical to the in-process run; an exploration's has
+    the same verdict and counterexample, with the plan engine's counts. *)
 
 val crash_before_fam :
   pid:int -> prefix:string -> nth:int -> Svm.Adversary.crash_spec

@@ -22,9 +22,6 @@ let pp_choice = function
   | Step p -> string_of_int p
   | Crash p -> Printf.sprintf "X%d" p
 
-let schedule_string rev_choices =
-  String.concat "." (List.rev_map pp_choice rev_choices)
-
 exception Found
 
 let note metrics name =
@@ -383,369 +380,472 @@ let seen_or_add (tbl : 'a visited) (key : 'a ckey) =
       false
 
 (* ------------------------------------------------------------------ *)
-(* The DFS engine (undo-journal based, shared by all phases)            *)
+(* Commutation relations and the sleep filter                           *)
 (* ------------------------------------------------------------------ *)
 
-(* [pkey], [dvals] and [esig] are the process, finished-value and store
-   components of the visited key, maintained along the path: advanced
-   on descent, restored (an int store or a pointer) on backtrack. They
-   are only maintained while deduplicating. *)
-type 'a ctx = {
-  env : Env.t;
-  states : 'a pstate array;
-  pkey : int array;
-  mutable dvals : (int * 'a) list;
-  mutable esig : esig;
-  intern : intern;
-  max_steps : int;
-  max_crashes : int;
-  property : 'a run -> (unit, string) Stdlib.result;
-  visited : 'a visited option; (* None = dedup and sleep sets off *)
-  run_cap : int;
-  mutable runs : int;
-  mutable truncated : int;
-  mutable cex : ('a run * string) option;
-  mutable pruned_states : int;
-  mutable pruned_commutes : int;
-  mutable exhausted : bool;
-}
+(* Refined independence. The coarse relation says two writes to the
+   same instance conflict; many of them in fact commute, and for the
+   single-writer snapshot objects at the heart of the paper's
+   constructions — every process writes its own component — *all*
+   sibling writes commute. The refined relation is evaluated against
+   the current store state (Godefroid's conditional independence),
+   which is sound exactly because the sleep filter runs at the state
+   the two candidate operations would both execute from.
 
-exception Task_stop
-exception Phase_stop
-
-let seen ctx depth rev_crashed sleep =
-  match ctx.visited with
-  | None -> false
-  | Some tbl ->
-      seen_or_add tbl
-        {
-          ck_depth = depth;
-          ck_crashed = rev_crashed;
-          ck_procs = Array.copy ctx.pkey;
-          ck_done = ctx.dvals;
-          ck_env = ctx.esig;
-          ck_sleep = sleep;
-        }
-
-(* Which sleeping transitions survive executing [Step t_pid] (whose
-   footprint is [fp_t])? A sleeping process has not moved since it
-   entered the sleep set, so its footprint is read off its current
-   state. *)
-let sleep_filter states fp_t t_pid sleep =
-  List.filter
-    (fun (u, _) ->
-      match u with
-      | Crash q -> q <> t_pid
-      | Step q -> (
-          q <> t_pid
+   Do the two *next* operations of two distinct processes commute at
+   the current state of [env] — same final store and the same result
+   delivered to each process, whichever goes first? Each rule below is
+   an exact claim about [Env.apply]:
+   - sibling [Snap_set]s write different components (writer
+     discipline), so they always commute;
+   - equal-value register writes leave the same store either way;
+   - [Ts] on a won instance is a pure read returning [false];
+   - [Cons_propose] on a decided instance returns the decision, but
+     still *joins* the accessor set — commuting additionally needs the
+     join to be harmless in both orders (both already accessors, or
+     room for both under the port bound, the accessor list being
+     canonically sorted);
+   - enqueue and dequeue on a nonempty queue act on opposite ends;
+     two dequeues on an empty queue are both no-op reads. *)
+let rf_indep env a b =
+  match (a, b) with
+  | R_none, _ | _, R_none -> true
+  | R_oracle (f1, p1), R_oracle (f2, p2) -> not (String.equal f1 f2 && p1 = p2)
+  | R_oracle _, _ | _, R_oracle _ -> true
+  | _ -> (
+      (not (rsame_loc a b))
+      ||
+      match (a, b) with
+      | R_read _, R_read _ -> true
+      | R_snap_scan _, R_snap_scan _ -> true
+      | R_snap_set _, R_snap_set _ -> true
+      | R_write (_, _, v1), R_write (_, _, v2) -> v1 = v2
+      | R_read (f, k), R_write (_, _, v) | R_write (f, k, v), R_read _ ->
+          Env.peek_register env f k = Some v
+      | R_ts (f, k), R_ts _ -> Env.peek_ts env f k
+      | R_cons (f, k, p), R_cons (_, _, q) ->
+          Env.cons_decided env f k
           &&
-          match states.(q) with
-          | Running p -> coarse_indep_r (rfootprint ~pid:q p) fp_t
-          | Done _ | Crashed -> false))
-    sleep
+          let acc = Env.cons_accessors env f k in
+          let joins =
+            (if List.mem p acc then 0 else 1)
+            + if List.mem q acc then 0 else 1
+          in
+          List.length acc + joins <= Env.x env
+      | R_enq (f, k), R_deq _ | R_deq (f, k), R_enq _ ->
+          Env.queue_length env f k > 0
+      | R_deq (f, k), R_deq _ -> Env.queue_length env f k = 0
+      | _ -> false)
 
-let mk_run ctx ~truncated rev_crashed rev_choices =
-  let outcomes =
-    Array.map
-      (function
-        | Running _ -> Exec.Blocked
-        | Done v -> Exec.Decided v
-        | Crashed -> Exec.Crashed)
-      ctx.states
-  in
+(* Which sleeping transitions survive executing [Step t_pid], whose
+   footprint is [fp_t]? A sleeping process has not moved since it
+   entered the sleep set, so its footprint is read off [fps]: the
+   refined footprint of every process's next operation at the current
+   node ([R_none] for finished or crashed processes), computed once per
+   node and shared by every branch's filter call. The filter runs
+   BEFORE [Env.apply]: the refined rules are conditions on the state
+   both candidate operations execute from. The coarse relation reads no
+   store state, so for it the side of the step makes no difference.
+
+   [refined] picks the relation. Under the refined one, entries are
+   tagged: [true] means the entry's survival through some past filter
+   relied on the refined relation where the coarse one would have
+   evicted it. Pruning a tagged entry is a source-set cut (counted
+   separately); the tag is part of the visited key, so the prune
+   tallies stay functions of the key alone. Under the coarse relation
+   no entry is ever tagged. Written as a direct recursion (not
+   [List.filter_map]) so the hot path allocates no closure. *)
+let rec rsleep_filter ~refined env states fps fp_t t_pid = function
+  | [] -> []
+  | ((u, tag) as e) :: tl -> (
+      let tl = rsleep_filter ~refined env states fps fp_t t_pid tl in
+      match u with
+      | Crash q -> if q <> t_pid then e :: tl else tl
+      | Step q -> (
+          if q = t_pid then tl
+          else
+            match states.(q) with
+            | Done _ | Crashed -> tl
+            | Running _ ->
+                let fu = fps.(q) in
+                if not refined then
+                  if coarse_indep_r fu fp_t then e :: tl else tl
+                else if not (rf_indep env fu fp_t) then tl
+                else if tag || coarse_indep_r fu fp_t then e :: tl
+                else (u, true) :: tl))
+
+(* ------------------------------------------------------------------ *)
+(* The traversal, shared by both engines                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A subtree root, owned outright by whichever worker runs it (a private
+   env copy, private arrays), so no two workers ever share mutable
+   state: phase A captures plan tasks as items, and work stealing splits
+   them off. [w_branches = Some rest] resumes a split node's remaining
+   branch list — the node's visited-table insertion already happened on
+   the splitting worker, so the resume goes straight to the branch
+   loop. [w_sched] is the schedule prefix of the root, as the dotted
+   [pp_choice] text, so terminals can render their schedule without
+   carrying the choice list. *)
+type 'a witem = {
+  w_env : Env.t;
+  w_states : 'a pstate array;
+  w_pkey : int array;
+  w_done : (int * 'a) list;
+  w_esig : esig;
+  w_depth : int;
+  w_crashes : int;
+  w_rev_crashed : int list;
+  w_sched : string;
+  w_sleep : (choice * bool) list;
+  w_branches : choice list option;
+}
+
+let root_item (env0, progs) =
   {
-    outcomes;
-    crashed = List.rev rev_crashed;
-    truncated;
-    schedule = schedule_string rev_choices;
+    w_env = env0;
+    w_states = Array.map (fun p -> Running p) progs;
+    w_pkey = Array.make (Array.length progs) 0;
+    w_done = [];
+    w_esig = esig_of_canonical (Env.canonical env0);
+    w_depth = 0;
+    w_crashes = 0;
+    w_rev_crashed = [];
+    w_sched = "";
+    w_sleep = [];
+    w_branches = None;
   }
 
-(* Account one completed (or depth-truncated) run inside a task. Tasks
-   carry no registry of their own — the merge accounts metrics from the
-   per-task summaries, which is what lets a remote worker ship seven
-   integers instead of a registry and still merge byte-identically. *)
-let finish ctx ~truncated rev_crashed rev_choices =
-  let run = mk_run ctx ~truncated rev_crashed rev_choices in
-  ctx.runs <- ctx.runs + 1;
-  if truncated then ctx.truncated <- ctx.truncated + 1;
-  (match ctx.property run with
-  | Ok () -> ()
-  | Error msg ->
-      ctx.cex <- Some (run, msg);
-      raise Task_stop);
-  if ctx.runs >= ctx.run_cap then begin
-    ctx.exhausted <- true;
-    raise Task_stop
-  end
+(* A walk's tallies: per worker in engine C, folded after the join (all
+   deterministic in the clean, no-abort case — see the closure argument
+   in DESIGN §14 — except [c_splits] and the visited stats' bloom_fp),
+   and per pass in the plan engine. *)
+type cworker = {
+  mutable c_runs : int;
+  mutable c_truncated : int;
+  mutable c_pruned_states : int;
+  mutable c_pruned_commutes : int;
+  mutable c_pruned_source : int;
+  mutable c_splits : int;
+  c_vstats : Visited.stats;
+}
 
-(* Depth-first over choices, mutating [ctx.env] in place and undoing via
-   the journal. [frontier = Some (fd, capture)] stops expansion at depth
-   [fd] and hands the node to [capture] instead (phase A); [on_run] is
-   called for every terminal node that survives deduplication. *)
-let rec dfs ctx ~frontier ~on_run depth crashes rev_crashed rev_choices sleep =
-  let live =
-    let rec go i acc =
-      if i < 0 then acc
-      else
-        go (i - 1)
-          (match ctx.states.(i) with
-          | Running _ -> i :: acc
-          | Done _ | Crashed -> acc)
+let fresh_cworker () =
+  {
+    c_runs = 0;
+    c_truncated = 0;
+    c_pruned_states = 0;
+    c_pruned_commutes = 0;
+    c_pruned_source = 0;
+    c_splits = 0;
+    c_vstats = Visited.fresh_stats ();
+  }
+
+(* What the two engines' passes differ in, fixed once per pass (an
+   engine-C exploration, phase A, or one plan task):
+   - [k_seen]: visited lookup-and-insert — engine C's shared {!Visited}
+     table or a task-private [visited] ([None]: dedup and sleep sets
+     off);
+   - [k_intern]: names a (history so far, next result) pair —
+     [Visited.Intern] or the task's [Intern_tbl];
+   - [k_refined]: the sleep filter's relation (see [rsleep_filter]);
+   - [k_run]: a terminal's accounting, handed every run that survives
+     deduplication after the worker's run tallies; it raises [Abort]
+     to end the walk;
+   - [k_stop]: polled at every node and branch, so one worker's abort
+     drains the others;
+   - [k_frontier = Some (d, capture)]: phase A — a node at depth [d] is
+     handed to [capture] as a root instead of expanded. *)
+type 'a walk = {
+  k_seen : (cworker -> 'a ckey -> bool) option;
+  k_intern : int * enc -> int;
+  k_refined : bool;
+  k_max_steps : int;
+  k_max_crashes : int;
+  k_run : worker:int -> cworker -> 'a run -> unit;
+  k_stop : bool Atomic.t;
+  k_frontier : (int * ('a witem -> unit)) option;
+}
+
+exception Abort
+
+(* Run one item to completion, or until [k_run] raises [Abort] (the env
+   is then rolled back to the item's root). The tree is the same under
+   every configuration: at each node every live pid's step, then —
+   within the crash budget — its crash; a node with no live process,
+   or at depth [k_max_steps], is a terminal. The env is mutated in
+   place and undone through its journal on the way back up. [pool]
+   turns on splitting: when a sibling worker is starving, the rest of
+   the current node's branch list is pushed off as a new item. *)
+let traverse (w : 'a walk) (acc : cworker) ?pool ~worker (it : 'a witem) =
+  let dedup = w.k_seen <> None in
+  let env = it.w_env in
+  let states = it.w_states in
+  (* [pkey] mirrors [states] as flat ints (history id / -1 crashed /
+     -2 done), so a visited key's process component is one unboxed
+     array copy. [dvals] carries finished processes' decided values,
+     sorted by pid. [esig] is the store fingerprint. All three advance
+     on descent (only while deduplicating) and restore (an int or
+     pointer store) on backtrack. *)
+  let pkey = it.w_pkey in
+  let dvals = ref it.w_done in
+  let esig = ref it.w_esig in
+  (* The schedule rendered incrementally along the path: append on
+     descent, truncate on backtrack. O(1) per step instead of a
+     per-terminal list reversal and concat. *)
+  let sbuf = Buffer.create 64 in
+  Buffer.add_string sbuf it.w_sched;
+  let revisit depth rev_crashed sleep =
+    match w.k_seen with
+    | None -> false
+    | Some seen ->
+        seen acc
+          {
+            ck_depth = depth;
+            ck_crashed = rev_crashed;
+            ck_procs = Array.copy pkey;
+            ck_done = !dvals;
+            ck_env = !esig;
+            ck_sleep = sleep;
+          }
+  in
+  let snapshot depth crashes rev_crashed sleep branches =
+    {
+      w_env = Env.copy env;
+      w_states = Array.copy states;
+      w_pkey = Array.copy pkey;
+      w_done = !dvals;
+      w_esig = !esig;
+      w_depth = depth;
+      w_crashes = crashes;
+      w_rev_crashed = rev_crashed;
+      w_sched = Buffer.contents sbuf;
+      w_sleep = sleep;
+      w_branches = branches;
+    }
+  in
+  let terminal ~truncated rev_crashed =
+    let outcomes =
+      Array.map
+        (function
+          | Running _ -> Exec.Blocked
+          | Done v -> Exec.Decided v
+          | Crashed -> Exec.Crashed)
+        states
     in
-    go (Array.length ctx.states - 1) []
+    acc.c_runs <- acc.c_runs + 1;
+    if truncated then acc.c_truncated <- acc.c_truncated + 1;
+    w.k_run ~worker acc
+      {
+        outcomes;
+        crashed = List.rev rev_crashed;
+        truncated;
+        schedule = Buffer.contents sbuf;
+      }
   in
-  if live = [] || depth >= ctx.max_steps then begin
-    (* Terminal. The sleep set is irrelevant here (no transitions), so
-       key terminals with an empty one: equal end states reached under
-       different sleep sets are still one run record. *)
-    if seen ctx depth rev_crashed [] then
-      ctx.pruned_states <- ctx.pruned_states + 1
-    else on_run ~truncated:(live <> []) rev_crashed rev_choices
-  end
-  else if seen ctx depth rev_crashed sleep then
-    ctx.pruned_states <- ctx.pruned_states + 1
-  else
-    match frontier with
-    | Some (fd, capture) when depth >= fd ->
-        capture ~depth ~crashes ~rev_crashed ~rev_choices ~sleep
-    | _ ->
-        let dedup = ctx.visited <> None in
-        let sleep = ref sleep in
-        let sleeping t = dedup && List.mem_assoc t !sleep in
-        List.iter
-          (fun pid ->
-            (* Branch 1: pid executes one operation. *)
-            (match ctx.states.(pid) with
-            | Running prog ->
-                let t = Step pid in
-                if sleeping t then
-                  ctx.pruned_commutes <- ctx.pruned_commutes + 1
-                else begin
-                  (* One footprint per step: it feeds both the sleep
-                     filter and the store signature's update. *)
-                  let fp_t = if dedup then rfootprint ~pid prog else R_none in
-                  let cp = Env.checkpoint ctx.env in
-                  let saved_pk = ctx.pkey.(pid) in
-                  let saved_dv = ctx.dvals in
-                  let saved_es = ctx.esig in
-                  (match prog with
-                  | Prog.Done v ->
-                      ctx.states.(pid) <- Done v;
-                      if dedup then begin
-                        ctx.pkey.(pid) <- -2;
-                        ctx.dvals <- dvals_add pid v saved_dv
-                      end
-                  | Prog.Step (op, k) ->
-                      let r = Env.apply ctx.env ~pid op in
-                      if dedup then begin
-                        ctx.pkey.(pid) <-
-                          intern_id ctx.intern (saved_pk, encode_result op r);
-                        ctx.esig <- esig_step ctx.env saved_es fp_t ~pid
-                      end;
-                      ctx.states.(pid) <- Running (k r)
-                  | Prog.Await (op, pred) -> (
-                      (* The [Step] it abbreviates, run in place: a failed
-                         try leaves the pid on the same node. *)
-                      let r = Env.apply ctx.env ~pid op in
-                      if dedup then begin
-                        ctx.pkey.(pid) <-
-                          intern_id ctx.intern (saved_pk, encode_result op r);
-                        ctx.esig <- esig_step ctx.env saved_es fp_t ~pid
-                      end;
-                      match pred r with
-                      | Some next -> ctx.states.(pid) <- Running next
-                      | None -> ()));
-                  let child_sleep =
-                    if dedup then sleep_filter ctx.states fp_t pid !sleep
-                    else []
-                  in
-                  dfs ctx ~frontier ~on_run (depth + 1) crashes rev_crashed
-                    (t :: rev_choices) child_sleep;
-                  Env.rollback ctx.env cp;
-                  ctx.states.(pid) <- Running prog;
-                  ctx.pkey.(pid) <- saved_pk;
-                  ctx.dvals <- saved_dv;
-                  ctx.esig <- saved_es;
-                  if dedup then sleep := sleep_insert t !sleep
-                end
-            | Done _ | Crashed -> assert false);
-            (* Branch 2: pid crashes instead. *)
-            if crashes < ctx.max_crashes then begin
-              let t = Crash pid in
-              if sleeping t then
-                ctx.pruned_commutes <- ctx.pruned_commutes + 1
-              else begin
-                let saved = ctx.states.(pid) in
-                let saved_pk = ctx.pkey.(pid) in
-                ctx.states.(pid) <- Crashed;
-                ctx.pkey.(pid) <- -1;
+  (* The key's side of an applied op: the pid's history gains the
+     result, and the store fingerprint follows the one location the
+     op's footprint names (it re-reads that instance, so this runs
+     after [Env.apply]). *)
+  let advance (type r) fps pid saved_pk saved_es (op : r Op.t) (r : r) =
+    if dedup then begin
+      pkey.(pid) <- w.k_intern (saved_pk, encode_result op r);
+      esig := esig_step env saved_es fps.(pid) ~pid
+    end
+  in
+  let rec node depth crashes rev_crashed sleep resume =
+    if Atomic.get w.k_stop then raise Abort;
+    match resume with
+    | Some branches ->
+        expand (node_fps ()) depth crashes rev_crashed sleep branches
+    | None -> (
+        let live =
+          let rec go i l =
+            if i < 0 then l
+            else
+              go (i - 1)
+                (match states.(i) with
+                | Running _ -> i :: l
+                | Done _ | Crashed -> l)
+          in
+          go (Array.length states - 1) []
+        in
+        if live = [] || depth >= w.k_max_steps then begin
+          (* The sleep set is irrelevant at a terminal (no transitions),
+             so terminals are keyed with an empty one: equal end states
+             reached under different sleep sets are still one run. *)
+          if revisit depth rev_crashed [] then
+            acc.c_pruned_states <- acc.c_pruned_states + 1
+          else terminal ~truncated:(live <> []) rev_crashed
+        end
+        else if revisit depth rev_crashed sleep then
+          acc.c_pruned_states <- acc.c_pruned_states + 1
+        else
+          match w.k_frontier with
+          | Some (fd, capture) when depth >= fd ->
+              capture (snapshot depth crashes rev_crashed sleep None)
+          | _ ->
+              let branches =
+                List.concat_map
+                  (fun pid ->
+                    let crash = crashes < w.k_max_crashes in
+                    Step pid :: (if crash then [ Crash pid ] else []))
+                  live
+              in
+              expand (node_fps ()) depth crashes rev_crashed sleep branches)
+  and node_fps () =
+    (* Refined footprints of every process's next op at this node,
+       shared by all the node's branches (states are restored between
+       descents, so they cannot go stale). Skipped when not dedup'ing:
+       the filter and the store fingerprint are the only consumers. *)
+    if not dedup then [||]
+    else
+      Array.mapi
+        (fun pid s ->
+          match s with
+          | Running p -> rfootprint ~pid p
+          | Done _ | Crashed -> R_none)
+        states
+  and expand fps depth crashes rev_crashed sleep = function
+    | [] -> ()
+    | b :: rest -> (
+        if Atomic.get w.k_stop then raise Abort;
+        let sleeping =
+          if dedup then
+            List.find_map (fun (u, tag) -> if u = b then Some tag else None)
+              sleep
+          else None
+        in
+        match sleeping with
+        | Some tag ->
+            if tag then acc.c_pruned_source <- acc.c_pruned_source + 1
+            else acc.c_pruned_commutes <- acc.c_pruned_commutes + 1;
+            expand fps depth crashes rev_crashed sleep rest
+        | None ->
+            (* [b] will be explored, so subsequent branches — run here
+               or offloaded — see it asleep. *)
+            let sleep' = if dedup then sleep_insert b sleep else sleep in
+            let offloaded =
+              match pool with
+              | None -> false
+              | Some pool ->
+                  rest <> []
+                  && Par.want_work pool
+                  && Par.push pool ~worker
+                       (snapshot depth crashes rev_crashed sleep' (Some rest))
+            in
+            if offloaded then acc.c_splits <- acc.c_splits + 1;
+            let spos = Buffer.length sbuf in
+            if spos > 0 then Buffer.add_char sbuf '.';
+            Buffer.add_string sbuf (pp_choice b);
+            (match b with
+            | Step pid -> (
+                match states.(pid) with
+                | Running prog ->
+                    let child_sleep =
+                      if dedup then
+                        rsleep_filter ~refined:w.k_refined env states fps
+                          fps.(pid) pid sleep
+                      else []
+                    in
+                    let cp = Env.checkpoint env in
+                    let saved_pk = pkey.(pid) in
+                    let saved_dv = !dvals in
+                    let saved_es = !esig in
+                    (match prog with
+                    | Prog.Done v ->
+                        states.(pid) <- Done v;
+                        if dedup then begin
+                          pkey.(pid) <- -2;
+                          dvals := dvals_add pid v saved_dv
+                        end
+                    | Prog.Step (op, k) ->
+                        let r = Env.apply env ~pid op in
+                        advance fps pid saved_pk saved_es op r;
+                        states.(pid) <- Running (k r)
+                    | Prog.Await (op, pred) -> (
+                        (* The [Step] it abbreviates, run in place: a
+                           failed try leaves the pid on the same node. *)
+                        let r = Env.apply env ~pid op in
+                        advance fps pid saved_pk saved_es op r;
+                        match pred r with
+                        | Some next -> states.(pid) <- Running next
+                        | None -> ()));
+                    node (depth + 1) crashes rev_crashed child_sleep None;
+                    Env.rollback env cp;
+                    states.(pid) <- Running prog;
+                    pkey.(pid) <- saved_pk;
+                    dvals := saved_dv;
+                    esig := saved_es
+                | Done _ | Crashed -> assert false)
+            | Crash pid ->
+                let saved = states.(pid) in
+                let saved_pk = pkey.(pid) in
+                states.(pid) <- Crashed;
+                pkey.(pid) <- -1;
                 let child_sleep =
-                  if dedup then rsleep_filter_crash pid !sleep else []
+                  if dedup then rsleep_filter_crash pid sleep else []
                 in
-                dfs ctx ~frontier ~on_run (depth + 1) (crashes + 1)
-                  (pid :: rev_crashed) (t :: rev_choices) child_sleep;
-                ctx.states.(pid) <- saved;
-                ctx.pkey.(pid) <- saved_pk;
-                if dedup then sleep := sleep_insert t !sleep
-              end
-            end)
-          live
-
-(* ------------------------------------------------------------------ *)
-(* Frontier tasks and deterministic merging                             *)
-(* ------------------------------------------------------------------ *)
-
-type 'a task_result = {
-  t_runs : int;
-  t_truncated : int;
-  t_cex : ('a run * string) option;
-  t_pruned_states : int;
-  t_pruned_commutes : int;
-  t_exhausted : bool;
-}
-
-
-(* A subtree root captured at the frontier: a private copy of the store
-   plus everything needed to resume the DFS exactly where phase A left
-   off — its key components included, and the first history id its own
-   intern table may hand out. Workers own their subtree outright, so no
-   cross-domain sharing of mutable state ever happens. *)
-type 'a subtree = {
-  s_env : Env.t;
-  s_states : 'a pstate array;
-  s_pkey : int array;
-  s_dvals : (int * 'a) list;
-  s_esig : esig;
-  s_next_id : int;
-  s_depth : int;
-  s_crashes : int;
-  s_rev_crashed : int list;
-  s_rev_choices : choice list;
-  s_sleep : (choice * bool) list;
-}
-
-type 'a task = T_leaf of 'a task_result | T_subtree of 'a subtree
-
-let fresh_ctx ~env ~states ~pkey ~dvals ~esig ~next_id ~max_steps
-    ~max_crashes ~property ~dedup ~run_cap =
-  {
-    env;
-    states;
-    pkey;
-    dvals;
-    esig;
-    intern = intern_create next_id;
-    max_steps;
-    max_crashes;
-    property;
-    visited = (if dedup then Some (Hashtbl.create 512) else None);
-    run_cap;
-    runs = 0;
-    truncated = 0;
-    cex = None;
-    pruned_states = 0;
-    pruned_commutes = 0;
-    exhausted = false;
-  }
-
-let task_result_of_ctx ctx =
-  {
-    t_runs = ctx.runs;
-    t_truncated = ctx.truncated;
-    t_cex = ctx.cex;
-    t_pruned_states = ctx.pruned_states;
-    t_pruned_commutes = ctx.pruned_commutes;
-    t_exhausted = ctx.exhausted;
-  }
-
-(* Explore one captured subtree to completion. The subtree's state is
-   never consumed: the DFS works on copies of the process arrays and
-   rolls the (task-private) environment back to its root on every exit
-   path, so running the same subtree twice gives the same answer — the
-   merge relies on this to recompute any task the pool skipped. *)
-let run_subtree ~dedup ~max_steps ~max_crashes ~run_cap ~property
-    (s : 'a subtree) =
-  Env.enable_journal s.s_env;
-  let cp0 = Env.checkpoint s.s_env in
-  let ctx =
-    fresh_ctx ~env:s.s_env ~states:(Array.copy s.s_states)
-      ~pkey:(Array.copy s.s_pkey) ~dvals:s.s_dvals ~esig:s.s_esig
-      ~next_id:s.s_next_id ~max_steps ~max_crashes ~property ~dedup ~run_cap
+                node (depth + 1) (crashes + 1) (pid :: rev_crashed) child_sleep
+                  None;
+                states.(pid) <- saved;
+                pkey.(pid) <- saved_pk);
+            Buffer.truncate sbuf spos;
+            if not offloaded then
+              expand fps depth crashes rev_crashed sleep' rest)
   in
-  (try
-     dfs ctx ~frontier:None ~on_run:(finish ctx) s.s_depth s.s_crashes
-       s.s_rev_crashed s.s_rev_choices s.s_sleep
-   with Task_stop -> Env.rollback s.s_env cp0);
-  Env.disable_journal s.s_env;
-  task_result_of_ctx ctx
+  Env.enable_journal env;
+  let cp0 = Env.checkpoint env in
+  (try node it.w_depth it.w_crashes it.w_rev_crashed it.w_sleep it.w_branches
+   with Abort -> Env.rollback env cp0);
+  Env.disable_journal env
+
+(* ------------------------------------------------------------------ *)
+(* The plan engine: frontier tasks and deterministic merging            *)
+(* ------------------------------------------------------------------ *)
+
+(* The plan engine runs the traversal in its own configuration: the
+   coarse relation, task-private tables (so no task ever shares mutable
+   state with another, and what a task answers depends on its root
+   alone) and per-task accounting. *)
+
+type task_summary = {
+  ts_leaf : bool;
+  ts_runs : int;
+  ts_truncated : int;
+  ts_cex : bool;
+  ts_pruned_states : int;
+  ts_pruned_commutes : int;
+  ts_exhausted : bool;
+}
+
+(* A plan task: a run resolved above the frontier (its summary, and its
+   counterexample if it violates), or a subtree root with the first
+   history id its own intern table may hand out. *)
+type 'a task =
+  | T_leaf of task_summary * ('a run * string) option
+  | T_subtree of 'a witem * int
+
+let plan_walk ~dedup ~max_steps ~max_crashes ~intern ~frontier k_run =
+  {
+    k_seen =
+      (if dedup then
+         let tbl = Hashtbl.create 512 in
+         Some (fun _ key -> seen_or_add tbl key)
+       else None);
+    k_intern = intern_id intern;
+    k_refined = false;
+    k_max_steps = max_steps;
+    k_max_crashes = max_crashes;
+    k_run;
+    k_stop = Atomic.make false;
+    k_frontier = frontier;
+  }
 
 (* The depth every plan is sliced at: a constant, so a plan — and what
    a task index denotes — is a function of the exploration's parameters
    alone. *)
 let phase_a_depth = 3
-
-(* Phase A: walk the tree sequentially down to [phase_a_depth], with
-   the same dedup/sleep machinery, emitting work in DFS order — runs
-   completing above the frontier come out as already-resolved leaf
-   tasks, frontier nodes as subtree tasks. The frontier depth must not
-   depend on [jobs], or different job counts would slice the tree
-   differently; it never does. Nor does the walk depend on the run
-   budget: a subtree the sleep sets block yields no run at all, so no
-   count of tasks bounds the runs the merge will still need. Only a
-   counterexample ends the walk early — no task after it can ever be
-   merged. *)
-let explore_tasks ~dedup ~max_steps ~max_crashes ~property ~make () =
-  let env0, progs = make () in
-  Env.enable_journal env0;
-  let n = Array.length progs in
-  let ctx =
-    fresh_ctx ~env:env0
-      ~states:(Array.map (fun p -> Running p) progs)
-      ~pkey:(Array.make n 0) ~dvals:[]
-      ~esig:(esig_of_canonical (Env.canonical env0))
-      ~next_id:1 ~max_steps ~max_crashes ~property ~dedup ~run_cap:max_int
-  in
-  let emitted = ref [] in
-  let emit e = emitted := e :: !emitted in
-  let on_run ~truncated rev_crashed rev_choices =
-    let run = mk_run ctx ~truncated rev_crashed rev_choices in
-    let cex =
-      match property run with Ok () -> None | Error msg -> Some (run, msg)
-    in
-    emit
-      (T_leaf
-         {
-           t_runs = 1;
-           t_truncated = (if truncated then 1 else 0);
-           t_cex = cex;
-           t_pruned_states = 0;
-           t_pruned_commutes = 0;
-           t_exhausted = false;
-         });
-    if cex <> None then raise Phase_stop
-  in
-  let capture ~depth ~crashes ~rev_crashed ~rev_choices ~sleep =
-    emit
-      (T_subtree
-         {
-           s_env = Env.copy ctx.env;
-           s_states = Array.copy ctx.states;
-           s_pkey = Array.copy ctx.pkey;
-           s_dvals = ctx.dvals;
-           s_esig = ctx.esig;
-           s_next_id = ctx.intern.i_next;
-           s_depth = depth;
-           s_crashes = crashes;
-           s_rev_crashed = rev_crashed;
-           s_rev_choices = rev_choices;
-           s_sleep = sleep;
-         })
-  in
-  (try
-     dfs ctx ~frontier:(Some (phase_a_depth, capture)) ~on_run 0 0 [] [] []
-   with Phase_stop -> ());
-  Env.disable_journal env0;
-  (Array.of_list (List.rev !emitted), ctx.pruned_states, ctx.pruned_commutes)
 
 (* ------------------------------------------------------------------ *)
 (* Sharding hooks: a plan is the jobs-independent slicing of the tree   *)
@@ -768,15 +868,51 @@ type 'a plan = {
   pl_property : 'a run -> (unit, string) Stdlib.result;
 }
 
+(* Phase A: walk the tree sequentially down to [phase_a_depth], with
+   the same dedup/sleep machinery, emitting work in DFS order — runs
+   completing above the frontier come out as already-resolved leaf
+   tasks, frontier nodes as subtree tasks. The frontier depth must not
+   depend on [jobs], or different job counts would slice the tree
+   differently; it never does. Nor does the walk depend on the run
+   budget: a subtree the sleep sets block yields no run at all, so no
+   count of tasks bounds the runs the merge will still need. Only a
+   counterexample ends the walk early — no task after it can ever be
+   merged. *)
 let plan ?(max_crashes = 0) ?(max_runs = 2_000_000) ?(dedup = true)
     ~max_steps ~make ~property () =
-  let tasks, phase_pruned_states, phase_pruned_commutes =
-    explore_tasks ~dedup ~max_steps ~max_crashes ~property ~make ()
+  let emitted = ref [] in
+  let emit e = emitted := e :: !emitted in
+  let intern = intern_create 1 in
+  let leaf ~worker:_ _ run =
+    let cex =
+      match property run with Ok () -> None | Error msg -> Some (run, msg)
+    in
+    emit
+      (T_leaf
+         ( {
+             ts_leaf = true;
+             ts_runs = 1;
+             ts_truncated = (if run.truncated then 1 else 0);
+             ts_cex = cex <> None;
+             ts_pruned_states = 0;
+             ts_pruned_commutes = 0;
+             ts_exhausted = false;
+           },
+           cex ));
+    if cex <> None then raise Abort
   in
+  let capture root = emit (T_subtree (root, intern.i_next)) in
+  let w =
+    plan_walk ~dedup ~max_steps ~max_crashes ~intern
+      ~frontier:(Some (phase_a_depth, capture))
+      leaf
+  in
+  let acc = fresh_cworker () in
+  traverse w acc ~worker:0 (root_item (make ()));
   {
-    pl_tasks = tasks;
-    pl_phase_pruned_states = phase_pruned_states;
-    pl_phase_pruned_commutes = phase_pruned_commutes;
+    pl_tasks = Array.of_list (List.rev !emitted);
+    pl_phase_pruned_states = acc.c_pruned_states;
+    pl_phase_pruned_commutes = acc.c_pruned_commutes;
     pl_dedup = dedup;
     pl_max_steps = max_steps;
     pl_max_crashes = max_crashes;
@@ -786,40 +922,59 @@ let plan ?(max_crashes = 0) ?(max_runs = 2_000_000) ?(dedup = true)
 
 let plan_tasks p = Array.length p.pl_tasks
 
-type task_summary = {
-  ts_leaf : bool;
-  ts_runs : int;
-  ts_truncated : int;
-  ts_cex : bool;
-  ts_pruned_states : int;
-  ts_pruned_commutes : int;
-  ts_exhausted : bool;
-}
-
-let summary_of_result ~leaf (r : 'a task_result) =
-  {
-    ts_leaf = leaf;
-    ts_runs = r.t_runs;
-    ts_truncated = r.t_truncated;
-    ts_cex = r.t_cex <> None;
-    ts_pruned_states = r.t_pruned_states;
-    ts_pruned_commutes = r.t_pruned_commutes;
-    ts_exhausted = r.t_exhausted;
-  }
+(* Explore one captured subtree to completion, or to its first
+   counterexample or the per-task run cap. The root is never consumed:
+   the walk runs on copies of its arrays and rolls the (task-private)
+   env back to the root on the way out, so running the same subtree
+   twice gives the same answer — the merge relies on this to recompute
+   any task the pool skipped. Tasks carry no registry of their own: the
+   merge accounts metrics from the per-task summaries, which is what
+   lets a remote worker ship seven integers instead of a registry and
+   still merge byte-identically. *)
+let run_subtree p root next_id =
+  let cex = ref None in
+  let exhausted = ref false in
+  let finish ~worker:_ acc run =
+    match p.pl_property run with
+    | Error msg ->
+        cex := Some (run, msg);
+        raise Abort
+    | Ok () ->
+        if acc.c_runs >= p.pl_max_runs then begin
+          exhausted := true;
+          raise Abort
+        end
+  in
+  let w =
+    plan_walk ~dedup:p.pl_dedup ~max_steps:p.pl_max_steps
+      ~max_crashes:p.pl_max_crashes ~intern:(intern_create next_id)
+      ~frontier:None finish
+  in
+  let acc = fresh_cworker () in
+  traverse w acc ~worker:0
+    {
+      root with
+      w_states = Array.copy root.w_states;
+      w_pkey = Array.copy root.w_pkey;
+    };
+  ( {
+      ts_leaf = false;
+      ts_runs = acc.c_runs;
+      ts_truncated = acc.c_truncated;
+      ts_cex = !cex <> None;
+      ts_pruned_states = acc.c_pruned_states;
+      ts_pruned_commutes = acc.c_pruned_commutes;
+      ts_exhausted = !exhausted;
+    },
+    !cex )
 
 (* Execute one task of the plan. Leaves were resolved during phase A;
    subtrees are re-runnable any number of times (see [run_subtree]), so
    a skipped or remotely-computed task can always be recomputed here. *)
 let task_outcome p i =
   match p.pl_tasks.(i) with
-  | T_leaf r -> (summary_of_result ~leaf:true r, r.t_cex)
-  | T_subtree s ->
-      let r =
-        run_subtree ~dedup:p.pl_dedup ~max_steps:p.pl_max_steps
-          ~max_crashes:p.pl_max_crashes ~run_cap:p.pl_max_runs
-          ~property:p.pl_property s
-      in
-      (summary_of_result ~leaf:false r, r.t_cex)
+  | T_leaf (s, cex) -> (s, cex)
+  | T_subtree (root, next_id) -> run_subtree p root next_id
 
 (* Merge strictly in task (= DFS) order. Budget and counterexample
    cut-offs are decided here, from per-task totals, so the outcome is a
@@ -942,406 +1097,48 @@ let exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
 (* Engine C: shared visited table + work stealing + source-set pruning  *)
 (* ------------------------------------------------------------------ *)
 
-(* Refined independence. The coarse relation says two writes to the
-   same instance conflict; many of them in fact commute, and for the
-   single-writer snapshot objects at the heart of the paper's
-   constructions — every process writes its own component — *all*
-   sibling writes commute. The refined relation is evaluated against
-   the current store state (Godefroid's conditional independence),
-   which is sound exactly because the sleep filter runs at the state
-   the two candidate operations would both execute from.
-
-   Do the two *next* operations of two distinct processes commute at
-   the current state of [env] — same final store and the same result
-   delivered to each process, whichever goes first? Each rule below is
-   an exact claim about [Env.apply]:
-   - sibling [Snap_set]s write different components (writer
-     discipline), so they always commute;
-   - equal-value register writes leave the same store either way;
-   - [Ts] on a won instance is a pure read returning [false];
-   - [Cons_propose] on a decided instance returns the decision, but
-     still *joins* the accessor set — commuting additionally needs the
-     join to be harmless in both orders (both already accessors, or
-     room for both under the port bound, the accessor list being
-     canonically sorted);
-   - enqueue and dequeue on a nonempty queue act on opposite ends;
-     two dequeues on an empty queue are both no-op reads. *)
-let rf_indep env a b =
-  match (a, b) with
-  | R_none, _ | _, R_none -> true
-  | R_oracle (f1, p1), R_oracle (f2, p2) -> not (String.equal f1 f2 && p1 = p2)
-  | R_oracle _, _ | _, R_oracle _ -> true
-  | _ -> (
-      (not (rsame_loc a b))
-      ||
-      match (a, b) with
-      | R_read _, R_read _ -> true
-      | R_snap_scan _, R_snap_scan _ -> true
-      | R_snap_set _, R_snap_set _ -> true
-      | R_write (_, _, v1), R_write (_, _, v2) -> v1 = v2
-      | R_read (f, k), R_write (_, _, v) | R_write (f, k, v), R_read _ ->
-          Env.peek_register env f k = Some v
-      | R_ts (f, k), R_ts _ -> Env.peek_ts env f k
-      | R_cons (f, k, p), R_cons (_, _, q) ->
-          Env.cons_decided env f k
-          &&
-          let acc = Env.cons_accessors env f k in
-          let joins =
-            (if List.mem p acc then 0 else 1)
-            + if List.mem q acc then 0 else 1
-          in
-          List.length acc + joins <= Env.x env
-      | R_enq (f, k), R_deq _ | R_deq (f, k), R_enq _ ->
-          Env.queue_length env f k > 0
-      | R_deq (f, k), R_deq _ -> Env.queue_length env f k = 0
-      | _ -> false)
-
-(* Sleep entries are tagged: [true] means the entry's survival through
-   some past filter relied on the refined relation where the coarse one
-   would have evicted it. Pruning a tagged entry is a source-set cut
-   (counted separately); the tag is part of the visited key, so the
-   prune tallies stay functions of the key alone. The filter runs
-   BEFORE [Env.apply] — the refined rules are conditions on the state
-   both candidate operations execute from. *)
-(* [fps] holds the refined footprint of every process's next operation
-   at the current node ([R_none] for finished or crashed processes) —
-   computed once per node and shared by every branch's filter call.
-   Written as a direct recursion (not [List.filter_map]) so the hot
-   path allocates no closure. *)
-let rec rsleep_filter env states fps fp_t t_pid sleep =
-  match sleep with
-  | [] -> []
-  | ((u, tag) as e) :: tl -> (
-      match u with
-      | Crash q ->
-          if q <> t_pid then e :: rsleep_filter env states fps fp_t t_pid tl
-          else rsleep_filter env states fps fp_t t_pid tl
-      | Step q ->
-          if q = t_pid then rsleep_filter env states fps fp_t t_pid tl
-          else (
-            match states.(q) with
-            | Running _ ->
-                let fu = fps.(q) in
-                if rf_indep env fu fp_t then
-                  if tag || coarse_indep_r fu fp_t then
-                    e :: rsleep_filter env states fps fp_t t_pid tl
-                  else (u, true) :: rsleep_filter env states fps fp_t t_pid tl
-                else rsleep_filter env states fps fp_t t_pid tl
-            | Done _ | Crashed -> rsleep_filter env states fps fp_t t_pid tl))
-
-(* A unit of work-stealing work: a subtree root owned outright by
-   whichever worker runs it (private env copy, private arrays).
-   [w_branches = Some rest] resumes a split node's remaining branch
-   list — the node's visited-table insertion already happened on the
-   splitting worker, so the resume goes straight to the branch loop.
-   [w_sched] is the pretty-printed schedule prefix of the subtree
-   root, so terminals can render their schedule without carrying the
-   choice list. *)
-type 'a witem = {
-  w_env : Env.t;
-  w_states : 'a pstate array;
-  w_pkey : int array;
-  w_done : (int * 'a) list;
-  w_esig : esig;
-  w_depth : int;
-  w_crashes : int;
-  w_rev_crashed : int list;
-  w_sched : string;
-  w_sleep : (choice * bool) list;
-  w_branches : choice list option;
-}
-
-(* Shared read-mostly engine state. [g_stop] is the one-way abort: a
-   counterexample, the run budget, or any exception flips it, every
-   worker drains, and the caller re-runs the plan engine — whose
-   result in exactly those cases is the documented semantics. *)
-type 'a cshared = {
-  g_visited : 'a ckey Visited.t option;
-  g_intern : (int * enc) Visited.Intern.t;
-      (* names each (history-so-far, next result) pair; a process's
-         whole history is thus one id, rebuilt incrementally per step *)
-  g_runs : int Atomic.t;
-  g_stop : bool Atomic.t;
-  g_run_cap : int;
-  g_max_steps : int;
-  g_max_crashes : int;
-  g_property : 'a run -> (unit, string) Stdlib.result;
-  g_progress : (runs:int -> unit) option;
-}
-
-(* Per-worker tallies, folded after the join. All deterministic in the
-   clean (no-abort) case — see the closure argument in DESIGN §14 —
-   except [c_splits] and the visited stats' bloom_fp. *)
-type cworker = {
-  mutable c_runs : int;
-  mutable c_truncated : int;
-  mutable c_pruned_states : int;
-  mutable c_pruned_commutes : int;
-  mutable c_pruned_source : int;
-  mutable c_splits : int;
-  c_vstats : Visited.stats;
-}
-
-let fresh_cworker () =
-  {
-    c_runs = 0;
-    c_truncated = 0;
-    c_pruned_states = 0;
-    c_pruned_commutes = 0;
-    c_pruned_source = 0;
-    c_splits = 0;
-    c_vstats = Visited.fresh_stats ();
-  }
-
-exception Abort
-
-let cseen g acc key =
-  match g.g_visited with
-  | None -> false
-  | Some tbl -> Visited.seen_or_add tbl ~hash:(ckey_hash key) key acc.c_vstats
-
-(* Run one work item to completion (or abort). The DFS mirrors [dfs]
-   exactly — same branch order, same terminal handling — with three
-   changes: the visited table is shared, sleep sets are tagged and
-   filtered through the refined relation, and when a sibling worker is
-   starving the remainder of the current node's branch list is split
-   off as a new item. *)
-let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
-  let dedup = g.g_visited <> None in
-  let env = it.w_env in
-  let states = it.w_states in
-  (* [pkey] mirrors [states] as flat ints (history id / -1 crashed /
-     -2 done), so a visited key's process component is one unboxed
-     array copy. [dvals] carries finished processes' decided values,
-     sorted by pid. [esig] is the store fingerprint. All three advance
-     on descent and restore (an int or pointer store) on backtrack. *)
-  let pkey = it.w_pkey in
-  let dvals = ref it.w_done in
-  let esig = ref it.w_esig in
-  (* The schedule rendered incrementally along the path: append on
-     descent, truncate on backtrack. O(1) per step instead of a
-     per-terminal list reversal and concat. *)
-  let sbuf = Buffer.create 64 in
-  Buffer.add_string sbuf it.w_sched;
-  let ckey depth rev_crashed sleep =
-    {
-      ck_depth = depth;
-      ck_crashed = rev_crashed;
-      ck_procs = Array.copy pkey;
-      ck_done = !dvals;
-      ck_env = !esig;
-      ck_sleep = sleep;
-    }
-  in
-  let complete ~truncated rev_crashed =
-    let outcomes =
-      Array.map
-        (function
-          | Running _ -> Exec.Blocked
-          | Done v -> Exec.Decided v
-          | Crashed -> Exec.Crashed)
-        states
-    in
-    let run =
-      {
-        outcomes;
-        crashed = List.rev rev_crashed;
-        truncated;
-        schedule = Buffer.contents sbuf;
-      }
-    in
-    acc.c_runs <- acc.c_runs + 1;
-    if truncated then acc.c_truncated <- acc.c_truncated + 1;
-    let total = Atomic.fetch_and_add g.g_runs 1 + 1 in
-    (match g.g_property run with
-    | Ok () -> ()
-    | Error _ ->
-        Atomic.set g.g_stop true;
-        raise Abort
-    | exception _ ->
-        Atomic.set g.g_stop true;
-        raise Abort);
-    if total >= g.g_run_cap then begin
-      Atomic.set g.g_stop true;
-      raise Abort
-    end;
-    if worker = 0 then heartbeat g.g_progress total
-  in
-  let rec node depth crashes rev_crashed sleep resume =
-    if Atomic.get g.g_stop then raise Abort;
-    match resume with
-    | Some branches -> expand (node_fps ()) depth crashes rev_crashed sleep branches
-    | None ->
-        let live =
-          let rec go i l =
-            if i < 0 then l
-            else
-              go (i - 1)
-                (match states.(i) with
-                | Running _ -> i :: l
-                | Done _ | Crashed -> l)
-          in
-          go (Array.length states - 1) []
-        in
-        if live = [] || depth >= g.g_max_steps then begin
-          if dedup && cseen g acc (ckey depth rev_crashed []) then
-            acc.c_pruned_states <- acc.c_pruned_states + 1
-          else complete ~truncated:(live <> []) rev_crashed
-        end
-        else if dedup && cseen g acc (ckey depth rev_crashed sleep) then
-          acc.c_pruned_states <- acc.c_pruned_states + 1
-        else
-          let branches =
-            List.concat_map
-              (fun pid ->
-                Step pid
-                :: (if crashes < g.g_max_crashes then [ Crash pid ] else []))
-              live
-          in
-          expand (node_fps ()) depth crashes rev_crashed sleep branches
-  and node_fps () =
-    (* Refined footprints of every process's next op at this node,
-       shared by all the node's branches (states are restored between
-       descents, so they cannot go stale). Skipped when not dedup'ing:
-       the filter is the only consumer. *)
-    if not dedup then [||]
-    else
-      Array.mapi
-        (fun pid s ->
-          match s with
-          | Running p -> rfootprint ~pid p
-          | Done _ | Crashed -> R_none)
-        states
-  and expand fps depth crashes rev_crashed sleep = function
-    | [] -> ()
-    | b :: rest -> (
-        if Atomic.get g.g_stop then raise Abort;
-        let sleeping =
-          if dedup then
-            List.find_map (fun (u, tag) -> if u = b then Some tag else None)
-              sleep
-          else None
-        in
-        match sleeping with
-        | Some tag ->
-            if tag then acc.c_pruned_source <- acc.c_pruned_source + 1
-            else acc.c_pruned_commutes <- acc.c_pruned_commutes + 1;
-            expand fps depth crashes rev_crashed sleep rest
-        | None ->
-            (* [b] will be explored, so subsequent branches — run here
-               or offloaded — see it asleep. *)
-            let sleep' = if dedup then sleep_insert b sleep else sleep in
-            let offloaded =
-              rest <> []
-              && Par.want_work pool
-              && Par.push pool ~worker
-                   {
-                     w_env = Env.copy env;
-                     w_states = Array.copy states;
-                     w_pkey = Array.copy pkey;
-                     w_done = !dvals;
-                     w_esig = !esig;
-                     w_depth = depth;
-                     w_crashes = crashes;
-                     w_rev_crashed = rev_crashed;
-                     w_sched = Buffer.contents sbuf;
-                     w_sleep = sleep';
-                     w_branches = Some rest;
-                   }
-            in
-            if offloaded then acc.c_splits <- acc.c_splits + 1;
-            let spos = Buffer.length sbuf in
-            if spos > 0 then Buffer.add_char sbuf '.';
-            Buffer.add_string sbuf (pp_choice b);
-            (match b with
-            | Step pid -> (
-                match states.(pid) with
-                | Running prog ->
-                    (* Filter BEFORE applying: the refined rules are
-                       conditions on the pre-step state. *)
-                    let child_sleep =
-                      if dedup then
-                        rsleep_filter env states fps fps.(pid) pid sleep
-                      else []
-                    in
-                    let cp = Env.checkpoint env in
-                    let saved_pk = pkey.(pid) in
-                    let saved_dv = !dvals in
-                    let saved_es = !esig in
-                    (match prog with
-                    | Prog.Done v ->
-                        states.(pid) <- Done v;
-                        if dedup then begin
-                          pkey.(pid) <- -2;
-                          dvals := dvals_add pid v saved_dv
-                        end
-                    | Prog.Step (op, k) ->
-                        let r = Env.apply env ~pid op in
-                        if dedup then begin
-                          let e = (saved_pk, encode_result op r) in
-                          pkey.(pid) <-
-                            Visited.Intern.id g.g_intern
-                              ~hash:(Hashtbl.hash_param 64 256 e)
-                              e;
-                          esig := esig_step env saved_es fps.(pid) ~pid
-                        end;
-                        states.(pid) <- Running (k r)
-                    | Prog.Await (op, pred) -> (
-                        (* As in the plan engine: the abbreviated [Step],
-                           in place. *)
-                        let r = Env.apply env ~pid op in
-                        if dedup then begin
-                          let e = (saved_pk, encode_result op r) in
-                          pkey.(pid) <-
-                            Visited.Intern.id g.g_intern
-                              ~hash:(Hashtbl.hash_param 64 256 e)
-                              e;
-                          esig := esig_step env saved_es fps.(pid) ~pid
-                        end;
-                        match pred r with
-                        | Some next -> states.(pid) <- Running next
-                        | None -> ()));
-                    node (depth + 1) crashes rev_crashed child_sleep None;
-                    Env.rollback env cp;
-                    states.(pid) <- Running prog;
-                    pkey.(pid) <- saved_pk;
-                    dvals := saved_dv;
-                    esig := saved_es
-                | Done _ | Crashed -> assert false)
-            | Crash pid ->
-                let saved = states.(pid) in
-                let saved_pk = pkey.(pid) in
-                states.(pid) <- Crashed;
-                pkey.(pid) <- -1;
-                let child_sleep =
-                  if dedup then rsleep_filter_crash pid sleep else []
-                in
-                node (depth + 1) (crashes + 1) (pid :: rev_crashed) child_sleep
-                  None;
-                states.(pid) <- saved;
-                pkey.(pid) <- saved_pk);
-            Buffer.truncate sbuf spos;
-            if not offloaded then expand fps depth crashes rev_crashed sleep' rest)
-  in
-  Env.enable_journal env;
-  (try node it.w_depth it.w_crashes it.w_rev_crashed it.w_sleep it.w_branches
-   with Abort -> ());
-  Env.disable_journal env
-
+(* Engine C runs the traversal with one visited table and one intern
+   table shared by every domain, the refined (tagged) sleep filter, and
+   splitting on. Its one-way abort: a counterexample, the run budget,
+   or any exception flips [stop], every worker drains, and the pass is
+   re-run by the plan engine — whose result in exactly those cases is
+   the documented semantics. *)
 let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
     ?(oversubscribe = false) ?(dedup = true) ~max_steps ~make ~property () =
   let run_cap = Option.value max_runs ~default:2_000_000 in
-  let g =
+  let runs = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let abort () =
+    Atomic.set stop true;
+    raise Abort
+  in
+  let intern = Visited.Intern.create () in
+  let w =
     {
-      g_visited = (if dedup then Some (Visited.create ~buckets:131072 ()) else None);
-      g_intern = Visited.Intern.create ();
-      g_runs = Atomic.make 0;
-      g_stop = Atomic.make false;
-      g_run_cap = run_cap;
-      g_max_steps = max_steps;
-      g_max_crashes = Option.value max_crashes ~default:0;
-      g_property = property;
-      g_progress = on_progress;
+      k_seen =
+        (if dedup then
+           let tbl = Visited.create ~buckets:131072 () in
+           Some
+             (fun acc key ->
+               Visited.seen_or_add tbl ~hash:(ckey_hash key) key acc.c_vstats)
+         else None);
+      k_intern =
+        (fun e ->
+          Visited.Intern.id intern ~hash:(Hashtbl.hash_param 64 256 e) e);
+      k_refined = true;
+      k_max_steps = max_steps;
+      k_max_crashes = Option.value max_crashes ~default:0;
+      k_run =
+        (fun ~worker _ run ->
+          let total = Atomic.fetch_and_add runs 1 + 1 in
+          (match property run with
+          | Ok () -> ()
+          | Error _ -> abort ()
+          | exception _ -> abort ());
+          if total >= run_cap then abort ();
+          if worker = 0 then heartbeat on_progress total);
+      k_stop = stop;
+      k_frontier = None;
     }
   in
   let njobs =
@@ -1350,28 +1147,13 @@ let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
     else min jobs (Domain.recommended_domain_count ())
   in
   let accs = Array.init njobs (fun _ -> fresh_cworker ()) in
-  let env0, progs = make () in
-  let root =
-    {
-      w_env = env0;
-      w_states = Array.map (fun p -> Running p) progs;
-      w_pkey = Array.make (Array.length progs) 0;
-      w_done = [];
-      w_esig = esig_of_canonical (Env.canonical env0);
-      w_depth = 0;
-      w_crashes = 0;
-      w_rev_crashed = [];
-      w_sched = "";
-      w_sleep = [];
-      w_branches = None;
-    }
-  in
   let pool =
-    Par.run_dynamic ~jobs:njobs ~oversubscribe:true ~roots:[ root ]
+    Par.run_dynamic ~jobs:njobs ~oversubscribe:true
+      ~roots:[ root_item (make ()) ]
       (fun pool ~worker it ->
-        if not (Atomic.get g.g_stop) then crun g accs.(worker) pool ~worker it)
+        if not (Atomic.get stop) then traverse w accs.(worker) ~pool ~worker it)
   in
-  if Atomic.get g.g_stop then
+  if Atomic.get stop then
     (* A counterexample, the run budget, or an exception: defer to the
        plan engine, whose in-order merge defines the result (the
        DFS-first counterexample, the sequential budget semantics, the

@@ -89,13 +89,15 @@ val exhaustive :
     once per engine pass — see below). Defaults: [max_crashes = 0],
     [max_runs = 2_000_000], [jobs = 1], [dedup = true].
 
-    {b Two engines, one contract.} The first pass runs the
-    work-stealing engine: one {!Visited} table shared by all [jobs]
-    domains (a state fingerprinted anywhere is never re-expanded
-    anywhere), subtree items split off dynamically whenever a sibling
-    domain is starving ({!Par.run_dynamic}), and sleep-set pruning
-    upgraded with state-conditional commutation rules toward source
-    sets ([pruned_source]). If that pass runs clean — no
+    {b One traversal, two configurations.} Both engines run the same
+    depth-first traversal — the same branch order, visited key,
+    terminal rule and undo journal — and differ only in what they plug
+    into it. The first pass runs engine C: one {!Visited} table shared
+    by all [jobs] domains (a state fingerprinted anywhere is never
+    re-expanded anywhere), subtree items split off dynamically whenever
+    a sibling domain is starving ({!Par.run_dynamic}), and sleep-set
+    pruning upgraded with state-conditional commutation rules toward
+    source sets ([pruned_source]). If that pass runs clean — no
     counterexample, budget untouched, no exception — its result is
     returned: by the closure argument (DESIGN §14) the expanded-state
     set, and hence [explored], every pruned count and every
@@ -103,13 +105,14 @@ val exhaustive :
     alone, identical at {e every} job count and steal schedule. The
     moment a counterexample, the [max_runs] budget, or an exception
     enters the picture, the pass aborts, discards everything (no
-    metrics recorded), and defers to the plan engine — phase-A
-    frontier slicing, indexed fan-out, strict in-order merge (the same
-    machinery {!plan}/{!task_outcome}/{!merge_plan} expose to [Dist])
-    — whose merge defines the documented semantics: the DFS-first
-    counterexample, the sequential budget behaviour, the original
-    exception. Either way the verdict is byte-identical for every
-    value of [jobs].
+    metrics recorded), and defers to the plan engine — the traversal
+    with task-private tables and the coarse commutation relation,
+    sliced at a fixed frontier, fanned out by index and merged strictly
+    in order (the machinery {!plan}/{!task_outcome}/{!merge_plan}
+    expose to [Dist]) — whose merge defines the documented semantics:
+    the DFS-first counterexample, the sequential budget behaviour, the
+    original exception. Either way the verdict is byte-identical for
+    every value of [jobs].
 
     [dedup:false] disables the visited table and both sleep-set tiers —
     the engine then enumerates exactly the runs of the naive

@@ -13,13 +13,6 @@ let level_name = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type record = { seq : int; level : level; sub : string; msg : string }
 
 (* Info renders exactly as the historical ad-hoc stderr lines did
@@ -42,53 +35,10 @@ let render_json r =
 
 type sink = Null | Sink of (record -> unit)
 
-let null_sink = Null
 let human_sink write = Sink (fun r -> write (render_human r))
 let json_sink write = Sink (fun r -> write (render_json r))
 
 let emit sink r = match sink with Null -> () | Sink f -> f r
-
-let tee a b =
-  match (a, b) with
-  | Null, s | s, Null -> s
-  | Sink _, Sink _ -> Sink (fun r -> emit a r; emit b r)
-
-(* ------------------------------------------------------------------ *)
-(* Bounded ring                                                        *)
-(* ------------------------------------------------------------------ *)
-
-type ring = { cap : int; q : record Queue.t; mutable dropped : int }
-
-let ring cap = { cap = max 1 cap; q = Queue.create (); dropped = 0 }
-
-let ring_sink r =
-  Sink
-    (fun rec_ ->
-      Queue.push rec_ r.q;
-      if Queue.length r.q > r.cap then begin
-        ignore (Queue.pop r.q);
-        r.dropped <- r.dropped + 1
-      end)
-
-let ring_records r = List.of_seq (Queue.to_seq r.q)
-let ring_dropped r = r.dropped
-
-let ring_flush r ~into =
-  Queue.iter (emit into) r.q;
-  if r.dropped > 0 then begin
-    let last_seq = Queue.fold (fun _ rec_ -> rec_.seq) 0 r.q in
-    emit into
-      {
-        seq = last_seq + 1;
-        level = Warn;
-        sub = "log";
-        msg =
-          Printf.sprintf "%d earlier record(s) dropped by bounded ring"
-            r.dropped;
-      }
-  end;
-  Queue.clear r.q;
-  r.dropped <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Loggers                                                             *)

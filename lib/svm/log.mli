@@ -5,14 +5,7 @@
     human form (["[net] message"], the historical stderr format every
     smoke check greps) or deterministic JSON lines (one compact object
     per record, stable member order, monotone sequence numbers — no
-    wall clock, so two identical runs log byte-identically).
-
-    {b Honesty rule.} The bounded {!ring} never lies about what it
-    forgot: {!ring_flush} appends an explicit drop-count record
-    whenever records were evicted, mirroring the [--allow-partial]
-    discipline of truncated traces. A consumer of a flushed ring can
-    always distinguish "nothing happened" from "the buffer was too
-    small". *)
+    wall clock, so two identical runs log byte-identically). *)
 
 type level = Debug | Info | Warn | Error
 
@@ -21,7 +14,6 @@ val severity : level -> int
     severity is at least its threshold. *)
 
 val level_name : level -> string
-val level_of_string : string -> level option
 
 type record = {
   seq : int;  (** monotone per logger root, shared across {!sub}s *)
@@ -42,36 +34,11 @@ val render_json : record -> string
 
 type sink
 
-val null_sink : sink
 val human_sink : (string -> unit) -> sink
 (** Feeds {!render_human} of each record to the writer (no newline). *)
 
 val json_sink : (string -> unit) -> sink
 (** Feeds {!render_json} of each record to the writer (no newline). *)
-
-val tee : sink -> sink -> sink
-
-(** {1 Bounded ring}
-
-    A crash-box: keep the last [capacity] records in memory (e.g. to
-    ship inside a stats reply) while counting, not hiding, evictions. *)
-
-type ring
-
-val ring : int -> ring
-(** Capacity is clamped to at least 1. *)
-
-val ring_sink : ring -> sink
-val ring_records : ring -> record list
-(** Oldest first; at most [capacity] records. *)
-
-val ring_dropped : ring -> int
-(** Records evicted since the last {!ring_flush}. *)
-
-val ring_flush : ring -> into:sink -> unit
-(** Emit the buffered records into [into] (oldest first), then — if any
-    were evicted — one extra [Warn] record stating exactly how many,
-    so truncation is visible in the output. Clears the ring. *)
 
 (** {1 Loggers} *)
 

@@ -6,10 +6,7 @@
      stderr format (the smoke recipes grep it), other levels carry the
      level name;
    - JSON rendering is deterministic: stable member order, monotone
-     sequence numbers shared across sub-loggers, no timestamps;
-   - the bounded ring never lies: a flush after eviction appends an
-     explicit drop-count record, so "nothing logged" and "buffer too
-     small" are distinguishable. *)
+     sequence numbers shared across sub-loggers, no timestamps. *)
 
 open Svm
 
@@ -75,54 +72,6 @@ let test_json_deterministic () =
       | Error e -> Alcotest.failf "unparseable log line %s: %s" line e)
     (lines ())
 
-let test_ring_truncation_is_honest () =
-  let r = Log.ring 3 in
-  let l = Log.make ~level:Log.Debug (Log.ring_sink r) in
-  for i = 1 to 5 do
-    Log.infof (Log.sub l "net") "event %d" i
-  done;
-  Alcotest.(check int) "ring keeps the last cap records" 3
-    (List.length (Log.ring_records r));
-  Alcotest.(check int) "evictions are counted" 2 (Log.ring_dropped r);
-  let write, lines = collect () in
-  Log.ring_flush r ~into:(Log.human_sink write);
-  Alcotest.(check (list string))
-    "flush surfaces the drop count as an explicit record"
-    [
-      "[net] event 3";
-      "[net] event 4";
-      "[net] event 5";
-      "[log] warn: 2 earlier record(s) dropped by bounded ring";
-    ]
-    (lines ());
-  Alcotest.(check int) "flush clears the ring" 0
-    (List.length (Log.ring_records r));
-  Alcotest.(check int) "flush resets the drop counter" 0 (Log.ring_dropped r);
-  (* A ring that never overflowed flushes silently — no spurious
-     truncation warning. *)
-  Log.infof (Log.sub l "net") "only";
-  let write2, lines2 = collect () in
-  Log.ring_flush r ~into:(Log.human_sink write2);
-  Alcotest.(check (list string))
-    "no drop record when nothing was dropped" [ "[net] only" ] (lines2 ())
-
-let test_tee_and_level_names () =
-  let w1, l1 = collect () and w2, l2 = collect () in
-  let l =
-    Log.make (Log.tee (Log.human_sink w1) (Log.json_sink w2))
-  in
-  Log.warnf (Log.sub l "x") "both";
-  Alcotest.(check int) "tee reaches the first sink" 1 (List.length (l1 ()));
-  Alcotest.(check int) "tee reaches the second sink" 1 (List.length (l2 ()));
-  List.iter
-    (fun lvl ->
-      match Log.level_of_string (Log.level_name lvl) with
-      | Some l' ->
-          Alcotest.(check int) "level name round-trips" (Log.severity lvl)
-            (Log.severity l')
-      | None -> Alcotest.fail "level name does not parse back")
-    [ Log.Debug; Log.Info; Log.Warn; Log.Error ]
-
 let suite =
   [
     ( "log",
@@ -135,9 +84,5 @@ let suite =
           test_null_is_disabled;
         Alcotest.test_case "JSON lines are deterministic" `Quick
           test_json_deterministic;
-        Alcotest.test_case "ring truncation is honest" `Quick
-          test_ring_truncation_is_honest;
-        Alcotest.test_case "tee and level-name round-trip" `Quick
-          test_tee_and_level_names;
       ] );
   ]

@@ -153,10 +153,22 @@ let test_sweep_metrics_accounting () =
 (* Pay-for-what-you-use                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Words allocated by this domain so far. Not [Gc.allocated_bytes]: on
+   OCaml 5.1 its minor count ([Gc.counters], [Gc.quick_stat]) counts
+   the words allocated since the last minor collection at an eighth of
+   their number, and the rest lands at the next collection. A
+   collection falling between two reads thus adds about 7/8 of the
+   minor heap (~1.8 MB at the default size), so a run that happened to
+   meet one measured as megabytes. [Gc.minor_words] is exact; direct
+   major allocations are major minus promoted words. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 let allocated f =
-  let before = Gc.allocated_bytes () in
+  let before = allocated_words () in
   f ();
-  Gc.allocated_bytes () -. before
+  (allocated_words () -. before) *. float_of_int (Sys.word_size / 8)
 
 let test_metrics_off_allocates_nothing_extra () =
   let run metrics () =

@@ -161,7 +161,9 @@ let check_pin ~dir ~configs name route (s : Experiments.Scenario.t) () =
     (s.Experiments.Scenario.name ^ " via " ^ name)
     expected actual
 
-let plan_pin = check_pin ~dir:"plan_golden" ~configs:(fun s -> configs s @ [ capped s ])
+let plan_pin =
+  check_pin ~dir:"plan_golden" ~configs:(fun s -> configs s @ [ capped s ])
+
 let engine_pin = check_pin ~dir:"engine_golden" ~configs
 
 (* A run budget may cut coverage short, but never silently: a capped
