@@ -93,7 +93,8 @@ let help_surface () =
     (String.concat "\n" (List.sort_uniq compare lines) ^ "\n")
 
 (* Run in order in one fresh directory: later rows read what earlier
-   ones wrote (the swept artifact, the soaked corpus). *)
+   ones wrote (the swept artifact, the soaked corpus, and NAME.out, the
+   stdout of row NAME). *)
 let invocations =
   [
     ("classes", "classes", 0);
@@ -108,6 +109,9 @@ let invocations =
     ("stats-replay", "stats bug.replay", 0);
     ("replay", "replay bug.replay", 1);
     ("trace-text", "trace bug.replay --format=text", 0);
+    ("trace-chrome", "trace bug.replay --format=chrome", 0);
+    ("trace-csv", "trace bug.replay --format=csv", 0);
+    ("trace-check", "trace-check trace-chrome.out", 0);
     ( "soak",
       "soak --algo safe_agreement_no_cancel --seed 7 --until 60 --batch 20 \
        --corpus corpus",
@@ -130,6 +134,9 @@ let stdout_surface () =
           |> String.concat " "
         in
         let code, out = capture ~cwd args in
+        Out_channel.with_open_bin
+          (Filename.concat cwd (name ^ ".out"))
+          (fun oc -> output_string oc out);
         (name, expected, code, out))
       invocations
   in

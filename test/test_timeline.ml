@@ -124,6 +124,62 @@ let test_validator_rejects_malformed () =
              ] );
        ])
 
+(* Each malformed document and the validator's exact verdict. The
+   verdict texts are what `asmsim trace-check' prints after "invalid
+   chrome trace: ", so they are part of the CLI surface. *)
+let validator_table =
+  let ev ?(extra = []) ph tid =
+    Json.Obj
+      ([ ("ph", Json.String ph); ("tid", Json.Int tid); ("name", Json.String "e") ]
+      @ extra)
+  in
+  let span tid =
+    ev ~extra:[ ("ts", Json.Int 0); ("dur", Json.Int 1) ] "X" tid
+  in
+  let doc ?(other = []) events =
+    Json.Obj
+      [
+        ("traceEvents", Json.List events);
+        ("otherData", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) other));
+      ]
+  in
+  [
+    ( "missing tid",
+      doc [ span 0; Json.Obj [ ("ph", Json.String "X"); ("name", Json.String "e") ] ],
+      Error "missing event tid" );
+    ("unknown ph", doc [ span 0; ev "Q" 0 ], Error "unknown event phase \"Q\"");
+    ( "instant count disagrees",
+      doc ~other:[ ("nprocs", 1); ("fault_instants", 2) ] [ span 0; ev "i" 0 ],
+      Error "otherData says 2 fault instants, found 1" );
+    ( "instant count checked before liveness",
+      doc ~other:[ ("nprocs", 3); ("fault_instants", 0) ] [ span 0; ev "i" 1 ],
+      Error "otherData says 0 fault instants, found 1" );
+    ( "live pid without a span",
+      doc ~other:[ ("nprocs", 3); ("fault_instants", 1) ] [ span 0; ev "i" 1 ],
+      Error "live pid(s) without any span: p2" );
+    ( "every live pid without a span is named",
+      doc ~other:[ ("nprocs", 3) ] [ ev "M" 0; span 1 ],
+      Error "live pid(s) without any span: p0,p2" );
+    ( "live pid without a span, truncated",
+      doc ~other:[ ("nprocs", 3); ("fault_instants", 1); ("dropped_events", 4) ]
+        [ span 0; ev "i" 1 ],
+      Ok [ (0, 1) ] );
+    ( "a faulted pid needs no span",
+      doc ~other:[ ("nprocs", 2); ("fault_instants", 1) ] [ span 0; ev "i" 1 ],
+      Ok [ (0, 1) ] );
+  ]
+
+let test_validator_table () =
+  List.iter
+    (fun (name, json, want) ->
+      let got =
+        Result.map
+          (fun s -> s.Timeline.spans_per_pid)
+          (Timeline.validate_chrome json)
+      in
+      Alcotest.(check (result (list (pair int int)) string)) name want got)
+    validator_table
+
 (* ------------------------------------------------------------------ *)
 (* Truncation honesty                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -243,6 +299,12 @@ let test_merge_processes_critical_path () =
      execute must NOT extend it (different shard, different lane). *)
   Alcotest.(check int) "critical path chains across the wire" 417 cp
 
+(* The merged document's bytes, as `asmsim trace-merge' writes them. *)
+let test_merge_processes_golden () =
+  Test_cli_surface.check_golden "trace-merge.fleet"
+    (Json.to_string ~pretty:true (Timeline.merge_processes (fleet_spans ()))
+    ^ "\n")
+
 let test_merge_processes_empty () =
   let trace = Timeline.merge_processes [] in
   match Timeline.validate_chrome trace with
@@ -260,6 +322,8 @@ let suite =
           test_chrome_roundtrip;
         Alcotest.test_case "validator rejects malformed traces" `Quick
           test_validator_rejects_malformed;
+        Alcotest.test_case "validator verdicts, table" `Quick
+          test_validator_table;
         Alcotest.test_case "truncation is flagged in every export" `Quick
           test_truncated_timeline;
         Alcotest.test_case "Trace.pp announces truncation" `Quick
@@ -270,6 +334,8 @@ let suite =
           test_merge_processes_lanes_and_validation;
         Alcotest.test_case "merge_processes: cross-process critical path"
           `Quick test_merge_processes_critical_path;
+        Alcotest.test_case "merge_processes: golden bytes" `Quick
+          test_merge_processes_golden;
         Alcotest.test_case "merge_processes: empty input" `Quick
           test_merge_processes_empty;
       ] );
