@@ -81,7 +81,8 @@ smoke-trace: build
 # dealt shard 0 chaos-cut right after dealing, so the shard is re-dealt
 # — must print the same stdout and write a byte-identical replay
 # artifact; the grep proves the cut really fired (all [dist] chatter
-# goes to stderr, which is why stdout diffs clean). Then the same
+# goes to stderr, which is why stdout diffs clean; the journal goes to
+# _build/distjobs, not the default .asmsim-jobs/). Then the same
 # identity for the exhaustive explorer. Last, SIGTERM: a --dist sweep
 # stopped once its first shard is journalled must suspend (exit 0,
 # "suspended"), and `serve --resume` must finish it, restoring the
@@ -97,16 +98,18 @@ smoke-dist: build
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) sweep --algo safe_agreement_no_cancel \
 	  --expect-violation --out _build/dist.replay > _build/dist-a.out
 	cp _build/dist.replay _build/dist-a.replay
+	rm -rf _build/distjobs
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) sweep --algo safe_agreement_no_cancel \
 	  --expect-violation --dist 2 --shard-size 5 --chaos-kill-shard 0 \
-	  --out _build/dist.replay > _build/dist-b.out 2> _build/dist-b.err
+	  --journal-dir _build/distjobs --out _build/dist.replay > _build/dist-b.out 2> _build/dist-b.err
 	diff _build/dist-a.out _build/dist-b.out
 	diff _build/dist-a.replay _build/dist.replay
 	grep -q chaos _build/dist-b.err
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement_no_cancel \
 	  --crashes 1 --expect-violation > _build/dist-c.out
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement_no_cancel \
-	  --crashes 1 --expect-violation --dist 2 --shard-size 7 > _build/dist-d.out
+	  --crashes 1 --expect-violation --dist 2 --shard-size 7 \
+	  --journal-dir _build/distjobs > _build/dist-d.out
 	diff _build/dist-c.out _build/dist-d.out
 	rm -rf _build/distsig && mkdir -p _build/distsig
 	set -e; \

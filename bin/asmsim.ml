@@ -1206,7 +1206,7 @@ let trace_merge_cmd =
         (List.length files);
       exit 2
     end;
-    let trace = Svm.Timeline.merge_processes spans in
+    let trace = Dist.Span.merge spans in
     (match Svm.Json.member "otherData" trace with
     | Some od ->
         let i = json_int od in

@@ -194,19 +194,33 @@ let dist_instance (job : Dist.Proto.job) =
 
 (* {2 Network service}
 
-   The handshake fingerprint digests the registered scenario names and
-   the protocol version, not the scenarios' definitions: binaries with
-   different scenario sets are rejected at the door, but two builds
-   whose same-named scenarios differ only in code are not. *)
+   The handshake fingerprint digests the protocol version and each
+   builtin scenario's shape (name, size, arity, default depth, and
+   whether it is explorable or seeded with a bug), not its code:
+   binaries whose scenario sets or defaults differ are rejected at the
+   door, but two builds whose same-shaped scenarios differ only in code
+   are not. *)
 
-let registry_fingerprint () =
+let scenarios_fingerprint scenarios =
   let h =
     List.fold_left
-      (fun acc name -> Hashtbl.hash (acc, name))
+      (fun acc (s : Scenario.t) ->
+        Hashtbl.hash
+          ( acc,
+            s.name,
+            s.nprocs,
+            s.x,
+            s.explore_steps,
+            s.explorable,
+            s.seeded_bug ))
       (Hashtbl.hash ("asmsim-net", Dist.Proto.net_version))
-      (Scenario.names ())
+      scenarios
   in
   Printf.sprintf "v%d:%08x" Dist.Proto.net_version (h land 0xffffffff)
+
+(* Once per process: every --dist job asks for it. *)
+let registry = lazy (scenarios_fingerprint (Scenario.all ()))
+let registry_fingerprint () = Lazy.force registry
 
 (* [--dist N]: the job on a private fleet of worker processes. *)
 let run_job_dist ?metrics ?on_progress config (job : Dist.Proto.job) =

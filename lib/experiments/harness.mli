@@ -151,13 +151,18 @@ val explore_scenario_dist :
 (** {!explore_scenario} across worker processes. *)
 
 val registry_fingerprint : unit -> string
-(** Digest of the registered scenario {e names} and the network
-    protocol version, exchanged in the {!Dist.Net} handshake: a binary
-    whose scenario set or protocol differs is rejected at connect time.
-    It does not digest what a scenario does, so two builds whose
-    scenarios share names but differ in code (a changed default depth,
-    a fixed bug) still pass the handshake and could expand one job into
-    different plans. *)
+(** [scenarios_fingerprint] of the builtin scenarios at their default
+    sizes, computed once per process and exchanged in the {!Dist.Net}
+    handshake: a binary whose scenario set, scenario defaults or
+    protocol differ is rejected at connect time. *)
+
+val scenarios_fingerprint : Scenario.t list -> string
+(** Digest of the network protocol version and, per scenario, its
+    name, [nprocs], [x], [explore_steps], [explorable] and
+    [seeded_bug]. It does not digest what a scenario does, so two
+    builds whose scenarios share that shape but differ in code (a fixed
+    bug, a changed monitor) still pass the handshake and could expand
+    one job into different plans. *)
 
 val submit_job_net :
   ?metrics:Svm.Metrics.t ->

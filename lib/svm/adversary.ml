@@ -41,11 +41,6 @@ let fault_now t ~pid ~local_step ~global_step ~next =
   (match f with Some Crash_stop -> incr t.crashes | Some _ | None -> ());
   f
 
-let crash_now t ~pid ~local_step ~global_step ~next =
-  match fault_now t ~pid ~local_step ~global_step ~next with
-  | Some Crash_stop -> true
-  | Some _ | None -> false
-
 let crash_count t = !(t.crashes)
 let no_fault ~pid:_ ~local_step:_ ~global_step:_ ~next:_ = None
 

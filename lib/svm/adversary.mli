@@ -61,12 +61,6 @@ val fault_now :
     [Byzantine], the operation executes with a corrupted value). Asked
     exactly once per scheduler iteration. *)
 
-val crash_now :
-  t -> pid:int -> local_step:int -> global_step:int -> next:Op.info option -> bool
-(** [crash_now] is [fault_now = Some Crash_stop]; kept as the crash-stop
-    view of the fault query (consumes the same per-iteration budget —
-    ask one of the two, not both). *)
-
 val byz_value : pid:int -> global_step:int -> Univ.t
 (** The corrupt value a Byzantine [pid] writes at [global_step]:
     deterministic in the schedule position, and far outside the input

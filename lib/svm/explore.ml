@@ -24,16 +24,6 @@ let pp_choice = function
 
 exception Found
 
-let note metrics name =
-  match metrics with
-  | None -> ()
-  | Some m -> Metrics.incr (Metrics.counter m name)
-
-let note_by metrics name by =
-  match metrics with
-  | None -> ()
-  | Some m -> Metrics.incr ~by (Metrics.counter m name)
-
 let heartbeat on_progress runs =
   match on_progress with None -> () | Some f -> f ~runs
 
@@ -1047,12 +1037,13 @@ let merge_plan ?metrics ?on_progress p ~outcome_of =
      done;
      if !explored >= p.pl_max_runs then exhausted := true
    with Found -> ());
-  note_by metrics "explore.pruned_states" p.pl_phase_pruned_states;
-  note_by metrics "explore.pruned_commutes" p.pl_phase_pruned_commutes;
+  Metrics.bump metrics "explore.pruned_states" ~by:p.pl_phase_pruned_states;
+  Metrics.bump metrics "explore.pruned_commutes"
+    ~by:p.pl_phase_pruned_commutes;
   (* The plan engine has no source-set pruning; create the counter
      anyway (at zero) so snapshots have the same membership whichever
      engine produced the result. *)
-  note_by metrics "explore.pruned_source" 0;
+  Metrics.bump metrics "explore.pruned_source" ~by:0;
   {
     explored = !explored;
     counterexample = !cex;
@@ -1173,32 +1164,34 @@ let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
     (match metrics with
     | None -> ()
     | Some m ->
-        note_by metrics "explore.runs" explored;
-        if truncated > 0 then note_by metrics "explore.truncated" truncated;
-        note_by metrics "explore.pruned_states" pruned_states;
-        note_by metrics "explore.pruned_commutes" pruned_commutes;
-        note_by metrics "explore.pruned_source" pruned_source;
-        note_by metrics "explore.visited.hits" hits;
-        note_by metrics "explore.visited.misses" misses;
+        Metrics.bump metrics "explore.runs" ~by:explored;
+        if truncated > 0 then
+          Metrics.bump metrics "explore.truncated" ~by:truncated;
+        Metrics.bump metrics "explore.pruned_states" ~by:pruned_states;
+        Metrics.bump metrics "explore.pruned_commutes" ~by:pruned_commutes;
+        Metrics.bump metrics "explore.pruned_source" ~by:pruned_source;
+        Metrics.bump metrics "explore.visited.hits" ~by:hits;
+        Metrics.bump metrics "explore.visited.misses" ~by:misses;
         (* Timing-dependent tallies: only when the registry accepts
            wall-clock-ish values, so snapshot-compared runs stay
            byte-identical at any job count. *)
         if Metrics.wall_clock m then begin
-          note_by metrics "explore.par.steals" (Par.steals pool);
-          note_by metrics "explore.par.splits" (sum (fun a -> a.c_splits));
-          note_by metrics "explore.visited.bloom_fp"
-            (sum (fun a -> a.c_vstats.Visited.bloom_fp));
+          Metrics.bump metrics "explore.par.steals" ~by:(Par.steals pool);
+          Metrics.bump metrics "explore.par.splits"
+            ~by:(sum (fun a -> a.c_splits));
+          Metrics.bump metrics "explore.visited.bloom_fp"
+            ~by:(sum (fun a -> a.c_vstats.Visited.bloom_fp));
           Array.iteri
             (fun i a ->
-              note_by metrics
+              Metrics.bump metrics
                 (Printf.sprintf "explore.par.d%d.runs" i)
-                a.c_runs;
-              note_by metrics
+                ~by:a.c_runs;
+              Metrics.bump metrics
                 (Printf.sprintf "explore.par.d%d.visited_hits" i)
-                a.c_vstats.Visited.hits;
-              note_by metrics
+                ~by:a.c_vstats.Visited.hits;
+              Metrics.bump metrics
                 (Printf.sprintf "explore.par.d%d.visited_misses" i)
-                a.c_vstats.Visited.misses)
+                ~by:a.c_vstats.Visited.misses)
             accs
         end);
     {
@@ -1514,24 +1507,24 @@ let sweep_merge ?metrics ?on_progress p ~verdict_of =
      for i = 0 to n_dispatch - 1 do
        let verdict = verdict_of i in
        incr runs;
-       note metrics "sweep.runs";
+       Metrics.bump metrics "sweep.runs";
        heartbeat on_progress !runs;
        let sched_name, _, faults = p.sp_descriptors.(i) in
        match verdict with
-       | Clean -> note metrics "sweep.verdict.clean"
+       | Clean -> Metrics.bump metrics "sweep.verdict.clean"
        | Deadlocked ->
-           note metrics "sweep.verdict.deadlocked";
+           Metrics.bump metrics "sweep.verdict.deadlocked";
            if !deadlock = None then
              deadlock := Some { scheduler = sched_name; faults }
        | Violating _ ->
-           note metrics "sweep.verdict.violating";
+           Metrics.bump metrics "sweep.verdict.violating";
            let f =
              finding ?budget:p.sp_budget ~make:p.sp_make
                ~monitors:p.sp_monitors ~schedulers:p.sp_schedulers
                ~meta:p.sp_meta
                { scheduler = sched_name; faults }
            in
-           note_by metrics "sweep.shrink_runs" f.shrink_runs;
+           Metrics.bump metrics "sweep.shrink_runs" ~by:f.shrink_runs;
            found := Some f;
            raise Found
      done;

@@ -77,9 +77,6 @@ let bump ?(by = 1) t name =
 let record t name v =
   match t with None -> () | Some t -> set (gauge t name) v
 
-let record_max t name v =
-  match t with None -> () | Some t -> set_max (gauge t name) v
-
 let bucket_of v =
   if v <= 0 then 0
   else begin

@@ -60,9 +60,6 @@ val bump : ?by:int -> t option -> string -> unit
 val record : t option -> string -> int -> unit
 (** Set a gauge by name; no-op on [None]. *)
 
-val record_max : t option -> string -> int -> unit
-(** Max-set a gauge by name; no-op on [None]. *)
-
 val sample : t option -> string -> int -> unit
 (** Observe into a histogram by name; no-op on [None]. *)
 

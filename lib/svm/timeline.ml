@@ -52,25 +52,13 @@ let of_trace ?nprocs trace =
             (fun fault -> instants := { step; pid; fault } :: !instants)
             fault)
     (Trace.events trace);
-  (* Byzantine onset is a decision with an op event; surface the first
-     corruption of each pid as an instant too so the fault is visible as
-     a marker, not only as span shading. *)
-  let nprocs =
-    match nprocs with Some n -> n | None -> !max_pid + 1
-  in
   {
     spans = List.rev !spans;
     instants = List.rev !instants;
-    nprocs;
+    nprocs = Option.value nprocs ~default:(!max_pid + 1);
     dropped = Trace.dropped trace;
     decisions = Array.length decisions;
   }
-
-let pids t =
-  let seen = Hashtbl.create 8 in
-  List.iter (fun (s : span) -> Hashtbl.replace seen s.pid ()) t.spans;
-  List.iter (fun (i : instant) -> Hashtbl.replace seen i.pid ()) t.instants;
-  Hashtbl.fold (fun p () acc -> p :: acc) seen [] |> List.sort compare
 
 let instance_name (info : Op.info) =
   Printf.sprintf "%s[%s]" info.Op.fam
@@ -87,6 +75,19 @@ let span_name s =
 (* minimum number of sequential steps any schedule must spend.           *)
 (* ------------------------------------------------------------------ *)
 
+let longest_chain ~lane ~chain ~cost items =
+  let by_lane = Hashtbl.create 8 and by_chain = Hashtbl.create 32 in
+  let depth tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+  List.fold_left_map
+    (fun critical x ->
+      let l = lane x and c = chain x in
+      let d_lane = depth by_lane l and d_chain = depth by_chain c in
+      let d = cost x + max d_lane d_chain in
+      Hashtbl.replace by_lane l d;
+      Hashtbl.replace by_chain c d;
+      (max critical d, (d_lane, d_chain)))
+    0 items
+
 type hot_instance = {
   instance : string;
   accesses : int;
@@ -102,23 +103,18 @@ type causality = {
 }
 
 let causality ?(top = 8) t =
-  let by_pid : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let by_obj : (string, int) Hashtbl.t = Hashtbl.create 32 in
+  let critical, preds =
+    longest_chain
+      ~lane:(fun (s : span) -> s.pid)
+      ~chain:(fun s -> instance_name s.info)
+      ~cost:(fun _ -> 1) t.spans
+  in
   let acc : (string, int ref * (int, unit) Hashtbl.t * int ref) Hashtbl.t =
     Hashtbl.create 32
   in
-  let critical = ref 0 in
-  let count = ref 0 in
-  List.iter
-    (fun (s : span) ->
-      incr count;
+  List.iter2
+    (fun (s : span) (d_pid, d_obj) ->
       let obj = instance_name s.info in
-      let d_pid = Option.value ~default:0 (Hashtbl.find_opt by_pid s.pid) in
-      let d_obj = Option.value ~default:0 (Hashtbl.find_opt by_obj obj) in
-      let d = 1 + max d_pid d_obj in
-      Hashtbl.replace by_pid s.pid d;
-      Hashtbl.replace by_obj obj d;
-      if d > !critical then critical := d;
       let ops, pids, path =
         match Hashtbl.find_opt acc obj with
         | Some entry -> entry
@@ -127,12 +123,12 @@ let causality ?(top = 8) t =
             Hashtbl.add acc obj entry;
             entry
       in
-      Stdlib.incr ops;
+      incr ops;
       Hashtbl.replace pids s.pid ();
       (* A span extends the critical path through this object when its
          depth came from the object chain rather than program order. *)
-      if d_obj >= d_pid && d_obj > 0 then Stdlib.incr path)
-    t.spans;
+      if d_obj >= d_pid && d_obj > 0 then incr path)
+    t.spans preds;
   let hot =
     Hashtbl.fold
       (fun instance (ops, pids, path) l ->
@@ -149,270 +145,138 @@ let causality ?(top = 8) t =
            | 0 -> String.compare a.instance b.instance
            | c -> c)
   in
-  let hot = List.filteri (fun i _ -> i < top) hot in
+  let count = List.length t.spans in
   {
-    span_count = !count;
-    critical_path = !critical;
+    span_count = count;
+    critical_path = critical;
     parallelism =
-      (if !critical = 0 then 1.
-       else float_of_int !count /. float_of_int !critical);
-    hot;
+      (if critical = 0 then 1. else float_of_int count /. float_of_int critical);
+    hot = List.filteri (fun i _ -> i < top) hot;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export                                            *)
 (* ------------------------------------------------------------------ *)
 
-let to_chrome ?(meta = []) t =
-  let thread_meta pid =
-    Json.Obj
-      [
-        ("ph", Json.String "M");
-        ("pid", Json.Int 0);
-        ("tid", Json.Int pid);
-        ("name", Json.String "thread_name");
-        ("args", Json.Obj [ ("name", Json.String (Printf.sprintf "p%d" pid)) ]);
-      ]
-  in
-  let span_event (s : span) =
-    Json.Obj
-      ([
-         ("ph", Json.String "X");
-         ("pid", Json.Int 0);
-         ("tid", Json.Int s.pid);
-         ("ts", Json.Int s.step);
-         ("dur", Json.Int 1);
-         ("name", Json.String (span_name s));
-         ( "args",
-           Json.Obj
-             ([
-                ("kind", Json.String (Op.kind_name s.info.Op.kind));
-                ("instance", Json.String (instance_name s.info));
-              ]
-             @ if s.corrupted then [ ("corrupted", Json.Bool true) ] else []) );
-       ]
-      @ if s.corrupted then [ ("cname", Json.String "terrible") ] else [])
-  in
-  let instant_event (i : instant) =
-    Json.Obj
-      [
-        ("ph", Json.String "i");
-        ("pid", Json.Int 0);
-        ("tid", Json.Int i.pid);
-        ("ts", Json.Int i.step);
-        ("s", Json.String "t");
-        ("name", Json.String (Printf.sprintf "%s p%d" (fault_name i.fault) i.pid));
-        ("args", Json.Obj [ ("fault", Json.String (fault_name i.fault)) ]);
-      ]
-  in
-  let c = causality t in
-  Json.Obj
-    [
-      ( "traceEvents",
-        Json.List
-          (List.map thread_meta (List.init t.nprocs Fun.id)
-          @ List.map span_event t.spans
-          @ List.map instant_event t.instants) );
-      ("displayTimeUnit", Json.String "ms");
-      ( "otherData",
-        Json.Obj
-          ([
-             ("nprocs", Json.Int t.nprocs);
-             ("spans", Json.Int c.span_count);
-             ("fault_instants", Json.Int (List.length t.instants));
-             ("dropped_events", Json.Int t.dropped);
-             ("decisions", Json.Int t.decisions);
-             ("critical_path", Json.Int c.critical_path);
-           ]
-          @ List.map (fun (k, v) -> (k, Json.String v)) meta) );
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Cross-process spans                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type pspan = {
-  ps_proc : string;
-  ps_phase : string;
-  ps_job : string;
-  ps_shard : int;
-  ps_ts : int;
-  ps_dur : int;
+type complete = {
+  tid : int;
+  ts : int;
+  dur : int;
+  name : string;
+  args : (string * Json.t) list;
+  cname : string option;
 }
 
-let pspan_to_json p =
-  Json.Obj
-    [
-      ("proc", Json.String p.ps_proc);
-      ("phase", Json.String p.ps_phase);
-      ("job", Json.String p.ps_job);
-      ("shard", Json.Int p.ps_shard);
-      ("ts", Json.Int p.ps_ts);
-      ("dur", Json.Int p.ps_dur);
-    ]
-
-let pspan_of_json j =
-  let str name = Option.bind (Json.member name j) Json.to_str in
-  let int name = Option.bind (Json.member name j) Json.to_int in
-  match (str "proc", str "phase", str "job", int "shard", int "ts", int "dur")
-  with
-  | Some ps_proc, Some ps_phase, Some ps_job, Some ps_shard, Some ps_ts,
-    Some ps_dur ->
-      Ok { ps_proc; ps_phase; ps_job; ps_shard; ps_ts; ps_dur }
-  | _ -> Error "span record needs proc/phase/job strings and shard/ts/dur ints"
-
-(* Fuse per-process span logs into one Chrome trace: one lane (tid) per
-   OS process, wall-time µs on the x axis. The happens-before relation
-   extends across the wire by shard correlation: within one lane spans
-   order by time (program order), and spans sharing a (job, shard) key
-   chain across lanes (admit → dispatch → receive → execute → reply →
-   merge is the life of one shard, whichever processes it visits). The
-   critical path is the heaviest such chain in µs — the part of the
-   fleet's wall time no amount of extra workers can hide. *)
-let merge_processes pspans =
-  let lanes = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun p ->
-      if not (Hashtbl.mem lanes p.ps_proc) then begin
-        Hashtbl.add lanes p.ps_proc (Hashtbl.length lanes);
-        order := p.ps_proc :: !order
-      end)
-    pspans;
-  let procs = List.rev !order in
-  let lane p = Hashtbl.find lanes p.ps_proc in
-  let t0 =
-    List.fold_left (fun acc p -> min acc p.ps_ts) max_int pspans
-  in
-  let t0 = if t0 = max_int then 0 else t0 in
-  let sorted =
-    List.stable_sort
-      (fun a b ->
-        match compare a.ps_ts b.ps_ts with
-        | 0 -> compare (lane a) (lane b)
-        | c -> c)
-      pspans
-  in
-  (* Longest-chain DP in timestamp order, mirroring [causality]: a
-     span's depth is its duration plus the deepest predecessor in its
-     lane (program order) or its shard chain (wire order). *)
-  let by_lane : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let by_shard : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let critical = ref 0 in
-  List.iter
-    (fun p ->
-      let key = Printf.sprintf "%s#%d" p.ps_job p.ps_shard in
-      let d_lane =
-        Option.value ~default:0 (Hashtbl.find_opt by_lane (lane p))
-      in
-      let d_shard = Option.value ~default:0 (Hashtbl.find_opt by_shard key) in
-      let d = max 1 p.ps_dur + max d_lane d_shard in
-      Hashtbl.replace by_lane (lane p) d;
-      Hashtbl.replace by_shard key d;
-      if d > !critical then critical := d)
-    sorted;
-  let thread_meta i name =
+let chrome ~lanes ?(instants = []) ?(dropped = 0) ?(decisions = 0)
+    ~critical_path ?(meta = []) spans =
+  let event ph tid fields =
     Json.Obj
+      (("ph", Json.String ph) :: ("pid", Json.Int 0) :: ("tid", Json.Int tid)
+     :: fields)
+  in
+  let lane tid name =
+    event "M" tid
       [
-        ("ph", Json.String "M");
-        ("pid", Json.Int 0);
-        ("tid", Json.Int i);
         ("name", Json.String "thread_name");
         ("args", Json.Obj [ ("name", Json.String name) ]);
       ]
   in
-  let short_job j = if String.length j > 8 then String.sub j 0 8 else j in
-  let span_event p =
-    Json.Obj
+  let complete c =
+    event "X" c.tid
+      ([
+         ("ts", Json.Int c.ts);
+         ("dur", Json.Int c.dur);
+         ("name", Json.String c.name);
+         ("args", Json.Obj c.args);
+       ]
+      @ Option.fold ~none:[] ~some:(fun n -> [ ("cname", Json.String n) ])
+          c.cname)
+  in
+  let instant (i : instant) =
+    let fault = fault_name i.fault in
+    event "i" i.pid
       [
-        ("ph", Json.String "X");
-        ("pid", Json.Int 0);
-        ("tid", Json.Int (lane p));
-        ("ts", Json.Int (p.ps_ts - t0));
-        ("dur", Json.Int (max 1 p.ps_dur));
-        ( "name",
-          Json.String
-            (if p.ps_shard < 0 then
-               Printf.sprintf "%s %s" p.ps_phase (short_job p.ps_job)
-             else
-               Printf.sprintf "%s %s#%d" p.ps_phase (short_job p.ps_job)
-                 p.ps_shard) );
-        ( "args",
-          Json.Obj
-            [
-              ("phase", Json.String p.ps_phase);
-              ("job", Json.String p.ps_job);
-              ("shard", Json.Int p.ps_shard);
-              ("proc", Json.String p.ps_proc);
-            ] );
+        ("ts", Json.Int i.step);
+        ("s", Json.String "t");
+        ("name", Json.String (Printf.sprintf "%s p%d" fault i.pid));
+        ("args", Json.Obj [ ("fault", Json.String fault) ]);
       ]
   in
   Json.Obj
     [
       ( "traceEvents",
         Json.List
-          (List.mapi (fun i name -> thread_meta i name) procs
-          @ List.map span_event sorted) );
+          (List.mapi lane lanes @ List.map complete spans
+         @ List.map instant instants) );
       ("displayTimeUnit", Json.String "ms");
       ( "otherData",
         Json.Obj
-          [
-            ("nprocs", Json.Int (List.length procs));
-            ("spans", Json.Int (List.length sorted));
-            ("fault_instants", Json.Int 0);
-            ("dropped_events", Json.Int 0);
-            ("decisions", Json.Int 0);
-            ("critical_path", Json.Int !critical);
-            ( "processes",
-              Json.String (String.concat "," procs) );
-          ] );
+          ([
+             ("nprocs", Json.Int (List.length lanes));
+             ("spans", Json.Int (List.length spans));
+             ("fault_instants", Json.Int (List.length instants));
+             ("dropped_events", Json.Int dropped);
+             ("decisions", Json.Int decisions);
+             ("critical_path", Json.Int critical_path);
+           ]
+          @ List.map (fun (k, v) -> (k, Json.String v)) meta) );
     ]
+
+let to_chrome ?meta t =
+  let complete (s : span) =
+    {
+      tid = s.pid;
+      ts = s.step;
+      dur = 1;
+      name = span_name s;
+      args =
+        [
+          ("kind", Json.String (Op.kind_name s.info.Op.kind));
+          ("instance", Json.String (instance_name s.info));
+        ]
+        @ if s.corrupted then [ ("corrupted", Json.Bool true) ] else [];
+      cname = (if s.corrupted then Some "terrible" else None);
+    }
+  in
+  chrome
+    ~lanes:(List.init t.nprocs (Printf.sprintf "p%d"))
+    ~instants:t.instants ~dropped:t.dropped ~decisions:t.decisions
+    ~critical_path:(causality t).critical_path ?meta
+    (List.map complete t.spans)
 
 (* ------------------------------------------------------------------ *)
 (* Text and CSV                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let rows t ~span ~instant =
+  List.map (fun (s : span) -> (s.step, s.pid, span s)) t.spans
+  @ List.map (fun (i : instant) -> (i.step, i.pid, instant i)) t.instants
+  |> List.sort compare
+
 let to_text t =
   let b = Buffer.create 4096 in
   if t.dropped > 0 then
-    Buffer.add_string b
-      (Printf.sprintf
-         "WARNING: trace truncated — %d earlier events dropped; timeline is \
-          partial\n"
-         t.dropped);
-  Buffer.add_string b
-    (Printf.sprintf "timeline: %d processes, %d spans, %d fault instants\n"
-       t.nprocs (List.length t.spans)
-       (List.length t.instants));
-  let cells =
-    List.map
-      (fun (s : span) ->
-        ( s.step,
-          s.pid,
-          Printf.sprintf "%s%s" (span_name s)
-            (if s.corrupted then " [BYZ]" else "") ))
-      t.spans
-    @ List.map
-        (fun (i : instant) ->
-          (i.step, i.pid, Printf.sprintf "** %s **" (fault_name i.fault)))
-        t.instants
-    |> List.sort compare
-  in
+    Printf.bprintf b
+      "WARNING: trace truncated — %d earlier events dropped; timeline is \
+       partial\n"
+      t.dropped;
+  Printf.bprintf b "timeline: %d processes, %d spans, %d fault instants\n"
+    t.nprocs (List.length t.spans) (List.length t.instants);
   List.iter
-    (fun (step, pid, label) ->
-      Buffer.add_string b (Printf.sprintf "%6d  p%-3d %s\n" step pid label))
-    cells;
+    (fun (step, pid, label) -> Printf.bprintf b "%6d  p%-3d %s\n" step pid label)
+    (rows t
+       ~span:(fun s ->
+         span_name s ^ if s.corrupted then " [BYZ]" else "")
+       ~instant:(fun i -> Printf.sprintf "** %s **" (fault_name i.fault)));
   let c = causality t in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\ncausality: %d spans, critical path %d steps, parallelism %.2fx\n"
-       c.span_count c.critical_path c.parallelism);
+  Printf.bprintf b
+    "\ncausality: %d spans, critical path %d steps, parallelism %.2fx\n"
+    c.span_count c.critical_path c.parallelism;
   Buffer.add_string b "hottest instances (accesses, distinct pids, critical):\n";
   List.iter
     (fun h ->
-      Buffer.add_string b
-        (Printf.sprintf "  %-28s %6d %4d %6d\n" h.instance h.accesses
-           h.distinct_pids h.on_critical_path))
+      Printf.bprintf b "  %-28s %6d %4d %6d\n" h.instance h.accesses
+        h.distinct_pids h.on_critical_path)
     c.hot;
   Buffer.contents b
 
@@ -424,28 +288,18 @@ let csv_escape s =
 let to_csv t =
   let b = Buffer.create 4096 in
   if t.dropped > 0 then
-    Buffer.add_string b
-      (Printf.sprintf "# truncated: %d earlier events dropped\n" t.dropped);
+    Printf.bprintf b "# truncated: %d earlier events dropped\n" t.dropped;
   Buffer.add_string b "step,pid,event,kind,instance,corrupted\n";
-  let rows =
-    List.map
-      (fun (s : span) ->
-        ( s.step,
-          s.pid,
-          Printf.sprintf "%d,%d,op,%s,%s,%b" s.step s.pid
-            (csv_escape (Op.kind_name s.info.Op.kind))
-            (csv_escape (instance_name s.info))
-            s.corrupted ))
-      t.spans
-    @ List.map
-        (fun (i : instant) ->
-          ( i.step,
-            i.pid,
-            Printf.sprintf "%d,%d,%s,,," i.step i.pid (fault_name i.fault) ))
-        t.instants
-    |> List.sort compare
-  in
-  List.iter (fun (_, _, row) -> Buffer.add_string b (row ^ "\n")) rows;
+  List.iter
+    (fun (_, _, row) -> Printf.bprintf b "%s\n" row)
+    (rows t
+       ~span:(fun s ->
+         Printf.sprintf "%d,%d,op,%s,%s,%b" s.step s.pid
+           (csv_escape (Op.kind_name s.info.Op.kind))
+           (csv_escape (instance_name s.info))
+           s.corrupted)
+       ~instant:(fun i ->
+         Printf.sprintf "%d,%d,%s,,," i.step i.pid (fault_name i.fault)));
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -461,52 +315,35 @@ type chrome_summary = {
 }
 
 let validate_chrome json =
-  let ( let* ) r f = Result.bind r f in
-  let require what = function
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing %s" what)
+  let ( let* ) = Result.bind in
+  let get what conv key j =
+    Option.to_result ~none:("missing " ^ what)
+      (Option.bind (Json.member key j) conv)
   in
-  let* events =
-    require "traceEvents array"
-      (Option.bind (Json.member "traceEvents" json) Json.to_list)
-  in
+  let* events = get "traceEvents array" Json.to_list "traceEvents" json in
   let spans : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let live : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let instants = ref 0 in
-  let* () =
+  let faulted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let* instants =
     List.fold_left
       (fun acc ev ->
-        let* () = acc in
-        let* ph =
-          require "event ph" (Option.bind (Json.member "ph" ev) Json.to_str)
-        in
-        let* tid =
-          require "event tid" (Option.bind (Json.member "tid" ev) Json.to_int)
-        in
-        let* _name =
-          require "event name" (Option.bind (Json.member "name" ev) Json.to_str)
-        in
+        let* instants = acc in
+        let* ph = get "event ph" Json.to_str "ph" ev in
+        let* tid = get "event tid" Json.to_int "tid" ev in
+        let* _name = get "event name" Json.to_str "name" ev in
         match ph with
         | "X" ->
-            let* _ts =
-              require "span ts" (Option.bind (Json.member "ts" ev) Json.to_int)
-            in
-            let* _dur =
-              require "span dur"
-                (Option.bind (Json.member "dur" ev) Json.to_int)
-            in
+            let* _ts = get "span ts" Json.to_int "ts" ev in
+            let* _dur = get "span dur" Json.to_int "dur" ev in
             Hashtbl.replace spans tid
               (1 + Option.value ~default:0 (Hashtbl.find_opt spans tid));
-            Hashtbl.replace live tid ();
-            Ok ()
+            Ok instants
         | "i" ->
-            Stdlib.incr instants;
             (* A faulted pid is not live: it need not have spans. *)
-            Hashtbl.remove live tid;
-            Ok ()
-        | "M" -> Ok ()
+            Hashtbl.replace faulted tid ();
+            Ok (instants + 1)
+        | "M" -> Ok instants
         | ph -> Error (Printf.sprintf "unknown event phase %S" ph))
-      (Ok ()) events
+      (Ok 0) events
   in
   let other k =
     Option.value ~default:0
@@ -518,48 +355,27 @@ let validate_chrome json =
   let recorded_faults = other "fault_instants" in
   let dropped = other "dropped_events" in
   let* () =
-    if recorded_faults <> !instants then
+    if recorded_faults <> instants then
       Error
         (Printf.sprintf "otherData says %d fault instants, found %d"
-           recorded_faults !instants)
+           recorded_faults instants)
     else Ok ()
   in
   (* Every live pid — declared by metadata, never marked faulted — must
      have at least one span, unless the trace admits truncation. *)
-  let* () =
-    if dropped > 0 then Ok ()
+  let missing =
+    if dropped > 0 then []
     else
-      let missing = ref [] in
-      for pid = nprocs - 1 downto 0 do
-        if Hashtbl.mem live pid && not (Hashtbl.mem spans pid) then
-          missing := pid :: !missing
-      done;
-      (* [live] only contains pids with spans, so this can only trip for
-         metadata-declared pids: re-derive liveness from metadata. *)
-      let faulted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun ev ->
-          match Option.bind (Json.member "ph" ev) Json.to_str with
-          | Some "i" -> (
-              match Option.bind (Json.member "tid" ev) Json.to_int with
-              | Some tid -> Hashtbl.replace faulted tid ()
-              | None -> ())
-          | _ -> ())
-        events;
-      for pid = nprocs - 1 downto 0 do
-        if
-          (not (Hashtbl.mem faulted pid))
-          && (not (Hashtbl.mem spans pid))
-          && not (List.mem pid !missing)
-        then missing := pid :: !missing
-      done;
-      match !missing with
-      | [] -> Ok ()
-      | pids ->
-          Error
-            (Printf.sprintf "live pid(s) without any span: %s"
-               (String.concat ","
-                  (List.map (Printf.sprintf "p%d") (List.sort compare pids))))
+      List.init (max 0 nprocs) Fun.id
+      |> List.filter (fun pid ->
+             not (Hashtbl.mem faulted pid || Hashtbl.mem spans pid))
+  in
+  let* () =
+    if missing = [] then Ok ()
+    else
+      Error
+        (Printf.sprintf "live pid(s) without any span: %s"
+           (String.concat "," (List.map (Printf.sprintf "p%d") missing)))
   in
   Ok
     {
@@ -567,7 +383,7 @@ let validate_chrome json =
       spans_per_pid =
         Hashtbl.fold (fun tid n acc -> (tid, n) :: acc) spans []
         |> List.sort compare;
-      instants = !instants;
+      instants;
       recorded_faults;
       dropped;
     }

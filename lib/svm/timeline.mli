@@ -35,11 +35,7 @@ val of_trace : ?nprocs:int -> Trace.t -> t
     decision log (never truncated); [nprocs] overrides the inferred
     process count (max pid + 1) when the run has silent processes. *)
 
-val pids : t -> int list
-(** Distinct pids with at least one span or instant, sorted. *)
-
 val fault_name : fault -> string
-val instance_name : Op.info -> string
 
 (** {1 Causality} *)
 
@@ -61,15 +57,42 @@ type causality = {
 val causality : ?top:int -> t -> causality
 (** [top] bounds the hottest-instances list (default 8). *)
 
+val longest_chain :
+  lane:('a -> 'l) -> chain:('a -> 'c) -> cost:('a -> int) -> 'a list ->
+  int * (int * int) list
+(** The happens-before DP behind every critical path. Items are taken in
+    order; an item's depth is its [cost] plus the deeper of the last
+    item on its [lane] (program order) and the last on its [chain]
+    (access order). Returns the deepest depth and, per item, the depths
+    of its lane and chain predecessors (0 when it has none). *)
+
 (** {1 Exports} *)
 
+type complete = {
+  tid : int;  (** lane *)
+  ts : int;
+  dur : int;
+  name : string;
+  args : (string * Json.t) list;
+  cname : string option;  (** colour name, e.g. ["terrible"] *)
+}
+(** One ["X"] complete event of a Chrome trace. *)
+
+val chrome :
+  lanes:string list -> ?instants:instant list -> ?dropped:int ->
+  ?decisions:int -> critical_path:int -> ?meta:(string * string) list ->
+  complete list -> Json.t
+(** The Chrome [trace_event] document (load in chrome://tracing or
+    Perfetto): thread-name metadata naming lane [i] after the [i]th of
+    [lanes], the complete events in the given order, one ["i"] instant
+    per fault. [otherData] carries the lane, span and instant counts,
+    [dropped] (default 0), [decisions] (default 0), [critical_path] and
+    any extra [meta] strings — a truncated trace is thereby
+    {e annotated}, never silently completed. *)
+
 val to_chrome : ?meta:(string * string) list -> t -> Json.t
-(** Chrome [trace_event] JSON (load in chrome://tracing or Perfetto):
-    thread-name metadata for all [nprocs] tracks, one ["X"] complete
-    event per span ([ts] = step, [dur] = 1), one ["i"] instant per
-    fault. [otherData] carries span/instant/dropped counts, the
-    critical-path length and any extra [meta] strings — a truncated
-    trace is thereby {e annotated}, never silently completed. *)
+(** {!chrome} over all [nprocs] tracks: one event per span ([ts] =
+    step, [dur] = 1), corrupted spans shaded ["terrible"]. *)
 
 val to_text : t -> string
 (** Human timeline plus the causality summary and hottest-instances
@@ -78,36 +101,6 @@ val to_text : t -> string
 val to_csv : t -> string
 (** [step,pid,event,kind,instance,corrupted] rows; truncation becomes a
     leading comment line. *)
-
-(** {1 Cross-process spans}
-
-    Every process of a fleet run (queue, workers, submitting client)
-    can stamp wall-clock spans tagged with a job fingerprint digest and
-    shard index; {!merge_processes} fuses any number of such logs into
-    one Chrome trace with one lane per OS process. Correlation is by
-    (job, shard): the life of a shard — admit → dispatch → receive →
-    execute → reply → merge — chains across lanes, which is what lets
-    the critical path extend across the wire. *)
-
-type pspan = {
-  ps_proc : string;  (** OS-process label, e.g. ["serve"], ["worker-1"] *)
-  ps_phase : string;  (** [admit|dispatch|receive|execute|reply|merge] *)
-  ps_job : string;  (** job fingerprint digest *)
-  ps_shard : int;  (** shard index; [-1] for job-level spans *)
-  ps_ts : int;  (** wall-clock µs *)
-  ps_dur : int;  (** µs; clamped to at least 1 on export *)
-}
-
-val pspan_to_json : pspan -> Json.t
-val pspan_of_json : Json.t -> (pspan, string) result
-
-val merge_processes : pspan list -> Json.t
-(** A Chrome trace over all given spans: one [tid] lane per distinct
-    [ps_proc] (in first-appearance order), timestamps normalized to the
-    earliest span, and [otherData.critical_path] the heaviest
-    happens-before chain in µs (lane order ∪ shard-correlation order).
-    The output passes {!validate_chrome}: every declared lane has a
-    span, and there are no fault instants. *)
 
 (** {1 Validation} *)
 

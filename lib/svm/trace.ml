@@ -82,8 +82,6 @@ let decision_token = function
   | Restart p -> "R" ^ string_of_int p
   | Byz p -> "B" ^ string_of_int p
 
-let pp_decision ppf d = Format.pp_print_string ppf (decision_token d)
-
 let decision_of_token s =
   let num s =
     match int_of_string_opt s with

@@ -76,5 +76,3 @@ val parse_replay :
     with the line number. Rejects unknown lines, bad tokens, and
     truncated artifacts (missing or mismatching [end] trailer).
     Version-1 artifacts (no trailer) are still accepted. *)
-
-val pp_decision : Format.formatter -> decision -> unit

@@ -136,13 +136,3 @@ let rmw_register =
     pp_op;
     pp_res = (fun ppf r -> Format.fprintf ppf "%a" (Fmt.Dump.option Fmt.int) r);
   }
-
-let run_sequential spec ops =
-  let _, rev =
-    List.fold_left
-      (fun (s, acc) op ->
-        let s, r = spec.apply s op in
-        (s, r :: acc))
-      (spec.init, []) ops
-  in
-  List.rev rev

@@ -33,6 +33,3 @@ val counter : (int, counter_op, int) t
 val rmw_register : (int option, rmw_op, int option) t
 (** [Compare_and_swap (e, d)] returns the previous content and installs
     [d] if the content was [Some e]; [Read]/[Write] as usual. *)
-
-val run_sequential : ('s, 'op, 'res) t -> 'op list -> 'res list
-(** Reference execution, for differential tests. *)

@@ -1,6 +1,6 @@
 (* Unit tests for the crash-plan machinery: exactly when each
    [Adversary.crash_spec] fires, and how the specs interact when layered
-   — driving [Adversary.crash_now] directly, outside any run. *)
+   — driving [Adversary.fault_now] directly, outside any run. *)
 
 open Svm
 
@@ -8,7 +8,8 @@ let snap_info : Op.info = { Op.kind = Op.Snapshot; fam = "MEM"; key = [] }
 let cons_info : Op.info = { Op.kind = Op.Consensus; fam = "CONS"; key = [ 0 ] }
 
 let ask adv ~pid ~local_step ~global_step ~next =
-  Adversary.crash_now adv ~pid ~local_step ~global_step ~next
+  Adversary.fault_now adv ~pid ~local_step ~global_step ~next
+  = Some Adversary.Crash_stop
 
 (* Crash_at_local fires exactly at the given local step, not before, not
    after (a process that survived its k-th op keeps running). *)

@@ -207,6 +207,25 @@ let submit_sweep ?resume cfg s port =
 (* gatekeeping                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The handshake fingerprint sees each builtin's shape, not only its
+   name: one changed default depth is a different registry. *)
+let fingerprint_sees_scenario_shape () =
+  let module H = Experiments.Harness in
+  let module S = Experiments.Scenario in
+  let builtins = S.all () in
+  let deeper =
+    List.mapi
+      (fun i (s : S.t) ->
+        if i = 0 then { s with explore_steps = s.explore_steps + 1 } else s)
+      builtins
+  in
+  Alcotest.(check string)
+    "registry digests the builtins" (H.scenarios_fingerprint builtins)
+    (fingerprint ());
+  Alcotest.(check bool)
+    "one explore_steps changes the digest" false
+    (H.scenarios_fingerprint builtins = H.scenarios_fingerprint deeper)
+
 let reject_fingerprint_skew () =
   let dir = fresh_dir () in
   let srv, port = start_server ~dir () in
@@ -965,6 +984,8 @@ let suite =
   [
     ( "net",
       [
+        Alcotest.test_case "fingerprint sees scenario shape" `Quick
+          fingerprint_sees_scenario_shape;
         Tmpdir.test_case "fingerprint skew is rejected, typed" `Quick
           reject_fingerprint_skew;
         Tmpdir.test_case "v2 codec: stats and metrics-bearing pong" `Quick

@@ -1,5 +1,6 @@
 (* Timelines (Svm.Timeline): trace -> spans/instants, the causality
-   pass, the Chrome export and its validator, and truncation honesty.
+   pass, the Chrome export and its validator, and truncation honesty;
+   and the fleet span format (Dist.Span) that shares the Chrome writer.
 
    Uses a real recorded run (safe agreement under an injected crash) so
    the decision log and event list correlate exactly as in production,
@@ -54,7 +55,49 @@ let test_of_trace () =
         (Timeline.fault_name i.Timeline.fault)
   | l -> Alcotest.failf "expected 1 instant, got %d" (List.length l));
   Alcotest.(check (list int)) "pids cover the run" [ 0; 1; 2 ]
-    (Timeline.pids tl)
+    (List.sort_uniq compare
+       (List.map (fun (s : Timeline.span) -> s.pid) tl.Timeline.spans
+       @ List.map (fun (i : Timeline.instant) -> i.pid) tl.Timeline.instants))
+
+let truncated_trace () =
+  (* A tiny event buffer: the run outgrows it, so earlier events drop
+     while the decision log stays complete. *)
+  let t = Trace.create ~limit:4 () in
+  let info = Some { Op.kind = Op.Register; fam = "R"; key = [] } in
+  for step = 0 to 9 do
+    Trace.record_decision t (Trace.Sched (step mod 2));
+    Trace.add t { Trace.step; pid = step mod 2; info }
+  done;
+  t
+
+(* Every export of a run with a crash, a Byzantine pid and a truncated
+   trace, byte for byte: fault instants, corrupted shading and the
+   truncation notes are all pinned. *)
+let test_exports_golden () =
+  let env, progs = sa_make () in
+  let adversary =
+    Adversary.with_faults
+      (Adversary.round_robin ())
+      [
+        {
+          Adversary.kind = Adversary.Crash_stop;
+          trigger = Adversary.Crash_at_local { pid = 1; step = 0 };
+        };
+        {
+          Adversary.kind = Adversary.Byzantine;
+          trigger = Adversary.Crash_at_local { pid = 2; step = 1 };
+        };
+      ]
+  in
+  let r = Exec.run ~budget:200 ~record_trace:true ~env ~adversary progs in
+  let exports tl =
+    Timeline.to_text tl ^ Timeline.to_csv tl
+    ^ Json.to_string ~pretty:true (Timeline.to_chrome ~meta:[ ("k", "v") ] tl)
+    ^ "\n"
+  in
+  Test_cli_surface.check_golden "timeline.exports"
+    (exports (Timeline.of_trace ~nprocs:3 (Option.get r.Exec.trace))
+    ^ exports (Timeline.of_trace ~nprocs:2 (truncated_trace ())))
 
 let test_causality () =
   let _, trace = crashed_run () in
@@ -184,17 +227,6 @@ let test_validator_table () =
 (* Truncation honesty                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let truncated_trace () =
-  (* A tiny event buffer: the run outgrows it, so earlier events drop
-     while the decision log stays complete. *)
-  let t = Trace.create ~limit:4 () in
-  let info = Some { Op.kind = Op.Register; fam = "R"; key = [] } in
-  for step = 0 to 9 do
-    Trace.record_decision t (Trace.Sched (step mod 2));
-    Trace.add t { Trace.step; pid = step mod 2; info }
-  done;
-  t
-
 let test_truncated_timeline () =
   let t = truncated_trace () in
   Alcotest.(check bool) "trace reports drops" true (Trace.dropped t > 0);
@@ -225,12 +257,12 @@ let test_trace_pp_truncation () =
     (String.length s > 0 && String.sub s 0 1 = "[")
 
 (* ------------------------------------------------------------------ *)
-(* Cross-process span merging                                           *)
+(* Cross-process span merging (Dist.Span)                               *)
 (* ------------------------------------------------------------------ *)
 
 let pspan proc phase job shard ts dur =
   {
-    Timeline.ps_proc = proc;
+    Dist.Span.ps_proc = proc;
     ps_phase = phase;
     ps_job = job;
     ps_shard = shard;
@@ -252,17 +284,33 @@ let fleet_spans () =
     pspan "client:4" "collect" "job-a" 0 1440 2;
   ]
 
-let test_pspan_json_roundtrip () =
-  let p = pspan "worker:9" "execute" "deadbeef" 3 123456 789 in
-  (match Timeline.pspan_of_json (Timeline.pspan_to_json p) with
-  | Ok p' -> Alcotest.(check bool) "round-trips" true (p = p')
-  | Error e -> Alcotest.failf "pspan rejected its own JSON: %s" e);
-  match Timeline.pspan_of_json (Json.Obj [ ("proc", Json.String "x") ]) with
-  | Ok _ -> Alcotest.fail "incomplete span accepted"
-  | Error _ -> ()
+(* A span file round-trips through emit/load_file; a record missing a
+   field and a torn tail line are skipped and counted. *)
+let test_span_file_roundtrip () =
+  let file = Filename.temp_file "asmsim-spans" ".jsonl" in
+  let start_us = Dist.Span.now_us () in
+  Out_channel.with_open_bin file (fun oc ->
+      let rec_ = Some (Dist.Span.create ~proc:"worker:9" ~oc) in
+      Dist.Span.emit rec_ ~phase:"execute" ~job:"deadbeef" ~shard:3 ~start_us;
+      output_string oc "{\"proc\":\"x\"}\n{\"proc\":\"wor");
+  let loaded = Dist.Span.load_file file in
+  Sys.remove file;
+  match loaded with
+  | Ok ([ p ], 2) ->
+      Alcotest.(check (list string))
+        "fields round-trip"
+        [ "worker:9"; "execute"; "deadbeef"; "3"; string_of_int start_us ]
+        [
+          p.ps_proc; p.ps_phase; p.ps_job; string_of_int p.ps_shard;
+          string_of_int p.ps_ts;
+        ];
+      Alcotest.(check bool) "duration clamped to >= 1" true (p.ps_dur >= 1)
+  | Ok (l, skipped) ->
+      Alcotest.failf "loaded %d span(s), skipped %d" (List.length l) skipped
+  | Error e -> Alcotest.failf "span file unreadable: %s" e
 
-let test_merge_processes_lanes_and_validation () =
-  let trace = Timeline.merge_processes (fleet_spans ()) in
+let test_span_merge_lanes_and_validation () =
+  let trace = Dist.Span.merge (fleet_spans ()) in
   (* One lane per OS process, and the result must satisfy the same
      validator CI runs on single-process exports. *)
   (match Timeline.validate_chrome trace with
@@ -282,8 +330,8 @@ let test_merge_processes_lanes_and_validation () =
     (Some "serve:1,worker:2,worker:3,client:4")
     (Option.bind (other "processes") Json.to_str)
 
-let test_merge_processes_critical_path () =
-  let trace = Timeline.merge_processes (fleet_spans ()) in
+let test_span_merge_critical_path () =
+  let trace = Dist.Span.merge (fleet_spans ()) in
   let cp =
     Option.value ~default:0
       (Option.bind
@@ -300,13 +348,13 @@ let test_merge_processes_critical_path () =
   Alcotest.(check int) "critical path chains across the wire" 417 cp
 
 (* The merged document's bytes, as `asmsim trace-merge' writes them. *)
-let test_merge_processes_golden () =
+let test_span_merge_golden () =
   Test_cli_surface.check_golden "trace-merge.fleet"
-    (Json.to_string ~pretty:true (Timeline.merge_processes (fleet_spans ()))
+    (Json.to_string ~pretty:true (Dist.Span.merge (fleet_spans ()))
     ^ "\n")
 
-let test_merge_processes_empty () =
-  let trace = Timeline.merge_processes [] in
+let test_span_merge_empty () =
+  let trace = Dist.Span.merge [] in
   match Timeline.validate_chrome trace with
   | Error e -> Alcotest.failf "empty merge fails validation: %s" e
   | Ok s -> Alcotest.(check int) "no events" 0 s.Timeline.events
@@ -316,6 +364,8 @@ let suite =
     ( "timeline",
       [
         Alcotest.test_case "trace -> spans + instants" `Quick test_of_trace;
+        Alcotest.test_case "exports of a faulted run, golden" `Quick
+          test_exports_golden;
         Alcotest.test_case "causality: critical path and hot instances"
           `Quick test_causality;
         Alcotest.test_case "chrome export round-trips the validator" `Quick
@@ -328,15 +378,15 @@ let suite =
           test_truncated_timeline;
         Alcotest.test_case "Trace.pp announces truncation" `Quick
           test_trace_pp_truncation;
-        Alcotest.test_case "pspan JSON round-trip" `Quick
-          test_pspan_json_roundtrip;
-        Alcotest.test_case "merge_processes: lanes + validator" `Quick
-          test_merge_processes_lanes_and_validation;
-        Alcotest.test_case "merge_processes: cross-process critical path"
-          `Quick test_merge_processes_critical_path;
-        Alcotest.test_case "merge_processes: golden bytes" `Quick
-          test_merge_processes_golden;
-        Alcotest.test_case "merge_processes: empty input" `Quick
-          test_merge_processes_empty;
+        Alcotest.test_case "Span: emit/load_file round-trip" `Quick
+          test_span_file_roundtrip;
+        Alcotest.test_case "Span.merge: lanes + validator" `Quick
+          test_span_merge_lanes_and_validation;
+        Alcotest.test_case "Span.merge: cross-process critical path"
+          `Quick test_span_merge_critical_path;
+        Alcotest.test_case "Span.merge: golden bytes" `Quick
+          test_span_merge_golden;
+        Alcotest.test_case "Span.merge: empty input" `Quick
+          test_span_merge_empty;
       ] );
   ]
