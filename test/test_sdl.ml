@@ -377,6 +377,249 @@ let registration_shadows () =
       if not (contains ~needle:"valid nprocs" m) then
         Alcotest.failf "resize error %S does not name the range" m
 
+(* ------------------------------------------------------------------ *)
+(* The builtin registry pinned: every builtin's metadata and monitor
+   names, the network fingerprint that folds them, and every explorable
+   builtin's verdicts — exhaustive property and online monitors — on
+   crafted runs. Generated from the registry before its builtins became
+   one table; a DSL twin must land on the same lines as its builtin. *)
+
+module Sc = Experiments.Scenario
+
+let registry_line s =
+  Printf.sprintf "%s n=%d x=%d depth=%d explorable=%b seeded=%b monitors=%s"
+    s.Sc.name s.Sc.nprocs s.Sc.x s.Sc.explore_steps s.Sc.explorable
+    s.Sc.seeded_bug
+    (String.concat "; " (List.map Svm.Monitor.name (s.Sc.monitors ())))
+
+let registry_expected =
+  {|safe_agreement n=3 x=1 depth=12 explorable=true seeded=false monitors=agreement; decided-value-integrity
+safe_agreement_no_cancel n=2 x=1 depth=10 explorable=true seeded=true monitors=agreement; decided-value-integrity
+x_safe_agreement n=4 x=2 depth=10 explorable=true seeded=false monitors=agreement; decided-value-integrity
+x_safe_agreement_first_subset n=4 x=2 depth=10 explorable=true seeded=true monitors=agreement; decided-value-integrity
+x_safe_agreement_abortable n=4 x=2 depth=10 explorable=true seeded=false monitors=agreement-except(999); decided-value-integrity
+bg_sec3 n=4 x=1 depth=0 explorable=false seeded=false monitors=2-agreement; decided-value-integrity; stall-bound(SA<=1); stall-bound(XSA:<=1)
+bg_sec4 n=3 x=2 depth=0 explorable=false seeded=false monitors=2-agreement; decided-value-integrity; stall-bound(SA<=1); stall-bound(XSA:<=1)
+ts_from_cons n=3 x=2 depth=12 explorable=true seeded=false monitors=winners(<=1)
+x_compete n=4 x=2 depth=20 explorable=true seeded=false monitors=winners(<=2)
+fingerprint v6:16f292b9|}
+
+let registry_golden () =
+  let lines = List.map registry_line (Sc.all ()) in
+  Alcotest.(check string)
+    "registry" registry_expected
+    (String.concat "\n"
+       (lines @ [ "fingerprint " ^ Experiments.Harness.registry_fingerprint () ]));
+  (* the declared size and arity are the ones the built system runs at *)
+  List.iter
+    (fun s ->
+      let env, progs = s.Sc.make () in
+      Alcotest.(check int) (s.Sc.name ^ " nprocs") s.Sc.nprocs
+        (Array.length progs);
+      Alcotest.(check int) (s.Sc.name ^ " env nprocs") s.Sc.nprocs
+        (Svm.Env.nprocs env);
+      Alcotest.(check int) (s.Sc.name ^ " x") s.Sc.x (Svm.Env.x env))
+    (Sc.all ())
+
+let decided_int v = Svm.Exec.Decided (Svm.Codec.int.Svm.Codec.inj v)
+let decided_bool b = Svm.Exec.Decided (Svm.Codec.bool.Svm.Codec.inj b)
+
+let crafted_runs =
+  let ints = List.map decided_int and bools = List.map decided_bool in
+  [
+    ("no decision", [ Svm.Exec.Crashed; Svm.Exec.Blocked; Svm.Exec.Stuck ]);
+    ("agree 0", ints [ 0; 0; 0 ]);
+    ("agree 10", ints [ 10; 10 ] @ [ Svm.Exec.Crashed ]);
+    ("split 0/1", ints [ 0; 1 ]);
+    ("split 10/11", ints [ 10; 11; 10 ]);
+    ("three 10/11/12", ints [ 10; 11; 12 ]);
+    ("out of range", ints [ 5000 ]);
+    ("agree, one out of range", ints [ 10; 10; 5000 ]);
+    ("sentinel only", ints [ 999; 999 ]);
+    ("sentinel + agree", ints [ 999; 10; 10 ]);
+    ("sentinel + split", ints [ 999; 10; 11 ]);
+    ("0 won", bools [ false; false; false ]);
+    ("1 won", bools [ true; false ]);
+    ("2 won", bools [ true; true; false ]);
+    ("3 won", bools [ true; true; true ]);
+  ]
+
+let show_check f =
+  match f () with
+  | Ok () -> "ok"
+  | Error m -> m
+  | exception e -> "raises " ^ Printexc.to_string e
+
+(* The property on the run record, then the monitors fed the run's
+   decisions and crashes in pid order (the first veto wins). *)
+let verdict_line s (label, outcomes) =
+  let run =
+    {
+      Svm.Explore.outcomes = Array.of_list outcomes;
+      crashed = [];
+      truncated = false;
+      schedule = "";
+    }
+  in
+  let property = show_check (fun () -> s.Sc.exhaustive_property run) in
+  let monitors = s.Sc.monitors () in
+  let feed ev =
+    List.fold_left
+      (fun acc m ->
+        match acc with
+        | Error _ -> acc
+        | Ok () -> (
+            match Svm.Monitor.check m ev with
+            | Ok () -> Ok ()
+            | Error msg -> Error (Svm.Monitor.name m ^ ": " ^ msg)))
+      (Ok ()) monitors
+  in
+  let online =
+    show_check (fun () ->
+        List.fold_left
+          (fun acc (pid, o) ->
+            match acc with
+            | Error _ -> acc
+            | Ok () -> (
+                match o with
+                | Svm.Exec.Decided value ->
+                    feed (Svm.Monitor.Decided { pid; step = pid; value })
+                | Svm.Exec.Crashed ->
+                    feed (Svm.Monitor.Crashed { pid; step = pid })
+                | Svm.Exec.Blocked | Svm.Exec.Stuck -> Ok ()))
+          (Ok ())
+          (List.mapi (fun pid o -> (pid, o)) outcomes))
+  in
+  Printf.sprintf "%s | %s | %s | %s" s.Sc.name label property online
+
+let verdict_lines s = List.map (verdict_line s) crafted_runs
+
+let verdicts_expected =
+  {|safe_agreement | no decision | ok | ok
+safe_agreement | agree 0 | ok | ok
+safe_agreement | agree 10 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 10, not a permitted value (Byzantine writers: none)
+safe_agreement | split 0/1 | agreement: two distinct values decided | agreement: p1 decided 1 but p0 decided 0
+safe_agreement | split 10/11 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 10, not a permitted value (Byzantine writers: none)
+safe_agreement | three 10/11/12 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 10, not a permitted value (Byzantine writers: none)
+safe_agreement | out of range | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 5000, not a permitted value (Byzantine writers: none)
+safe_agreement | agree, one out of range | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 10, not a permitted value (Byzantine writers: none)
+safe_agreement | sentinel only | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
+safe_agreement | sentinel + agree | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
+safe_agreement | sentinel + split | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
+safe_agreement | 0 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement | 1 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement | 2 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement | 3 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | no decision | ok | ok
+safe_agreement_no_cancel | agree 0 | ok | ok
+safe_agreement_no_cancel | agree 10 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 10, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | split 0/1 | agreement: two distinct values decided | agreement: p1 decided 1 but p0 decided 0
+safe_agreement_no_cancel | split 10/11 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 10, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | three 10/11/12 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 10, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | out of range | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 5000, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | agree, one out of range | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 10, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | sentinel only | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | sentinel + agree | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | sentinel + split | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | 0 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | 1 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | 2 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | 3 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement | no decision | ok | ok
+x_safe_agreement | agree 0 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 0, not a permitted value (Byzantine writers: none)
+x_safe_agreement | agree 10 | ok | ok
+x_safe_agreement | split 0/1 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 0, not a permitted value (Byzantine writers: none)
+x_safe_agreement | split 10/11 | agreement: two distinct values decided | agreement: p1 decided 11 but p0 decided 10
+x_safe_agreement | three 10/11/12 | agreement: two distinct values decided | agreement: p1 decided 11 but p0 decided 10
+x_safe_agreement | out of range | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 5000, not a permitted value (Byzantine writers: none)
+x_safe_agreement | agree, one out of range | validity: decided value outside the proposed range | agreement: p2 decided 5000 but p0 decided 10
+x_safe_agreement | sentinel only | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
+x_safe_agreement | sentinel + agree | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
+x_safe_agreement | sentinel + split | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
+x_safe_agreement | 0 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement | 1 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement | 2 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement | 3 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | no decision | ok | ok
+x_safe_agreement_first_subset | agree 0 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 0, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | agree 10 | ok | ok
+x_safe_agreement_first_subset | split 0/1 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 0, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | split 10/11 | agreement: two distinct values decided | agreement: p1 decided 11 but p0 decided 10
+x_safe_agreement_first_subset | three 10/11/12 | agreement: two distinct values decided | agreement: p1 decided 11 but p0 decided 10
+x_safe_agreement_first_subset | out of range | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 5000, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | agree, one out of range | validity: decided value outside the proposed range | agreement: p2 decided 5000 but p0 decided 10
+x_safe_agreement_first_subset | sentinel only | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | sentinel + agree | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | sentinel + split | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | 0 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | 1 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | 2 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | 3 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_abortable | no decision | ok | ok
+x_safe_agreement_abortable | agree 0 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 0, not a permitted value (Byzantine writers: none)
+x_safe_agreement_abortable | agree 10 | ok | ok
+x_safe_agreement_abortable | split 0/1 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 0, not a permitted value (Byzantine writers: none)
+x_safe_agreement_abortable | split 10/11 | agreement: two distinct values decided | agreement-except(999): p1 decided 11 but p0 decided 10
+x_safe_agreement_abortable | three 10/11/12 | agreement: two distinct values decided | agreement-except(999): p1 decided 11 but p0 decided 10
+x_safe_agreement_abortable | out of range | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 5000, not a permitted value (Byzantine writers: none)
+x_safe_agreement_abortable | agree, one out of range | validity: decided value outside the proposed range | agreement-except(999): p2 decided 5000 but p0 decided 10
+x_safe_agreement_abortable | sentinel only | ok | ok
+x_safe_agreement_abortable | sentinel + agree | ok | ok
+x_safe_agreement_abortable | sentinel + split | agreement: two distinct values decided | agreement-except(999): p2 decided 11 but p1 decided 10
+x_safe_agreement_abortable | 0 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_abortable | 1 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_abortable | 2 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_abortable | 3 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+ts_from_cons | no decision | ok | ok
+ts_from_cons | agree 0 | ok | ok
+ts_from_cons | agree 10 | ok | ok
+ts_from_cons | split 0/1 | ok | ok
+ts_from_cons | split 10/11 | ok | ok
+ts_from_cons | three 10/11/12 | ok | ok
+ts_from_cons | out of range | ok | ok
+ts_from_cons | agree, one out of range | ok | ok
+ts_from_cons | sentinel only | ok | ok
+ts_from_cons | sentinel + agree | ok | ok
+ts_from_cons | sentinel + split | ok | ok
+ts_from_cons | 0 won | ok | ok
+ts_from_cons | 1 won | ok | ok
+ts_from_cons | 2 won | 2 processes won (bound 1) | winners(<=1): 2 processes won (bound 1)
+ts_from_cons | 3 won | 3 processes won (bound 1) | winners(<=1): 2 processes won (bound 1)
+x_compete | no decision | ok | ok
+x_compete | agree 0 | ok | ok
+x_compete | agree 10 | ok | ok
+x_compete | split 0/1 | ok | ok
+x_compete | split 10/11 | ok | ok
+x_compete | three 10/11/12 | ok | ok
+x_compete | out of range | ok | ok
+x_compete | agree, one out of range | ok | ok
+x_compete | sentinel only | ok | ok
+x_compete | sentinel + agree | ok | ok
+x_compete | sentinel + split | ok | ok
+x_compete | 0 won | ok | ok
+x_compete | 1 won | ok | ok
+x_compete | 2 won | ok | ok
+x_compete | 3 won | 3 processes won (bound 2) | winners(<=2): 3 processes won (bound 2)|}
+
+let verdict_table () =
+  Alcotest.(check string)
+    "verdicts" verdicts_expected
+    (String.concat "\n"
+       (List.concat_map verdict_lines
+          (List.filter (fun s -> s.Sc.explorable) (Sc.all ()))))
+
+(* Each shipped twin compiles to its builtin's metadata, monitor names
+   and verdicts. *)
+let twin_registry src_name () =
+  let dsl = ok_or_fail' (Sc.of_source (read_example src_name)) in
+  let builtin =
+    List.find (fun s -> s.Sc.name = dsl.Sc.name) (Sc.all ())
+  in
+  Alcotest.(check string) "registry line" (registry_line builtin)
+    (registry_line dsl);
+  Alcotest.(check (list string)) "verdicts" (verdict_lines builtin)
+    (verdict_lines dsl)
+
 let suite =
   [
     ( "sdl-parser",
@@ -406,6 +649,23 @@ let suite =
         Alcotest.test_case "x_safe_agreement_first_subset (seeded)" `Quick
           (check_twin "x_safe_agreement_first_subset.sdl"
              "x_safe_agreement_first_subset" ~expect_found:true);
+        Alcotest.test_case "twins land on their builtin's registry lines"
+          `Quick
+          (fun () ->
+            List.iter
+              (fun f -> twin_registry f ())
+              [
+                "x_safe_agreement.sdl";
+                "safe_agreement_no_cancel.sdl";
+                "x_safe_agreement_first_subset.sdl";
+              ]);
+      ] );
+    ( "scenario-registry",
+      [
+        Alcotest.test_case "builtins and fingerprint pinned" `Quick
+          registry_golden;
+        Alcotest.test_case "verdict table on crafted runs" `Quick
+          verdict_table;
       ] );
     ( "sdl-wire",
       [
