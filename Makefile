@@ -22,9 +22,11 @@
 #                        cross-process trace passes trace-check — while the
 #                        sweep stdout stays byte-identical to in-process
 #   make smoke-sdl     — the Scenario DSL: check/compile/fmt-fixpoint on the
-#                        shipped seeded-bug twin, local sweep byte-identical
-#                        to the builtin, then the same source submitted over
-#                        TCP — same bytes again; truncated source exits 2
+#                        shipped seeded-bug twin; every examples/*.sdl twin's
+#                        sweep (stdout + replay) and explore --crashes 1
+#                        byte-identical to its builtin's; the seeded-bug
+#                        source submitted over TCP — same bytes again;
+#                        truncated source exits 2
 #   make soak-heap     — 60s soak at --jobs 4 gated on Gc-measured heap
 #                        growth (the unbounded-memory detector)
 #   make explore-determinism — the explorer's stdout and metrics snapshot
@@ -188,11 +190,13 @@ smoke-net: build
 
 # The Scenario DSL front to back through the real CLI: the shipped twin
 # of a seeded-bug builtin must check, compile and reach a fmt fixpoint;
-# sweeping it locally must produce the byte-identical stdout and replay
-# artifact of the builtin; submitting the *source* over TCP to a
-# serve + worker pair must produce the same bytes again; and a
-# truncated source must bounce off `sdl check` with exit 2 and a
-# spanned error, before anything executes.
+# every shipped twin (examples/*.sdl, named after its builtin) must
+# sweep to the builtin's byte-identical stdout, exit code and replay
+# artifact, and explore (--crashes 1) to the identical stdout and exit
+# code; submitting the seeded-bug *source* over TCP to a serve + worker
+# pair must produce the same bytes again; and a truncated source must
+# bounce off `sdl check` with exit 2 and a spanned error, before
+# anything executes.
 smoke-sdl: build
 	rm -rf _build/sdlsmoke && mkdir -p _build/sdlsmoke
 	set -e; \
@@ -203,13 +207,27 @@ smoke-sdl: build
 	$$BIN sdl fmt $$SDL > $$D/fmt1.sdl; \
 	$$BIN sdl fmt $$D/fmt1.sdl > $$D/fmt2.sdl; \
 	diff $$D/fmt1.sdl $$D/fmt2.sdl; \
+	for TWIN in examples/*.sdl; do \
+	  NAME=$$(basename $$TWIN .sdl); T=$$D/$$NAME; mkdir -p $$T; \
+	  for SIDE in builtin twin; do \
+	    if [ $$SIDE = builtin ]; then SRC="--algo $$NAME"; \
+	    else SRC="--scenario-file $$TWIN"; fi; \
+	    code=0; timeout $(SMOKE_TIMEOUT) $$BIN sweep $$SRC \
+	      --out $$T/out.replay > $$T/sweep.$$SIDE || code=$$?; \
+	    test $$code -le 1; echo "exit $$code" >> $$T/sweep.$$SIDE; \
+	    if [ -e $$T/out.replay ]; then mv $$T/out.replay $$T/$$SIDE.replay; fi; \
+	    code=0; timeout $(SMOKE_TIMEOUT) $$BIN explore $$SRC --crashes 1 \
+	      > $$T/explore.$$SIDE || code=$$?; \
+	    test $$code -le 1; echo "exit $$code" >> $$T/explore.$$SIDE; \
+	  done; \
+	  diff $$T/sweep.builtin $$T/sweep.twin; \
+	  diff $$T/explore.builtin $$T/explore.twin; \
+	  if [ -e $$T/builtin.replay ]; then cmp $$T/builtin.replay $$T/twin.replay; \
+	  else test ! -e $$T/twin.replay; fi; \
+	done; \
 	timeout $(SMOKE_TIMEOUT) $$BIN sweep --algo x_safe_agreement_first_subset \
 	  --expect-violation --out $$D/out.replay > $$D/a.out; \
 	cp $$D/out.replay $$D/builtin.replay; \
-	timeout $(SMOKE_TIMEOUT) $$BIN sweep --scenario-file $$SDL \
-	  --expect-violation --out $$D/out.replay > $$D/b.out; \
-	diff $$D/a.out $$D/b.out; \
-	diff $$D/builtin.replay $$D/out.replay; \
 	head -c 100 $$SDL > $$D/broken.sdl; \
 	code=0; $$BIN sdl check $$D/broken.sdl 2> $$D/broken.err || code=$$?; \
 	test $$code -eq 2; grep -q 'broken.sdl:' $$D/broken.err; \

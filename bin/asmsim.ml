@@ -1278,21 +1278,7 @@ let stats_cmd =
 
 let scenarios_cmd =
   let run json (_ : string option) =
-    let registered = Experiments.Scenario.registered_names () in
-    let scenarios =
-      (* a registered DSL scenario shadows its builtin twin, exactly as
-         [find] resolves names *)
-      List.filter
-        (fun s -> not (List.mem s.Experiments.Scenario.name registered))
-        (Experiments.Scenario.all ())
-      @ Experiments.Scenario.registered_scenarios ()
-    in
-    let scenarios =
-      List.sort
-        (fun a b ->
-          compare a.Experiments.Scenario.name b.Experiments.Scenario.name)
-        scenarios
-    in
+    let scenarios = Experiments.Scenario.listing () in
     let source_str s =
       match s.Experiments.Scenario.origin with
       | Experiments.Scenario.Builtin -> "builtin"

@@ -7,7 +7,6 @@ type config = {
   chaos : Net.chaos option;
   max_failures : int;
   backoff_base : float;
-  backoff_cap : float;
   dial_timeout : float;
   read_timeout : float;
   log : Log.t;
@@ -21,7 +20,6 @@ let default_config ~fingerprint () =
     chaos = None;
     max_failures = 8;
     backoff_base = 0.2;
-    backoff_cap = 5.0;
     dial_timeout = 10.;
     read_timeout = 60.;
     log = Log.null;
@@ -43,11 +41,14 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let frame_error e = Link (Format.asprintf "%a" Frame.pp_error e)
 
-(* Back off before reconnect attempt [failures] (1-based), full-jitter. *)
+(* Back off before reconnect attempt [failures] (1-based), full-jitter,
+   never longer than [backoff_cap] seconds. *)
+let backoff_cap = 5.0
+
 let backoff cfg rng failures =
   if failures > 0 then
     Unix.sleepf
-      (Policy.reconnect_delay ~base:cfg.backoff_base ~cap:cfg.backoff_cap
+      (Policy.reconnect_delay ~base:cfg.backoff_base ~cap:backoff_cap
          ~attempt:(failures - 1)
          ~rand:(Random.State.float rng 1.0))
 

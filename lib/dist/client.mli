@@ -18,7 +18,6 @@ type config = {
   chaos : Net.chaos option;  (** worker-side write-path fault injection *)
   max_failures : int;  (** consecutive failed connection attempts allowed *)
   backoff_base : float;
-  backoff_cap : float;
   dial_timeout : float;
   read_timeout : float;
       (** per-frame read deadline; the server's heartbeats keep an

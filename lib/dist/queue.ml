@@ -56,6 +56,9 @@ let rec perform s = function
               perform s
                 (rest @ lose s c ("write failed: " ^ Unix.error_message err))))
 
+(* Seconds a peer has to complete one frame once it has started it. *)
+let frame_stall_timeout = 10.
+
 let rec accept s =
   match Unix.accept s.listener with
   | fd, addr ->
@@ -63,7 +66,7 @@ let rec accept s =
       Net.no_delay fd;
       let id = s.next_id in
       s.next_id <- id + 1;
-      let dec = Frame.decoder ~stall_timeout:s.cfg.frame_stall_timeout () in
+      let dec = Frame.decoder ~stall_timeout:frame_stall_timeout () in
       let c = { c_id = id; c_fd = fd; c_dec = dec; c_window = (now (), 0) } in
       s.conns <- s.conns @ [ c ];
       let name =

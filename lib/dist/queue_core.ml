@@ -7,8 +7,6 @@ type config = {
   shard_size : int option;
   shard_timeout : float;
   heartbeat_timeout : float;
-  handshake_timeout : float;
-  frame_stall_timeout : float;
   rate_limit : int;
   max_retries : int;
   backoff : float;
@@ -25,8 +23,6 @@ let default_config ~fingerprint () =
     shard_size = None;
     shard_timeout = 120.;
     heartbeat_timeout = 20.;
-    handshake_timeout = 5.;
-    frame_stall_timeout = 10.;
     rate_limit = 64 * 1024 * 1024;
     (* Remote workers under chaos lose shards routinely; the hostile
        bound must stay a pathology detector, not a chaos tripwire. *)
@@ -769,6 +765,9 @@ let next_deadline t ~now =
 
 (* {2 Events} *)
 
+(* Seconds a new peer has to complete its hello. *)
+let handshake_timeout = 5.
+
 let handle t ~now ev =
   t.now <- now;
   (match ev with
@@ -779,7 +778,7 @@ let handle t ~now ev =
             {
               p_id = peer;
               p_name = name;
-              p_sort = Pending (now +. t.cfg.handshake_timeout);
+              p_sort = Pending (now +. handshake_timeout);
               p_last = now;
               p_pinged = false;
               p_bytes_in = 0;

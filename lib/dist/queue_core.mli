@@ -14,9 +14,6 @@ type config = {
   shard_size : int option;  (** fixed shard size; default scales to workers *)
   shard_timeout : float;
   heartbeat_timeout : float;
-  handshake_timeout : float;
-  frame_stall_timeout : float;
-      (** deadline for completing one frame (the shell's) *)
   rate_limit : int;  (** per-peer inbound bytes per second (the shell's) *)
   max_retries : int;  (** shard attempts before it is declared hostile *)
   backoff : float;  (** base of the exponential re-deal delay *)

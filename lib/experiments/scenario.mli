@@ -15,18 +15,24 @@
     [stall_bound] blocking account, which is sound for sweeps with at
     most one injected fault).
 
+    The record is {!Sdl.Compile.t}, re-exported: a compiled DSL source
+    and a builtin are the same type. The builtins are one ordered table
+    in [scenario.ml] — name, doc, size, [x], depth, flags, system and
+    {!Sdl.Compile.prop} list per entry — and each property yields both
+    its monitors and its exhaustive check.
+
     Replay artifacts produced by sweeps and soaks via
     {!sweep_meta} carry the scenario name and size, so
     [asmsim replay file] can rebuild the exact system and re-drive the
     recorded schedule against it. *)
 
-type origin =
+type origin = Sdl.Compile.origin =
   | Builtin  (** hand-written in this module *)
   | Sdl_source of { source : string; path : string option }
       (** compiled from DSL source text (the [path] is the .sdl file it
           was loaded from, when there is one) *)
 
-type t = {
+type t = Sdl.Compile.t = {
   name : string;
   doc : string;
   seeded_bug : bool;  (** a violation is expected to exist *)
@@ -58,17 +64,14 @@ val find : ?nprocs:int -> string -> (t, string) result
 (** Look up by name, optionally resized to [nprocs] processes —
     registered DSL scenarios first (recompiled at the requested size),
     then the builtins. An out-of-range [nprocs] error names the valid
-    range; an unknown name lists the known names. *)
+    range (a fixed-size builtin accepts only its own size); an unknown
+    name lists the known names. *)
 
 (** {1 DSL scenarios}
 
     Compiled from {!Sdl} source text. [names ()] stays builtins-only
     (the network registry fingerprint folds it); DSL jobs carry their
     source over the wire in {!Dist.Proto.job.source} instead. *)
-
-val of_compiled : origin:origin -> Sdl.Compile.t -> t
-(** Wrap a compiled DSL scenario. Always [explorable]: compiled
-    programs are closed by construction. *)
 
 val of_source : ?nprocs:int -> ?path:string -> string -> (t, string) result
 (** Parse + validate + compile DSL source text (size-capped). *)
@@ -78,10 +81,10 @@ val register_source : ?path:string -> string -> (t, string) result
     declared name so {!find} resolves it (shadowing a builtin of the
     same name — the twin-file case). *)
 
-val registered_names : unit -> string list
-
-val registered_scenarios : unit -> t list
-(** Every registered DSL scenario at its default size. *)
+val listing : unit -> t list
+(** Every scenario {!find} resolves by name, at its default size and
+    sorted by name: a registered DSL scenario replaces its builtin
+    twin. *)
 
 val sweep_meta : t -> (string * string) list
 (** Replay-artifact metadata identifying the scenario ([scenario],

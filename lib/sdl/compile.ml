@@ -1,6 +1,9 @@
-(* Compiler from validated scenario ASTs to runnable artifacts: an
-   environment + program array (the same shape {!Experiments.Scenario.t}
-   carries), a fresh monitor list, and a pure exhaustive property.
+(* Compiler from validated scenario ASTs to the scenario record itself —
+   the one {!Experiments.Scenario.t} re-exports: an environment +
+   program array, a fresh monitor list, and a pure exhaustive property.
+   The record, the size check and the property kits are defined here,
+   the lowest library that builds a scenario, and the registry's
+   builtins use them too.
 
    Soundness notes (DESIGN §15):
 
@@ -19,11 +22,10 @@
 
    - {e Byte identity with builtins}: the declared object name doubles
      as the {!Svm.Op.fam}, the statement interpreter adds no operations
-     of its own (continuation plumbing is free), and the int-coded
-     monitor / property kits below are the very ones the registry's
-     builtins use ([Experiments.Scenario] takes them from here) — so a
-     DSL twin of a registry scenario produces the identical op stream,
-     verdict strings, and replay artifacts. The differential tests in
+     of its own (continuation plumbing is free), and a DSL property
+     resolves to the very {!prop} a builtin declares — so a DSL twin of
+     a registry scenario produces the identical op stream, verdict
+     strings, and replay artifacts. The differential tests in
      [test_sdl.ml] and [make smoke-sdl] pin this. *)
 
 open Svm
@@ -34,20 +36,46 @@ module So = Shared_objects
    server parse. Checked by {!load} and by the protocol decoder. *)
 let max_source_bytes = 65536
 
+(* ---- the scenario record (documented in [Experiments.Scenario]) ---- *)
+
+type origin = Builtin | Sdl_source of { source : string; path : string option }
+
 type t = {
-  c_name : string;
-  c_doc : string;
-  c_seeded_bug : bool;
-  c_nprocs : int;
-  c_min_nprocs : int;
-  c_x : int;
-  c_explore_steps : int;
-  c_make : unit -> Env.t * Univ.t Prog.t array;
-  c_monitors : unit -> Univ.t Monitor.t list;
-  c_property : Univ.t Explore.run -> (unit, string) result;
+  name : string;
+  doc : string;
+  seeded_bug : bool;
+  nprocs : int;
+  x : int;
+  make : unit -> Env.t * Univ.t Prog.t array;
+  monitors : unit -> Univ.t Monitor.t list;
+  explorable : bool;
+  explore_steps : int;
+  exhaustive_property : Univ.t Explore.run -> (unit, string) result;
+  origin : origin;
 }
 
-(* ---- int-coded value kits, shared with the scenario registry ---- *)
+type size = At_least of { default : int; min : int } | Exactly of int
+
+(* The size a scenario runs at: [nprocs] when given, else the default —
+   refused, naming the valid range, when outside it. *)
+let resolve_size ~name size nprocs =
+  match (size, nprocs) with
+  | At_least { default; _ }, None | Exactly default, None -> Ok default
+  | At_least { min; _ }, Some n when n < min ->
+      Error
+        (Printf.sprintf
+           "scenario %s needs at least %d processes (valid nprocs: %d and \
+            up; got %d)"
+           name min min n)
+  | Exactly m, Some n when n <> m ->
+      Error
+        (Printf.sprintf
+           "scenario %s runs at exactly %d processes (valid nprocs: %d; got \
+            %d)"
+           name m m n)
+  | (At_least _ | Exactly _), Some n -> Ok n
+
+(* ---- int-coded value kits ---- *)
 
 let inj = Codec.int.Codec.inj
 
@@ -66,50 +94,174 @@ let int_in ~lo ~hi u =
   | v -> v >= lo && v <= hi
   | exception Codec.Type_error _ -> false
 
+let prj_won u =
+  match Codec.bool.Codec.prj u with
+  | w -> w
+  | exception Codec.Type_error _ -> false
+
 let decided_ints run =
   Array.to_list run.Explore.outcomes
   |> List.filter_map (function
        | Exec.Decided u -> Some (Codec.int.Codec.prj u)
        | Exec.Crashed | Exec.Blocked | Exec.Stuck -> None)
 
-let agreement_property ~lo ~hi run =
-  let ds = decided_ints run in
+let in_range ~lo ~hi ds k =
   if List.exists (fun v -> v < lo || v > hi) ds then
     Error "validity: decided value outside the proposed range"
-  else
-    match ds with
-    | [] -> Ok ()
-    | d :: rest ->
-        if List.for_all (fun v -> v = d) rest then Ok ()
-        else Error "agreement: two distinct values decided"
+  else k ()
+
+let agreement_check ~lo ~hi ds =
+  in_range ~lo ~hi ds (fun () ->
+      match ds with
+      | [] -> Ok ()
+      | d :: rest ->
+          if List.for_all (fun v -> v = d) rest then Ok ()
+          else Error "agreement: two distinct values decided")
 
 (* [decided_value_integrity] instead of plain [validity]: identical on
    crash-only runs (no Corrupted events), and under Byzantine sweeps it
    checks exactly the degradation claim — no honest process adopts a
    forged value — without charging a Byzantine pid's own "decision". *)
-let agreement_monitors ~lo ~hi () =
-  [
-    Monitor.agreement ~pp:pp_int ();
-    Monitor.decided_value_integrity ~pp:pp_int ~allowed:(int_in ~lo ~hi) ();
-  ]
+let integrity ~allowed () =
+  Monitor.decided_value_integrity ~pp:pp_int ~allowed ()
 
-let validity_property ~lo ~hi run =
-  let ds = decided_ints run in
-  if List.exists (fun v -> v < lo || v > hi) ds then
-    Error "validity: decided value outside the proposed range"
-  else Ok ()
+(* At most [bound] processes decide [true]. *)
+let winners_monitor ~bound () =
+  let wins = ref 0 in
+  Monitor.make ~name:(Printf.sprintf "winners(<=%d)" bound) (function
+    | Monitor.Decided { value; _ } when prj_won value ->
+        incr wins;
+        if !wins <= bound then Ok ()
+        else Error (Printf.sprintf "%d processes won (bound %d)" !wins bound)
+    | Monitor.Decided _ | Monitor.Op_applied _ | Monitor.Crashed _
+    | Monitor.Stalled _ | Monitor.Restarted _ | Monitor.Corrupted _ ->
+        Ok ())
 
-let k_agreement_property ~k ~lo ~hi run =
-  let ds = decided_ints run in
-  if List.exists (fun v -> v < lo || v > hi) ds then
-    Error "validity: decided value outside the proposed range"
-  else
-    let distinct = List.sort_uniq compare ds in
-    if List.length distinct <= k then Ok ()
-    else
-      Error
-        (Printf.sprintf "k-agreement: %d distinct values decided (k = %d)"
-           (List.length distinct) k)
+(* Agreement among the processes that actually decided a value, with a
+   designated sentinel meaning "aborted / rerouted" excluded: an abort
+   is an explicit refusal, not a decision, so it must never count as a
+   disagreement — that is the graceful-degradation contract of
+   [X_safe_agreement.decide_abortable]. Byzantine deciders are excluded
+   like in [decided_value_integrity]. *)
+let agreement_except ~sentinel () =
+  let byz : (int, unit) Hashtbl.t = Hashtbl.create 4 in
+  let first = ref None in
+  Monitor.make ~name:(Printf.sprintf "agreement-except(%d)" sentinel)
+    (function
+    | Monitor.Op_applied _ | Monitor.Crashed _ | Monitor.Stalled _
+    | Monitor.Restarted _ ->
+        Ok ()
+    | Monitor.Corrupted { pid; _ } ->
+        Hashtbl.replace byz pid ();
+        Ok ()
+    | Monitor.Decided { pid; value; _ } -> (
+        match Codec.int.Codec.prj value with
+        | exception Codec.Type_error _ -> Ok ()
+        | v when v = sentinel -> Ok ()
+        | _ when Hashtbl.mem byz pid -> Ok ()
+        | v -> (
+            match !first with
+            | None ->
+                first := Some (pid, v);
+                Ok ()
+            | Some (pid0, v0) ->
+                if v0 = v then Ok ()
+                else
+                  Error
+                    (Printf.sprintf "p%d decided %d but p%d decided %d" pid v
+                       pid0 v0))))
+
+(* ---- safety properties ---- *)
+
+(* A safety property with its bounds resolved. The DSL's properties
+   resolve to the first five; the last two are builtin-only. *)
+type prop =
+  | Agreement of { lo : int; hi : int }
+      (** at most one decided value, all within [lo..hi] *)
+  | K_agreement of { k : int; lo : int; hi : int }
+  | Validity of { lo : int; hi : int }
+  | Integrity of { lo : int; hi : int }  (** Byzantine-aware validity *)
+  | Stall_bound of { prefix : string; bound : int }
+  | Agreement_except of { sentinel : int; lo : int; hi : int }
+      (** agreement and validity among the deciders of a non-[sentinel]
+          value *)
+  | Winners of int  (** at most this many processes decide [true] *)
+
+(* One property's online monitors beside its check on the run record.
+   The check reads only [outcomes] (never the schedule), as the
+   explorer's prunings require; [None] marks a monitor-only property. *)
+let kit = function
+  | Agreement { lo; hi } ->
+      ( (fun () ->
+          [
+            Monitor.agreement ~pp:pp_int ();
+            integrity ~allowed:(int_in ~lo ~hi) ();
+          ]),
+        Some (fun run -> agreement_check ~lo ~hi (decided_ints run)) )
+  | K_agreement { k; lo; hi } ->
+      ( (fun () ->
+          [
+            Monitor.k_agreement ~pp:pp_int ~k ();
+            integrity ~allowed:(int_in ~lo ~hi) ();
+          ]),
+        Some
+          (fun run ->
+            let ds = decided_ints run in
+            in_range ~lo ~hi ds (fun () ->
+                let distinct = List.length (List.sort_uniq compare ds) in
+                if distinct <= k then Ok ()
+                else
+                  Error
+                    (Printf.sprintf
+                       "k-agreement: %d distinct values decided (k = %d)"
+                       distinct k))) )
+  | Validity { lo; hi } ->
+      ( (fun () ->
+          [ Monitor.validity ~pp:pp_int ~allowed:(int_in ~lo ~hi) () ]),
+        Some (fun run -> in_range ~lo ~hi (decided_ints run) Result.ok) )
+  | Integrity { lo; hi } ->
+      (* the explorer injects crashes only, so integrity coincides with
+         validity on explored runs *)
+      ( (fun () -> [ integrity ~allowed:(int_in ~lo ~hi) () ]),
+        Some (fun run -> in_range ~lo ~hi (decided_ints run) Result.ok) )
+  | Stall_bound { prefix; bound } ->
+      (* monitor-only: stall accounting needs the event stream, which
+         the run record does not carry *)
+      ((fun () -> [ Monitor.stall_bound ~fam_prefix:prefix ~bound () ]), None)
+  | Agreement_except { sentinel; lo; hi } ->
+      let allowed u = int_in ~lo ~hi u || int_in ~lo:sentinel ~hi:sentinel u in
+      ( (fun () -> [ agreement_except ~sentinel (); integrity ~allowed () ]),
+        Some
+          (fun run ->
+            agreement_check ~lo ~hi
+              (List.filter (fun v -> v <> sentinel) (decided_ints run))) )
+  | Winners bound ->
+      let won n = function
+        | Exec.Decided u when prj_won u -> n + 1
+        | Exec.Decided _ | Exec.Crashed | Exec.Blocked | Exec.Stuck -> n
+      in
+      ( (fun () -> [ winners_monitor ~bound () ]),
+        Some
+          (fun run ->
+            let wins = Array.fold_left won 0 run.Explore.outcomes in
+            if wins <= bound then Ok ()
+            else
+              Error (Printf.sprintf "%d processes won (bound %d)" wins bound))
+      )
+
+(* A property list's monitors and its conjoined run check. One
+   property's kit is used as is, with no wrapper. *)
+let kits props =
+  match List.map kit props with
+  | [ (monitors, check) ] ->
+      (monitors, Option.value check ~default:(fun _ -> Ok ()))
+  | kits ->
+      let checks = List.filter_map snd kits in
+      ( (fun () -> List.concat_map (fun (monitors, _) -> monitors ()) kits),
+        fun run ->
+          List.fold_left
+            (fun acc check -> Result.bind acc (fun () -> check run))
+            (Ok ()) checks )
 
 (* ---- expression evaluation ---- *)
 
@@ -280,110 +432,65 @@ let block_for sc pid =
       | Ast.Range (lo, hi) -> pid >= lo && pid <= hi)
     sc.Ast.sc_procs
 
-(* ---- properties ---- *)
-
-(* Property range bounds close over nprocs only (validated), so they
-   are resolved once per size here. *)
-let resolve_bound ~nprocs e = eval ~pid:0 ~nprocs [] e
-
-let prop_monitors ~nprocs p () =
-  match p.Ast.p_desc with
-  | Ast.Agreement { lo; hi } ->
-      let lo = resolve_bound ~nprocs lo and hi = resolve_bound ~nprocs hi in
-      agreement_monitors ~lo ~hi ()
-  | Ast.K_agreement { k; lo; hi } ->
-      let lo = resolve_bound ~nprocs lo and hi = resolve_bound ~nprocs hi in
-      [
-        Monitor.k_agreement ~pp:pp_int ~k ();
-        Monitor.decided_value_integrity ~pp:pp_int ~allowed:(int_in ~lo ~hi)
-          ();
-      ]
-  | Ast.Validity { lo; hi } ->
-      let lo = resolve_bound ~nprocs lo and hi = resolve_bound ~nprocs hi in
-      [ Monitor.validity ~pp:pp_int ~allowed:(int_in ~lo ~hi) () ]
-  | Ast.Integrity { lo; hi } ->
-      let lo = resolve_bound ~nprocs lo and hi = resolve_bound ~nprocs hi in
-      [
-        Monitor.decided_value_integrity ~pp:pp_int ~allowed:(int_in ~lo ~hi)
-          ();
-      ]
-  | Ast.Stall_bound { prefix; bound } ->
-      [ Monitor.stall_bound ~fam_prefix:prefix ~bound () ]
-
-let prop_run_check ~nprocs p =
-  match p.Ast.p_desc with
-  | Ast.Agreement { lo; hi } ->
-      let lo = resolve_bound ~nprocs lo and hi = resolve_bound ~nprocs hi in
-      agreement_property ~lo ~hi
-  | Ast.K_agreement { k; lo; hi } ->
-      let lo = resolve_bound ~nprocs lo and hi = resolve_bound ~nprocs hi in
-      k_agreement_property ~k ~lo ~hi
-  | Ast.Validity { lo; hi } | Ast.Integrity { lo; hi } ->
-      (* the explorer injects crashes only, so integrity coincides with
-         validity on explored runs *)
-      let lo = resolve_bound ~nprocs lo and hi = resolve_bound ~nprocs hi in
-      validity_property ~lo ~hi
-  | Ast.Stall_bound _ ->
-      (* monitor-only: stall accounting needs the event stream, which
-         the run record does not carry *)
-      fun _ -> Ok ()
-
-let conjoin checks run =
-  let rec go = function
-    | [] -> Ok ()
-    | c :: rest -> ( match c run with Ok () -> go rest | Error _ as e -> e)
-  in
-  go checks
-
 (* ---- compile ---- *)
+
+(* Property bounds close over nprocs only (validated), so they are
+   resolved once per size, when the scenario is built. *)
+let resolve ~nprocs p =
+  let b e = eval ~pid:0 ~nprocs [] e in
+  match p.Ast.p_desc with
+  | Ast.Agreement { lo; hi } -> Agreement { lo = b lo; hi = b hi }
+  | Ast.K_agreement { k; lo; hi } -> K_agreement { k; lo = b lo; hi = b hi }
+  | Ast.Validity { lo; hi } -> Validity { lo = b lo; hi = b hi }
+  | Ast.Integrity { lo; hi } -> Integrity { lo = b lo; hi = b hi }
+  | Ast.Stall_bound { prefix; bound } -> Stall_bound { prefix; bound }
 
 let err span fmt = Printf.ksprintf (fun m -> { Ast.e_span = span; e_msg = m }) fmt
 
-let compile ?nprocs (sc : Ast.scenario) : (t, Ast.error) result =
-  let sized = match nprocs with Some n -> n | None -> sc.Ast.sc_nprocs in
-  if sized < sc.Ast.sc_min_nprocs then
-    Error
-      (err sc.Ast.sc_span
-         "scenario %s needs at least %d processes (valid nprocs: %d and up; \
-          got %d)"
-         sc.Ast.sc_name sc.Ast.sc_min_nprocs sc.Ast.sc_min_nprocs sized)
-  else
-    match Validate.validate_sized ~nprocs:sized sc with
-    | Error e -> Error e
-    | Ok () ->
-        let n = sized in
-        let make () =
-          let env = Env.create ~nprocs:n ~x:sc.Ast.sc_x () in
-          let handles = make_handles ~nprocs:n sc.Ast.sc_objects in
-          let prog pid =
-            match block_for sc pid with
-            | Some pb ->
-                exec_stmts ~handles ~pid ~nprocs:n [] pb.Ast.pb_body
-                  (fun _ ->
-                    (* unreachable: the validator requires every path to
-                       end in a decide *)
-                    Prog.return (inj 0))
-            | None -> Prog.return (inj 0) (* unreachable: coverage checked *)
+let compile ?nprocs ~origin (sc : Ast.scenario) :
+    (t, Ast.error) result =
+  let size =
+    At_least { default = sc.Ast.sc_nprocs; min = sc.Ast.sc_min_nprocs }
+  in
+  match resolve_size ~name:sc.Ast.sc_name size nprocs with
+  | Error m -> Error (err sc.Ast.sc_span "%s" m)
+  | Ok n -> (
+      match Validate.validate_sized ~nprocs:n sc with
+      | Error e -> Error e
+      | Ok () ->
+          let make () =
+            let env = Env.create ~nprocs:n ~x:sc.Ast.sc_x () in
+            let handles = make_handles ~nprocs:n sc.Ast.sc_objects in
+            let prog pid =
+              match block_for sc pid with
+              | Some pb ->
+                  exec_stmts ~handles ~pid ~nprocs:n [] pb.Ast.pb_body
+                    (fun _ ->
+                      (* unreachable: the validator requires every path
+                         to end in a decide *)
+                      Prog.return (inj 0))
+              | None -> Prog.return (inj 0) (* unreachable: coverage checked *)
+            in
+            (env, Array.init n prog)
           in
-          (env, Array.init n prog)
-        in
-        let monitors () =
-          List.concat_map (fun p -> prop_monitors ~nprocs:n p ()) sc.Ast.sc_props
-        in
-        let checks = List.map (prop_run_check ~nprocs:n) sc.Ast.sc_props in
-        Ok
-          {
-            c_name = sc.Ast.sc_name;
-            c_doc = sc.Ast.sc_doc;
-            c_seeded_bug = sc.Ast.sc_seeded_bug;
-            c_nprocs = n;
-            c_min_nprocs = sc.Ast.sc_min_nprocs;
-            c_x = sc.Ast.sc_x;
-            c_explore_steps = sc.Ast.sc_explore_steps;
-            c_make = make;
-            c_monitors = monitors;
-            c_property = conjoin checks;
-          }
+          let monitors, exhaustive_property =
+            kits (List.map (resolve ~nprocs:n) sc.Ast.sc_props)
+          in
+          Ok
+            {
+              name = sc.Ast.sc_name;
+              doc = sc.Ast.sc_doc;
+              seeded_bug = sc.Ast.sc_seeded_bug;
+              nprocs = n;
+              x = sc.Ast.sc_x;
+              make;
+              monitors;
+              (* compiled programs are closed by construction *)
+              explorable = true;
+              explore_steps = sc.Ast.sc_explore_steps;
+              exhaustive_property;
+              origin;
+            })
 
 (* Parse + validate (no size needed). The front half of [load], exposed
    for tooling ([asmsim sdl check] / [fmt]). Sources arrive over the
@@ -406,8 +513,9 @@ let frontend source : (Ast.scenario, Ast.error) result =
         }
 
 (* The whole pipeline on a source string, errors stringified with their
-   spans — what the CLI and the server's job decoder consume. *)
-let load ?nprocs source : (t, string) result =
+   spans — what the CLI and the server's job decoder consume. [path] is
+   the .sdl file the source was read from, when there is one. *)
+let load ?nprocs ?path source : (t, string) result =
   if String.length source > max_source_bytes then
     Error
       (Printf.sprintf "scenario source is %d bytes (cap %d)"
@@ -416,7 +524,7 @@ let load ?nprocs source : (t, string) result =
     match frontend source with
     | Error e -> Error (Ast.error_to_string e)
     | Ok sc -> (
-        match compile ?nprocs sc with
+        match compile ?nprocs ~origin:(Sdl_source { source; path }) sc with
         | Ok t -> Ok t
         | Error e -> Error (Ast.error_to_string e)
         | exception Stack_overflow ->

@@ -58,6 +58,8 @@ let table dir =
     (* resize below the scenario's minimum names the valid range *)
     ("sweep --algo safe_agreement -n 1", 2);
     ("explore --algo x_safe_agreement_first_subset -n 3", 2);
+    (* a fixed-size scenario refuses any other size *)
+    ("sweep --algo bg_sec3 -n 7 --runs 1", 2);
     (* neither --algo nor --scenario-file *)
     ("sweep", 2);
     ("soak --until 10", 2);
