@@ -7,7 +7,8 @@
 #   make smoke         — one sweep per fault tier through the real CLI
 #   make smoke-trace   — sweep a seeded bug, export + validate its Chrome trace
 #   make smoke-dist    — --dist runs (a private worker fleet, one worker's
-#                        link chaos-cut; one run SIGTERMed and resumed) must
+#                        link chaos-cut; one run SIGTERMed, its journal torn,
+#                        and resumed) must
 #                        be byte-identical to in-process; a SIGKILLed run's
 #                        socket directory is removed by the next run
 #   make smoke-net     — the TCP service: serve + chaos-net remote workers,
@@ -86,10 +87,13 @@ smoke-trace: build
 # goes to stderr, which is why stdout diffs clean; the journal goes to
 # _build/distjobs, not the default .asmsim-jobs/). Then the same
 # identity for the exhaustive explorer. Last, SIGTERM: a --dist sweep
-# stopped once its first shard is journalled must suspend (exit 0,
-# "suspended"), and `serve --resume` must finish it, restoring the
-# journalled shards, with the in-process verdict. The first of its 50
-# shards lands in a few percent of the sweep's ~1.7 s (2-core host), so
+# stopped once two shards are journalled must suspend (exit 0,
+# "suspended"). Its journal then loses its last 3 bytes — a torn final
+# line — and `serve --resume` must cut that line, finish the job,
+# restoring the intact shards, with the in-process verdict; resuming
+# it again must execute 0 shards, which fails if the resumed run's
+# records were welded onto the torn line. The first two of its 55
+# shards land in a few percent of the sweep's ~1.7 s (2-core host), so
 # the signal always finds it running. Last, SIGKILL: a --dist sweep
 # killed once a shard is journalled leaves its private socket directory
 # behind (under TMPDIR, which must stay under 64 bytes or the socket
@@ -121,16 +125,22 @@ smoke-dist: build
 	$$BIN $$SW --dist 1 --shard-size 20 --journal-dir $$D/jobs \
 	  > $$D/b.out 2> $$D/b.err & P=$$!; \
 	for i in $$(seq 1 200); do \
-	  grep -qs '"shard"' $$D/jobs/*/journal.jsonl && break; sleep 0.02; \
+	  test "$$(grep -sc '"shard"' $$D/jobs/*/journal.jsonl)" -ge 2 2> /dev/null \
+	    && break; sleep 0.02; \
 	done; \
 	kill -TERM $$P || { echo "smoke-dist: the sweep ended before SIGTERM"; exit 1; }; \
 	wait $$P; \
 	grep -q suspended $$D/b.err; \
 	ID=$$($$BIN serve --list --journal-dir $$D/jobs); \
+	truncate -s -3 $$D/jobs/$$ID/journal.jsonl; \
 	timeout $(SMOKE_TIMEOUT) $$BIN serve --resume $$ID --journal-dir $$D/jobs \
 	  > $$D/c.out 2> $$D/c.err; \
 	grep -Eq ' [1-9][0-9]* resumed' $$D/c.err; \
-	tail -n +2 $$D/a.out | diff - $$D/c.out
+	tail -n +2 $$D/a.out | diff - $$D/c.out; \
+	timeout $(SMOKE_TIMEOUT) $$BIN serve --resume $$ID --journal-dir $$D/jobs \
+	  > $$D/d.out 2> $$D/d.err; \
+	grep -q ' 0 executed' $$D/d.err; \
+	diff $$D/c.out $$D/d.out
 	rm -rf _build/distkill && mkdir -p _build/distkill
 	set -e; \
 	BIN=$$PWD/_build/default/bin/asmsim.exe; D=$$PWD/_build/distkill; \

@@ -29,10 +29,10 @@ type t = {
   fsync : bool;
   index : (string, location) Hashtbl.t;
   mutable segs : (int * entry list) list;  (** ascending segment id *)
-  mutable tail_oc : out_channel;
+  mutable tail : Append_log.t;  (** flushed per append, fsynced by cement *)
   mutable tail_len : int;
-  mutable tail_entries : entry list;  (** newest first *)
-  mutable quarantine : quarantine list;  (** newest first *)
+  mutable tail_entries : entry list;  (** append order *)
+  mutable quarantine : quarantine list;  (** oldest first *)
   mutable appends : int;  (** lifetime appends, for the chaos hooks *)
   mutable chaos : chaos option;
 }
@@ -42,28 +42,6 @@ let seg_name id = Printf.sprintf "seg-%08d.cor" id
 let idx_name id = Printf.sprintf "seg-%08d.idx" id
 let seg_file t id = Filename.concat t.seg_dir (seg_name id)
 let idx_file t id = Filename.concat t.seg_dir (idx_name id)
-
-let mkdir_p d =
-  if not (Sys.file_exists d) then Unix.mkdir d 0o755
-
-(* Directory fsync: the rename/create is not durable until the
-   directory entry is. Some filesystems refuse fsync on a directory fd;
-   that is a capability gap, not a corruption, so it is swallowed. *)
-let fsync_dir path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-
-let fsync_oc oc = Unix.fsync (Unix.descr_of_out_channel oc)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let read_slice path ~off ~len =
   let ic = open_in_bin path in
@@ -87,24 +65,20 @@ let sigkill_self () = Unix.kill (Unix.getpid ()) Sys.sigkill
    a missing or unreadable idx is rebuilt from the segment. *)
 
 let write_idx ~seg_dir ~fsync id entries =
-  let tmp = Filename.concat seg_dir (idx_name id ^ ".tmp") in
-  let oc = open_out_bin tmp in
-  output_string oc (Printf.sprintf "idx 1 %d\n" (List.length entries));
+  let b = Buffer.create 256 in
+  Printf.bprintf b "idx 1 %d\n" (List.length entries);
   List.iter
-    (fun e ->
-      output_string oc (Printf.sprintf "%d %d %s\n" e.e_off e.e_len e.e_digest))
+    (fun e -> Printf.bprintf b "%d %d %s\n" e.e_off e.e_len e.e_digest)
     entries;
-  flush oc;
-  if fsync then fsync_oc oc;
-  close_out oc;
-  Sys.rename tmp (Filename.concat seg_dir (idx_name id));
-  if fsync then fsync_dir seg_dir
+  Append_log.write_atomic ~fsync
+    (Filename.concat seg_dir (idx_name id))
+    (Buffer.contents b)
 
 let load_idx ~seg_dir id =
   let path = Filename.concat seg_dir (idx_name id) in
   if not (Sys.file_exists path) then None
   else
-    let lines = String.split_on_char '\n' (read_file path) in
+    let lines = String.split_on_char '\n' (Append_log.read_file path) in
     match lines with
     | header :: rows -> (
         match String.split_on_char ' ' header with
@@ -184,24 +158,13 @@ let scan_segment ~file ~idx buf =
   go 0;
   (List.rev !entries, List.rev !quarantine)
 
-(* The tail is mutable and the only file a crash can tear: recovery is
-   the journal rule — a record exists only once its complete, valid
-   bytes do. Truncate to the last good record boundary. *)
+(* The tail's valid prefix ends at the first record a segment scan
+   would quarantine; {!Append_log.open_} cuts the rest. *)
 let scan_tail buf =
-  let len = String.length buf in
-  let entries = ref [] in
-  let rec go pos =
-    if pos >= len then pos
-    else
-      match Record.parse_at buf pos with
-      | Ok (r, n) ->
-          entries :=
-            { e_digest = Record.digest r; e_off = pos; e_len = n } :: !entries;
-          go (pos + n)
-      | Error _ -> pos
-  in
-  let valid = go 0 in
-  (List.rev !entries, valid)
+  let entries, q = scan_segment ~file:"tail.seg" ~idx:None buf in
+  let valid = match q with [] -> String.length buf | q :: _ -> q.q_offset in
+  let entries = List.filter (fun e -> e.e_off < valid) entries in
+  Ok ((entries, valid, String.length buf), valid)
 
 let list_seg_ids seg_dir =
   if not (Sys.file_exists seg_dir) then []
@@ -213,8 +176,8 @@ let list_seg_ids seg_dir =
 
 let open_ ?(log = Svm.Log.null) ?(fsync = true) ?chaos dir =
   match
-    mkdir_p dir;
-    mkdir_p (Filename.concat dir "segments")
+    Append_log.mkdir_p dir;
+    Append_log.mkdir_p (Filename.concat dir "segments")
   with
   | exception Unix.Unix_error (e, _, p) ->
       Error (Printf.sprintf "cannot create %s: %s" p (Unix.error_message e))
@@ -230,7 +193,7 @@ let open_ ?(log = Svm.Log.null) ?(fsync = true) ?chaos dir =
         List.map
           (fun id ->
             let file = Filename.concat "segments" (seg_name id) in
-            let buf = read_file (Filename.concat dir file) in
+            let buf = Append_log.read_file (Filename.concat dir file) in
             let idx = load_idx ~seg_dir id in
             let entries, q = scan_segment ~file ~idx buf in
             quarantine := !quarantine @ q;
@@ -245,50 +208,37 @@ let open_ ?(log = Svm.Log.null) ?(fsync = true) ?chaos dir =
             (id, entries))
           (list_seg_ids seg_dir)
       in
-      (* Tail recovery: truncate to the last complete valid record. *)
       let tail_path = Filename.concat dir "tail.seg" in
-      let tail_entries, valid =
-        if Sys.file_exists tail_path then scan_tail (read_file tail_path)
-        else ([], 0)
-      in
-      if Sys.file_exists tail_path then begin
-        let st = Unix.stat tail_path in
-        if st.Unix.st_size > valid then begin
-          Svm.Log.warnf log "torn tail: truncating %s from %d to %d bytes"
-            tail_path st.Unix.st_size valid;
-          let fd = Unix.openfile tail_path [ Unix.O_WRONLY ] 0o644 in
-          Fun.protect
-            ~finally:(fun () -> Unix.close fd)
-            (fun () -> Unix.ftruncate fd valid)
-        end
-      end;
-      List.iter
-        (fun q ->
-          Svm.Log.warnf log "quarantined record in %s at offset %d" q.q_file
-            q.q_offset)
-        (List.rev !quarantine);
-      let tail_oc =
-        open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 tail_path
-      in
-      List.iter
-        (fun e ->
-          if not (Hashtbl.mem index e.e_digest) then
-            Hashtbl.replace index e.e_digest In_tail)
-        tail_entries;
-      Ok
-        {
-          dir;
-          seg_dir;
-          fsync;
-          index;
-          segs;
-          tail_oc;
-          tail_len = valid;
-          tail_entries = List.rev tail_entries;
-          quarantine = List.rev !quarantine;
-          appends = 0;
-          chaos;
-        }
+      match Append_log.open_ ~fsync:false ~scan:scan_tail tail_path with
+      | Error _ as e -> e
+      | Ok ((tail_entries, valid, len), tail) ->
+          if len > valid then
+            Svm.Log.warnf log "torn tail: truncating %s from %d to %d bytes"
+              tail_path len valid;
+          List.iter
+            (fun q ->
+              Svm.Log.warnf log "quarantined record in %s at offset %d"
+                q.q_file q.q_offset)
+            !quarantine;
+          List.iter
+            (fun e ->
+              if not (Hashtbl.mem index e.e_digest) then
+                Hashtbl.replace index e.e_digest In_tail)
+            tail_entries;
+          Ok
+            {
+              dir;
+              seg_dir;
+              fsync;
+              index;
+              segs;
+              tail;
+              tail_len = valid;
+              tail_entries;
+              quarantine = !quarantine;
+              appends = 0;
+              chaos;
+            }
 
 (* ------------------------------------------------------------------ *)
 (* Appends and cementing                                               *)
@@ -306,13 +256,11 @@ let add t r =
     | Some (Torn_at_append n) when t.appends = n ->
         (* Die mid-append: half the record reaches the file, the rest
            never will — exactly the torn tail reopen must cut away. *)
-        output_string t.tail_oc
+        Append_log.append t.tail
           (String.sub bytes 0 (max 1 (String.length bytes / 2)));
-        flush t.tail_oc;
         sigkill_self ()
     | _ -> ());
-    output_string t.tail_oc bytes;
-    flush t.tail_oc;
+    Append_log.append t.tail bytes;
     t.tail_entries <-
       t.tail_entries
       @ [ { e_digest = d; e_off = t.tail_len; e_len = String.length bytes } ];
@@ -346,17 +294,16 @@ let bitflip_in t id =
 
 let cement t =
   if t.tail_entries <> [] then begin
-    flush t.tail_oc;
-    if t.fsync then fsync_oc t.tail_oc;
-    close_out t.tail_oc;
+    if t.fsync then Append_log.sync t.tail;
+    Append_log.close t.tail;
     let id = 1 + List.fold_left (fun acc (i, _) -> max acc i) 0 t.segs in
     (* write → fsync file (above) → rename → fsync directory: after the
        rename is durable the segment is immutable; the idx write below
        is recoverable (reindexed from the segment) if we die first. *)
     Sys.rename (tail_file t) (seg_file t id);
     if t.fsync then begin
-      fsync_dir t.seg_dir;
-      fsync_dir t.dir
+      Append_log.fsync_dir t.seg_dir;
+      Append_log.fsync_dir t.dir
     end;
     let entries = t.tail_entries in
     write_idx ~seg_dir:t.seg_dir ~fsync:t.fsync id entries;
@@ -364,8 +311,7 @@ let cement t =
     t.segs <- t.segs @ [ (id, entries) ];
     t.tail_entries <- [];
     t.tail_len <- 0;
-    t.tail_oc <-
-      open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (tail_file t);
+    t.tail <- Append_log.create ~fsync:false (tail_file t);
     match t.chaos with
     | Some Bitflip_after_cement ->
         t.chaos <- None;
@@ -475,7 +421,7 @@ let compact t =
     let entries = ref [] in
     List.iter
       (fun (id, es) ->
-        let bytes = read_file (seg_file t id) in
+        let bytes = Append_log.read_file (seg_file t id) in
         List.iter
           (fun e ->
             if Hashtbl.find_opt t.index e.e_digest = Some (Cemented id) then begin
@@ -489,15 +435,13 @@ let compact t =
     let input = Buffer.contents buf in
     let id = 1 + List.fold_left (fun acc (i, _) -> max acc i) 0 t.segs in
     let tmp = Filename.concat t.seg_dir "compact.tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc input;
-    flush oc;
-    if t.fsync then fsync_oc oc;
-    close_out oc;
+    let out = Append_log.create ~fsync:t.fsync tmp in
+    Append_log.append out input;
+    Append_log.close out;
     (* Byte-identity check against the input, read back from disk: the
        swap happens only once the new segment provably carries exactly
        the records the old ones did. *)
-    let written = read_file tmp in
+    let written = Append_log.read_file tmp in
     if written <> input then begin
       (try Sys.remove tmp with Sys_error _ -> ());
       Error "compaction output does not match its input byte-for-byte; \
@@ -506,7 +450,7 @@ let compact t =
     else begin
       let old = t.segs in
       Sys.rename tmp (seg_file t id);
-      if t.fsync then fsync_dir t.seg_dir;
+      if t.fsync then Append_log.fsync_dir t.seg_dir;
       write_idx ~seg_dir:t.seg_dir ~fsync:t.fsync id entries;
       List.iter
         (fun e -> Hashtbl.replace t.index e.e_digest (Cemented id))
@@ -517,11 +461,9 @@ let compact t =
           (try Sys.remove (seg_file t old_id) with Sys_error _ -> ());
           try Sys.remove (idx_file t old_id) with Sys_error _ -> ())
         old;
-      if t.fsync then fsync_dir t.seg_dir;
+      if t.fsync then Append_log.fsync_dir t.seg_dir;
       Ok (List.length entries)
     end
   end
 
-let close t =
-  flush t.tail_oc;
-  close_out t.tail_oc
+let close t = Append_log.close t.tail

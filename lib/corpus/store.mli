@@ -13,9 +13,8 @@
     Durability contract:
     - {e Appends} ({!add}) are complete framed records, flushed to the
       OS but not fsynced: a crash loses at most the uncemented tail,
-      and a torn final append is truncated away on reopen (the same
-      "a record exists only once its terminator does" rule as
-      [Dist.Journal]).
+      and a torn or corrupt final append is truncated away on reopen —
+      by {!Append_log}, the same code that recovers [Dist.Journal].
     - {e Cementing} ({!cement}) makes the tail immutable with the full
       atomic discipline — fsync the tail file, rename it into
       [segments/], fsync the directories, then write the index through

@@ -1,8 +1,9 @@
 module Json = Svm.Json
+module Append_log = Corpus.Append_log
 
 let default_dir = ".asmsim-jobs"
 
-type t = { j_id : string; j_dir : string; j_oc : out_channel; j_fsync : bool }
+type t = { j_id : string; j_dir : string; j_log : Append_log.t; j_fsync : bool }
 
 let id t = t.j_id
 
@@ -17,38 +18,16 @@ let fresh_id () =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec (Unix.getpid ()) !counter
 
-let mkdir_p path =
-  if not (Sys.file_exists path) then Unix.mkdir path 0o755
-
-(* Durability of a *file* needs durability of its directory entry: an
-   fsynced journal whose directory was never synced can vanish whole on
-   power loss, stranding a resume. Some filesystems refuse fsync on a
-   directory fd — a capability gap, not corruption — so errors are
-   swallowed. *)
-let fsync_dir path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-
 let journal_file ~dir id = Filename.concat (Filename.concat dir id) "journal.jsonl"
 
-let write_line t v =
-  output_string t.j_oc (Json.to_string v);
-  output_char t.j_oc '\n';
-  flush t.j_oc;
-  if t.j_fsync then Unix.fsync (Unix.descr_of_out_channel t.j_oc)
+let write_line t v = Append_log.append t.j_log (Json.to_string v ^ "\n")
 
 let create ?(dir = default_dir) ?(fsync = false) ~job ~cells ~shard_size () =
-  mkdir_p dir;
+  Append_log.mkdir_p dir;
   let j_id = fresh_id () in
-  mkdir_p (Filename.concat dir j_id);
-  let j_oc = open_out_gen [ Open_creat; Open_wronly; Open_trunc ] 0o644
-      (journal_file ~dir j_id)
-  in
-  let t = { j_id; j_dir = dir; j_oc; j_fsync = fsync } in
+  Append_log.mkdir_p (Filename.concat dir j_id);
+  let j_log = Append_log.create ~fsync (journal_file ~dir j_id) in
+  let t = { j_id; j_dir = dir; j_log; j_fsync = fsync } in
   write_line t
     (Json.Obj
        [
@@ -60,48 +39,87 @@ let create ?(dir = default_dir) ?(fsync = false) ~job ~cells ~shard_size () =
   if fsync then begin
     (* The header line is on disk; now make the file's existence (and
        the job directory's) just as durable as its contents. *)
-    fsync_dir (Filename.concat dir j_id);
-    fsync_dir dir
+    Append_log.fsync_dir (Filename.concat dir j_id);
+    Append_log.fsync_dir dir
   end;
   t
 
-let read_file file =
-  let ic = open_in_bin file in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+type loaded = {
+  l_job : Proto.job;
+  l_cells : int;
+  l_shard_size : int;
+  l_done : (int * Svm.Json.t) list;
+  l_hostile : int list;
+}
 
-(* A record exists only once its newline does: a torn final line (the
-   append a crash interrupted) is not part of the journal. *)
-let complete_prefix_len s =
-  match String.rindex_opt s '\n' with None -> 0 | Some i -> i + 1
+let int_field name v = Option.bind (Json.member name v) Json.to_int
 
-let reopen ?(dir = default_dir) ?(fsync = false) j_id =
+let header line =
+  match Json.of_string line with
+  | Error m -> Error ("corrupt header: " ^ m)
+  | Ok h -> (
+      match
+        (Json.member "job" h, int_field "cells" h, int_field "shard_size" h)
+      with
+      | Some jv, Some l_cells, Some l_shard_size ->
+          Proto.job_of_json jv
+          |> Result.map_error (( ^ ) "bad job record: ")
+          |> Result.map (fun l_job ->
+                 { l_job; l_cells; l_shard_size; l_done = []; l_hostile = [] })
+      | _ -> Error "malformed header")
+
+let add_line l line =
+  match Json.of_string line with
+  | Error _ -> None
+  | Ok v -> (
+      match
+        (int_field "shard" v, Json.member "payload" v, int_field "hostile" v)
+      with
+      | Some shard, Some payload, _ ->
+          Some { l with l_done = (shard, payload) :: l.l_done }
+      | _, _, Some shard -> Some { l with l_hostile = shard :: l.l_hostile }
+      | _ -> None)
+
+(* The valid prefix, for {!reopen} and {!load} alike: the header line,
+   then shard and hostile lines, each counted once its newline is
+   written and its JSON decodes to its shape. A journal without a
+   header is refused whole. *)
+let scan s =
+  let rec body l pos =
+    let next =
+      match String.index_from_opt s pos '\n' with
+      | Some nl ->
+          add_line l (String.sub s pos (nl - pos))
+          |> Option.map (fun l -> (l, nl + 1))
+      | None -> None
+    in
+    match next with
+    | Some (l, pos) -> body l pos
+    | None ->
+        let l_done = List.rev l.l_done and l_hostile = List.rev l.l_hostile in
+        Ok ({ l with l_done; l_hostile }, pos)
+  in
+  match String.index_opt s '\n' with
+  | None -> Error "empty"
+  | Some nl ->
+      Result.bind (header (String.sub s 0 nl)) (fun l -> body l (nl + 1))
+
+let with_file ~dir j_id f =
   let file = journal_file ~dir j_id in
   if not (Sys.file_exists file) then
     Error (Printf.sprintf "no journal for job %s under %s" j_id dir)
-  else begin
-    (* Appending after a torn line would weld the next record onto it,
-       corrupting both; cut back to the last record boundary first. *)
-    let s = read_file file in
-    let valid = complete_prefix_len s in
-    if valid < String.length s then begin
-      let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          Unix.ftruncate fd valid;
-          if fsync then Unix.fsync fd)
-    end;
-    if fsync then fsync_dir (Filename.concat dir j_id);
-    Ok
-      {
-        j_id;
-        j_dir = dir;
-        j_oc = open_out_gen [ Open_append; Open_wronly ] 0o644 file;
-        j_fsync = fsync;
-      }
-  end
+  else Result.map_error (Printf.sprintf "journal of job %s: %s" j_id) (f file)
+
+let reopen ?(dir = default_dir) ?(fsync = false) j_id =
+  with_file ~dir j_id (fun file ->
+      Append_log.open_ ~fsync ~scan file
+      |> Result.map (fun (_, j_log) ->
+             if fsync then Append_log.fsync_dir (Filename.concat dir j_id);
+             { j_id; j_dir = dir; j_log; j_fsync = fsync }))
+
+let load ?(dir = default_dir) j_id =
+  with_file ~dir j_id (fun file ->
+      Result.map fst (scan (Append_log.read_file file)))
 
 let append_shard t ~shard ~payload =
   write_line t
@@ -110,7 +128,7 @@ let append_shard t ~shard ~payload =
 let append_hostile t ~shard =
   write_line t (Json.Obj [ ("hostile", Json.Int shard) ])
 
-let close t = close_out t.j_oc
+let close t = Append_log.close t.j_log
 
 (* The result-cache index: one marker file per completed job
    description, named by a digest of its fingerprint and holding the job
@@ -126,98 +144,16 @@ let marker ~dir fingerprint =
 
 let mark_complete t ~fingerprint =
   try
-    mkdir_p (Filename.concat t.j_dir "completed");
-    let file = marker ~dir:t.j_dir fingerprint in
-    let tmp = file ^ ".tmp" in
-    Out_channel.with_open_bin tmp (fun oc -> output_string oc t.j_id);
-    Unix.rename tmp file
+    Append_log.mkdir_p (Filename.concat t.j_dir "completed");
+    Append_log.write_atomic ~fsync:t.j_fsync
+      (marker ~dir:t.j_dir fingerprint)
+      t.j_id
   with Sys_error _ | Unix.Unix_error _ -> ()
 
 let completed_id ?(dir = default_dir) ~fingerprint () =
-  match
-    In_channel.with_open_bin (marker ~dir fingerprint) In_channel.input_all
-  with
+  match Append_log.read_file (marker ~dir fingerprint) with
   | id -> Some id
   | exception Sys_error _ -> None
-
-type loaded = {
-  l_job : Proto.job;
-  l_cells : int;
-  l_shard_size : int;
-  l_done : (int * Svm.Json.t) list;
-  l_hostile : int list;
-}
-
-(* Same boundary rule as {!reopen}: a torn final line is invisible. *)
-let complete_lines s =
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some i -> String.split_on_char '\n' (String.sub s 0 i)
-
-let load ?(dir = default_dir) j_id =
-  let file = journal_file ~dir j_id in
-  if not (Sys.file_exists file) then
-    Error (Printf.sprintf "no journal for job %s under %s" j_id dir)
-  else
-    match complete_lines (read_file file) with
-    | [] -> Error (Printf.sprintf "journal of job %s is empty" j_id)
-    | header :: rest -> (
-        match Json.of_string header with
-        | Error m ->
-            Error (Printf.sprintf "journal of job %s: corrupt header: %s" j_id m)
-        | Ok h -> (
-            let int_field name =
-              Option.bind (Json.member name h) Json.to_int
-            in
-            match
-              (Json.member "job" h, int_field "cells", int_field "shard_size")
-            with
-            | Some jv, Some l_cells, Some l_shard_size -> (
-                match Proto.job_of_json jv with
-                | Error m ->
-                    Error
-                      (Printf.sprintf "journal of job %s: bad job record: %s"
-                         j_id m)
-                | Ok l_job ->
-                    (* Body lines append-only; stop at the first corrupt
-                       line — it can only be the interrupted last write. *)
-                    let done_rev = ref [] in
-                    let hostile_rev = ref [] in
-                    (try
-                       List.iter
-                         (fun line ->
-                           match Json.of_string line with
-                           | Error _ -> raise Exit
-                           | Ok v -> (
-                               match
-                                 ( Json.member "shard" v,
-                                   Json.member "payload" v,
-                                   Json.member "hostile" v )
-                               with
-                               | Some s, Some payload, _ -> (
-                                   match Json.to_int s with
-                                   | Some shard ->
-                                       done_rev := (shard, payload) :: !done_rev
-                                   | None -> raise Exit)
-                               | _, _, Some hs -> (
-                                   match Json.to_int hs with
-                                   | Some shard ->
-                                       hostile_rev := shard :: !hostile_rev
-                                   | None -> raise Exit)
-                               | _ -> raise Exit))
-                         rest
-                     with Exit -> ());
-                    Ok
-                      {
-                        l_job;
-                        l_cells;
-                        l_shard_size;
-                        l_done = List.rev !done_rev;
-                        l_hostile = List.rev !hostile_rev;
-                      })
-            | _ ->
-                Error
-                  (Printf.sprintf "journal of job %s: malformed header" j_id)))
 
 let list_ids ?(dir = default_dir) () =
   if not (Sys.file_exists dir) then []

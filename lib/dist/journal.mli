@@ -6,8 +6,9 @@
     (carrying the shard's result payload) and per hostile shard. Lines
     are flushed as written, so a queue killed at any instant
     leaves a journal whose intact prefix is a set of {e finished}
-    shards — resuming re-runs only the rest. {!load} tolerates a
-    truncated final line (the one the dying queue was writing).
+    shards — resuming re-runs only the rest. {!load} and {!reopen} find
+    that prefix with one scanner over [Corpus.Append_log]: it ends at
+    the first line that is torn or does not decode.
 
     Shard indices are only meaningful against the recorded shard size,
     which is why it is in the header: a resumed run re-shards the plan
@@ -37,10 +38,10 @@ val create :
     not durable). *)
 
 val reopen : ?dir:string -> ?fsync:bool -> string -> (t, string) result
-(** Open an existing journal for appending (resume). A torn final line
-    — the append a crash interrupted — is truncated away first, so new
-    records always start at a record boundary instead of being welded
-    onto the torn tail. *)
+(** Open an existing journal for appending (resume). Everything past the
+    prefix {!load} reads — a torn or corrupt last write — is truncated
+    away first, so every record appended after it is loaded too. A
+    journal whose header does not decode is an [Error], left as is. *)
 
 val id : t -> string
 val append_shard : t -> shard:int -> payload:Svm.Json.t -> unit
@@ -55,8 +56,9 @@ val mark_complete : t -> fingerprint:string -> unit
     finds the journal with {!completed_id} in one file read. The marker
     is keyed by {!Proto.net_version} as well, so a marker left by a
     binary of another protocol version is never a hit. It is written
-    atomically and replaces any earlier one. A marker that cannot be
-    written is skipped: it only costs a later re-run. *)
+    atomically (and fsynced when the journal is) and replaces any
+    earlier one. A marker that cannot be written is skipped: it only
+    costs a later re-run. *)
 
 val completed_id : ?dir:string -> fingerprint:string -> unit -> string option
 (** The id of the journal last marked complete for this fingerprint. A
@@ -71,8 +73,7 @@ type loaded = {
 }
 
 val load : ?dir:string -> string -> (loaded, string) result
-(** Parse a journal. Corrupt trailing data (an interrupted final write,
-    whether torn mid-line or newline-terminated garbage) is ignored; a
+(** Parse a journal's valid prefix; what follows it is ignored. A
     corrupt header or missing file is an [Error]. *)
 
 val list_ids : ?dir:string -> unit -> string list

@@ -10,7 +10,7 @@ let scope (r : 'a Explore.result) =
     r.Explore.pruned_states r.Explore.pruned_commutes
 
 let agreement_validity ~lo ~hi run =
-  let ds = decided_ints run in
+  decided_ints run @@ fun ds ->
   match ds with
   | [] -> Ok ()
   | d :: rest ->

@@ -259,6 +259,8 @@ let register_source ?path source =
       Hashtbl.replace registered s.name (source, path);
       Ok s
 
+let unregister name = Hashtbl.remove registered name
+
 let registered_names () =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) registered [])
 

@@ -81,6 +81,9 @@ val register_source : ?path:string -> string -> (t, string) result
     declared name so {!find} resolves it (shadowing a builtin of the
     same name — the twin-file case). *)
 
+val unregister : string -> unit
+(** Forget a registered name: {!find} resolves its builtin again. *)
+
 val listing : unit -> t list
 (** Every scenario {!find} resolves by name, at its default size and
     sorted by name: a registered DSL scenario replaces its builtin

@@ -99,16 +99,25 @@ let prj_won u =
   | w -> w
   | exception Codec.Type_error _ -> false
 
-let decided_ints run =
-  Array.to_list run.Explore.outcomes
-  |> List.filter_map (function
-       | Exec.Decided u -> Some (Codec.int.Codec.prj u)
-       | Exec.Crashed | Exec.Blocked | Exec.Stuck -> None)
+(* [k] on the decided ints; a non-int decision violates validity. *)
+let decided_ints run k =
+  match
+    Array.to_list run.Explore.outcomes
+    |> List.filter_map (function
+         | Exec.Decided u -> Some (Codec.int.Codec.prj u)
+         | Exec.Crashed | Exec.Blocked | Exec.Stuck -> None)
+  with
+  | ds -> k ds
+  | exception Codec.Type_error _ ->
+      Error "validity: decided value is not an int"
 
 let in_range ~lo ~hi ds k =
   if List.exists (fun v -> v < lo || v > hi) ds then
     Error "validity: decided value outside the proposed range"
   else k ()
+
+let validity_check ~lo ~hi run =
+  decided_ints run (fun ds -> in_range ~lo ~hi ds Result.ok)
 
 let agreement_check ~lo ~hi ds =
   in_range ~lo ~hi ds (fun () ->
@@ -197,7 +206,7 @@ let kit = function
             Monitor.agreement ~pp:pp_int ();
             integrity ~allowed:(int_in ~lo ~hi) ();
           ]),
-        Some (fun run -> agreement_check ~lo ~hi (decided_ints run)) )
+        Some (fun run -> decided_ints run (agreement_check ~lo ~hi)) )
   | K_agreement { k; lo; hi } ->
       ( (fun () ->
           [
@@ -206,7 +215,7 @@ let kit = function
           ]),
         Some
           (fun run ->
-            let ds = decided_ints run in
+            decided_ints run @@ fun ds ->
             in_range ~lo ~hi ds (fun () ->
                 let distinct = List.length (List.sort_uniq compare ds) in
                 if distinct <= k then Ok ()
@@ -218,12 +227,12 @@ let kit = function
   | Validity { lo; hi } ->
       ( (fun () ->
           [ Monitor.validity ~pp:pp_int ~allowed:(int_in ~lo ~hi) () ]),
-        Some (fun run -> in_range ~lo ~hi (decided_ints run) Result.ok) )
+        Some (validity_check ~lo ~hi) )
   | Integrity { lo; hi } ->
       (* the explorer injects crashes only, so integrity coincides with
          validity on explored runs *)
       ( (fun () -> [ integrity ~allowed:(int_in ~lo ~hi) () ]),
-        Some (fun run -> in_range ~lo ~hi (decided_ints run) Result.ok) )
+        Some (validity_check ~lo ~hi) )
   | Stall_bound { prefix; bound } ->
       (* monitor-only: stall accounting needs the event stream, which
          the run record does not carry *)
@@ -233,8 +242,8 @@ let kit = function
       ( (fun () -> [ agreement_except ~sentinel (); integrity ~allowed () ]),
         Some
           (fun run ->
-            agreement_check ~lo ~hi
-              (List.filter (fun v -> v <> sentinel) (decided_ints run))) )
+            decided_ints run @@ fun ds ->
+            agreement_check ~lo ~hi (List.filter (fun v -> v <> sentinel) ds)) )
   | Winners bound ->
       let won n = function
         | Exec.Decided u when prj_won u -> n + 1

@@ -157,6 +157,156 @@ let torn_tail_truncated () =
       | `Duplicate _ -> Alcotest.fail "torn record must not count as present")
 
 (* ------------------------------------------------------------------ *)
+(* the shared append log, under both of its formats                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One format over [Append_log]: [write] fills a fresh log with one
+   record per payload and returns the log file; [line] is the bytes the
+   [i]-th record appends; [recover] reopens the (damaged) log, appends
+   one more payload and re-reads every payload — [None] when the
+   format refuses the file. [header] is the byte length the format
+   needs before any record. *)
+type log_format = {
+  write : string list -> string;
+  line : int -> string -> string;
+  header : string -> int;
+  recover : string -> string -> string list option;
+}
+
+let store_format =
+  {
+    write =
+      (fun payloads ->
+        let dir = fresh_dir () in
+        with_store dir (fun st ->
+            List.iter (fun p -> ignore (Store.add st (record p))) payloads);
+        Filename.concat dir "tail.seg");
+    line = (fun _ p -> Record.to_bytes (record p));
+    header = (fun _ -> 0);
+    recover =
+      (fun file p ->
+        let dir = Filename.dirname file in
+        with_store dir (fun st -> ignore (Store.add st (record p)));
+        Some
+          (with_store dir all_records
+          |> List.map (fun (_, r) -> r.Record.payload)));
+  }
+
+let journal_format =
+  let shard i p =
+    Svm.Json.(to_string (Obj [ ("shard", Int i); ("payload", String p) ]))
+    ^ "\n"
+  in
+  let open Dist in
+  {
+    write =
+      (fun payloads ->
+        let dir = fresh_dir () in
+        let job =
+          Experiments.Harness.sweep_job
+            (Result.get_ok (Experiments.Scenario.find "safe_agreement"))
+        in
+        let j = Journal.create ~dir ~job ~cells:65 ~shard_size:7 () in
+        List.iteri
+          (fun i p ->
+            Journal.append_shard j ~shard:i ~payload:(Svm.Json.String p))
+          payloads;
+        Journal.close j;
+        Filename.concat (Filename.concat dir (Journal.id j)) "journal.jsonl");
+    line = shard;
+    header = (fun bytes -> 1 + String.index bytes '\n');
+    recover =
+      (fun file p ->
+        let id = Filename.basename (Filename.dirname file) in
+        let dir = Filename.dirname (Filename.dirname file) in
+        match Journal.reopen ~dir id with
+        | Error _ -> None
+        | Ok j -> (
+            Journal.append_shard j ~shard:99 ~payload:(Svm.Json.String p);
+            Journal.close j;
+            match Journal.load ~dir id with
+            | Error m -> Alcotest.failf "unreadable after recovery: %s" m
+            | Ok l ->
+                Some
+                  (List.map
+                     (function
+                       | _, Svm.Json.String p -> p
+                       | _ -> Alcotest.fail "payload changed type")
+                     l.Journal.l_done)));
+  }
+
+(* Any run of records, then a crash's damage — a cut anywhere, a torn
+   next record, or a complete garbage line — recovers to exactly the
+   records before the damage: open cuts the file to that prefix, and a
+   record appended afterwards reads back after them. *)
+let append_log_recovery (name, fmt) =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 0 5)
+           (string_size ~gen:(char_range 'a' 'z') (int_range 0 12)))
+        (oneof
+           [
+             map (fun f -> `Cut f) (float_bound_inclusive 1.0);
+             map (fun f -> `Torn f) (float_bound_exclusive 1.0);
+             map
+               (fun g -> `Garbage g)
+               (string_size ~gen:(char_range ' ' '~') (int_range 0 8));
+           ]))
+  in
+  QCheck.Test.make ~count:60 ~name:("append log recovery: " ^ name)
+    (QCheck.make gen ~print:(fun (payloads, damage) ->
+         Printf.sprintf "[%s] then %s" (String.concat "; " payloads)
+           (match damage with
+           | `Cut f -> Printf.sprintf "cut at %g" f
+           | `Torn f -> Printf.sprintf "torn at %g" f
+           | `Garbage g -> Printf.sprintf "garbage %S" g)))
+    (fun (payloads, damage) ->
+      (* distinct payloads: the store dedups identical records *)
+      let payloads = List.mapi (Printf.sprintf "%d:%s") payloads in
+      let file = fmt.write payloads in
+      let intact = read_file file in
+      (* [ends.(i)]: the byte length of the header and the first [i]
+         records *)
+      let ends = Array.make (List.length payloads + 1) (fmt.header intact) in
+      List.iteri
+        (fun i p -> ends.(i + 1) <- ends.(i) + String.length (fmt.line i p))
+        payloads;
+      let damaged, valid =
+        match damage with
+        | `Cut f ->
+            let cut = int_of_float (f *. float (String.length intact)) in
+            ( String.sub intact 0 cut,
+              Array.fold_left (fun v e -> if e <= cut then e else v) (-1) ends
+            )
+        | `Torn f ->
+            let next = fmt.line (List.length payloads) "torn-away" in
+            let keep = 1 + int_of_float (f *. float (String.length next - 1)) in
+            (intact ^ String.sub next 0 keep, String.length intact)
+        | `Garbage g -> (intact ^ g ^ "\n", String.length intact)
+      in
+      write_file file damaged;
+      let kept = List.filteri (fun i _ -> ends.(i + 1) <= valid) payloads in
+      match fmt.recover file "NEW" with
+      | None ->
+          (* only a log whose header is damaged may be refused, untouched *)
+          valid < 0 && read_file file = damaged
+      | Some read ->
+          valid >= 0
+          && read_file file
+             = String.sub damaged 0 valid ^ fmt.line 99 "NEW"
+          && read = kept @ [ "NEW" ])
+
+let append_log_cases =
+  List.map
+    (fun f ->
+      let name, speed, run =
+        QCheck_alcotest.to_alcotest (append_log_recovery f)
+      in
+      Tmpdir.test_case name speed run)
+    [ ("store tail", store_format); ("job journal", journal_format) ]
+
+(* ------------------------------------------------------------------ *)
 (* corruption: typed quarantine, never a crash                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -191,6 +341,31 @@ let bitflip_quarantines () =
       match Store.compact st with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "compaction must refuse a quarantined corpus")
+
+(* Quarantines found at open are listed oldest first, as [quarantined]
+   promises: the order [corpus --check] prints them in. *)
+let quarantine_order () =
+  let dir = fresh_dir () in
+  let rs = List.map record [ "first"; "second"; "third" ] in
+  with_store dir (fun st ->
+      List.iter (fun r -> ignore (Store.add st r)) rs;
+      Store.cement st);
+  let seg = Filename.concat (Filename.concat dir "segments") "seg-00000001.cor" in
+  let bytes = Bytes.of_string (read_file seg) in
+  let flip i =
+    Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 1))
+  in
+  let len r = String.length (Record.to_bytes r) in
+  let l0 = len (List.nth rs 0) and l1 = len (List.nth rs 1) in
+  (* one payload bit of the first and of the third record *)
+  flip (l0 - 2);
+  flip (Bytes.length bytes - 2);
+  write_file seg (Bytes.to_string bytes);
+  with_store dir (fun st ->
+      check
+        Alcotest.(list int)
+        "quarantined offsets, oldest first" [ 0; l0 + l1 ]
+        (List.map (fun q -> q.Store.q_offset) (Store.quarantined st)))
 
 (* ------------------------------------------------------------------ *)
 (* compaction: byte-identity in, byte-identity out                      *)
@@ -366,6 +541,8 @@ let suite =
           torn_tail_truncated;
         Tmpdir.test_case "bit-flip quarantines, typed; compaction refuses"
           `Quick bitflip_quarantines;
+        Tmpdir.test_case "open-time quarantines are listed oldest first"
+          `Quick quarantine_order;
         Tmpdir.test_case "compaction is byte-identical to its input" `Quick
           compaction_preserves_bytes;
         Tmpdir.test_case "SIGKILL mid-append, resume converges" `Quick
@@ -378,5 +555,6 @@ let suite =
           soak_leaves_gc_alone;
         Tmpdir.test_case "durable prefix over chunks" `Quick
           soak_durable_next;
-      ] );
+      ]
+      @ append_log_cases );
   ]

@@ -536,6 +536,30 @@ let journal_torn_line_reopen () =
       | Some (Json.String "VVVVVVV") -> ()
       | _ -> Alcotest.fail "the re-appended shard must replace the torn one")
 
+(* A complete line that does not decode — what a crash can leave when
+   the file system persists the newline of a half-written line — ends
+   the journal for reopen exactly as for load: a shard appended after
+   it must be visible to the next load, not hidden behind it. *)
+let journal_corrupt_line_reopen () =
+  let dir, id = journal_setup () in
+  let oc =
+    open_out_gen [ Open_append; Open_wronly ] 0o644 (journal_path dir id)
+  in
+  output_string oc "{\"shard\": 2, \"payl\n";
+  close_out oc;
+  (match Dist.Journal.reopen ~dir id with
+  | Error m -> Alcotest.failf "journal must reopen: %s" m
+  | Ok j ->
+      Dist.Journal.append_shard j ~shard:2 ~payload:(Json.String "EEEEEEE");
+      Dist.Journal.close j);
+  match Dist.Journal.load ~dir id with
+  | Error m -> Alcotest.failf "journal unreadable after reopen: %s" m
+  | Ok l ->
+      check
+        Alcotest.(list int)
+        "the shard appended after the corrupt line is loaded" [ 0; 1; 2 ]
+        (List.map fst l.Dist.Journal.l_done)
+
 let journal_fsync_flag () =
   (* The fsync path must write the same bytes as the buffered path. *)
   let s = scenario "safe_agreement_no_cancel" in
@@ -642,6 +666,8 @@ let suite =
           journal_torn_line_load;
         Tmpdir.test_case "journal reopen truncates the torn tail" `Quick
           journal_torn_line_reopen;
+        Tmpdir.test_case "journal reopen cuts a corrupt complete line" `Quick
+          journal_corrupt_line_reopen;
         Tmpdir.test_case "journal --fsync writes identical bytes" `Quick
           journal_fsync_flag;
         Tmpdir.test_case "journal --fsync survives rename-then-reopen"

@@ -359,23 +359,33 @@ let source_cap_pinned () =
         Alcotest.failf "cap error %S does not mention the cap" m
 
 (* Scenario.find resolution: a registered DSL source shadows the builtin
-   of the same name, and resizing goes through the DSL's own min. *)
+   of the same name, and resizing goes through the DSL's own min. The
+   registry is process-global, so the registration is undone however
+   the test ends: later suites must find the builtin. *)
 let registration_shadows () =
   let src = read_example "x_safe_agreement.sdl" in
-  let _ = ok_or_fail' (Experiments.Scenario.register_source src) in
-  let s = ok_or_fail' (Experiments.Scenario.find "x_safe_agreement") in
-  (match s.Experiments.Scenario.origin with
-  | Experiments.Scenario.Sdl_source _ -> ()
-  | Experiments.Scenario.Builtin -> Alcotest.fail "find ignored the registration");
-  let resized =
-    ok_or_fail' (Experiments.Scenario.find ~nprocs:5 "x_safe_agreement")
-  in
-  Alcotest.(check int) "resized" 5 resized.Experiments.Scenario.nprocs;
-  match Experiments.Scenario.find ~nprocs:2 "x_safe_agreement" with
-  | Ok _ -> Alcotest.fail "below-min size accepted"
-  | Error m ->
-      if not (contains ~needle:"valid nprocs" m) then
-        Alcotest.failf "resize error %S does not name the range" m
+  Fun.protect
+    ~finally:(fun () -> Experiments.Scenario.unregister "x_safe_agreement")
+    (fun () ->
+      let _ = ok_or_fail' (Experiments.Scenario.register_source src) in
+      let s = ok_or_fail' (Experiments.Scenario.find "x_safe_agreement") in
+      (match s.Experiments.Scenario.origin with
+      | Experiments.Scenario.Sdl_source _ -> ()
+      | Experiments.Scenario.Builtin ->
+          Alcotest.fail "find ignored the registration");
+      let resized =
+        ok_or_fail' (Experiments.Scenario.find ~nprocs:5 "x_safe_agreement")
+      in
+      Alcotest.(check int) "resized" 5 resized.Experiments.Scenario.nprocs;
+      match Experiments.Scenario.find ~nprocs:2 "x_safe_agreement" with
+      | Ok _ -> Alcotest.fail "below-min size accepted"
+      | Error m ->
+          if not (contains ~needle:"valid nprocs" m) then
+            Alcotest.failf "resize error %S does not name the range" m);
+  match (ok_or_fail' (Experiments.Scenario.find "x_safe_agreement")).origin with
+  | Experiments.Scenario.Builtin -> ()
+  | Experiments.Scenario.Sdl_source _ ->
+      Alcotest.fail "the registration outlived its test"
 
 (* ------------------------------------------------------------------ *)
 (* The builtin registry pinned: every builtin's metadata and monitor
@@ -506,10 +516,10 @@ safe_agreement | agree, one out of range | validity: decided value outside the p
 safe_agreement | sentinel only | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
 safe_agreement | sentinel + agree | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
 safe_agreement | sentinel + split | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
-safe_agreement | 0 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-safe_agreement | 1 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-safe_agreement | 2 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-safe_agreement | 3 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement | 0 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement | 1 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement | 2 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement | 3 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
 safe_agreement_no_cancel | no decision | ok | ok
 safe_agreement_no_cancel | agree 0 | ok | ok
 safe_agreement_no_cancel | agree 10 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 10, not a permitted value (Byzantine writers: none)
@@ -521,10 +531,10 @@ safe_agreement_no_cancel | agree, one out of range | validity: decided value out
 safe_agreement_no_cancel | sentinel only | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
 safe_agreement_no_cancel | sentinel + agree | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
 safe_agreement_no_cancel | sentinel + split | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
-safe_agreement_no_cancel | 0 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-safe_agreement_no_cancel | 1 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-safe_agreement_no_cancel | 2 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-safe_agreement_no_cancel | 3 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | 0 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | 1 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | 2 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+safe_agreement_no_cancel | 3 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
 x_safe_agreement | no decision | ok | ok
 x_safe_agreement | agree 0 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 0, not a permitted value (Byzantine writers: none)
 x_safe_agreement | agree 10 | ok | ok
@@ -536,10 +546,10 @@ x_safe_agreement | agree, one out of range | validity: decided value outside the
 x_safe_agreement | sentinel only | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
 x_safe_agreement | sentinel + agree | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
 x_safe_agreement | sentinel + split | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
-x_safe_agreement | 0 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-x_safe_agreement | 1 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-x_safe_agreement | 2 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-x_safe_agreement | 3 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement | 0 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement | 1 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement | 2 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement | 3 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
 x_safe_agreement_first_subset | no decision | ok | ok
 x_safe_agreement_first_subset | agree 0 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 0, not a permitted value (Byzantine writers: none)
 x_safe_agreement_first_subset | agree 10 | ok | ok
@@ -551,10 +561,10 @@ x_safe_agreement_first_subset | agree, one out of range | validity: decided valu
 x_safe_agreement_first_subset | sentinel only | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
 x_safe_agreement_first_subset | sentinel + agree | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
 x_safe_agreement_first_subset | sentinel + split | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 999, not a permitted value (Byzantine writers: none)
-x_safe_agreement_first_subset | 0 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-x_safe_agreement_first_subset | 1 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-x_safe_agreement_first_subset | 2 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-x_safe_agreement_first_subset | 3 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | 0 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | 1 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | 2 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_first_subset | 3 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
 x_safe_agreement_abortable | no decision | ok | ok
 x_safe_agreement_abortable | agree 0 | validity: decided value outside the proposed range | decided-value-integrity: honest p0 decided 0, not a permitted value (Byzantine writers: none)
 x_safe_agreement_abortable | agree 10 | ok | ok
@@ -566,10 +576,10 @@ x_safe_agreement_abortable | agree, one out of range | validity: decided value o
 x_safe_agreement_abortable | sentinel only | ok | ok
 x_safe_agreement_abortable | sentinel + agree | ok | ok
 x_safe_agreement_abortable | sentinel + split | agreement: two distinct values decided | agreement-except(999): p2 decided 11 but p1 decided 10
-x_safe_agreement_abortable | 0 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-x_safe_agreement_abortable | 1 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-x_safe_agreement_abortable | 2 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
-x_safe_agreement_abortable | 3 won | raises Svm.Codec.Type_error("int") | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_abortable | 0 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_abortable | 1 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_abortable | 2 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
+x_safe_agreement_abortable | 3 won | validity: decided value is not an int | decided-value-integrity: honest p0 decided <univ>, not a permitted value (Byzantine writers: none)
 ts_from_cons | no decision | ok | ok
 ts_from_cons | agree 0 | ok | ok
 ts_from_cons | agree 10 | ok | ok
