@@ -31,7 +31,8 @@
 #   make soak-heap     — 60s soak at --jobs 4 gated on Gc-measured heap
 #                        growth (the unbounded-memory detector)
 #   make explore-determinism — the explorer's stdout and metrics snapshot
-#                        must not depend on the job count (both engines)
+#                        must not depend on the job count (both engines;
+#                        clean passes at crash budgets 0 and 1)
 #   make test-heavy    — includes the exhaustive sweeps (ASMSIM_HEAVY=1)
 #
 # The benchmark is not a make target: `python3 perfbench/run.py`
@@ -425,5 +426,13 @@ explore-determinism: build
 	  > _build/exdet/clean-j8.out
 	diff _build/exdet/clean-j1.out _build/exdet/clean-j8.out
 	diff _build/exdet/clean-j1.metrics.json _build/exdet/clean-j8.metrics.json
+	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement --crashes 1 \
+	  --jobs 1 --metrics-out _build/exdet/crash1-j1.metrics.json \
+	  > _build/exdet/crash1-j1.out
+	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement --crashes 1 \
+	  --jobs 8 --metrics-out _build/exdet/crash1-j8.metrics.json \
+	  > _build/exdet/crash1-j8.out
+	diff _build/exdet/crash1-j1.out _build/exdet/crash1-j8.out
+	diff _build/exdet/crash1-j1.metrics.json _build/exdet/crash1-j8.metrics.json
 
 ci-heavy: ci test-heavy

@@ -18,9 +18,23 @@ type 'a pstate = Running of 'a Prog.t | Done of 'a | Crashed
 
 type choice = Step of int | Crash of int
 
-let pp_choice = function
-  | Step p -> string_of_int p
-  | Crash p -> Printf.sprintf "X%d" p
+(* Steps by pid, then crashes by pid: the order sleep lists keep. *)
+let compare_choice a b =
+  match (a, b) with
+  | Step p, Step q | Crash p, Crash q -> Int.compare p q
+  | Step _, Crash _ -> -1
+  | Crash _, Step _ -> 1
+
+(* A choice's schedule text ("3", "X3"), written in place. *)
+let rec add_pid buf p =
+  if p >= 10 then add_pid buf (p / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (p mod 10)))
+
+let add_choice buf = function
+  | Step p -> add_pid buf p
+  | Crash p ->
+      Buffer.add_char buf 'X';
+      add_pid buf p
 
 exception Found
 
@@ -310,8 +324,19 @@ let rec dvals_add pid v = function
 let rec sleep_insert b = function
   | [] -> [ (b, false) ]
   | (u, _) as e :: tl ->
-      if compare b u < 0 then (b, false) :: e :: tl
+      if compare_choice b u < 0 then (b, false) :: e :: tl
       else e :: sleep_insert b tl
+
+(* A branch's standing in a sleep list: absent, or asleep with its
+   tag (see [rsleep_filter]) — constant constructors, so the per-branch
+   lookup allocates nothing. *)
+type sleeping = Awake | Asleep | Asleep_tagged
+
+let rec sleep_lookup b = function
+  | [] -> Awake
+  | (u, tag) :: tl ->
+      if compare_choice u b = 0 then if tag then Asleep_tagged else Asleep
+      else sleep_lookup b tl
 
 (* Crashing commutes with another process's step (same final state,
    same crash order) but never with another crash (the [crashed] list
@@ -326,13 +351,14 @@ let rsleep_filter_crash t_pid sleep =
 
 (* The plan engine's history interning: a private, growable table per
    phase-A walk and per subtree run, so no task ever shares mutable
-   state with another (engine C's shared [Visited.Intern] is a fixed
-   bucket array sized for a whole exploration, too large to allocate
-   per plan). Id 0 names the empty history. A subtree numbers its ids
-   from [i_next] at capture, above every id its root can hold: a task's
-   histories only extend its root's, so the ids phase A handed out are
-   never needed again below the root, and equal ids still mean equal
-   histories throughout the task. *)
+   state with another and no lookup takes a lock (engine C's shared
+   [Visited.Intern] is one fixed block of buckets sized for a whole
+   exploration, not for one task's few hundred histories). Id 0 names
+   the empty history. A subtree numbers its ids from [i_next] at
+   capture, above every id its root can hold: a task's histories only
+   extend its root's, so the ids phase A handed out are never needed
+   again below the root, and equal ids still mean equal histories
+   throughout the task. *)
 module Intern_tbl = Hashtbl.Make (struct
   type t = int * enc
 
@@ -475,7 +501,7 @@ let rec rsleep_filter ~refined env states fps fp_t t_pid = function
    branch list — the node's visited-table insertion already happened on
    the splitting worker, so the resume goes straight to the branch
    loop. [w_sched] is the schedule prefix of the root, as the dotted
-   [pp_choice] text, so terminals can render their schedule without
+   [add_choice] text, so terminals can render their schedule without
    carrying the choice list. *)
 type 'a witem = {
   w_env : Env.t;
@@ -508,7 +534,7 @@ let root_item (env0, progs) =
 
 (* A walk's tallies: per worker in engine C, folded after the join (all
    deterministic in the clean, no-abort case — see the closure argument
-   in DESIGN §14 — except [c_splits] and the visited stats' bloom_fp),
+   in DESIGN §14 — except [c_splits]),
    and per pass in the plan engine. *)
 type cworker = {
   mutable c_runs : int;
@@ -585,6 +611,17 @@ let traverse (w : 'a walk) (acc : cworker) ?pool ~worker (it : 'a witem) =
      per-terminal list reversal and concat. *)
   let sbuf = Buffer.create 64 in
   Buffer.add_string sbuf it.w_sched;
+  (* Branch choices, one of each per pid, shared by every node so a
+     branch list allocates only its cons cells. *)
+  let step_of = Array.init (Array.length states) (fun p -> Step p) in
+  let crash_of = Array.init (Array.length states) (fun p -> Crash p) in
+  let rec any_live i =
+    i >= 0
+    &&
+    match states.(i) with
+    | Running _ -> true
+    | Done _ | Crashed -> any_live (i - 1)
+  in
   let revisit depth rev_crashed sleep =
     match w.k_seen with
     | None -> false
@@ -649,24 +686,14 @@ let traverse (w : 'a walk) (acc : cworker) ?pool ~worker (it : 'a witem) =
     | Some branches ->
         expand (node_fps ()) depth crashes rev_crashed sleep branches
     | None -> (
-        let live =
-          let rec go i l =
-            if i < 0 then l
-            else
-              go (i - 1)
-                (match states.(i) with
-                | Running _ -> i :: l
-                | Done _ | Crashed -> l)
-          in
-          go (Array.length states - 1) []
-        in
-        if live = [] || depth >= w.k_max_steps then begin
+        let live = any_live (Array.length states - 1) in
+        if (not live) || depth >= w.k_max_steps then begin
           (* The sleep set is irrelevant at a terminal (no transitions),
              so terminals are keyed with an empty one: equal end states
              reached under different sleep sets are still one run. *)
           if revisit depth rev_crashed [] then
             acc.c_pruned_states <- acc.c_pruned_states + 1
-          else terminal ~truncated:(live <> []) rev_crashed
+          else terminal ~truncated:live rev_crashed
         end
         else if revisit depth rev_crashed sleep then
           acc.c_pruned_states <- acc.c_pruned_states + 1
@@ -675,14 +702,21 @@ let traverse (w : 'a walk) (acc : cworker) ?pool ~worker (it : 'a witem) =
           | Some (fd, capture) when depth >= fd ->
               capture (snapshot depth crashes rev_crashed sleep None)
           | _ ->
-              let branches =
-                List.concat_map
-                  (fun pid ->
-                    let crash = crashes < w.k_max_crashes in
-                    Step pid :: (if crash then [ Crash pid ] else []))
-                  live
+              (* Every live pid's step, each followed — within the crash
+                 budget — by its crash, in pid order. *)
+              let crash = crashes < w.k_max_crashes in
+              let rec branches pid l =
+                if pid < 0 then l
+                else
+                  branches (pid - 1)
+                    (match states.(pid) with
+                    | Running _ ->
+                        step_of.(pid)
+                        :: (if crash then crash_of.(pid) :: l else l)
+                    | Done _ | Crashed -> l)
               in
-              expand (node_fps ()) depth crashes rev_crashed sleep branches)
+              expand (node_fps ()) depth crashes rev_crashed sleep
+                (branches (Array.length states - 1) []))
   and node_fps () =
     (* Refined footprints of every process's next op at this node,
        shared by all the node's branches (states are restored between
@@ -700,18 +734,14 @@ let traverse (w : 'a walk) (acc : cworker) ?pool ~worker (it : 'a witem) =
     | [] -> ()
     | b :: rest -> (
         if Atomic.get w.k_stop then raise Abort;
-        let sleeping =
-          if dedup then
-            List.find_map (fun (u, tag) -> if u = b then Some tag else None)
-              sleep
-          else None
-        in
-        match sleeping with
-        | Some tag ->
-            if tag then acc.c_pruned_source <- acc.c_pruned_source + 1
-            else acc.c_pruned_commutes <- acc.c_pruned_commutes + 1;
+        match if dedup then sleep_lookup b sleep else Awake with
+        | Asleep_tagged ->
+            acc.c_pruned_source <- acc.c_pruned_source + 1;
             expand fps depth crashes rev_crashed sleep rest
-        | None ->
+        | Asleep ->
+            acc.c_pruned_commutes <- acc.c_pruned_commutes + 1;
+            expand fps depth crashes rev_crashed sleep rest
+        | Awake ->
             (* [b] will be explored, so subsequent branches — run here
                or offloaded — see it asleep. *)
             let sleep' = if dedup then sleep_insert b sleep else sleep in
@@ -727,7 +757,7 @@ let traverse (w : 'a walk) (acc : cworker) ?pool ~worker (it : 'a witem) =
             if offloaded then acc.c_splits <- acc.c_splits + 1;
             let spos = Buffer.length sbuf in
             if spos > 0 then Buffer.add_char sbuf '.';
-            Buffer.add_string sbuf (pp_choice b);
+            add_choice sbuf b;
             (match b with
             | Step pid -> (
                 match states.(pid) with
@@ -1179,8 +1209,6 @@ let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
           Metrics.bump metrics "explore.par.steals" ~by:(Par.steals pool);
           Metrics.bump metrics "explore.par.splits"
             ~by:(sum (fun a -> a.c_splits));
-          Metrics.bump metrics "explore.visited.bloom_fp"
-            ~by:(sum (fun a -> a.c_vstats.Visited.bloom_fp));
           Array.iteri
             (fun i a ->
               Metrics.bump metrics

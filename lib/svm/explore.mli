@@ -124,9 +124,8 @@ val exhaustive :
     tallies ([explore.pruned_states], [explore.pruned_commutes],
     [explore.pruned_source]) and the shared-table traffic
     ([explore.visited.hits]/[explore.visited.misses]) — all
-    deterministic. Timing-dependent tallies (steals, splits, bloom
-    false positives, per-domain breakdowns) are recorded only into
-    wall-clock registries ({!Metrics.create}'s [wall_clock]), so
+    deterministic. Timing-dependent tallies (steals, splits, per-domain
+    breakdowns) are recorded only into wall-clock registries ({!Metrics.create}'s [wall_clock]), so
     snapshot-compared runs stay byte-identical. [on_progress ~runs]
     fires from the calling domain — heartbeat timing is not part of
     the determinism contract. *)

@@ -1,14 +1,12 @@
-(* A domain-striped insert-if-absent table: fixed bucket array of
-   immutable chains updated by CAS, fronted by a two-probe bloom filter
-   packed into native ints. See the .mli for the linearizability
-   argument; the load-order comment in [seen_or_add] is the one line the
-   whole construction leans on. *)
+(* A domain-striped insert-if-absent table: one plain array of
+   immutable chains, read without a lock and extended under one of a
+   fixed set of stripe locks. See the .mli for the linearizability
+   argument. *)
 
 type 'k t = {
-  buckets : (int * 'k) list Atomic.t array;
+  buckets : (int * 'k) list array;
   mask : int;
-  bloom : int Atomic.t array;  (* 62 usable bits per word *)
-  bloom_mask : int;
+  locks : Mutex.t array;
 }
 
 type stats = {
@@ -21,139 +19,98 @@ let fresh_stats () = { hits = 0; misses = 0; bloom_fp = 0 }
 
 let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
 
+(* Bucket [b] is guarded by [locks.(b land (stripes - 1))]. Tables
+   with fewer buckets simply leave the surplus locks unused. *)
+let stripes = 64
+
+let make_locks () = Array.init stripes (fun _ -> Mutex.create ())
+
 let create ?(buckets = 65536) () =
   let cap = pow2 (max 16 buckets) 16 in
-  {
-    buckets = Array.init cap (fun _ -> Atomic.make []);
-    mask = cap - 1;
-    (* A quarter as many words as buckets keeps the filter sparse for
-       chain loads around one key per bucket. *)
-    bloom = Array.init (cap / 4) (fun _ -> Atomic.make 0);
-    bloom_mask = (cap / 4) - 1;
-  }
+  { buckets = Array.make cap []; mask = cap - 1; locks = make_locks () }
 
-(* Two probes derived from the one hash: the raw hash and a
-   golden-ratio remix, each mapping to (word, bit-within-62). *)
-let probe t i =
-  let i = i land max_int in
-  let w = (i lsr 6) land t.bloom_mask in
-  let b = i mod 62 in
-  (w, 1 lsl b)
+let rec mem hash key = function
+  | [] -> false
+  | (h, k) :: tl -> (h = hash && k = key) || mem hash key tl
 
-let remix h = (h * 0x9e3779b9) lxor (h lsr 16)
-
-let bloom_maybe t h =
-  let w1, b1 = probe t h in
-  let w2, b2 = probe t (remix h) in
-  Atomic.get t.bloom.(w1) land b1 <> 0 && Atomic.get t.bloom.(w2) land b2 <> 0
-
-let set_bit t w b =
-  (* No fetch_or in stdlib [Atomic]: CAS-loop the OR in. *)
-  let cell = t.bloom.(w) in
-  let rec go () =
-    let cur = Atomic.get cell in
-    if cur land b = b then ()
-    else if not (Atomic.compare_and_set cell cur (cur lor b)) then go ()
-  in
-  go ()
-
-let bloom_add t h =
-  let w1, b1 = probe t h in
-  let w2, b2 = probe t (remix h) in
-  set_bit t w1 b1;
-  set_bit t w2 b2
+(* Under bucket [b]'s stripe lock: whether the chain holds the key by
+   now, linking it on when it does not. The re-read is the point — the
+   chain may have grown since the lock-free walk, and only a walk of
+   the very chain being extended proves the key absent. *)
+let locked_mem_or_add t b hash key =
+  let lock = t.locks.(b land (stripes - 1)) in
+  Mutex.lock lock;
+  match mem hash key t.buckets.(b) with
+  | present ->
+      if not present then t.buckets.(b) <- (hash, key) :: t.buckets.(b);
+      Mutex.unlock lock;
+      present
+  | exception e ->
+      Mutex.unlock lock;
+      raise e
 
 let seen_or_add t ~hash key stats =
-  let cell = t.buckets.(hash land t.mask) in
-  (* Read the chain head BEFORE the bloom bits: an inserter sets its
-     bits before its CAS publishes, so "bits clear" read after the head
-     proves the key is absent from that head — the fast path needs no
-     walk. The reverse order would race: bits could be set between our
-     two reads by an insert whose CAS we then observe. *)
-  let head = Atomic.get cell in
-  let mem chain = List.exists (fun (h, k) -> h = hash && k = key) chain in
-  let present =
-    if bloom_maybe t hash then begin
-      let p = mem head in
-      if not p then stats.bloom_fp <- stats.bloom_fp + 1;
-      p
-    end
-    else false
-  in
-  if present then begin
+  let b = hash land t.mask in
+  if mem hash key t.buckets.(b) || locked_mem_or_add t b hash key then begin
     stats.hits <- stats.hits + 1;
     true
   end
   else begin
-    bloom_add t hash;
-    (* [prev] is always a chain proven not to contain [key] — [head] by
-       the walk (or the bloom proof above), later values by the re-walk
-       after a lost CAS. That re-walk is what makes concurrent double
-       insertion impossible. *)
-    let rec insert prev =
-      if Atomic.compare_and_set cell prev ((hash, key) :: prev) then begin
-        stats.misses <- stats.misses + 1;
-        false
-      end
-      else
-        let cur = Atomic.get cell in
-        if mem cur then begin
-          stats.hits <- stats.hits + 1;
-          true
-        end
-        else insert cur
-    in
-    insert head
+    stats.misses <- stats.misses + 1;
+    false
   end
 
-let distinct t =
-  Array.fold_left (fun n cell -> n + List.length (Atomic.get cell)) 0 t.buckets
+let distinct t = Array.fold_left (fun n c -> n + List.length c) 0 t.buckets
 
-(* A concurrent hash-consing table built on the same bucket-CAS idiom:
-   the first worker to publish a key names it; everyone else adopts
-   that name. Within one table, id equality is exactly key equality —
-   the numeric values depend on scheduling, so they must never be
-   compared across tables or leak into deterministic output. *)
+(* A concurrent hash-consing table on the same striped buckets: the
+   first worker to link a key names it; everyone else adopts that name.
+   Within one table, id equality is exactly key equality — the numeric
+   values depend on scheduling, so they must never be compared across
+   tables or leak into deterministic output. *)
 module Intern = struct
   type 'k t = {
-    ibuckets : (int * 'k * int) list Atomic.t array;
+    ibuckets : (int * 'k * int) list array;
     imask : int;
+    ilocks : Mutex.t array;
     inext : int Atomic.t;
   }
 
   let create ?(buckets = 65536) () =
     let cap = pow2 (max 16 buckets) 16 in
     {
-      ibuckets = Array.init cap (fun _ -> Atomic.make []);
+      ibuckets = Array.make cap [];
       imask = cap - 1;
+      ilocks = make_locks ();
       inext = Atomic.make 1 (* 0 is reserved for the caller's root id *);
     }
 
-  let find hash key chain =
-    List.find_map
-      (fun (h, k, i) -> if h = hash && k = key then Some i else None)
-      chain
+  (* The key's id, or 0 (never handed out) when the chain lacks it. *)
+  let rec find hash key = function
+    | [] -> 0
+    | (h, k, i) :: tl -> if h = hash && k = key then i else find hash key tl
 
   let id t ~hash key =
-    let cell = t.ibuckets.(hash land t.imask) in
-    let head = Atomic.get cell in
-    match find hash key head with
-    | Some i -> i
-    | None ->
-        (* Reserve a fresh id, then race to publish it. Losing the CAS
-           to an insert of the same key means adopting the winner's id;
-           the reserved one is simply never used (ids need not be
-           dense). The re-walk after a lost CAS is what makes two live
-           ids for one key impossible. *)
-        let fresh = Atomic.fetch_and_add t.inext 1 in
-        let rec insert prev =
-          if Atomic.compare_and_set cell prev ((hash, key, fresh) :: prev)
-          then fresh
-          else
-            let cur = Atomic.get cell in
-            match find hash key cur with Some i -> i | None -> insert cur
-        in
-        insert head
+    let b = hash land t.imask in
+    match find hash key t.ibuckets.(b) with
+    | 0 -> (
+        let lock = t.ilocks.(b land (stripes - 1)) in
+        Mutex.lock lock;
+        (* Other stripes draw ids concurrently, hence the atomic
+           counter; drawing only once the locked re-walk proved the key
+           absent means no id is ever abandoned. *)
+        match find hash key t.ibuckets.(b) with
+        | 0 ->
+            let fresh = Atomic.fetch_and_add t.inext 1 in
+            t.ibuckets.(b) <- (hash, key, fresh) :: t.ibuckets.(b);
+            Mutex.unlock lock;
+            fresh
+        | i ->
+            Mutex.unlock lock;
+            i
+        | exception e ->
+            Mutex.unlock lock;
+            raise e)
+    | i -> i
 
   let count t = Atomic.get t.inext - 1
 end

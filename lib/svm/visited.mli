@@ -3,25 +3,29 @@
     One table is shared by every exploring domain, so a state
     fingerprinted by one domain is never re-expanded by a sibling — the
     cross-domain deduplication that makes parallel exploration pay for
-    itself. The structure is a fixed array of lock-free buckets (chains
-    updated by compare-and-set) fronted by a bloom filter, so the common
-    "definitely new" answer skips the bucket walk entirely.
+    itself. The structure is one plain array of buckets, each an
+    immutable chain: lookups walk the chain they read without taking a
+    lock, and an insert links a new head under one of a fixed set of
+    stripe locks. Making a table is two blocks and the locks, whatever
+    its bucket count.
 
     {b Linearizability.} [seen_or_add] behaves as an atomic
     insert-if-absent: for any set of concurrent calls with the same key,
     exactly one returns [false] (the insertion) and every other returns
-    [true]. The proof obligations are local:
+    [true]. A bucket's chain only ever grows, by a new head linked under
+    the bucket's stripe lock, so:
 
-    - the bucket head is read {e before} the bloom bits, so under
-      sequentially-consistent atomics "bits clear" implies the key was
-      not in the head just read (an inserter sets its bloom bits before
-      publishing the bucket CAS);
-    - a failed CAS re-reads the chain and re-walks it before retrying,
-      so two racing inserters of the same key can never both link it.
+    - a hit linearizes at the chain read that found the key: the key
+      was present then and is never removed;
+    - an insert linearizes at its locked publish: under the lock it
+      re-reads the chain and re-walks it, so no other insert of the key
+      can have been published first, and none can be published after
+      without first seeing it.
 
-    Memory ordering is OCaml's [Atomic] (sequentially consistent);
-    bucket chains are immutable lists, so readers never observe a
-    half-built node. *)
+    A lock-free walk that misses only sends the caller to the lock; it
+    answers nothing. Chains are immutable lists, and OCaml 5 publishes
+    a bucket store ([caml_modify]) with release ordering, so a reader
+    never observes a half-built cell. *)
 
 type 'k t
 
@@ -29,10 +33,8 @@ type stats = {
   mutable hits : int;  (** key was already present *)
   mutable misses : int;  (** key was inserted by this call *)
   mutable bloom_fp : int;
-      (** bloom said "maybe present" but the exact walk said no — a
-          false positive. Timing-dependent under concurrency (a racing
-          insert can set the bits first), so not part of the
-          determinism contract. *)
+      (** Always 0: the table has no bloom filter. Kept so readers of
+          the field still compile. *)
 }
 
 val fresh_stats : unit -> stats
@@ -66,8 +68,9 @@ val distinct : 'k t -> int
     collapse per-process operation histories to ids, making visited-key hashing and equality
     independent of history length.
 
-    The numeric id values depend on scheduling (a lost insertion race
-    abandons its reserved id), so ids are process-local names: never
+    Ids are drawn only by the insert that links a new key, so they are
+    dense ([1 .. count]); which key gets which number still depends on
+    scheduling, so ids are process-local names: never
     compare them across tables, persist them, or let them reach
     deterministic output — only their {e equalities} are stable. *)
 module Intern : sig
@@ -81,6 +84,6 @@ module Intern : sig
   (** Atomic find-or-name. [hash] must be a pure function of [key]. *)
 
   val count : 'k t -> int
-  (** Upper bound on ids handed out (exact when no insert race was ever
-      lost). Post-run reporting only. *)
+  (** Exact number of ids handed out, i.e. of distinct keys named.
+      Post-run reporting only. *)
 end

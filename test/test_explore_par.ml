@@ -211,71 +211,115 @@ let prewarm_hash_stable () =
 (* shared-table linearizability under insert storms                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Four domains (oversubscribed on small hosts) hammer one table with
-   overlapping key sets, each domain starting at a different rotation
-   so the same keys race in different orders. Linearizability of
+(* Four domains (oversubscribed on small hosts) hammer one 16-bucket
+   table with the same keys, twice: rotated, each domain starting at a
+   different offset so the same keys race in different orders, and in
+   lockstep, every domain inserting the same sequence in the same order
+   so every insert contends on one stripe lock. Linearizability of
    insert-if-absent says exactly one call per distinct key may report a
-   miss, whatever the interleaving; tiny tables force long chains and
-   bucket CAS retries. *)
+   miss, whatever the interleaving; tiny tables force long chains. *)
 let storm_keys = QCheck.(list_of_size Gen.(int_range 1 60) (int_bound 30))
+
+let storm_domains = 4
+
+(* Runs [insert d k] for every domain [d] over [keys] in the given
+   order; the domains' results, by domain. The domains wait for each
+   other before the first insert, or the first one spawned would be
+   done before the last one starts. *)
+let storm ~lockstep keys insert =
+  let n = Array.length keys in
+  let ready = Atomic.make 0 in
+  Array.init storm_domains (fun d ->
+      Domain.spawn (fun () ->
+          Atomic.incr ready;
+          while Atomic.get ready < storm_domains do
+            Domain.cpu_relax ()
+          done;
+          Array.init n (fun i ->
+              let k = keys.(if lockstep then i else (i + d) mod n) in
+              (k, insert d k))))
+  |> Array.map Domain.join
+
+let distinct_keys keys =
+  List.length (List.sort_uniq compare (Array.to_list keys))
 
 let visited_linearizable =
   QCheck.Test.make ~count:40
     ~name:"shared visited: one miss per distinct key under domain storms"
     storm_keys
     (fun keys ->
-      let tbl = Visited.create ~buckets:16 () in
       let keys = Array.of_list keys in
       let n = Array.length keys in
-      let ndom = 4 in
-      let stats = Array.init ndom (fun _ -> Visited.fresh_stats ()) in
-      let doms =
-        Array.init ndom (fun d ->
-            Domain.spawn (fun () ->
-                for i = 0 to n - 1 do
-                  let k = keys.((i + d) mod n) in
-                  ignore
-                    (Visited.seen_or_add tbl ~hash:(Hashtbl.hash k) k
-                       stats.(d))
-                done))
-      in
-      Array.iter Domain.join doms;
-      let distinct =
-        List.length (List.sort_uniq compare (Array.to_list keys))
-      in
-      let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
-      sum (fun s -> s.Visited.misses) = distinct
-      && sum (fun s -> s.Visited.hits) = (ndom * n) - distinct
-      && Visited.distinct tbl = distinct)
+      let distinct = distinct_keys keys in
+      List.for_all
+        (fun lockstep ->
+          let tbl = Visited.create ~buckets:16 () in
+          let stats =
+            Array.init storm_domains (fun _ -> Visited.fresh_stats ())
+          in
+          ignore
+            (storm ~lockstep keys (fun d k ->
+                 Visited.seen_or_add tbl ~hash:(Hashtbl.hash k) k stats.(d)));
+          let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
+          sum (fun s -> s.Visited.misses) = distinct
+          && sum (fun s -> s.Visited.hits) = (storm_domains * n) - distinct
+          && Visited.distinct tbl = distinct)
+        [ false; true ])
 
 let intern_linearizable =
   QCheck.Test.make ~count:40
     ~name:"intern: racing domains agree on every id" storm_keys
     (fun keys ->
-      let t = Visited.Intern.create ~buckets:16 () in
       let keys = Array.of_list keys in
-      let n = Array.length keys in
-      let ndom = 4 in
-      let ids = Array.make ndom [||] in
-      let doms =
-        Array.init ndom (fun d ->
-            Domain.spawn (fun () ->
-                ids.(d) <-
-                  Array.init n (fun i ->
-                      let k = keys.((i + d) mod n) in
-                      (k, Visited.Intern.id t ~hash:(Hashtbl.hash k) k))))
-      in
-      Array.iter Domain.join doms;
-      let all = Array.to_list ids |> Array.concat |> Array.to_list in
-      (* Every domain's view: id equality iff key equality, and a later
-         uncontended lookup returns the already-published id. *)
       List.for_all
-        (fun (k1, i1) ->
-          List.for_all (fun (k2, i2) -> (k1 = k2) = (i1 = i2)) all)
-        all
-      && List.for_all
-           (fun (k, i) -> Visited.Intern.id t ~hash:(Hashtbl.hash k) k = i)
-           all)
+        (fun lockstep ->
+          let t = Visited.Intern.create ~buckets:16 () in
+          let all =
+            storm ~lockstep keys (fun _ k ->
+                Visited.Intern.id t ~hash:(Hashtbl.hash k) k)
+            |> Array.to_list |> Array.concat |> Array.to_list
+          in
+          (* Every domain's view: id equality iff key equality, a later
+             uncontended lookup returns the already-published id, and
+             no id was drawn for a key another domain named first. *)
+          List.for_all
+            (fun (k1, i1) ->
+              List.for_all (fun (k2, i2) -> (k1 = k2) = (i1 = i2)) all)
+            all
+          && List.for_all
+               (fun (k, i) -> Visited.Intern.id t ~hash:(Hashtbl.hash k) k = i)
+               all
+          && Visited.Intern.count t = distinct_keys keys)
+        [ false; true ])
+
+(* Making a table costs O(1) blocks: the bucket array goes straight to
+   the major heap as one block, with no box per bucket, so a table's
+   words stay within its bucket count plus a small constant. Measured
+   as minor + major - promoted words, the reading of the metrics
+   allocation test. *)
+let create_allocates_o1_blocks () =
+  let words make =
+    let before = Test_metrics.allocated_words () in
+    make ();
+    Test_metrics.allocated_words () -. before
+  in
+  List.iter
+    (fun (name, buckets, make) ->
+      let w = words make in
+      check Alcotest.bool
+        (Printf.sprintf "%s with %d buckets allocates %.0f words" name buckets
+           w)
+        true
+        (w <= float_of_int (buckets + 4096)))
+    [
+      ( "Visited.create",
+        131072,
+        fun () ->
+          ignore (Sys.opaque_identity (Visited.create ~buckets:131072 ())) );
+      ( "Visited.Intern.create",
+        65536,
+        fun () -> ignore (Sys.opaque_identity (Visited.Intern.create ())) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* dedup never changes a verdict; dedup off is the naive oracle         *)
@@ -357,6 +401,8 @@ let suite =
           dedup_verdict_parity;
         QCheck_alcotest.to_alcotest visited_linearizable;
         QCheck_alcotest.to_alcotest intern_linearizable;
+        Alcotest.test_case "table creation costs O(1) blocks" `Quick
+          create_allocates_o1_blocks;
         QCheck_alcotest.to_alcotest undo_log_roundtrip;
       ] );
   ]
